@@ -53,8 +53,8 @@ class ExtrapConfig:
     enabled: bool = True
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ValueError("window size q must be at least 1")
+        if not (1 <= self.q <= ex.MAX_ORDER):
+            raise ValueError(f"window size q must lie in [1, {ex.MAX_ORDER}]")
         if self.spacing < 1:
             raise ValueError("cadence spacing must be at least 1")
         if self.s != math.inf and (self.s < 1 or int(self.s) != self.s):

@@ -18,6 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
+MAX_ORDER = 32  # largest companion matrix (window size q) spectral_radius accepts
+
+
 class DimensionMismatch(ValueError):
     """Pushed vector does not match the window dimension."""
 
@@ -103,8 +106,8 @@ def companion_matrix(c):
 def spectral_radius(C):
     """Largest eigenvalue modulus of a (small) companion matrix."""
     C = np.asarray(C, dtype=float)
-    if C.shape[0] > 32:
-        raise EigenFailure(f"companion of order {C.shape[0]} exceeds the supported 32")
+    if C.shape[0] > MAX_ORDER:
+        raise EigenFailure(f"companion of order {C.shape[0]} exceeds the supported {MAX_ORDER}")
     try:
         return float(np.max(np.abs(np.linalg.eigvals(C))))
     except np.linalg.LinAlgError as exc:

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
-from .prox import (AffineProjectionCache, LinearMap, ProxOracle, QuadraticSolveCache,
-                   group_l12_oracle, l1_oracle, nuclear_oracle, project_affine,
-                   project_box, soft_threshold_l1, subspace_oracle, quadratic_oracle)
+from .prox import (AffineProjectionCache, LinearMap, ProxOracle, group_l12_oracle,
+                   l1_oracle, least_squares_oracle, nuclear_oracle, project_affine,
+                   project_box, smaller_gram, soft_threshold_l1, subspace_oracle,
+                   quadratic_oracle)
 from .splitting import SplitProblem, SubproblemFailure
 from .a3dmm import InnerSolver
 
@@ -71,21 +71,10 @@ class ProblemInstance:
     reference: Optional[Reference] = None
 
 
-def operator_norm(K, tol=1e-8, max_iter=10000):
-    """2-norm of a dense matrix by power iteration on K^T K."""
-    K = np.asarray(K, dtype=float)
-    v = np.ones(K.shape[1]) / np.sqrt(K.shape[1])
-    prev = 0.0
-    for _ in range(max_iter):
-        w = K.T @ (K @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(nw - prev) <= tol * nw:
-            break
-        prev = nw
-    return float(np.sqrt(nw))
+def operator_norm(K):
+    """2-norm of a dense matrix: the root of the top eigenvalue of its smaller Gram matrix."""
+    G, _ = smaller_gram(np.asarray(K, dtype=float))
+    return float(np.sqrt(np.linalg.eigvalsh(G).max(initial=0.0)))
 
 
 def resolve_gamma(spec, norm_K=None):
@@ -113,14 +102,9 @@ def _gaussian_sensing(rng, m, n):
 
 def _lasso_data_oracle(K, f):
     """Oracle of J(y) = 0.5||K y - f||^2 taken with the map B = -I."""
-    KtK = K.T @ K
-    Ktf = K.T @ f
-    cache = QuadraticSolveCache(KtK)
-    # argmin J + (gamma/2)||-y - w||^2  <=>  (K'K + gamma I) y = K'f - gamma w
-    def evaluate(w, gamma):
-        return scipy.linalg.cho_solve(cache.factor(gamma), Ktf - gamma * w)
-
-    return ProxOracle(evaluate, K.shape[1], "least-squares")
+    data = least_squares_oracle(K, f)
+    # argmin J + (gamma/2)||-y - w||^2 is the A = identity prox at -w
+    return ProxOracle(lambda w, gamma: data.evaluate(-w, gamma), data.dim, data.name)
 
 
 class IterativeQuadraticProx:
@@ -206,13 +190,7 @@ def make_lasso(m=64, n=256, sparsity=13, mu=1.0, seed=0, data_block="y",
         if iterative:
             prox_r = IterativeQuadraticProx(K, f, inner=inner)
         else:
-            KtK = K.T @ K
-            Ktf = K.T @ f
-            cache = QuadraticSolveCache(KtK)
-            prox_r = ProxOracle(
-                lambda w, gamma: scipy.linalg.cho_solve(cache.factor(gamma),
-                                                        Ktf + gamma * w),
-                n, "least-squares")
+            prox_r = least_squares_oracle(K, f)
         r_value = data_value
 
         def shrink(w, gamma):

@@ -7,6 +7,16 @@ Every subproblem oracle used by the splitting solvers evaluates
 for a fixed function f and a fixed linear map A (A = identity for the
 plain proximal maps).  Oracles are deterministic and, once built, hold no
 mutable state, so they are safe to share across concurrent solves.
+
+Quadratic oracles share one cached solve of (Q + gamma*I) x = r.  When Q is
+the Gram matrix K'K of an m x n design K, the cache factors whichever Gram
+matrix is smaller: for m < n it factors the m x m matrix KK' + gamma*I and
+applies the matrix inversion lemma
+
+    x = (r - K'(KK' + gamma*I)^{-1} K r) / gamma,
+
+for m >= n it factors K'K + gamma*I.  Building costs O(min(m,n)^2 max(m,n))
+and each solve O(mn); the cached factor has min(m,n)^2 entries.
 """
 
 from __future__ import annotations
@@ -153,22 +163,51 @@ def project_affine(w, K, f, cache=None):
     return w - K.T @ scipy.linalg.cho_solve(cache.factor, K @ w - f)
 
 
+def smaller_gram(K):
+    """The smaller of KK' and K'K for a dense K, and whether it is KK' (K wide)."""
+    wide = K.shape[0] < K.shape[1]
+    return (K @ K.T if wide else K.T @ K), wide
+
+
 class QuadraticSolveCache:
-    """Per-matrix cache of Cholesky factors of Q + gamma*I, keyed on gamma."""
+    """Solves (Q + gamma*I) x = r with one Cholesky factor per gamma, built lazily.
+
+    Q is given densely, or as the Gram matrix K'K of a design K through
+    `from_design`, which never forms K'K when K is wide.
+    """
 
     def __init__(self, Q):
         Q = np.asarray(Q, dtype=float)
         if np.abs(Q - Q.T).max(initial=0.0) > 1e-10:
             raise NotSymmetric("Q must be symmetric")
-        self.Q = Q
+        self._gram = Q
+        self._wide = None  # the design K when Q = K'K is solved through KK'
         self._factors: dict[float, tuple] = {}
+
+    @classmethod
+    def from_design(cls, K):
+        """Cache for Q = K'K that factors the smaller of KK' and K'K."""
+        K = np.asarray(K, dtype=float)
+        cache = cls.__new__(cls)
+        cache._gram, wide = smaller_gram(K)
+        cache._wide = K if wide else None
+        cache._factors = {}
+        return cache
 
     def factor(self, gamma):
         key = float(gamma)
         if key not in self._factors:
-            n = self.Q.shape[0]
-            self._factors[key] = scipy.linalg.cho_factor(self.Q + key * np.eye(n))
+            G = self._gram
+            self._factors[key] = scipy.linalg.cho_factor(G + key * np.eye(G.shape[0]))
         return self._factors[key]
+
+    def solve(self, r, gamma):
+        """x = (Q + gamma*I)^{-1} r; a non-finite r raises ValueError."""
+        factor = self.factor(gamma)
+        K = self._wide
+        if K is None:
+            return scipy.linalg.cho_solve(factor, r)
+        return (r - K.T @ scipy.linalg.cho_solve(factor, K @ r)) / gamma
 
 
 def solve_regularized_quadratic(Q, q, gamma, w, cache=None):
@@ -179,7 +218,7 @@ def solve_regularized_quadratic(Q, q, gamma, w, cache=None):
     """
     if cache is None:
         cache = QuadraticSolveCache(Q)
-    return scipy.linalg.cho_solve(cache.factor(gamma), gamma * np.asarray(w, float) - q)
+    return cache.solve(gamma * np.asarray(w, float) - q, gamma)
 
 
 def moreau_conjugate_prox(prox_f, z, gamma):
@@ -240,11 +279,19 @@ def subspace_oracle(basis, name="subspace"):
 
 def quadratic_oracle(Q, q, name="quadratic"):
     """Oracle of f = 0.5 x'Qx + q'x with A = identity, using a cached solve."""
-    cache = QuadraticSolveCache(Q)
-    q = np.asarray(q, dtype=float)
-    return ProxOracle(
-        lambda w, gamma: solve_regularized_quadratic(cache.Q, q, gamma, w, cache),
-        q.size, name)
+    return _cached_quadratic_oracle(QuadraticSolveCache(Q), np.asarray(q, dtype=float), name)
+
+
+def least_squares_oracle(K, f, name="least-squares"):
+    """Oracle of 0.5||K x - f||^2 with A = identity, solved through the smaller Gram matrix."""
+    K = np.asarray(K, dtype=float)
+    return _cached_quadratic_oracle(QuadraticSolveCache.from_design(K),
+                                    -(K.T @ np.asarray(f, dtype=float)), name)
+
+
+def _cached_quadratic_oracle(cache, q, name):
+    return ProxOracle(lambda w, gamma: solve_regularized_quadratic(None, q, gamma, w, cache),
+                      q.size, name)
 
 
 def zero_oracle(n, name="zero"):

@@ -24,6 +24,9 @@ def test_extrap_config_validation():
     with pytest.raises(ValueError):
         ExtrapConfig(q=0)
     with pytest.raises(ValueError):
+        ExtrapConfig(q=40)  # beyond the companion order spectral_radius supports
+    assert ExtrapConfig(q=32).q == 32
+    with pytest.raises(ValueError):
         ExtrapConfig(s=0)
     with pytest.raises(ValueError):
         ExtrapConfig(s=2.5)

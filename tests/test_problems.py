@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from admmkit.problems import (BadImage, BadShape, FormatError, ParseError,
                               make_lasso_from_data, make_qp_box, make_tv_inpainting,
                               operator_norm, parse_libsvm, piecewise_constant_image,
                               psnr, qp_box_instance, resolve_gamma, serialize_libsvm)
-from admmkit.splitting import SolverConfig, admm_step, IterateState
+from admmkit.splitting import SolverConfig, SubproblemFailure, admm_step, IterateState
 
 
 def test_instances_reproducible():
@@ -49,7 +51,34 @@ def test_paper_scale_constructors():
 def test_operator_norm_matches_dense():
     rng = np.random.default_rng(3)
     K = rng.standard_normal((20, 35))
-    assert operator_norm(K) == pytest.approx(np.linalg.norm(K, 2), rel=1e-7)
+    assert operator_norm(K) == pytest.approx(np.linalg.norm(K, 2), rel=1e-12)
+    assert operator_norm(K.T) == pytest.approx(np.linalg.norm(K, 2), rel=1e-12)
+
+
+def test_wide_lasso_never_forms_an_n_by_n_matrix():
+    m, n = 100, 3000
+    tracemalloc.start()
+    try:
+        inst = make_lasso(m=m, n=n, seed=0)
+        inst.problem.prox_j.evaluate(np.ones(n), inst.gamma_default)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * n * n * 8
+
+
+@pytest.mark.parametrize("tall", [False, True], ids=["wide", "tall"])
+def test_lasso_nan_start_raises_subproblem_failure(tall):
+    if tall:
+        rng = np.random.default_rng(2)
+        inst = make_lasso_from_data(rng.standard_normal((30, 10)), rng.standard_normal(30))
+    else:
+        inst = make_lasso(m=16, n=40, sparsity=4, seed=0)
+    z0 = np.zeros(inst.problem.prox_r.dim)
+    z0[3] = np.nan
+    with pytest.raises(SubproblemFailure) as info:
+        run_a3dmm(inst.problem, SolverConfig(gamma=1.0, max_iter=10, z0=z0))
+    assert isinstance(info.value.__cause__, ValueError)
 
 
 def test_resolve_gamma_rules():

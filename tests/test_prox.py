@@ -122,6 +122,26 @@ def test_solve_regularized_quadratic_residual_and_symmetry():
         QuadraticSolveCache(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("shape", [(5, 12), (12, 5), (7, 7), None],
+                         ids=["wide", "tall", "square", "dense-Q"])
+def test_quadratic_solve_cache_matches_dense_solve(shape):
+    rng = np.random.default_rng(4)
+    if shape is None:
+        G = rng.standard_normal((9, 9))
+        Q = G.T @ G
+        cache = QuadraticSolveCache(Q)
+    else:
+        K = rng.standard_normal(shape)
+        Q = K.T @ K
+        cache = QuadraticSolveCache.from_design(K)
+    n = Q.shape[0]
+    r = rng.standard_normal(n)
+    for gamma in (0.3, 7.0):
+        np.testing.assert_allclose(cache.solve(r, gamma),
+                                   np.linalg.solve(Q + gamma * np.eye(n), r),
+                                   rtol=1e-10, atol=1e-12)
+
+
 def test_moreau_conjugate_prox_examples():
     z = np.array([3.0, -0.4])
     np.testing.assert_allclose(moreau_conjugate_prox(zero_oracle(2), z, 2.0),
