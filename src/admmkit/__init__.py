@@ -5,6 +5,9 @@ transitions and their dual fixed-point twins (`splitting`), the difference
 extrapolation engine (`extrapolate`), the accelerated solver loop (`a3dmm`),
 trajectory and spectral diagnostics (`spectra`), a problem gallery
 (`problems`) and the benchmark harness and CLI (`bench`, `cli`).
+
+`run_a3dmm` is the one solver entry point: it runs every scheme variant,
+with or without extrapolation, momentum or an inner-solver budget.
 """
 
 __version__ = "0.1.0"
@@ -12,7 +15,7 @@ __version__ = "0.1.0"
 from .prox import LinearMap, ProxOracle
 from .splitting import IterateState, SolverConfig, SplitProblem
 from .extrapolate import CompanionFit, DiffWindow
-from .a3dmm import ExtrapConfig, InnerSolver, run_a3dmm, run_inexact, run_variant
+from .a3dmm import ExtrapConfig, InnerSolver, run_a3dmm
 from .trace import Trace, TraceRow
 
 __all__ = [
@@ -20,6 +23,6 @@ __all__ = [
     "LinearMap", "ProxOracle",
     "IterateState", "SolverConfig", "SplitProblem",
     "CompanionFit", "DiffWindow",
-    "ExtrapConfig", "InnerSolver", "run_a3dmm", "run_inexact", "run_variant",
+    "ExtrapConfig", "InnerSolver", "run_a3dmm",
     "Trace", "TraceRow",
 ]

@@ -1,12 +1,16 @@
 """Adaptively accelerated ADMM: cadence control, guards and inexact solves.
 
-The runner performs plain variant steps and, every `q + i` iterations once
-q+1 difference vectors are banked, fits the difference recurrence and
-replaces the stepping point z_bar by the trajectory-following prediction.
-The prediction is applied only when the fitted companion matrix is
-contractive, and an online safeguard caps the applied increment so that the
-accumulated perturbations stay absolutely summable, which preserves
-convergence of the underlying fixed-point iteration.
+`run_a3dmm` is the one solver entry point.  It performs plain steps of the
+variant named in the SolverConfig (standard, relaxed or symmetric) and,
+every `q + spacing` iterations once q+1 difference vectors are banked, fits
+the difference recurrence and replaces the stepping point z_bar by the
+trajectory-following prediction.  The prediction is applied only when the
+fitted companion matrix is contractive, and an online safeguard caps the
+applied increment so that the accumulated perturbations stay absolutely
+summable, which preserves convergence of the underlying fixed-point
+iteration.  Iterations without a prediction may take a momentum fill-in
+instead, and an x-oracle with an inner solver takes its step budget from
+the `inner` argument.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ class ExtrapConfig:
     guard_b_rel: float = 1e6
     guard_delta: float = 3.0
     guard_on_increment: bool = True
-    enabled: bool = True
 
     def __post_init__(self):
         if not (1 <= self.q <= ex.MAX_ORDER):
@@ -78,8 +81,6 @@ class InnerSolver:
     """Budget for an iterative x-subproblem (accelerated projected gradient)."""
 
     max_steps: int = 20
-    tol: float = 0.0
-    warm_start: bool = True
 
     def __post_init__(self):
         if self.max_steps < 1:
@@ -111,18 +112,26 @@ def _norm_or_none(a, b):
 
 
 def run_a3dmm(problem, config, extrap=None, trace=None, reference=None,
-              momentum=None):
+              momentum=None, inner=None):
     """Run the accelerated solver; returns (final IterateState, Trace).
 
-    With `extrap` disabled or None the trace is the plain variant scheme.
+    With `extrap` None the trace is the plain variant scheme.
     `momentum=(a, b)` applies the two/three-point momentum fill-in at
     iterations without a prediction (pure inertial scheme when extrapolation
-    is off).  `reference` may carry `z` / `x` attributes for the distance
-    columns.  Stops at ||v_k|| <= tol or max_iter (soft, flagged in the
-    trace metadata).
+    is off).  `inner` (an InnerSolver) sets the step budget of an x-oracle
+    that solves its subproblem iteratively; it is a ValueError for an exact
+    x-oracle, and None keeps the oracle's current budget.  `reference` may
+    carry `z` / `x` attributes for the distance columns.  Stops at
+    ||v_k|| <= tol or max_iter (soft, flagged in the trace metadata); a
+    non-finite ||v_k|| raises Divergence.
     """
     cfg = config
-    ext = extrap if extrap is not None and extrap.enabled else None
+    ext = extrap
+    if inner is not None:
+        configure = getattr(problem.prox_r, "configure", None)
+        if not callable(configure):
+            raise ValueError("problem's x-oracle does not expose an inner solver")
+        configure(inner)
     trace = trace if trace is not None else Trace()
     trace.meta.setdefault("gamma", repr(cfg.gamma))
     trace.meta.setdefault("variant", cfg.variant)
@@ -154,6 +163,8 @@ def run_a3dmm(problem, config, extrap=None, trace=None, reference=None,
         state = variant_step(problem, state, cfg)
         v = state.v
         nv = float(np.linalg.norm(v))
+        if not math.isfinite(nv):
+            raise Divergence(f"||v_{k}|| is not finite")
         if k == 1:
             v1_norm = nv
             if guard_b is None and ext is not None:
@@ -206,29 +217,3 @@ def run_a3dmm(problem, config, extrap=None, trace=None, reference=None,
     trace.meta["iterations"] = str(state.k)
     return RunResult(state=state, trace=trace, converged=converged)
 
-
-def run_variant(problem, config, extrap=None, trace=None, reference=None,
-                momentum=None):
-    """Accelerated run of the scheme selected by config.variant.
-
-    `variant="standard"` coincides with run_a3dmm; the relaxed and symmetric
-    schemes share the cadence and guard semantics and differ only in the
-    z-update.
-    """
-    return run_a3dmm(problem, config, extrap=extrap, trace=trace,
-                     reference=reference, momentum=momentum)
-
-
-def run_inexact(problem, inner, config, extrap=None, trace=None, reference=None,
-                momentum=None):
-    """Accelerated run for problems whose x-subproblem is solved iteratively.
-
-    `inner` budgets the warm-started accelerated projected-gradient solver
-    attached to the problem's x-oracle; outer semantics are unchanged.
-    """
-    configure = getattr(problem.prox_r, "configure", None)
-    if not callable(configure):
-        raise ValueError("problem's x-oracle does not expose an inner solver")
-    configure(inner)
-    return run_a3dmm(problem, config, extrap=extrap, trace=trace,
-                     reference=reference, momentum=momentum)

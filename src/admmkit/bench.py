@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import __version__
-from .a3dmm import ExtrapConfig, InnerSolver, run_a3dmm, run_inexact
+from .a3dmm import ExtrapConfig, InnerSolver, run_a3dmm
 from .problems import (Reference, make_affine_constrained, make_feasibility,
                        make_lasso, make_qp_box, make_tv_inpainting, resolve_gamma)
 from .splitting import SolverConfig
@@ -189,8 +189,13 @@ def compute_reference(instance, gamma, tol, max_iter):
     return instance.reference
 
 
-def run_solver(instance, spec, gamma, tol, max_iter, inner=None):
-    """Run one comparison entry against the instance's reference."""
+def run_spec(instance, spec, gamma, tol, max_iter, inner=None):
+    """Run one comparison entry against the instance's reference; returns the RunResult.
+
+    `inner` replaces the step budget of an x-oracle with an inner solver and
+    is ignored by an exact one; None keeps the budget the instance was built
+    with.
+    """
     cfg, extrap, momentum = _solver_pieces(spec, gamma, tol, max_iter, instance.z0)
     trace = Trace(meta={
         "solver": spec.label,
@@ -198,15 +203,20 @@ def run_solver(instance, spec, gamma, tol, max_iter, inner=None):
         "seed": str(instance.seed),
         "version": __version__,
     })
-    is_inexact = callable(getattr(instance.problem.prox_r, "configure", None))
-    if is_inexact:
-        result = run_inexact(instance.problem, inner or InnerSolver(), cfg,
-                             extrap=extrap, trace=trace,
-                             reference=instance.reference, momentum=momentum)
-    else:
-        result = run_a3dmm(instance.problem, cfg, extrap=extrap, trace=trace,
-                           reference=instance.reference, momentum=momentum)
-    return result.trace
+    if not callable(getattr(instance.problem.prox_r, "configure", None)):
+        inner = None  # an exact x-oracle has no budget to replace
+    return run_a3dmm(instance.problem, cfg, extrap=extrap, trace=trace,
+                     reference=instance.reference, momentum=momentum, inner=inner)
+
+
+def run_solver(instance, spec, gamma, tol, max_iter, inner=None):
+    """The trace of run_spec."""
+    return run_spec(instance, spec, gamma, tol, max_iter, inner=inner).trace
+
+
+def trace_file_name(label):
+    """File-name stem of a solver label: "iadmm(0.3)" -> "iadmm_0p3"."""
+    return label.replace("(", "_").replace(")", "").replace(",", "_").replace(".", "p")
 
 
 def run_experiment(config):
@@ -218,18 +228,15 @@ def run_experiment(config):
     instance = build_instance(config)
     gamma = resolve_gamma(config.gamma, instance.norm_K) \
         if config.gamma is not None else instance.gamma_default
-    inner = InnerSolver(max_steps=config.inner_steps)
     compute_reference(instance, gamma, config.tol, config.max_iter)
     traces = []
     for spec in config.solvers:
-        trace = run_solver(instance, spec, gamma, config.tol, config.max_iter,
-                           inner=inner)
+        trace = run_solver(instance, spec, gamma, config.tol, config.max_iter)
         traces.append(trace)
     if config.out_dir:
         os.makedirs(config.out_dir, exist_ok=True)
         for trace in traces:
-            name = trace.meta["solver"].replace("(", "_").replace(")", "") \
-                .replace(",", "_").replace(".", "p")
+            name = trace_file_name(trace.meta["solver"])
             write_trace_csv(trace, os.path.join(config.out_dir, f"{name}.csv"))
     return traces
 

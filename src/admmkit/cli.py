@@ -17,10 +17,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .a3dmm import ExtrapConfig, InnerSolver, run_a3dmm, run_inexact
-from .bench import (ConfigError, RunConfig, SolverSpec, build_instance,
-                    compute_reference, emit_plot_svg, resolve_gamma,
-                    run_experiment, write_trace_csv)
+from .a3dmm import ExtrapConfig, InnerSolver, run_a3dmm
+from .bench import (DEFAULT_COMPARISON, ConfigError, EmptySelection, RunConfig,
+                    build_instance, compute_reference, emit_plot_svg,
+                    parse_solver_spec, resolve_gamma, run_experiment, run_spec,
+                    trace_file_name, write_trace_csv)
 from .problems import load_pgm, make_tv_inpainting, psnr
 from .spectra import classify_trajectory, inertial_regime_map, write_regime_csv
 from .splitting import SolverConfig
@@ -145,12 +146,8 @@ def cmd_solve(args):
     trace = Trace(meta={"solver": label, "problem": instance.descriptor,
                         "seed": str(instance.seed), "version": __version__})
     compute_reference(instance, gamma, cfg.tol, cfg.max_iter)
-    if callable(getattr(instance.problem.prox_r, "configure", None)):
-        result = run_inexact(instance.problem, InnerSolver(max_steps=run_cfg.inner_steps),
-                             cfg, extrap=extrap, trace=trace, reference=instance.reference)
-    else:
-        result = run_a3dmm(instance.problem, cfg, extrap=extrap, trace=trace,
-                           reference=instance.reference)
+    result = run_a3dmm(instance.problem, cfg, extrap=extrap, trace=trace,
+                       reference=instance.reference)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "trace.csv")
@@ -181,7 +178,7 @@ def cmd_bench(args):
             try:
                 emit_plot_svg(traces, quantity,
                               os.path.join(run_cfg.out_dir, f"{quantity}.svg"))
-            except Exception:  # noqa: BLE001 - plot is best-effort on sparse traces
+            except EmptySelection:  # a quantity no trace holds gets no plot
                 pass
         print(f"traces and plots written to {run_cfg.out_dir}")
     return 0
@@ -194,10 +191,7 @@ def cmd_angles(args):
         else instance.gamma_default
     cfg = SolverConfig(gamma=gamma, tol=run_cfg.tol, max_iter=run_cfg.max_iter,
                        z0=instance.z0)
-    if callable(getattr(instance.problem.prox_r, "configure", None)):
-        result = run_inexact(instance.problem, InnerSolver(max_steps=run_cfg.inner_steps), cfg)
-    else:
-        result = run_a3dmm(instance.problem, cfg)
+    result = run_a3dmm(instance.problem, cfg)
     values = result.trace.column("cos_theta")
     window = args.window if args.window is not None else 50
     series = classify_trajectory(values, window=window)
@@ -250,23 +244,16 @@ def cmd_inpaint(args):
     observed[~instance.extra["mask"].ravel()] = 0.0
     print(f"{instance.descriptor}: gamma={gamma:g}, {iters} iterations")
     print(f"  observed image PSNR = {psnr(observed, image):.4f} dB")
-    specs = [SolverSpec(kind="admm"), SolverSpec(kind="iadmm", a=0.3),
-             SolverSpec(kind="a3dmm", q=6, s=100), SolverSpec(kind="a3dmm", q=6, s=math.inf)]
     out_dir = args.out
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    for spec in specs:
-        cfg = SolverConfig(gamma=gamma, tol=0.0, max_iter=iters, z0=instance.z0)
-        extrap = ExtrapConfig(q=spec.q, s=spec.s) if spec.kind == "a3dmm" else None
-        momentum = (spec.a, spec.b) if spec.kind == "iadmm" else None
-        trace = Trace(meta={"solver": spec.label, "problem": instance.descriptor,
-                            "seed": str(seed), "version": __version__})
-        result = run_inexact(instance.problem, inner, cfg, extrap=extrap,
-                             trace=trace, momentum=momentum)
+    for text in DEFAULT_COMPARISON:
+        spec = parse_solver_spec(text)
+        result = run_spec(instance, spec, gamma, 0.0, iters)
         value = psnr(result.state.x, image)
         print(f"  {spec.label:<14} PSNR = {value:.4f} dB")
         if out_dir:
-            name = spec.label.replace("(", "_").replace(")", "").replace(",", "_")
+            name = trace_file_name(spec.label)
             write_trace_csv(result.trace, os.path.join(out_dir, f"inpaint_{name}.csv"))
     return 0
 

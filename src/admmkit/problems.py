@@ -107,21 +107,29 @@ def _lasso_data_oracle(K, f):
     return ProxOracle(lambda w, gamma: data.evaluate(-w, gamma), data.dim, data.name)
 
 
-class IterativeQuadraticProx:
-    """Inexact oracle of f(x) = 0.5||K x - f||^2 with A = identity.
+class AcceleratedGradientProx:
+    """Inexact oracle: warm-started accelerated projected gradient (FISTA).
 
-    evaluate(w, gamma) runs a fixed number of accelerated gradient steps on
-    f(x) + (gamma/2)||x - w||^2, warm-started from the previous call.
+    evaluate(w, gamma) takes `inner.max_steps` steps
+
+        x = project(y - step(gamma) * gradient(y, w, gamma))
+
+    with Nesterov momentum on the point y, starting from the previous
+    call's result (from `start` after reset).  `project` receives a fresh
+    array and may modify it in place.  objective(x, w, gamma) only feeds
+    the blow-up check.
     """
 
-    def __init__(self, K, f, inner=None):
-        self._K = np.asarray(K, dtype=float)
-        self._f = np.asarray(f, dtype=float)
+    def __init__(self, dim, name, gradient, objective, project, step, start, inner=None):
+        self._gradient = gradient
+        self._objective = objective
+        self._project = project
+        self._step = step
+        self._start = start
         self._inner = inner if inner is not None else InnerSolver()
-        self._normK2 = operator_norm(self._K) ** 2
         self._warm = None
-        self.dim = self._K.shape[1]
-        self.name = "least-squares-iterative"
+        self.dim = dim
+        self.name = name
 
     def configure(self, inner):
         self._inner = inner
@@ -130,19 +138,15 @@ class IterativeQuadraticProx:
         self._warm = None
 
     def evaluate(self, w, gamma):
-        K, f = self._K, self._f
-        x = self._warm if (self._inner.warm_start and self._warm is not None) \
-            else np.zeros(self.dim)
-        step = 1.0 / (self._normK2 + gamma)
+        x = self._warm if self._warm is not None else self._start
+        step = self._step(gamma)
         y = x.copy()
         x_prev = x
         t = 1.0
         obj0 = None
         for _ in range(self._inner.max_steps):
-            g = K.T @ (K @ y - f) + gamma * (y - w)
-            x = y - step * g
-            r = K @ x - f
-            obj = 0.5 * float(r @ r) + 0.5 * gamma * float((x - w) @ (x - w))
+            x = self._project(y - step * self._gradient(y, w, gamma))
+            obj = self._objective(x, w, gamma)
             if obj0 is None:
                 obj0 = obj
             elif obj > 1e6 * (obj0 + 1.0):
@@ -153,6 +157,29 @@ class IterativeQuadraticProx:
             x_prev = x
         self._warm = x_prev
         return x_prev
+
+
+def iterative_least_squares_oracle(K, f, inner=None):
+    """Inexact oracle of f(x) = 0.5||K x - f||^2 with A = identity.
+
+    Minimizes f(x) + (gamma/2)||x - w||^2 by accelerated gradient steps of
+    length 1 / (||K||^2 + gamma).
+    """
+    K = np.asarray(K, dtype=float)
+    f = np.asarray(f, dtype=float)
+    normK2 = operator_norm(K) ** 2
+
+    def gradient(y, w, gamma):
+        return K.T @ (K @ y - f) + gamma * (y - w)
+
+    def objective(x, w, gamma):
+        r = K @ x - f
+        return 0.5 * float(r @ r) + 0.5 * gamma * float((x - w) @ (x - w))
+
+    return AcceleratedGradientProx(
+        K.shape[1], "least-squares-iterative", gradient, objective,
+        project=lambda x: x, step=lambda gamma: 1.0 / (normK2 + gamma),
+        start=np.zeros(K.shape[1]), inner=inner)
 
 
 def make_lasso(m=64, n=256, sparsity=13, mu=1.0, seed=0, data_block="y",
@@ -188,7 +215,7 @@ def make_lasso(m=64, n=256, sparsity=13, mu=1.0, seed=0, data_block="y",
         prox_j, j_value = _lasso_data_oracle(K, f), data_value
     else:
         if iterative:
-            prox_r = IterativeQuadraticProx(K, f, inner=inner)
+            prox_r = iterative_least_squares_oracle(K, f, inner=inner)
         else:
             prox_r = least_squares_oracle(K, f)
         r_value = data_value
@@ -428,64 +455,31 @@ def gradient_map(size):
     return LinearMap(apply, adjoint, 2 * N, N, tag="gradient")
 
 
-class MaskedGradientProx:
+def masked_gradient_oracle(grad, mask_flat, observed_values, inner=None):
     """Inexact oracle of the observed-pixel indicator composed with the gradient.
 
-    evaluate(w, gamma) approximately solves
+    Approximately solves
 
         argmin_{x : x[mask] = f}  (gamma/2) ||grad x - w||^2
 
-    by a fixed number of accelerated projected-gradient steps, warm-started
-    from the previous call (gamma scales the objective, not the minimizer).
+    by accelerated projected-gradient steps of length 1/8 = 1/||grad||^2
+    (gamma scales the objective, not the minimizer).
     """
 
-    def __init__(self, grad, mask_flat, observed_values, inner=None):
-        self._grad = grad
-        self._mask = mask_flat
-        self._fvals = observed_values
-        self._inner = inner if inner is not None else InnerSolver()
-        self._warm = None
-        self.dim = grad.cols
-        self.name = "masked-gradient"
+    def gradient(y, w, gamma):
+        return grad.apply_adjoint(grad.apply(y) - w)
 
-    def configure(self, inner):
-        self._inner = inner
+    def objective(x, w, gamma):
+        res = grad.apply(x) - w
+        return 0.5 * float(res @ res)
 
-    def reset(self):
-        self._warm = None
-
-    def _project(self, x):
-        x = x.copy()
-        x[self._mask] = self._fvals
+    def project(x):
+        x[mask_flat] = observed_values
         return x
 
-    def evaluate(self, w, gamma):
-        grad = self._grad
-        x = self._warm if (self._inner.warm_start and self._warm is not None) \
-            else self._project(np.zeros(self.dim))
-        step = 1.0 / 8.0  # 1 / ||grad||^2
-        y = x.copy()
-        x_prev = x
-        t = 1.0
-        obj0 = None
-        for _ in range(self._inner.max_steps):
-            r = grad.apply(y) - w
-            x = self._project(y - step * grad.apply_adjoint(r))
-            res = grad.apply(x) - w
-            obj = 0.5 * float(res @ res)
-            if obj0 is None:
-                obj0 = obj
-            elif obj > 1e6 * (obj0 + 1.0):
-                raise SubproblemFailure("inner objective blew up")
-            if self._inner.tol > 0.0 and np.linalg.norm(x - x_prev) <= self._inner.tol:
-                x_prev = x
-                break
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            y = x + ((t - 1.0) / t_next) * (x - x_prev)
-            t = t_next
-            x_prev = x
-        self._warm = x_prev
-        return x_prev
+    return AcceleratedGradientProx(
+        grad.cols, "masked-gradient", gradient, objective, project=project,
+        step=lambda gamma: 1.0 / 8.0, start=project(np.zeros(grad.cols)), inner=inner)
 
 
 def piecewise_constant_image(size=64, seed=0, patches=5):
@@ -524,7 +518,7 @@ def make_tv_inpainting(image=None, mask_density=0.5, seed=0, size=64, inner=None
     mask_flat = mask.ravel()
     fvals = image.ravel()[mask_flat]
     grad = gradient_map(n)
-    prox_r = MaskedGradientProx(grad, mask_flat, fvals, inner=inner)
+    prox_r = masked_gradient_oracle(grad, mask_flat, fvals, inner=inner)
 
     def shrink(w, gamma):
         return soft_threshold_l1(-w, 1.0 / gamma)  # B = -I folds a sign in

@@ -29,7 +29,7 @@ class SubproblemFailure(RuntimeError):
 
 
 class Divergence(RuntimeError):
-    """Difference norms blew up (symmetric scheme without its stronger assumptions)."""
+    """Non-finite difference norms, or a blow-up of the symmetric scheme."""
 
 
 VARIANTS = ("standard", "relaxed", "symmetric")

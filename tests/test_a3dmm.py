@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from admmkit.a3dmm import (ExtrapConfig, InnerSolver, RunResult, run_a3dmm,
-                           run_inexact, run_variant, safeguard_coefficient)
-from admmkit.problems import make_feasibility, make_lasso, make_qp_box
-from admmkit.splitting import SolverConfig
+                           safeguard_coefficient)
+from admmkit.problems import make_feasibility, make_lasso, make_qp_box, make_tv_inpainting
+from admmkit.splitting import Divergence, SolverConfig
 
 
 def rows_without_ms(trace):
@@ -37,17 +37,6 @@ def test_extrap_config_validation():
     assert ExtrapConfig(q=4, spacing=3).cadence == 7
     with pytest.raises(ValueError):
         InnerSolver(max_steps=0)
-
-
-def test_disabled_extrapolation_matches_plain_run():
-    inst = make_lasso(m=16, n=48, sparsity=4, seed=0)
-    cfg = SolverConfig(gamma=1.0, tol=1e-10, max_iter=500, z0=inst.z0)
-    plain = run_a3dmm(inst.problem, cfg)
-    disabled = run_a3dmm(inst.problem,
-                         SolverConfig(gamma=1.0, tol=1e-10, max_iter=500, z0=inst.z0),
-                         extrap=ExtrapConfig(enabled=False))
-    assert rows_without_ms(plain.trace) == rows_without_ms(disabled.trace)
-    assert not any(r.extrapolated for r in disabled.trace.rows)
 
 
 def test_traces_are_deterministic():
@@ -112,23 +101,13 @@ def test_difference_scaled_safeguard_variant():
     assert any(r.extrapolated for r in res.trace.rows)
 
 
-def test_run_variant_standard_identical_to_run_a3dmm():
-    inst = make_qp_box(n=12, seed=2)
-    ext = ExtrapConfig(q=3, s=50)
-    ra = run_a3dmm(inst.problem, SolverConfig(gamma=1.0, tol=1e-10, max_iter=300),
-                   extrap=ext)
-    rv = run_variant(inst.problem, SolverConfig(gamma=1.0, tol=1e-10, max_iter=300),
-                     extrap=ExtrapConfig(q=3, s=50))
-    assert rows_without_ms(ra.trace) == rows_without_ms(rv.trace)
-
-
 def test_run_variant_relaxed_at_phi_one_matches_standard():
     inst = make_qp_box(n=12, seed=2)
-    rs = run_variant(inst.problem,
-                     SolverConfig(gamma=1.0, tol=1e-10, max_iter=300, variant="standard"))
-    rr = run_variant(inst.problem,
-                     SolverConfig(gamma=1.0, phi=1.0, tol=1e-10, max_iter=300,
-                                  variant="relaxed"))
+    rs = run_a3dmm(inst.problem,
+                   SolverConfig(gamma=1.0, tol=1e-10, max_iter=300, variant="standard"))
+    rr = run_a3dmm(inst.problem,
+                   SolverConfig(gamma=1.0, phi=1.0, tol=1e-10, max_iter=300,
+                                variant="relaxed"))
     assert rows_without_ms(rs.trace) == rows_without_ms(rr.trace)
 
 
@@ -137,7 +116,7 @@ def test_run_variant_symmetric_faster_on_qp():
     ks = {}
     for variant in ("standard", "symmetric"):
         cfg = SolverConfig(gamma=0.5, variant=variant, tol=1e-10, max_iter=2000)
-        res = run_variant(inst.problem, cfg)
+        res = run_a3dmm(inst.problem, cfg)
         assert res.converged
         ks[variant] = res.state.k
     assert ks["symmetric"] < ks["standard"]
@@ -160,7 +139,7 @@ def test_momentum_run_matches_manual_inertial_iteration():
 def test_run_inexact_requires_iterative_oracle():
     inst = make_lasso(m=16, n=48, sparsity=4, seed=0)
     with pytest.raises(ValueError):
-        run_inexact(inst.problem, InnerSolver(), SolverConfig(gamma=1.0, max_iter=10))
+        run_a3dmm(inst.problem, SolverConfig(gamma=1.0, max_iter=10), inner=InnerSolver())
 
 
 def test_run_inexact_near_exact_inner_matches_closed_form():
@@ -172,7 +151,7 @@ def test_run_inexact_near_exact_inner_matches_closed_form():
     from admmkit.splitting import IterateState, admm_step
     state = IterateState.initial(exact.problem)
     cfg = SolverConfig(gamma=1.0, tol=0.0, max_iter=50)
-    res = run_inexact(inex.problem, InnerSolver(max_steps=500), cfg)
+    res = run_a3dmm(inex.problem, cfg, inner=InnerSolver(max_steps=500))
     for _ in range(50):
         state = admm_step(exact.problem, state, 1.0)
     zdiff = np.linalg.norm(res.state.z - state.z)
@@ -185,10 +164,28 @@ def test_run_inexact_single_inner_step_stays_bounded():
     ref = make_lasso(m=16, n=48, sparsity=4, mu=0.3, seed=4, data_block="x")
     cfg = SolverConfig(gamma=1.0, tol=1e-12, max_iter=4000)
     z_star = run_a3dmm(ref.problem, cfg).state.z
-    res = run_inexact(inst.problem, InnerSolver(max_steps=1),
-                      SolverConfig(gamma=1.0, tol=0.0, max_iter=600))
+    res = run_a3dmm(inst.problem, SolverConfig(gamma=1.0, tol=0.0, max_iter=600),
+                    inner=InnerSolver(max_steps=1))
     state_dist = np.linalg.norm(res.state.z - z_star)
     assert state_dist <= 10 * (1 + np.linalg.norm(z_star))
+
+
+@pytest.mark.parametrize("variant", ["standard", "relaxed", "symmetric"])
+@pytest.mark.parametrize("extrap", [None, ExtrapConfig(q=2, s=math.inf)], ids=["plain", "a3dmm"])
+@pytest.mark.parametrize("build", [
+    lambda: make_feasibility(np.pi / 6, seed=0),
+    lambda: make_tv_inpainting(size=12, seed=0, inner=InnerSolver(max_steps=5)),
+], ids=["feasibility", "tv"])
+def test_nan_start_raises_divergence_at_first_iteration(build, extrap, variant, capfd):
+    # a NaN must stop the run before it reaches the recurrence fit (lstsq)
+    inst = build()
+    z0 = np.zeros(inst.problem.p)
+    z0[1] = np.nan
+    cfg = SolverConfig(gamma=1.0, phi=1.5 if variant == "relaxed" else 1.0,
+                       variant=variant, tol=0.0, max_iter=50, z0=z0)
+    with pytest.raises(Divergence, match=r"\|\|v_1\|\| is not finite"):
+        run_a3dmm(inst.problem, cfg, extrap=extrap)
+    assert "DLASCL" not in capfd.readouterr().err
 
 
 def test_max_iter_reached_is_soft():

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from admmkit.a3dmm import ExtrapConfig, InnerSolver, run_a3dmm, run_inexact
+from admmkit.a3dmm import ExtrapConfig, InnerSolver, run_a3dmm
 from admmkit.bench import SolverSpec, compute_reference, run_solver
 from admmkit.extrapolate import (DiffWindow, extrapolate_finite, extrapolate_infinite,
                                  fit_coefficients, fitting_error_bound,
@@ -326,8 +326,8 @@ def test_criterion_09_guarded_convergence():
             ext = ExtrapConfig(q=6, s=100, guard_b_rel=1.0, guard_delta=1.0)
             cfg = SolverConfig(gamma=gamma, tol=1e-9, max_iter=30000, z0=inst.z0)
             if inexact:
-                res = run_inexact(inst.problem, InnerSolver(max_steps=40), cfg,
-                                  extrap=ext)
+                res = run_a3dmm(inst.problem, cfg, extrap=ext,
+                                inner=InnerSolver(max_steps=40))
             else:
                 res = run_a3dmm(inst.problem, cfg, extrap=ext)
             assert res.converged, f"{name} seed {seed} did not reach 1e-9"
@@ -350,7 +350,7 @@ def test_criterion_10_tv_psnr_ordering():
             ("iadmm", None, (0.3, 0.0)),
             ("a3dmm", ExtrapConfig(q=6, s=100), None)]:
         cfg = SolverConfig(gamma=1.0, tol=0.0, max_iter=30, z0=inst.z0)
-        res = run_inexact(inst.problem, inner, cfg, extrap=extrap, momentum=momentum)
+        res = run_a3dmm(inst.problem, cfg, extrap=extrap, momentum=momentum, inner=inner)
         values[label] = psnr(res.state.x, image)
     assert values["a3dmm"] >= values["admm"]
     assert values["iadmm"] <= values["admm"] + 0.1

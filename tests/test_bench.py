@@ -10,6 +10,7 @@ from admmkit.bench import (ConfigError, EmptySelection, RunConfig, SolverSpec,
                            build_instance, compute_reference, emit_plot_svg,
                            parse_solver_spec, read_trace_csv, run_experiment,
                            run_solver, write_trace_csv, CSV_HEADER)
+from admmkit.a3dmm import InnerSolver
 from admmkit.trace import Trace, TraceRow
 
 
@@ -127,20 +128,42 @@ def test_momentum_comparison_at_small_angle():
 
 
 def test_run_order_permutation_gives_identical_traces():
-    base = RunConfig(problem="lasso", m=16, n=48, sparsity=4, seed=3, gamma=1.0,
-                     tol=1e-10, max_iter=400,
-                     solvers=("admm", "a3dmm(4,inf)", "iadmm(0.3)"))
-    perm = RunConfig(problem="lasso", m=16, n=48, sparsity=4, seed=3, gamma=1.0,
-                     tol=1e-10, max_iter=400,
-                     solvers=("a3dmm(4,inf)", "iadmm(0.3)", "admm"))
-    by_solver = {}
-    for cfg in (base, perm):
-        for t in run_experiment(cfg):
-            key = (t.meta["solver"], cfg is base)
-            by_solver[key] = [(r.k, r.norm_v, r.cos_theta, r.dist_z, r.dist_x,
-                               r.objective, r.extrapolated) for r in t.rows]
-    for solver in ("admm", "a3dmm(4,inf)", "iadmm(0.3)"):
-        assert by_solver[(solver, True)] == by_solver[(solver, False)]
+    # the TV case checks that every run restarts its warm-started inner solver
+    solvers = ("admm", "a3dmm(4,inf)", "iadmm(0.3)")
+    problems = (
+        dict(problem="lasso", m=16, n=48, sparsity=4, seed=3, gamma=1.0, tol=1e-10,
+             max_iter=400),
+        dict(problem="tv", size=12, inner_steps=5, seed=0, gamma=1.0, tol=1e-10,
+             max_iter=60),
+    )
+    for problem in problems:
+        base = RunConfig(solvers=solvers, **problem)
+        perm = RunConfig(solvers=solvers[1:] + solvers[:1], **problem)
+        by_solver = {}
+        for cfg in (base, perm):
+            for t in run_experiment(cfg):
+                key = (t.meta["solver"], cfg is base)
+                by_solver[key] = [(r.k, r.norm_v, r.cos_theta, r.dist_z, r.dist_x,
+                                   r.objective, r.extrapolated) for r in t.rows]
+        for solver in solvers:
+            assert by_solver[(solver, True)] == by_solver[(solver, False)], problem["problem"]
+
+
+def test_run_solver_without_inner_keeps_the_instance_budget():
+    def rows(trace):
+        return [(r.k, r.norm_v, r.cos_theta, r.dist_z, r.dist_x, r.objective,
+                 r.extrapolated) for r in trace.rows]
+
+    spec = parse_solver_spec("a3dmm(6,inf)")
+    tv = build_instance(RunConfig(problem="tv", size=12, inner_steps=5, seed=0))
+    kept = rows(run_solver(tv, spec, 1.0, 0.0, 30))
+    given = rows(run_solver(tv, spec, 1.0, 0.0, 30, inner=InnerSolver(max_steps=5)))
+    assert kept == given
+    assert rows(run_solver(tv, spec, 1.0, 0.0, 30, inner=InnerSolver(max_steps=6))) != kept
+    # an exact x-oracle has no inner budget, so `inner` leaves its run unchanged
+    qp = build_instance(RunConfig(problem="qp", n=12, seed=0))
+    assert rows(run_solver(qp, spec, 0.5, 1e-10, 200, inner=InnerSolver(max_steps=3))) \
+        == rows(run_solver(qp, spec, 0.5, 1e-10, 200))
 
 
 def test_emit_plot_svg(tmp_path):

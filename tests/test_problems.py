@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from admmkit.a3dmm import InnerSolver, run_a3dmm, run_inexact
+from admmkit.a3dmm import InnerSolver, run_a3dmm
 from admmkit.problems import (BadImage, BadShape, FormatError, ParseError,
                               SparseMatrix, gradient_map, load_pgm,
                               make_affine_constrained, make_feasibility, make_lasso,
@@ -170,16 +170,16 @@ def test_gradient_map_adjoint_and_norm():
 def test_tv_constant_image_recovered_exactly():
     img = np.full((8, 8), 0.37)
     inst = make_tv_inpainting(image=img, mask_density=0.4, seed=3)
-    res = run_inexact(inst.problem, InnerSolver(max_steps=30),
-                      SolverConfig(gamma=1.0, tol=1e-11, max_iter=400))
+    res = run_a3dmm(inst.problem, SolverConfig(gamma=1.0, tol=1e-11, max_iter=400),
+                    inner=InnerSolver(max_steps=30))
     np.testing.assert_allclose(res.state.x, img.ravel(), atol=1e-6)
 
 
 def test_tv_full_mask_pins_solution():
     img = piecewise_constant_image(size=8, seed=1)
     inst = make_tv_inpainting(image=img, mask_density=1.0, seed=0)
-    res = run_inexact(inst.problem, InnerSolver(max_steps=10),
-                      SolverConfig(gamma=1.0, tol=0.0, max_iter=3))
+    res = run_a3dmm(inst.problem, SolverConfig(gamma=1.0, tol=0.0, max_iter=3),
+                    inner=InnerSolver(max_steps=10))
     np.testing.assert_allclose(res.state.x, img.ravel(), atol=1e-12)
 
 
