@@ -112,12 +112,20 @@ class AcceleratedGradientProx:
 
     evaluate(w, gamma) takes `inner.max_steps` steps
 
-        x = project(y - step(gamma) * gradient(y, w, gamma))
+        g, obj = gradient(y, w, gamma)
+        x = project(y - step(gamma) * g)
 
     with Nesterov momentum on the point y, starting from the previous
-    call's result (from `start` after reset).  `project` receives a fresh
-    array and may modify it in place.  objective(x, w, gamma) only feeds
-    the blow-up check.
+    call's result (from `start` after reset).  `gradient` returns the
+    gradient and the objective at y, both formed from one residual.
+    `project` receives a fresh array and may modify it in place.  The
+    blow-up check raises SubproblemFailure when an objective exceeds
+    1e6 * (objective where the call starts + 1); it reads the objective that
+    `gradient` returns at every step, and objective(x, w, gamma), which
+    runs once per call, at the returned point.
+
+    The warm start lives in the oracle, so one instance must not serve
+    interleaved solves (ROADMAP item 4).
     """
 
     def __init__(self, dim, name, gradient, objective, project, step, start, inner=None):
@@ -140,21 +148,23 @@ class AcceleratedGradientProx:
     def evaluate(self, w, gamma):
         x = self._warm if self._warm is not None else self._start
         step = self._step(gamma)
-        y = x.copy()
+        y = x
         x_prev = x
         t = 1.0
-        obj0 = None
+        limit = None
         for _ in range(self._inner.max_steps):
-            x = self._project(y - step * self._gradient(y, w, gamma))
-            obj = self._objective(x, w, gamma)
-            if obj0 is None:
-                obj0 = obj
-            elif obj > 1e6 * (obj0 + 1.0):
+            g, obj = self._gradient(y, w, gamma)
+            if limit is None:
+                limit = 1e6 * (obj + 1.0)
+            elif obj > limit:
                 raise SubproblemFailure("inner objective blew up")
+            x = self._project(y - step * g)
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
             y = x + ((t - 1.0) / t_next) * (x - x_prev)
             t = t_next
             x_prev = x
+        if self._objective(x_prev, w, gamma) > limit:
+            raise SubproblemFailure("inner objective blew up")
         self._warm = x_prev
         return x_prev
 
@@ -170,11 +180,14 @@ def iterative_least_squares_oracle(K, f, inner=None):
     normK2 = operator_norm(K) ** 2
 
     def gradient(y, w, gamma):
-        return K.T @ (K @ y - f) + gamma * (y - w)
+        r = K @ y - f
+        d = y - w
+        return K.T @ r + gamma * d, 0.5 * float(r @ r) + 0.5 * gamma * float(d @ d)
 
     def objective(x, w, gamma):
         r = K @ x - f
-        return 0.5 * float(r @ r) + 0.5 * gamma * float((x - w) @ (x - w))
+        d = x - w
+        return 0.5 * float(r @ r) + 0.5 * gamma * float(d @ d)
 
     return AcceleratedGradientProx(
         K.shape[1], "least-squares-iterative", gradient, objective,
@@ -436,11 +449,10 @@ def gradient_map(size):
 
     def apply(x):
         X = x.reshape(n, n)
-        gv = np.zeros((n, n))
-        gv[:-1, :] = X[1:, :] - X[:-1, :]
-        gh = np.zeros((n, n))
-        gh[:, :-1] = X[:, 1:] - X[:, :-1]
-        return np.concatenate([gv.ravel(), gh.ravel()])
+        out = np.zeros(2 * N)
+        np.subtract(X[1:, :], X[:-1, :], out=out[:N].reshape(n, n)[:-1, :])
+        np.subtract(X[:, 1:], X[:, :-1], out=out[N:].reshape(n, n)[:, :-1])
+        return out
 
     def adjoint(y):
         gv = y[:N].reshape(n, n)
@@ -466,15 +478,18 @@ def masked_gradient_oracle(grad, mask_flat, observed_values, inner=None):
     (gamma scales the objective, not the minimizer).
     """
 
+    observed = np.flatnonzero(mask_flat)
+
     def gradient(y, w, gamma):
-        return grad.apply_adjoint(grad.apply(y) - w)
+        res = grad.apply(y) - w
+        return grad.apply_adjoint(res), 0.5 * float(res @ res)
 
     def objective(x, w, gamma):
         res = grad.apply(x) - w
         return 0.5 * float(res @ res)
 
     def project(x):
-        x[mask_flat] = observed_values
+        x[observed] = observed_values
         return x
 
     return AcceleratedGradientProx(

@@ -5,7 +5,8 @@ import pytest
 
 from admmkit.a3dmm import InnerSolver, run_a3dmm
 from admmkit.problems import (BadImage, BadShape, FormatError, ParseError,
-                              SparseMatrix, gradient_map, load_pgm,
+                              SparseMatrix, gradient_map, iterative_least_squares_oracle,
+                              load_pgm,
                               make_affine_constrained, make_feasibility, make_lasso,
                               make_lasso_from_data, make_qp_box, make_tv_inpainting,
                               operator_norm, parse_libsvm, piecewise_constant_image,
@@ -154,7 +155,27 @@ def test_feasibility_spiral_limit():
         make_feasibility(0.0)
 
 
+def _dense_forward_differences(n):
+    """Vertical-then-horizontal forward differences of an n x n image, built entry by entry."""
+    D = np.zeros((2 * n * n, n * n))
+    for i in range(n):
+        for j in range(n):
+            p = i * n + j
+            if i + 1 < n:
+                D[p, p + n] = 1.0
+                D[p, p] = -1.0
+            if j + 1 < n:
+                D[n * n + p, p + 1] = 1.0
+                D[n * n + p, p] = -1.0
+    return D
+
+
 def test_gradient_map_adjoint_and_norm():
+    rng = np.random.default_rng(2)
+    for size in (1, 2, 9):
+        x = rng.standard_normal(size * size)
+        assert np.array_equal(gradient_map(size).apply(x),
+                              _dense_forward_differences(size) @ x)
     grad = gradient_map(9)
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -165,6 +186,99 @@ def test_gradient_map_adjoint_and_norm():
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
     dense = np.column_stack([grad.apply(e) for e in np.eye(81)])
     assert np.linalg.norm(dense, 2) ** 2 <= 8.0 + 1e-9
+
+
+def _reference_fista(gradient, objective, project, step, x, w, gamma, steps):
+    """Reference inner loop: a separate residual feeds the blow-up check."""
+    y = x.copy()
+    x_prev = x
+    t = 1.0
+    obj0 = None
+    for _ in range(steps):
+        x = project(y - step * gradient(y, w, gamma))
+        obj = objective(x, w, gamma)
+        if obj0 is None:
+            obj0 = obj
+        elif obj > 1e6 * (obj0 + 1.0):
+            raise SubproblemFailure("inner objective blew up")
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = x + ((t - 1.0) / t_next) * (x - x_prev)
+        t = t_next
+        x_prev = x
+    return x_prev
+
+
+def _assert_matches_reference_loop(oracle, gradient, objective, project, step, start, dim):
+    rng = np.random.default_rng(8)
+    warm = start
+    for call in range(6):
+        w = rng.standard_normal(dim)
+        gamma = 0.5 + 0.25 * call
+        warm = _reference_fista(gradient, objective, project, step(gamma), warm, w, gamma, 7)
+        assert np.array_equal(oracle.evaluate(w, gamma), warm)
+
+
+def test_tv_inner_loop_bit_identical_to_reference_loop():
+    size = 16
+    inst = make_tv_inpainting(size=size, seed=4, inner=InnerSolver(max_steps=7))
+    mask = inst.extra["mask"].ravel()
+    observed = inst.extra["image"].ravel()[mask]
+    adjoint = gradient_map(size).apply_adjoint
+
+    def apply(x):
+        X = x.reshape(size, size)
+        gv = np.zeros((size, size))
+        gv[:-1, :] = X[1:, :] - X[:-1, :]
+        gh = np.zeros((size, size))
+        gh[:, :-1] = X[:, 1:] - X[:, :-1]
+        return np.concatenate([gv.ravel(), gh.ravel()])
+
+    def objective(x, w, gamma):
+        res = apply(x) - w
+        return 0.5 * float(res @ res)
+
+    def project(x):
+        x[mask] = observed
+        return x
+
+    _assert_matches_reference_loop(
+        inst.problem.prox_r,
+        gradient=lambda y, w, gamma: adjoint(apply(y) - w),
+        objective=objective, project=project, step=lambda gamma: 1.0 / 8.0,
+        start=project(np.zeros(size * size)), dim=2 * size * size)
+
+
+def test_iterative_least_squares_bit_identical_to_reference_loop():
+    rng = np.random.default_rng(6)
+    K = rng.standard_normal((12, 30))
+    f = rng.standard_normal(12)
+    normK2 = operator_norm(K) ** 2
+
+    def objective(x, w, gamma):
+        r = K @ x - f
+        return 0.5 * float(r @ r) + 0.5 * gamma * float((x - w) @ (x - w))
+
+    _assert_matches_reference_loop(
+        iterative_least_squares_oracle(K, f, inner=InnerSolver(max_steps=7)),
+        gradient=lambda y, w, gamma: K.T @ (K @ y - f) + gamma * (y - w),
+        objective=objective, project=lambda x: x,
+        step=lambda gamma: 1.0 / (normK2 + gamma), start=np.zeros(30), dim=30)
+
+
+def test_inner_objective_blow_up_raises_subproblem_failure():
+    inst = make_lasso(m=20, n=50, sparsity=4, seed=1, data_block="x", iterative=True,
+                      inner=InnerSolver(max_steps=40))
+    oracle = inst.problem.prox_r
+    too_long = 4.0 / inst.norm_K ** 2  # several times the stable step 1/(||K||^2 + gamma)
+    oracle._step = lambda gamma: too_long
+    w = np.random.default_rng(0).standard_normal(50)
+    with pytest.raises(SubproblemFailure, match="inner objective blew up"):
+        oracle.evaluate(w, 1.0)
+    oracle.reset()
+    with pytest.raises(SubproblemFailure) as err:
+        run_a3dmm(inst.problem, SolverConfig(gamma=1.0, tol=0.0, max_iter=5))
+    assert isinstance(err.value.__cause__, SubproblemFailure)
+    assert str(err.value.__cause__) == "inner objective blew up"
 
 
 def test_tv_constant_image_recovered_exactly():
