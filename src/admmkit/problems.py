@@ -9,6 +9,7 @@ reference solution filled by a long reference run.
 from __future__ import annotations
 
 import io
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -118,11 +119,14 @@ class AcceleratedGradientProx:
     with Nesterov momentum on the point y, starting from the previous
     call's result (from `start` after reset).  `gradient` returns the
     gradient and the objective at y, both formed from one residual.
-    `project` receives a fresh array and may modify it in place.  The
-    blow-up check raises SubproblemFailure when an objective exceeds
-    1e6 * (objective where the call starts + 1); it reads the objective that
-    `gradient` returns at every step, and objective(x, w, gamma), which
-    runs once per call, at the returned point.
+    `project` receives a scratch array owned by the call and may modify it
+    in place; it must not keep a reference to it.  The iterates live in
+    buffers allocated once per call, and the result is a fresh array that
+    the oracle keeps no reference to.  The blow-up check raises
+    SubproblemFailure when an objective exceeds 1e6 * (objective where the
+    call starts + 1); it reads the objective that `gradient` returns at
+    every step, and objective(x, w, gamma), which runs once per call, at
+    the returned point.
 
     The warm start lives in the oracle, so one instance must not serve
     interleaved solves (ROADMAP item 4).
@@ -146,10 +150,11 @@ class AcceleratedGradientProx:
         self._warm = None
 
     def evaluate(self, w, gamma):
-        x = self._warm if self._warm is not None else self._start
+        x_prev = self._warm if self._warm is not None else self._start
         step = self._step(gamma)
-        y = x
-        x_prev = x
+        # Call-local buffers; x alternates between two so that x_prev survives.
+        x_buf, x_prev_buf, y_buf, diff = (np.empty_like(x_prev) for _ in range(4))
+        y = x_prev
         t = 1.0
         limit = None
         for _ in range(self._inner.max_steps):
@@ -158,15 +163,18 @@ class AcceleratedGradientProx:
                 limit = 1e6 * (obj + 1.0)
             elif obj > limit:
                 raise SubproblemFailure("inner objective blew up")
-            x = self._project(y - step * g)
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            y = x + ((t - 1.0) / t_next) * (x - x_prev)
+            np.multiply(step, g, out=x_buf)
+            x = self._project(np.subtract(y, x_buf, out=x_buf))
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            np.subtract(x, x_prev, out=diff)
+            y = np.add(x, np.multiply((t - 1.0) / t_next, diff, out=diff), out=y_buf)
             t = t_next
             x_prev = x
+            x_buf, x_prev_buf = x_prev_buf, x_buf
         if self._objective(x_prev, w, gamma) > limit:
             raise SubproblemFailure("inner objective blew up")
         self._warm = x_prev
-        return x_prev
+        return x_prev.copy()
 
 
 def iterative_least_squares_oracle(K, f, inner=None):
@@ -442,27 +450,33 @@ def gradient_map(size):
 
     Maps a flattened size x size image to the stacked vertical-then-
     horizontal differences in R^(2*size^2); the adjoint is the matching
-    negative divergence.  ||grad||^2 <= 8.
+    negative divergence.  ||grad||^2 <= 8.  Both work on the flattened
+    image with contiguous 1-D differences: offset `size` for the vertical
+    block, offset 1 for the horizontal one, whose last-column entries (which
+    would wrap to the next row) are zero.
     """
     n = int(size)
     N = n * n
 
     def apply(x):
-        X = x.reshape(n, n)
-        out = np.zeros(2 * N)
-        np.subtract(X[1:, :], X[:-1, :], out=out[:N].reshape(n, n)[:-1, :])
-        np.subtract(X[:, 1:], X[:, :-1], out=out[N:].reshape(n, n)[:, :-1])
+        out = np.empty(2 * N)
+        np.subtract(x[n:], x[:N - n], out=out[:N - n])
+        out[N - n:N] = 0.0
+        np.subtract(x[1:], x[:-1], out=out[N:-1])
+        out[N + n - 1::n] = 0.0  # last column: no right neighbour
         return out
 
     def adjoint(y):
-        gv = y[:N].reshape(n, n)
-        gh = y[N:].reshape(n, n)
-        out = np.zeros((n, n))
-        out[:-1, :] -= gv[:-1, :]
-        out[1:, :] += gv[:-1, :]
-        out[:, :-1] -= gh[:, :-1]
-        out[:, 1:] += gh[:, :-1]
-        return out.ravel()
+        gv = y[:N - n]  # the vertical block's last row is ignored
+        gh = y[N:].copy()
+        gh[n - 1::n] = 0.0  # and so is the horizontal block's last column
+        out = np.empty(N)
+        np.subtract(0.0, gv, out=out[:N - n])
+        out[N - n:] = 0.0
+        out[n:] += gv
+        out -= gh
+        out[1:] += gh[:-1]
+        return out
 
     return LinearMap(apply, adjoint, 2 * N, N, tag="gradient")
 

@@ -8,7 +8,9 @@ for a fixed function f and a fixed linear map A (A = identity for the
 plain proximal maps).  Oracles are deterministic and, once built, hold no
 mutable state, so they are safe to share across concurrent solves.  The
 exception is problems.AcceleratedGradientProx, the inexact x-oracle, which
-keeps its warm start in the oracle (ROADMAP item 4).
+keeps its warm start in the oracle (ROADMAP item 4).  The warm start is its
+only state across calls: its iterate buffers are allocated per call, and
+each result is a fresh array.
 
 Quadratic oracles share one cached solve of (Q + gamma*I) x = r.  When Q is
 the Gram matrix K'K of an m x n design K, the cache factors whichever Gram

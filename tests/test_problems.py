@@ -1,16 +1,19 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from admmkit.a3dmm import InnerSolver, run_a3dmm
-from admmkit.problems import (BadImage, BadShape, FormatError, ParseError,
-                              SparseMatrix, gradient_map, iterative_least_squares_oracle,
-                              load_pgm,
+from admmkit.bench import compute_reference, parse_solver_spec, run_solver
+from admmkit.problems import (AcceleratedGradientProx, BadImage, BadShape, FormatError,
+                              ParseError, SparseMatrix, gradient_map,
+                              iterative_least_squares_oracle, load_pgm,
                               make_affine_constrained, make_feasibility, make_lasso,
                               make_lasso_from_data, make_qp_box, make_tv_inpainting,
                               operator_norm, parse_libsvm, piecewise_constant_image,
                               psnr, qp_box_instance, resolve_gamma, serialize_libsvm)
+from admmkit.prox import LinearMap
 from admmkit.splitting import SolverConfig, SubproblemFailure, admm_step, IterateState
 
 
@@ -170,12 +173,42 @@ def _dense_forward_differences(n):
     return D
 
 
+def _reference_gradient_apply(x, n):
+    """Forward differences as stacked 2-D blocks: the original kernel of gradient_map.apply."""
+    X = x.reshape(n, n)
+    gv = np.zeros((n, n))
+    gv[:-1, :] = X[1:, :] - X[:-1, :]
+    gh = np.zeros((n, n))
+    gh[:, :-1] = X[:, 1:] - X[:, :-1]
+    return np.concatenate([gv.ravel(), gh.ravel()])
+
+
+def _reference_gradient_adjoint(y, n):
+    """Four strided 2-D passes: the original kernel of gradient_map.apply_adjoint."""
+    N = n * n
+    gv = y[:N].reshape(n, n)
+    gh = y[N:].reshape(n, n)
+    out = np.zeros((n, n))
+    out[:-1, :] -= gv[:-1, :]
+    out[1:, :] += gv[:-1, :]
+    out[:, :-1] -= gh[:, :-1]
+    out[:, 1:] += gh[:, :-1]
+    return out.ravel()
+
+
 def test_gradient_map_adjoint_and_norm():
     rng = np.random.default_rng(2)
     for size in (1, 2, 9):
         x = rng.standard_normal(size * size)
         assert np.array_equal(gradient_map(size).apply(x),
                               _dense_forward_differences(size) @ x)
+    for size in (1, 2, 9, 96):
+        N = size * size
+        y = rng.standard_normal(2 * N)
+        # the slots the adjoint ignores hold data, so using them would show
+        assert np.all(y[N - size:N] != 0.0) and np.all(y[N + size - 1::size] != 0.0)
+        assert np.array_equal(gradient_map(size).apply_adjoint(y),
+                              _reference_gradient_adjoint(y, size))
     grad = gradient_map(9)
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -218,34 +251,102 @@ def _assert_matches_reference_loop(oracle, gradient, objective, project, step, s
         assert np.array_equal(oracle.evaluate(w, gamma), warm)
 
 
-def test_tv_inner_loop_bit_identical_to_reference_loop():
-    size = 16
-    inst = make_tv_inpainting(size=size, seed=4, inner=InnerSolver(max_steps=7))
+def _tv_reference_pieces(inst):
+    """Objective and projection of a TV instance's x-oracle, on the reference kernels."""
+    size = inst.extra["size"]
     mask = inst.extra["mask"].ravel()
     observed = inst.extra["image"].ravel()[mask]
-    adjoint = gradient_map(size).apply_adjoint
-
-    def apply(x):
-        X = x.reshape(size, size)
-        gv = np.zeros((size, size))
-        gv[:-1, :] = X[1:, :] - X[:-1, :]
-        gh = np.zeros((size, size))
-        gh[:, :-1] = X[:, 1:] - X[:, :-1]
-        return np.concatenate([gv.ravel(), gh.ravel()])
 
     def objective(x, w, gamma):
-        res = apply(x) - w
+        res = _reference_gradient_apply(x, size) - w
         return 0.5 * float(res @ res)
 
     def project(x):
         x[mask] = observed
         return x
 
+    return objective, project
+
+
+def test_tv_inner_loop_bit_identical_to_reference_loop():
+    size = 16
+    inst = make_tv_inpainting(size=size, seed=4, inner=InnerSolver(max_steps=7))
+    objective, project = _tv_reference_pieces(inst)
+
+    def gradient(y, w, gamma):
+        return _reference_gradient_adjoint(_reference_gradient_apply(y, size) - w, size)
+
     _assert_matches_reference_loop(
-        inst.problem.prox_r,
-        gradient=lambda y, w, gamma: adjoint(apply(y) - w),
+        inst.problem.prox_r, gradient=gradient,
         objective=objective, project=project, step=lambda gamma: 1.0 / 8.0,
         start=project(np.zeros(size * size)), dim=2 * size * size)
+
+
+def test_tv_runs_match_runs_on_reference_kernels():
+    size = 24
+    inst = make_tv_inpainting(size=size, seed=0, inner=InnerSolver(max_steps=7))
+    compute_reference(inst, 1.0, 1e-6, 40)
+    objective, project = _tv_reference_pieces(inst)
+
+    def gradient(y, w, gamma):
+        res = _reference_gradient_apply(y, size) - w
+        return _reference_gradient_adjoint(res, size), 0.5 * float(res @ res)
+
+    N = size * size
+    oracle = AcceleratedGradientProx(
+        N, "masked-gradient", gradient, objective, project=project,
+        step=lambda gamma: 1.0 / 8.0, start=project(np.zeros(N)),
+        inner=InnerSolver(max_steps=7))
+    grad = LinearMap(lambda x: _reference_gradient_apply(x, size),
+                     lambda y: _reference_gradient_adjoint(y, size), 2 * N, N)
+    twin = dataclasses.replace(
+        inst, problem=dataclasses.replace(inst.problem, prox_r=oracle, A=grad))
+
+    def rows(instance, solver):
+        trace = run_solver(instance, parse_solver_spec(solver), 1.0, 0.0, 40)
+        return [(r.k, r.norm_v, r.cos_theta, r.dist_z, r.dist_x, r.objective,
+                 r.extrapolated) for r in trace.rows]
+
+    for solver in ("admm", "a3dmm(6,inf)"):
+        assert rows(inst, solver) == rows(twin, solver), solver
+
+
+def _assert_results_are_caller_owned(build, dim):
+    """Three evaluate calls leave w, the start point and earlier results alone.
+
+    A second oracle's results are overwritten after each call, as a caller
+    that reuses them may do; its later results must not change.
+    """
+    oracle, scribbled = build(), build()
+    start = oracle._start.copy()
+    rng = np.random.default_rng(3)
+    results, kept = [], []
+    for call in range(3):
+        w = rng.standard_normal(dim)
+        w_before = w.copy()
+        x = oracle.evaluate(w, 1.0 + call)
+        assert np.array_equal(w, w_before)
+        assert np.array_equal(oracle._start, start)
+        assert all(x is not r and not np.shares_memory(x, r) for r in results)
+        results.append(x)
+        kept.append(x.copy())
+        for r, k in zip(results, kept):
+            assert np.array_equal(r, k)
+        other = scribbled.evaluate(w, 1.0 + call)
+        assert np.array_equal(other, x)
+        other[:] = np.nan
+
+
+def test_inexact_oracle_results_are_caller_owned():
+    def tv_oracle():
+        return make_tv_inpainting(size=12, seed=2, inner=InnerSolver(max_steps=5)).problem.prox_r
+
+    _assert_results_are_caller_owned(tv_oracle, dim=2 * 144)
+    rng = np.random.default_rng(5)
+    K = rng.standard_normal((10, 25))
+    f = rng.standard_normal(10)
+    _assert_results_are_caller_owned(
+        lambda: iterative_least_squares_oracle(K, f, inner=InnerSolver(max_steps=5)), dim=25)
 
 
 def test_iterative_least_squares_bit_identical_to_reference_loop():
