@@ -11,6 +11,9 @@ summable, which preserves convergence of the underlying fixed-point
 iteration.  Iterations without a prediction may take a momentum fill-in
 instead, and an x-oracle with an inner solver takes its step budget from
 the `inner` argument.
+
+`start_state` and `checked_step` are the stepping core that `run_a3dmm`
+shares with the traceless reference solve of `bench.compute_reference`.
 """
 
 from __future__ import annotations
@@ -107,6 +110,27 @@ class RunResult:
         return iter((self.state, self.trace))
 
 
+def start_state(problem, config):
+    """Drop every oracle's warm start and return the run's initial IterateState."""
+    for oracle in (problem.prox_r, problem.prox_j):
+        reset = getattr(oracle, "reset", None)
+        if callable(reset):
+            reset()
+    return IterateState.initial(problem, config.z0)
+
+
+def checked_step(problem, state, config):
+    """One step of config's variant from state.z_bar; returns (state, ||v_k||).
+
+    A non-finite ||v_k|| raises Divergence.
+    """
+    state = variant_step(problem, state, config)
+    nv = float(np.linalg.norm(state.v))
+    if not math.isfinite(nv):
+        raise Divergence(f"||v_{state.k}|| is not finite")
+    return state, nv
+
+
 def _norm_or_none(a, b):
     return None if b is None else float(np.linalg.norm(a - b))
 
@@ -144,12 +168,7 @@ def run_a3dmm(problem, config, extrap=None, trace=None, reference=None,
     ref_z = getattr(reference, "z", None) if reference is not None else None
     ref_x = getattr(reference, "x", None) if reference is not None else None
 
-    for oracle in (problem.prox_r, problem.prox_j):
-        reset = getattr(oracle, "reset", None)
-        if callable(reset):
-            reset()
-
-    state = IterateState.initial(problem, cfg.z0)
+    state = start_state(problem, cfg)
     window = ex.DiffWindow(problem.p, ext.q + 1) if ext is not None else None
     z_prev2 = state.z.copy()  # z_{k-2} for three-point momentum
     v_prev = None
@@ -160,11 +179,8 @@ def run_a3dmm(problem, config, extrap=None, trace=None, reference=None,
 
     for k in range(1, cfg.max_iter + 1):
         prev_z = state.z
-        state = variant_step(problem, state, cfg)
+        state, nv = checked_step(problem, state, cfg)
         v = state.v
-        nv = float(np.linalg.norm(v))
-        if not math.isfinite(nv):
-            raise Divergence(f"||v_{k}|| is not finite")
         if k == 1:
             v1_norm = nv
             if guard_b is None and ext is not None:

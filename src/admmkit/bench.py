@@ -1,8 +1,10 @@
 """Experiment harness: solver comparisons, trace persistence and plots.
 
 A RunConfig names a gallery problem, a penalty rule and a comparison set of
-solver specifications.  The harness first computes a reference solution with
-a 10x iteration budget at tol/100, then runs every solver against it and
+solver specifications.  The harness first computes a reference solution by
+standard ADMM steps that keep no trace; it stops at the first of
+||v_k|| <= tol/100, the rounding floor ||v_k|| <= 10 eps ||z_k||, and 10x
+the iteration budget.  It then runs every solver against the reference and
 persists one CSV trace per solver.  Plot emission writes standalone,
 byte-deterministic SVG files.
 """
@@ -14,8 +16,10 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
-from .a3dmm import ExtrapConfig, InnerSolver, run_a3dmm
+from .a3dmm import ExtrapConfig, InnerSolver, checked_step, run_a3dmm, start_state
 from .problems import (Reference, make_affine_constrained, make_feasibility,
                        make_lasso, make_qp_box, make_tv_inpainting, resolve_gamma)
 from .splitting import SolverConfig
@@ -179,13 +183,37 @@ def _solver_pieces(spec, gamma, tol, max_iter, z0):
     return cfg, extrap, momentum
 
 
+# The standard scheme's fixed-point map is firmly nonexpansive, so ||v_k||
+# never rises in exact arithmetic; once it is within this many eps of ||z_k||
+# the iterates move by rounding alone.
+FLOOR_FACTOR = 10.0
+_EPS = np.finfo(float).eps
+
+
 def compute_reference(instance, gamma, tol, max_iter):
-    """Reference solution from a standard run with 10x budget at tol/100."""
+    """Reference solution by standard ADMM steps that keep no trace.
+
+    The steps stop at the first of ||v_k|| <= tol/100 (stop "tol"),
+    ||v_k|| <= FLOOR_FACTOR * eps * ||z_k|| (stop "floor": the iteration has
+    reached its rounding floor) and 10 * max_iter steps (stop "budget").
+    Stores the Reference on the instance and returns it; a non-finite
+    ||v_k|| raises Divergence.
+    """
+    problem = instance.problem
     cfg = SolverConfig(gamma=gamma, tol=tol / 100.0, max_iter=10 * max_iter,
                        z0=instance.z0)
-    result = run_a3dmm(instance.problem, cfg)
-    instance.reference = Reference(z=result.state.z.copy(), x=result.state.x.copy(),
-                                   y=result.state.y.copy())
+    state = start_state(problem, cfg)
+    stop = "budget"
+    for _ in range(cfg.max_iter):
+        state, nv = checked_step(problem, state, cfg)
+        if nv <= cfg.tol:
+            stop = "tol"
+            break
+        if nv <= FLOOR_FACTOR * _EPS * float(np.linalg.norm(state.z)):
+            stop = "floor"
+            break
+    instance.reference = Reference(z=state.z.copy(), x=state.x.copy(), y=state.y.copy(),
+                                   iterations=state.k, stop=stop)
     return instance.reference
 
 
@@ -222,13 +250,13 @@ def trace_file_name(label):
 def run_experiment(config):
     """Reference run followed by every solver in the comparison set.
 
-    Returns the list of traces (one per solver, comparison-set order); writes
-    them as CSV when config.out_dir is set.
+    Returns (reference, traces), the traces one per solver in comparison-set
+    order; writes them as CSV when config.out_dir is set.
     """
     instance = build_instance(config)
     gamma = resolve_gamma(config.gamma, instance.norm_K) \
         if config.gamma is not None else instance.gamma_default
-    compute_reference(instance, gamma, config.tol, config.max_iter)
+    reference = compute_reference(instance, gamma, config.tol, config.max_iter)
     traces = []
     for spec in config.solvers:
         trace = run_solver(instance, spec, gamma, config.tol, config.max_iter)
@@ -238,7 +266,7 @@ def run_experiment(config):
         for trace in traces:
             name = trace_file_name(trace.meta["solver"])
             write_trace_csv(trace, os.path.join(config.out_dir, f"{name}.csv"))
-    return traces
+    return reference, traces
 
 
 # ---------------------------------------------------------------------------

@@ -164,9 +164,10 @@ def variant_label(variant, phi):
 
 def cmd_bench(args):
     run_cfg = _run_config_from(args)
-    traces = run_experiment(run_cfg)
+    reference, traces = run_experiment(run_cfg)
     width = max(len(t.meta["solver"]) for t in traces)
     print(f"benchmark: {traces[0].meta['problem']}")
+    print(f"  reference: iters={reference.iterations}  stop={reference.stop}")
     for trace in traces:
         last = trace.rows[-1]
         reached = trace.iterations_to("dist_x", 1e-6)

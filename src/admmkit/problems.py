@@ -52,11 +52,17 @@ class FormatError(ValueError):
 
 @dataclass
 class Reference:
-    """Solution triple produced by a long reference run."""
+    """Solution triple produced by a long reference run.
+
+    `iterations` and `stop` ("tol", "floor" or "budget") say how the run
+    ended; a triple given by hand leaves them at 0 and None.
+    """
 
     z: np.ndarray
     x: np.ndarray
     y: np.ndarray
+    iterations: int = 0
+    stop: Optional[str] = None
 
 
 @dataclass

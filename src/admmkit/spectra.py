@@ -44,7 +44,8 @@ def trajectory_angle(v, v_prev):
     np_ = np.linalg.norm(v_prev)
     if nv < 1e-300 or np_ < 1e-300:
         return None
-    return float(np.clip(np.dot(v, v_prev) / (nv * np_), -1.0, 1.0))
+    # min/max on the Python float match np.clip, NaN included, at a fraction of its cost
+    return min(max(float(np.dot(v, v_prev) / (nv * np_)), -1.0), 1.0)
 
 
 @dataclass

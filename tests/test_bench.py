@@ -8,9 +8,10 @@ import pytest
 
 from admmkit.bench import (ConfigError, EmptySelection, RunConfig, SolverSpec,
                            build_instance, compute_reference, emit_plot_svg,
-                           parse_solver_spec, read_trace_csv, run_experiment,
-                           run_solver, write_trace_csv, CSV_HEADER)
-from admmkit.a3dmm import InnerSolver
+                           parse_solver_spec, read_trace_csv, resolve_gamma,
+                           run_experiment, run_solver, write_trace_csv, CSV_HEADER)
+from admmkit.a3dmm import InnerSolver, run_a3dmm
+from admmkit.splitting import Divergence, SolverConfig
 from admmkit.trace import Trace, TraceRow
 
 
@@ -99,7 +100,7 @@ def test_run_experiment_writes_traces(tmp_path):
     cfg = RunConfig(problem="feasibility", alpha=np.pi / 3, seed=0, gamma=1.0,
                     tol=1e-10, max_iter=500,
                     solvers=("admm", "iadmm(0.3)"), out_dir=str(tmp_path))
-    traces = run_experiment(cfg)
+    _, traces = run_experiment(cfg)
     assert [t.meta["solver"] for t in traces] == ["admm", "iadmm(0.3)"]
     assert len(glob.glob(str(tmp_path / "*.csv"))) == 2
     for t in traces:
@@ -109,7 +110,7 @@ def test_run_experiment_writes_traces(tmp_path):
 def test_default_comparison_set_on_lasso():
     cfg = RunConfig(problem="lasso", m=32, n=96, sparsity=6, seed=1,
                     gamma="K2/10", tol=1e-11, max_iter=4000)
-    traces = run_experiment(cfg)
+    _, traces = run_experiment(cfg)
     assert len(traces) == 4
     reach = {t.meta["solver"]: t.iterations_to("dist_x", 1e-6) for t in traces}
     assert reach["a3dmm(6,inf)"] == min(reach.values())
@@ -120,7 +121,7 @@ def test_momentum_comparison_at_small_angle():
     cfg = RunConfig(problem="feasibility", alpha=np.pi / 6, seed=0, gamma=1.0,
                     tol=1e-12, max_iter=3000,
                     solvers=("admm", "iadmm(0.1)", "iadmm(0.3)", "iadmm(0.4,-0.2)"))
-    traces = run_experiment(cfg)
+    _, traces = run_experiment(cfg)
     reach = {t.meta["solver"]: t.iterations_to("dist_z", 1e-8) for t in traces}
     assert reach["iadmm(0.4,-0.2)"] < reach["admm"]
     assert reach["admm"] < reach["iadmm(0.1)"]
@@ -141,7 +142,7 @@ def test_run_order_permutation_gives_identical_traces():
         perm = RunConfig(solvers=solvers[1:] + solvers[:1], **problem)
         by_solver = {}
         for cfg in (base, perm):
-            for t in run_experiment(cfg):
+            for t in run_experiment(cfg)[1]:
                 key = (t.meta["solver"], cfg is base)
                 by_solver[key] = [(r.k, r.norm_v, r.cos_theta, r.dist_z, r.dist_x,
                                    r.objective, r.extrapolated) for r in t.rows]
@@ -164,6 +165,75 @@ def test_run_solver_without_inner_keeps_the_instance_budget():
     qp = build_instance(RunConfig(problem="qp", n=12, seed=0))
     assert rows(run_solver(qp, spec, 0.5, 1e-10, 200, inner=InnerSolver(max_steps=3))) \
         == rows(run_solver(qp, spec, 0.5, 1e-10, 200))
+
+
+# the shipped desk configs' problem parameters, and a small TV instance
+REFERENCE_CASES = {
+    "lasso": dict(problem="lasso", seed=0, gamma="K2/10", tol=1e-10, max_iter=3000),
+    "lasso_spiral": dict(problem="lasso", seed=14, sparsity=20, mu=0.15, gamma="K2/10",
+                         tol=0.0, max_iter=400),
+    "bp_l1": dict(problem="bp-l1", seed=0, gamma=1, tol=1e-10, max_iter=4000),
+    "qp_box": dict(problem="qp", seed=0, n=50, gamma=0.5, tol=1e-10, max_iter=2000),
+    "feasibility": dict(problem="feasibility", seed=0, alpha=math.pi / 6, gamma=1,
+                        tol=1e-12, max_iter=2000),
+    "tv": dict(problem="tv", size=16, inner_steps=5, seed=0, gamma=1, tol=1e-6,
+               max_iter=40),
+}
+
+
+def reference_case(name):
+    cfg = RunConfig(**REFERENCE_CASES[name])
+    inst = build_instance(cfg)
+    return inst, resolve_gamma(cfg.gamma, inst.norm_K), cfg.tol, cfg.max_iter
+
+
+def traced_reference_run(inst, gamma, tol, max_iter):
+    """The reference as a traced run_a3dmm of the standard scheme computes it."""
+    cfg = SolverConfig(gamma=gamma, tol=tol / 100.0, max_iter=10 * max_iter, z0=inst.z0)
+    return run_a3dmm(inst.problem, cfg)
+
+
+@pytest.mark.parametrize("name", ["lasso", "bp_l1", "qp_box", "feasibility", "tv"])
+def test_reference_above_the_floor_matches_a_traced_run(name):
+    inst, gamma, tol, max_iter = reference_case(name)
+    ref = compute_reference(inst, gamma, tol, max_iter)
+    run = traced_reference_run(inst, gamma, tol, max_iter)
+    assert ref.iterations == run.state.k
+    assert ref.stop == ("tol" if run.converged else "budget")
+    for field in ("z", "x", "y"):
+        assert np.array_equal(getattr(ref, field), getattr(run.state, field)), field
+
+
+def test_reference_stops_at_the_rounding_floor():
+    inst, gamma, tol, max_iter = reference_case("lasso_spiral")
+    ref = compute_reference(inst, gamma, tol, max_iter)
+    assert ref.stop == "floor" and ref.iterations < 300
+    full = traced_reference_run(inst, gamma, tol, max_iter)
+    assert full.state.k == 10 * max_iter
+    for field in ("z", "x"):
+        exact = getattr(full.state, field)
+        gap = np.linalg.norm(getattr(ref, field) - exact) / np.linalg.norm(exact)
+        assert gap <= 1e-13, field
+
+
+@pytest.mark.parametrize("name", ["feasibility", "tv"])
+def test_reference_nan_start_raises_divergence(name):
+    inst, gamma, tol, max_iter = reference_case(name)
+    inst.z0 = np.zeros(inst.problem.p)
+    inst.z0[1] = np.nan
+    with pytest.raises(Divergence, match=r"\|\|v_1\|\| is not finite"):
+        compute_reference(inst, gamma, tol, max_iter)
+
+
+def test_reference_after_a_solve_starts_from_a_reset_oracle():
+    inst, gamma, tol, max_iter = reference_case("tv")
+    run_solver(inst, parse_solver_spec("a3dmm(6,inf)"), gamma, tol, 25)
+    after = compute_reference(inst, gamma, tol, max_iter)
+    fresh_inst, *_ = reference_case("tv")
+    fresh = compute_reference(fresh_inst, gamma, tol, max_iter)
+    assert after.iterations == fresh.iterations
+    for field in ("z", "x", "y"):
+        assert np.array_equal(getattr(after, field), getattr(fresh, field)), field
 
 
 def test_emit_plot_svg(tmp_path):

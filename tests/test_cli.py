@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,16 @@ def test_bench_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "admm" in out and "iadmm(0.3)" in out
     assert (tmp_path / "dist_z.svg").exists()
+    [line] = [l for l in out.splitlines() if "reference" in l]
+    assert re.fullmatch(r"  reference: iters=\d+  stop=tol", line)
+
+
+def test_bench_reports_a_reference_at_the_rounding_floor(capsys):
+    cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "lasso_spiral.cfg")
+    assert main(["bench", "--config", cfg, "--solvers", "admm"]) == 0
+    [line] = [l for l in capsys.readouterr().out.splitlines() if "reference" in l]
+    iters = int(re.fullmatch(r"  reference: iters=(\d+)  stop=floor", line).group(1))
+    assert iters < 4000  # the budget is 10 * max_iter
 
 
 def test_angles_subcommand(tmp_path, capsys):

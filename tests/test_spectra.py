@@ -25,6 +25,25 @@ def test_trajectory_angle_examples():
     assert trajectory_angle(np.zeros(2), v) is None
     assert trajectory_angle(v, np.zeros(2)) is None
 
+    def clipped(a, b):
+        raw = np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+        return raw, float(np.clip(raw, -1.0, 1.0))
+
+    # parallel and antiparallel pairs whose raw quotient rounds past +-1
+    par = np.array([-0.92, -0.46, 0.22])
+    anti = np.array([0.54, 0.21, 0.36])
+    rng = np.random.default_rng(0)
+    pairs = [(par, par), (anti, -3.0 * anti)] + [
+        (rng.standard_normal(50), rng.standard_normal(50)) for _ in range(20)]
+    assert clipped(*pairs[0])[0] > 1.0 and clipped(*pairs[1])[0] < -1.0
+    for a, b in pairs:
+        got = trajectory_angle(a, b)
+        assert type(got) is float and got == clipped(a, b)[1]
+    assert trajectory_angle(par, par) == 1.0
+    assert trajectory_angle(anti, -3.0 * anti) == -1.0
+    nan = np.array([np.nan, 1.0])
+    assert np.isnan(trajectory_angle(nan, v)) and np.isnan(clipped(nan, v)[1])
+
 
 def test_classify_feasibility_spiral():
     inst = make_feasibility(np.pi / 3, seed=1)
