@@ -23,8 +23,6 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import extrapolate as ex
 from .splitting import Divergence, IterateState, inertial_predict, variant_step
 from .spectra import trajectory_angle
@@ -119,20 +117,25 @@ def start_state(problem, config):
     return IterateState.initial(problem, config.z0)
 
 
+def _norm(v):
+    """Euclidean norm of a 1-D float array, bit-identical to np.linalg.norm."""
+    return math.sqrt(float(v @ v))
+
+
 def checked_step(problem, state, config):
     """One step of config's variant from state.z_bar; returns (state, ||v_k||).
 
     A non-finite ||v_k|| raises Divergence.
     """
     state = variant_step(problem, state, config)
-    nv = float(np.linalg.norm(state.v))
+    nv = _norm(state.v)
     if not math.isfinite(nv):
         raise Divergence(f"||v_{state.k}|| is not finite")
     return state, nv
 
 
 def _norm_or_none(a, b):
-    return None if b is None else float(np.linalg.norm(a - b))
+    return None if b is None else _norm(a - b)
 
 
 def run_a3dmm(problem, config, extrap=None, trace=None, reference=None,
@@ -172,6 +175,7 @@ def run_a3dmm(problem, config, extrap=None, trace=None, reference=None,
     window = ex.DiffWindow(problem.p, ext.q + 1) if ext is not None else None
     z_prev2 = state.z.copy()  # z_{k-2} for three-point momentum
     v_prev = None
+    nv_prev = None
     guard_b = ext.guard_b if ext is not None else None
     v1_norm = None
     converged = False
@@ -204,13 +208,12 @@ def run_a3dmm(problem, config, extrap=None, trace=None, reference=None,
                         else:
                             z_pred = ex.extrapolate_finite(state.z, window, fit, ext.s)
                         incr = z_pred - state.z
-                        scale = float(np.linalg.norm(incr)) if ext.guard_on_increment else nv
+                        scale = _norm(incr) if ext.guard_on_increment else nv
                         a_k = safeguard_coefficient(k, ext.guard_a, guard_b,
                                                     ext.guard_delta, scale)
                         if a_k > 0.0:
                             state.z_bar = state.z + a_k * incr
-                            trace.applied_increments.append(
-                                float(np.linalg.norm(a_k * incr)))
+                            trace.applied_increments.append(_norm(a_k * incr))
                             extrapolated = True
             if not extrapolated and momentum is not None:
                 a_m, b_m = momentum
@@ -218,7 +221,8 @@ def run_a3dmm(problem, config, extrap=None, trace=None, reference=None,
 
         trace.append(TraceRow(
             k=k, norm_v=nv,
-            cos_theta=trajectory_angle(v, v_prev) if v_prev is not None else None,
+            cos_theta=(trajectory_angle(v, v_prev, nv, nv_prev)
+                       if v_prev is not None else None),
             dist_z=_norm_or_none(state.z, ref_z),
             dist_x=_norm_or_none(state.x, ref_x),
             objective=problem.objective(state.x, state.y),
@@ -226,7 +230,7 @@ def run_a3dmm(problem, config, extrap=None, trace=None, reference=None,
             ms=(time.perf_counter() - t0) * 1e3))
         if converged:
             break
-        v_prev = v
+        v_prev, nv_prev = v, nv
         z_prev2 = prev_z
 
     trace.meta["converged"] = "1" if converged else "0"

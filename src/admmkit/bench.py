@@ -209,7 +209,7 @@ def compute_reference(instance, gamma, tol, max_iter):
         if nv <= cfg.tol:
             stop = "tol"
             break
-        if nv <= FLOOR_FACTOR * _EPS * float(np.linalg.norm(state.z)):
+        if nv <= FLOOR_FACTOR * _EPS * math.sqrt(float(state.z @ state.z)):
             stop = "floor"
             break
     instance.reference = Reference(z=state.z.copy(), x=state.x.copy(), y=state.y.copy(),

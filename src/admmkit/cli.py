@@ -4,7 +4,9 @@ Subcommands: `solve` (one problem, one solver), `bench` (comparison per run
 config), `angles` (trajectory diagnostics report), `spectra` (momentum
 regime-map CSV) and `inpaint` (total-variation experiment with PSNR).  Flags
 mirror the flat key=value config-file format; explicit flags override file
-values.  Exit codes: 0 success, 1 runtime failure, 2 usage error.
+values.  Exit codes: 0 success, 1 runtime failure, 2 usage error, 141
+(128 + SIGPIPE, the shell's status for a writer whose pipe closed) when
+standard output is closed before the output is written, as in `| head`.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ CONFIG_KEYS = {
     "size": int, "mask_density": float, "inner_steps": int, "phi": float,
     "window": int, "iters": int, "image": str,
 }
+
+
+EXIT_BROKEN_PIPE = 141
 
 
 class UsageError(Exception):
@@ -293,10 +298,19 @@ def main(argv=None):
     try:
         if args.config:
             _merge(args, parse_config_file(args.config))
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the flush at exit
+        # finds nothing to report
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"failure: {exc}", file=sys.stderr)
         return 1

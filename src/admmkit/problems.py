@@ -135,7 +135,7 @@ class AcceleratedGradientProx:
     the returned point.
 
     The warm start lives in the oracle, so one instance must not serve
-    interleaved solves (ROADMAP item 4).
+    interleaved solves (ROADMAP item 3).
     """
 
     def __init__(self, dim, name, gradient, objective, project, step, start, inner=None):

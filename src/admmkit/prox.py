@@ -8,7 +8,7 @@ for a fixed function f and a fixed linear map A (A = identity for the
 plain proximal maps).  Oracles are deterministic and, once built, hold no
 mutable state, so they are safe to share across concurrent solves.  The
 exception is problems.AcceleratedGradientProx, the inexact x-oracle, which
-keeps its warm start in the oracle (ROADMAP item 4).  The warm start is its
+keeps its warm start in the oracle (ROADMAP item 3).  The warm start is its
 only state across calls: its iterate buffers are allocated per call, and
 each result is a fresh array.
 
@@ -21,6 +21,10 @@ applies the matrix inversion lemma
 
 for m >= n it factors K'K + gamma*I.  Building costs O(min(m,n)^2 max(m,n))
 and each solve O(mn); the cached factor has min(m,n)^2 entries.
+
+Cached solves, here and in `project_affine`, go through LAPACK `potrs`
+after an explicit finiteness check of the right-hand side; the factor was
+checked once when `cho_factor` built it.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrs
 
 
 class OverlappingGroups(ValueError):
@@ -144,6 +149,21 @@ def project_box(w, lo, hi):
     return np.clip(np.asarray(w, dtype=float), lo, hi)
 
 
+def _cho_solve(factor, b):
+    """x = (L L')^{-1} b for a `cho_factor` result; a non-finite b raises ValueError.
+
+    Bit-identical to `scipy.linalg.cho_solve`, which also re-scans the whole
+    factor for NaN and inf on every call.
+    """
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    c, lower = factor
+    x, info = dpotrs(c, b, lower=lower)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return x
+
+
 class AffineProjectionCache:
     """Cholesky factor of K K^T, built once and reused by project_affine."""
 
@@ -164,7 +184,7 @@ def project_affine(w, K, f, cache=None):
     K = np.asarray(K, dtype=float)
     if cache is None:
         cache = AffineProjectionCache(K)
-    return w - K.T @ scipy.linalg.cho_solve(cache.factor, K @ w - f)
+    return w - K.T @ _cho_solve(cache.factor, K @ w - f)
 
 
 def smaller_gram(K):
@@ -210,8 +230,8 @@ class QuadraticSolveCache:
         factor = self.factor(gamma)
         K = self._wide
         if K is None:
-            return scipy.linalg.cho_solve(factor, r)
-        return (r - K.T @ scipy.linalg.cho_solve(factor, K @ r)) / gamma
+            return _cho_solve(factor, r)
+        return (r - K.T @ _cho_solve(factor, K @ r)) / gamma
 
 
 def solve_regularized_quadratic(Q, q, gamma, w, cache=None):

@@ -34,18 +34,18 @@ SPIRAL = "spiral"
 UNDETERMINED = "undetermined"
 
 
-def trajectory_angle(v, v_prev):
+def trajectory_angle(v, v_prev, norm_v, norm_v_prev):
     """cos of the angle between consecutive differences, clamped to [-1, 1].
 
-    Returns None when either vector is numerically zero, so stagnation never
-    propagates NaNs into the diagnostics.
+    `norm_v` and `norm_v_prev` are the Euclidean norms of `v` and `v_prev`,
+    which the solver loop already holds.  Returns None when either vector is
+    numerically zero, so stagnation never propagates NaNs into the
+    diagnostics.
     """
-    nv = np.linalg.norm(v)
-    np_ = np.linalg.norm(v_prev)
-    if nv < 1e-300 or np_ < 1e-300:
+    if norm_v < 1e-300 or norm_v_prev < 1e-300:
         return None
     # min/max on the Python float match np.clip, NaN included, at a fraction of its cost
-    return min(max(float(np.dot(v, v_prev) / (nv * np_)), -1.0), 1.0)
+    return min(max(float(np.dot(v, v_prev)) / (norm_v * norm_v_prev), -1.0), 1.0)
 
 
 @dataclass

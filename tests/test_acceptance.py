@@ -120,7 +120,8 @@ def test_criterion_02_angle_limit_and_linearization():
         for k in range(1, 202):
             state = admm_step(inst.problem, state, 1.0)
             v_of[k] = state.v
-        worst_angle = max(abs(trajectory_angle(v_of[k], v_of[k - 1]) - np.cos(alpha))
+        worst_angle = max(abs(trajectory_angle(v_of[k], v_of[k - 1], np.linalg.norm(v_of[k]),
+                                               np.linalg.norm(v_of[k - 1])) - np.cos(alpha))
                           for k in range(50, 201))
         assert worst_angle <= 1e-6
         worst_lin = max(np.linalg.norm(v_of[k + 1] - M @ v_of[k])

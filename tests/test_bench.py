@@ -5,7 +5,9 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from admmkit import prox
 from admmkit.bench import (ConfigError, EmptySelection, RunConfig, SolverSpec,
                            build_instance, compute_reference, emit_plot_svg,
                            parse_solver_spec, read_trace_csv, resolve_gamma,
@@ -234,6 +236,22 @@ def test_reference_after_a_solve_starts_from_a_reset_oracle():
     assert after.iterations == fresh.iterations
     for field in ("z", "x", "y"):
         assert np.array_equal(getattr(after, field), getattr(fresh, field)), field
+
+
+@pytest.mark.parametrize("name", ["lasso", "lasso_spiral", "bp_l1", "qp_box", "feasibility"])
+def test_desk_runs_match_scipy_cho_solve_bit_for_bit(name, monkeypatch):
+    def run():
+        reference, traces = run_experiment(RunConfig(**REFERENCE_CASES[name]))
+        rows = [[(r.k, r.norm_v, r.cos_theta, r.dist_z, r.dist_x, r.objective,
+                  r.extrapolated) for r in t.rows] for t in traces]
+        return reference, rows
+
+    fast_ref, fast = run()
+    monkeypatch.setattr(prox, "_cho_solve", scipy.linalg.cho_solve)
+    slow_ref, slow = run()
+    assert fast == slow
+    for field in ("z", "x", "y"):
+        assert np.array_equal(getattr(fast_ref, field), getattr(slow_ref, field)), field
 
 
 def test_emit_plot_svg(tmp_path):

@@ -1,10 +1,12 @@
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from admmkit.cli import main, parse_config_file
+from admmkit.cli import EXIT_BROKEN_PIPE, main, parse_config_file
 from admmkit.bench import read_trace_csv
 
 
@@ -135,3 +137,50 @@ def test_runtime_failure_exit_code(tmp_path, capsys):
     code = main(["solve", "--problem", "feasibility", "--gamma", "K2/10"])
     assert code == 1
     assert "failure" in capsys.readouterr().err
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_is_not_a_runtime_failure(tmp_path, capsys, monkeypatch):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        code = main(["solve", "--gamma", "1", "--tol", "1e-9", "--m", "16", "--n", "48",
+                     "--sparsity", "4", "--out", str(tmp_path)])
+    finally:
+        os.close(fd)
+    assert code == EXIT_BROKEN_PIPE == 141
+    assert "failure" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_pipe_exits_quietly(unbuffered, tmp_path):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+    try:
+        proc = subprocess.run(
+            [sys.executable, *(["-u"] if unbuffered else []), "-m", "admmkit.cli", "solve",
+             "--gamma", "1", "--m", "16", "--n", "48", "--sparsity", "4",
+             "--out", str(tmp_path)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""

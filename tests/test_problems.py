@@ -71,11 +71,17 @@ def test_wide_lasso_never_forms_an_n_by_n_matrix():
     assert peak < 0.25 * n * n * 8
 
 
-@pytest.mark.parametrize("tall", [False, True], ids=["wide", "tall"])
-def test_lasso_nan_start_raises_subproblem_failure(tall):
-    if tall:
+@pytest.mark.parametrize("case", ["wide", "tall", "qp_box", "bp_l1"])
+def test_lasso_nan_start_raises_subproblem_failure(case):
+    # every path of the cached Cholesky solve: wide and tall designs, a dense Q
+    # (qp_box) and the affine projection (bp_l1)
+    if case == "tall":
         rng = np.random.default_rng(2)
         inst = make_lasso_from_data(rng.standard_normal((30, 10)), rng.standard_normal(30))
+    elif case == "qp_box":
+        inst = make_qp_box(n=12, seed=0)
+    elif case == "bp_l1":
+        inst = make_affine_constrained("l1", m=16, n=40, sparsity=4, seed=0)
     else:
         inst = make_lasso(m=16, n=40, sparsity=4, seed=0)
     z0 = np.zeros(inst.problem.prox_r.dim)

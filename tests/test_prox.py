@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from admmkit import prox
 from admmkit.prox import (AffineProjectionCache, EmptyBox, LinearMap, NotSymmetric,
                           OverlappingGroups, QuadraticSolveCache, RankDeficient,
                           affine_oracle, box_oracle, group_l12_oracle, l1_oracle,
@@ -140,6 +142,38 @@ def test_quadratic_solve_cache_matches_dense_solve(shape):
         np.testing.assert_allclose(cache.solve(r, gamma),
                                    np.linalg.solve(Q + gamma * np.eye(n), r),
                                    rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["wide", "tall", "affine"])
+def test_cached_solves_match_scipy_cho_solve_bit_for_bit(case, monkeypatch):
+    rng = np.random.default_rng(7)
+    if case == "affine":
+        K = rng.standard_normal((20, 60))
+        f = rng.standard_normal(20)
+        cache = AffineProjectionCache(K)
+        factor, rhs = cache.factor, K @ rng.standard_normal(60) - f
+        solve = lambda w: project_affine(w, K, f, cache)
+        w = rng.standard_normal(60)
+    else:
+        K = rng.standard_normal((64, 200) if case == "wide" else (200, 64))
+        cache = QuadraticSolveCache.from_design(K)
+        factor = cache.factor(0.7)
+        rhs = rng.standard_normal(factor[0].shape[0])
+        solve = lambda w: cache.solve(w, 0.7)
+        w = rng.standard_normal(K.shape[1])
+    assert np.array_equal(prox._cho_solve(factor, rhs), scipy.linalg.cho_solve(factor, rhs))
+    fast = solve(w)
+    monkeypatch.setattr(prox, "_cho_solve", scipy.linalg.cho_solve)
+    assert np.array_equal(fast, solve(w))
+
+
+def test_cached_solve_rejects_a_non_finite_right_hand_side():
+    factor = scipy.linalg.cho_factor(np.array([[4.0, 1.0], [1.0, 3.0]]))
+    for bad in (np.array([np.nan, 1.0]), np.array([1.0, -np.inf])):
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            prox._cho_solve(factor, bad)
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            scipy.linalg.cho_solve(factor, bad)
 
 
 def test_moreau_conjugate_prox_examples():

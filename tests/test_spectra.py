@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,14 +18,18 @@ def line(theta):
     return np.array([[np.cos(theta)], [np.sin(theta)]])
 
 
+def angle(v, v_prev):
+    """trajectory_angle with the norms formed as the solver loop forms them."""
+    return trajectory_angle(v, v_prev, math.sqrt(float(v @ v)), math.sqrt(float(v_prev @ v_prev)))
+
+
 def test_trajectory_angle_examples():
     v = np.array([0.3, -0.4])
-    assert trajectory_angle(v, v) == pytest.approx(1.0)
-    assert trajectory_angle(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
-    assert trajectory_angle(np.array([1.0, 1.0]), np.array([1.0, 0.0])) \
-        == pytest.approx(np.sqrt(2) / 2)
-    assert trajectory_angle(np.zeros(2), v) is None
-    assert trajectory_angle(v, np.zeros(2)) is None
+    assert angle(v, v) == pytest.approx(1.0)
+    assert angle(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
+    assert angle(np.array([1.0, 1.0]), np.array([1.0, 0.0])) == pytest.approx(np.sqrt(2) / 2)
+    assert angle(np.zeros(2), v) is None
+    assert angle(v, np.zeros(2)) is None
 
     def clipped(a, b):
         raw = np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
@@ -36,13 +42,15 @@ def test_trajectory_angle_examples():
     pairs = [(par, par), (anti, -3.0 * anti)] + [
         (rng.standard_normal(50), rng.standard_normal(50)) for _ in range(20)]
     assert clipped(*pairs[0])[0] > 1.0 and clipped(*pairs[1])[0] < -1.0
+    # norms passed in as the loop forms them give the two-np.linalg.norm cosine bit for bit
     for a, b in pairs:
-        got = trajectory_angle(a, b)
+        got = angle(a, b)
         assert type(got) is float and got == clipped(a, b)[1]
-    assert trajectory_angle(par, par) == 1.0
-    assert trajectory_angle(anti, -3.0 * anti) == -1.0
+    assert angle(par, par) == 1.0
+    assert angle(anti, -3.0 * anti) == -1.0
     nan = np.array([np.nan, 1.0])
-    assert np.isnan(trajectory_angle(nan, v)) and np.isnan(clipped(nan, v)[1])
+    assert np.isnan(angle(nan, v)) and np.isnan(clipped(nan, v)[1])
+    assert np.isnan(angle(v, nan)) and np.isnan(clipped(v, nan)[1])
 
 
 def test_classify_feasibility_spiral():
@@ -168,7 +176,7 @@ def test_feasibility_run_matches_linearization():
     for k in range(1, 100):
         assert np.linalg.norm(vs[k + 1] - M @ vs[k]) <= 1e-10 * max(np.linalg.norm(vs[k]), 1e-30)
     cos_alpha = np.cos(friedrichs_angle(inst.extra["basis_r"], inst.extra["basis_j"]))
-    angles = [trajectory_angle(vs[k + 1], vs[k]) for k in range(60, 100)]
+    angles = [angle(vs[k + 1], vs[k]) for k in range(60, 100)]
     assert max(abs(a - cos_alpha) for a in angles) <= 1e-6
 
 
