@@ -9,8 +9,8 @@ fitted companion matrix is contractive, and an online safeguard caps the
 applied increment so that the accumulated perturbations stay absolutely
 summable, which preserves convergence of the underlying fixed-point
 iteration.  Iterations without a prediction may take a momentum fill-in
-instead, and an x-oracle with an inner solver takes its step budget from
-the `inner` argument.
+instead, and an x-oracle with an inner solver takes its step budget for
+the run from the `inner` argument.
 
 `start_state` and `checked_step` are the stepping core that `run_a3dmm`
 shares with the traceless reference solve of `bench.compute_reference`.
@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 from . import extrapolate as ex
 from .splitting import Divergence, IterateState, inertial_predict, variant_step
@@ -40,8 +39,9 @@ class ExtrapConfig:
     recurrence, so windows containing it fit a corrupted model).
 
     The online rule a_k = min(a, b / (k^(1+delta) * scale)) bounds the
-    applied increments; b is `guard_b` when set, else `guard_b_rel` times
-    the first difference norm.  With `guard_on_increment` the scale is the
+    applied increments; b is `guard_b_rel` times the first difference norm
+    (`guard_b_rel` itself when that norm is zero), and the run records it as
+    the trace metadata `guard_b`.  With `guard_on_increment` the scale is the
     increment norm itself, which makes ||a_k E_k|| <= b * k^-(1+delta) hold
     by construction; switching it off uses the difference norm
     ||z_k - z_{k-1}|| as the scale instead.
@@ -51,7 +51,6 @@ class ExtrapConfig:
     s: float = math.inf
     spacing: int = 2
     guard_a: float = 1.0
-    guard_b: Optional[float] = None
     guard_b_rel: float = 1e6
     guard_delta: float = 3.0
     guard_on_increment: bool = True
@@ -65,8 +64,6 @@ class ExtrapConfig:
             raise ValueError("s must be a positive integer or inf")
         if not (0.0 <= self.guard_a <= 1.0):
             raise ValueError("guard coefficient a must lie in [0, 1]")
-        if self.guard_b is not None and self.guard_b <= 0:
-            raise ValueError("guard constant b must be positive")
         if self.guard_b_rel <= 0:
             raise ValueError("guard scale b_rel must be positive")
         if self.guard_delta <= 0:
@@ -108,12 +105,14 @@ class RunResult:
         return iter((self.state, self.trace))
 
 
-def start_state(problem, config):
-    """Drop every oracle's warm start and return the run's initial IterateState."""
-    for oracle in (problem.prox_r, problem.prox_j):
-        reset = getattr(oracle, "reset", None)
-        if callable(reset):
-            reset()
+def start_state(problem, config, inner=None):
+    """Reset both oracles for a new run and return its initial IterateState.
+
+    The x-oracle takes `inner` as the run's inner budget (None: the budget it
+    was built with); an exact oracle's reset does nothing.
+    """
+    problem.prox_r.reset(inner)
+    problem.prox_j.reset()
     return IterateState.initial(problem, config.z0)
 
 
@@ -145,20 +144,15 @@ def run_a3dmm(problem, config, extrap=None, trace=None, reference=None,
     With `extrap` None the trace is the plain variant scheme.
     `momentum=(a, b)` applies the two/three-point momentum fill-in at
     iterations without a prediction (pure inertial scheme when extrapolation
-    is off).  `inner` (an InnerSolver) sets the step budget of an x-oracle
-    that solves its subproblem iteratively; it is a ValueError for an exact
-    x-oracle, and None keeps the oracle's current budget.  `reference` may
-    carry `z` / `x` attributes for the distance columns.  Stops at
-    ||v_k|| <= tol or max_iter (soft, flagged in the trace metadata); a
-    non-finite ||v_k|| raises Divergence.
+    is off).  `inner` (an InnerSolver) is the step budget of an x-oracle
+    that solves its subproblem iteratively, for this run only; None uses the
+    budget the oracle was built with, and an exact x-oracle ignores it (see
+    `start_state`).  `reference`, when given, carries `z` and `x` for the
+    distance columns.  Stops at ||v_k|| <= tol or max_iter (soft, flagged in
+    the trace metadata); a non-finite ||v_k|| raises Divergence.
     """
     cfg = config
     ext = extrap
-    if inner is not None:
-        configure = getattr(problem.prox_r, "configure", None)
-        if not callable(configure):
-            raise ValueError("problem's x-oracle does not expose an inner solver")
-        configure(inner)
     trace = trace if trace is not None else Trace()
     trace.meta.setdefault("gamma", repr(cfg.gamma))
     trace.meta.setdefault("variant", cfg.variant)
@@ -168,15 +162,15 @@ def run_a3dmm(problem, config, extrap=None, trace=None, reference=None,
         trace.meta.setdefault("q", str(ext.q))
         trace.meta.setdefault("s", "inf" if ext.s == math.inf else str(int(ext.s)))
 
-    ref_z = getattr(reference, "z", None) if reference is not None else None
-    ref_x = getattr(reference, "x", None) if reference is not None else None
+    ref_z = reference.z if reference is not None else None
+    ref_x = reference.x if reference is not None else None
 
-    state = start_state(problem, cfg)
+    state = start_state(problem, cfg, inner)
     window = ex.DiffWindow(problem.p, ext.q + 1) if ext is not None else None
     z_prev2 = state.z.copy()  # z_{k-2} for three-point momentum
     v_prev = None
     nv_prev = None
-    guard_b = ext.guard_b if ext is not None else None
+    guard_b = None
     v1_norm = None
     converged = False
     t0 = time.perf_counter()
@@ -187,7 +181,7 @@ def run_a3dmm(problem, config, extrap=None, trace=None, reference=None,
         v = state.v
         if k == 1:
             v1_norm = nv
-            if guard_b is None and ext is not None:
+            if ext is not None:
                 guard_b = ext.guard_b_rel * nv if nv > 0 else ext.guard_b_rel
                 trace.meta["guard_b"] = repr(guard_b)
         if cfg.variant == "symmetric" and v1_norm is not None and nv > 1e6 * max(v1_norm, 1e-30):

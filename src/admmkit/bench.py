@@ -220,9 +220,9 @@ def compute_reference(instance, gamma, tol, max_iter):
 def run_spec(instance, spec, gamma, tol, max_iter, inner=None):
     """Run one comparison entry against the instance's reference; returns the RunResult.
 
-    `inner` replaces the step budget of an x-oracle with an inner solver and
-    is ignored by an exact one; None keeps the budget the instance was built
-    with.
+    `inner` is passed to run_a3dmm: the step budget of an x-oracle with an
+    inner solver for this run only, ignored by an exact one; None uses the
+    budget the instance was built with.
     """
     cfg, extrap, momentum = _solver_pieces(spec, gamma, tol, max_iter, instance.z0)
     trace = Trace(meta={
@@ -231,8 +231,6 @@ def run_spec(instance, spec, gamma, tol, max_iter, inner=None):
         "seed": str(instance.seed),
         "version": __version__,
     })
-    if not callable(getattr(instance.problem.prox_r, "configure", None)):
-        inner = None  # an exact x-oracle has no budget to replace
     return run_a3dmm(instance.problem, cfg, extrap=extrap, trace=trace,
                      reference=instance.reference, momentum=momentum, inner=inner)
 
@@ -348,7 +346,7 @@ def emit_plot_svg(traces, quantity, path, width=640, height=420):
     for trace in traces:
         pts = []
         for r in trace.rows:
-            val = getattr(r, quantity, None)
+            val = vars(r).get(quantity)
             if val is None:
                 continue
             if quantity in _LOG_QUANTITIES and val <= 0.0:

@@ -3,7 +3,9 @@
 Every constructor is deterministic given its seed and returns a
 ProblemInstance bundling the split-form problem data, the planted ground
 truth where one exists, a suggested starting point and a slot for the
-reference solution filled by a long reference run.
+reference solution filled by a long reference run.  Every gallery problem
+has the split A x - y = 0, built by one helper from the A = identity prox of
+each block; its y-oracles are exact.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from .prox import (AffineProjectionCache, LinearMap, ProxOracle, group_l12_oracle,
-                   l1_oracle, least_squares_oracle, nuclear_oracle, project_affine,
-                   project_box, smaller_gram, soft_threshold_l1, subspace_oracle,
-                   quadratic_oracle)
+from .prox import (LinearMap, ProxOracle, affine_oracle, box_oracle, group_l12_oracle,
+                   l1_oracle, least_squares_oracle, nuclear_oracle, smaller_gram,
+                   subspace_oracle, quadratic_oracle)
 from .splitting import SplitProblem, SubproblemFailure
 from .a3dmm import InnerSolver
 
@@ -107,11 +108,23 @@ def _gaussian_sensing(rng, m, n):
     return K
 
 
-def _lasso_data_oracle(K, f):
-    """Oracle of J(y) = 0.5||K y - f||^2 taken with the map B = -I."""
-    data = least_squares_oracle(K, f)
-    # argmin J + (gamma/2)||-y - w||^2 is the A = identity prox at -w
-    return ProxOracle(lambda w, gamma: data.evaluate(-w, gamma), data.dim, data.name)
+def _split_problem(prox_r, prox_j, r_value=None, j_value=None, A=None):
+    """SplitProblem of min R(x) + J(y) s.t. A x - y = 0 (B = -I, b = 0).
+
+    A is the identity unless given.  `prox_j` is the exact A = identity prox
+    of J; with B = -I the y-subproblem argmin J + (gamma/2)||-y - w||^2 is
+    that prox at -w, which the problem's y-oracle evaluates.
+    """
+    A = A if A is not None else LinearMap.identity(prox_r.dim)
+    prox = prox_j.evaluate
+    return SplitProblem(
+        prox_r=prox_r,
+        prox_j=ProxOracle(lambda w, gamma: prox(-w, gamma), prox_j.dim, prox_j.name),
+        A=A,
+        B=LinearMap.scaled_identity(A.rows, -1.0),
+        b=np.zeros(A.rows),
+        r_value=r_value,
+        j_value=j_value)
 
 
 class AcceleratedGradientProx:
@@ -123,7 +136,10 @@ class AcceleratedGradientProx:
         x = project(y - step(gamma) * g)
 
     with Nesterov momentum on the point y, starting from the previous
-    call's result (from `start` after reset).  `gradient` returns the
+    call's result (from `start` after reset).  reset(inner=None), called at
+    the start of every run, drops the warm start and sets the run's budget
+    to `inner`, or to the budget the oracle was built with when `inner` is
+    None, so an override lasts for one run.  `gradient` returns the
     gradient and the objective at y, both formed from one residual.
     `project` receives a scratch array owned by the call and may modify it
     in place; it must not keep a reference to it.  The iterates live in
@@ -134,8 +150,10 @@ class AcceleratedGradientProx:
     every step, and objective(x, w, gamma), which runs once per call, at
     the returned point.
 
-    The warm start lives in the oracle, so one instance must not serve
-    interleaved solves (ROADMAP item 3).
+    The warm start lives in the oracle, not in the run, so one instance
+    must not serve interleaved solves.  It stays here because the oracle
+    protocol has no per-run object: a run sees its oracles only through
+    `evaluate` and `reset(inner)`.
     """
 
     def __init__(self, dim, name, gradient, objective, project, step, start, inner=None):
@@ -144,16 +162,15 @@ class AcceleratedGradientProx:
         self._project = project
         self._step = step
         self._start = start
-        self._inner = inner if inner is not None else InnerSolver()
+        self._built = inner if inner is not None else InnerSolver()
+        self._inner = self._built
         self._warm = None
         self.dim = dim
         self.name = name
 
-    def configure(self, inner):
-        self._inner = inner
-
-    def reset(self):
+    def reset(self, inner=None):
         self._warm = None
+        self._inner = inner if inner is not None else self._built
 
     def evaluate(self, w, gamma):
         x_prev = self._warm if self._warm is not None else self._start
@@ -238,27 +255,14 @@ def make_lasso(m=64, n=256, sparsity=13, mu=1.0, seed=0, data_block="y",
     data_value = lambda u: 0.5 * np.linalg.norm(K @ u - f) ** 2
     l1_value = lambda u: mu * np.abs(u).sum()
     if data_block == "y":
-        prox_r, r_value = l1_oracle(n, mu), l1_value
-        prox_j, j_value = _lasso_data_oracle(K, f), data_value
+        problem = _split_problem(l1_oracle(n, mu), least_squares_oracle(K, f),
+                                 l1_value, data_value)
     else:
         if iterative:
             prox_r = iterative_least_squares_oracle(K, f, inner=inner)
         else:
             prox_r = least_squares_oracle(K, f)
-        r_value = data_value
-
-        def shrink(w, gamma):
-            return soft_threshold_l1(-w, mu / gamma)  # B = -I folds a sign in
-
-        prox_j, j_value = ProxOracle(shrink, n, "l1"), l1_value
-    problem = SplitProblem(
-        prox_r=prox_r,
-        prox_j=prox_j,
-        A=LinearMap.identity(n),
-        B=LinearMap.scaled_identity(n, -1.0),
-        b=np.zeros(n),
-        r_value=r_value,
-        j_value=j_value)
+        problem = _split_problem(prox_r, l1_oracle(n, mu), data_value, l1_value)
     nK = operator_norm(K)
     return ProblemInstance(
         problem=problem,
@@ -280,29 +284,13 @@ def make_lasso_from_data(features, labels, mu=1.0, descriptor="lasso(data)"):
     scale = np.abs(K).max(axis=0)
     scale[scale == 0.0] = 1.0
     K = K / scale
-    n = K.shape[1]
-    problem = SplitProblem(
-        prox_r=l1_oracle(n, mu),
-        prox_j=_lasso_data_oracle(K, f),
-        A=LinearMap.identity(n),
-        B=LinearMap.scaled_identity(n, -1.0),
-        b=np.zeros(n),
-        r_value=lambda x: mu * np.abs(x).sum(),
-        j_value=lambda y: 0.5 * np.linalg.norm(K @ y - f) ** 2)
+    problem = _split_problem(l1_oracle(K.shape[1], mu), least_squares_oracle(K, f),
+                             r_value=lambda x: mu * np.abs(x).sum(),
+                             j_value=lambda y: 0.5 * np.linalg.norm(K @ y - f) ** 2)
     nK = operator_norm(K)
     return ProblemInstance(problem=problem, descriptor=descriptor, seed=None,
                            norm_K=nK, gamma_default=nK ** 2 / 10.0,
                            extra={"K": K, "f": f})
-
-
-def _affine_set_oracle(K, f):
-    """Oracle of the indicator of {y : K y = f} taken with the map B = -I."""
-    cache = AffineProjectionCache(K)
-
-    def evaluate(w, gamma):
-        return project_affine(-w, K, f, cache)
-
-    return ProxOracle(evaluate, K.shape[1], "affine-set")
 
 
 def make_affine_constrained(regularizer="l1", m=None, n=None, sparsity=None,
@@ -361,14 +349,7 @@ def make_affine_constrained(regularizer="l1", m=None, n=None, sparsity=None,
     else:
         raise ValueError(f"unknown regularizer {regularizer!r}")
     f = K @ x_true
-    problem = SplitProblem(
-        prox_r=prox_r,
-        prox_j=_affine_set_oracle(K, f),
-        A=LinearMap.identity(n),
-        B=LinearMap.scaled_identity(n, -1.0),
-        b=np.zeros(n),
-        r_value=r_value,
-        j_value=None)
+    problem = _split_problem(prox_r, affine_oracle(K, f, "affine-set"), r_value)
     nK = operator_norm(K)
     return ProblemInstance(problem=problem, descriptor=desc, seed=seed,
                            x_true=x_true, norm_K=nK, gamma_default=1.0,
@@ -384,18 +365,8 @@ def qp_box_instance(Q, q, lo, hi, descriptor="qp-box", seed=None):
     n = q.size
     if Q.shape != (n, n) or lo.size != n or hi.size != n:
         raise BadShape("Q, q and the box must agree on the dimension")
-
-    def project(w, gamma):
-        return project_box(-w, lo, hi)  # B = -I folds a sign into the prox point
-
-    problem = SplitProblem(
-        prox_r=quadratic_oracle(Q, q),
-        prox_j=ProxOracle(project, n, "box"),
-        A=LinearMap.identity(n),
-        B=LinearMap.scaled_identity(n, -1.0),
-        b=np.zeros(n),
-        r_value=lambda x: 0.5 * x @ Q @ x + q @ x,
-        j_value=None)
+    problem = _split_problem(quadratic_oracle(Q, q), box_oracle(lo, hi),
+                             r_value=lambda x: 0.5 * x @ Q @ x + q @ x)
     return ProblemInstance(problem=problem, descriptor=descriptor, seed=seed,
                            extra={"Q": Q, "q": q, "lo": lo, "hi": hi})
 
@@ -429,16 +400,8 @@ def make_feasibility(alpha, seed=0):
     u2 = np.array([np.cos(theta + alpha), np.sin(theta + alpha)])
     basis1 = u1.reshape(2, 1)
     basis2 = u2.reshape(2, 1)
-
-    def project_t2(w, gamma):
-        return u2 * (u2 @ -w)
-
-    problem = SplitProblem(
-        prox_r=subspace_oracle(basis1, "line-1"),
-        prox_j=ProxOracle(project_t2, 2, "line-2"),
-        A=LinearMap.identity(2),
-        B=LinearMap.scaled_identity(2, -1.0),
-        b=np.zeros(2))
+    problem = _split_problem(subspace_oracle(basis1, "line-1"),
+                             subspace_oracle(basis2, "line-2"))
     z0 = rng.standard_normal(2)
     z0 /= np.linalg.norm(z0)
     return ProblemInstance(
@@ -547,25 +510,14 @@ def make_tv_inpainting(image=None, mask_density=0.5, seed=0, size=64, inner=None
     if not (0.0 < mask_density <= 1.0):
         raise ValueError("mask density must lie in (0, 1]")
     n = image.shape[0]
-    N = n * n
     rng = np.random.default_rng(seed)
     mask = rng.random((n, n)) < mask_density
     mask_flat = mask.ravel()
     fvals = image.ravel()[mask_flat]
     grad = gradient_map(n)
-    prox_r = masked_gradient_oracle(grad, mask_flat, fvals, inner=inner)
-
-    def shrink(w, gamma):
-        return soft_threshold_l1(-w, 1.0 / gamma)  # B = -I folds a sign in
-
-    problem = SplitProblem(
-        prox_r=prox_r,
-        prox_j=ProxOracle(shrink, 2 * N, "l1"),
-        A=grad,
-        B=LinearMap.scaled_identity(2 * N, -1.0),
-        b=np.zeros(2 * N),
-        r_value=None,
-        j_value=lambda y: np.abs(y).sum())
+    problem = _split_problem(masked_gradient_oracle(grad, mask_flat, fvals, inner=inner),
+                             l1_oracle(grad.rows), j_value=lambda y: np.abs(y).sum(),
+                             A=grad)
     return ProblemInstance(
         problem=problem,
         descriptor=f"tv-inpaint(size={n},density={mask_density},seed={seed})",

@@ -5,12 +5,18 @@ Every subproblem oracle used by the splitting solvers evaluates
     argmin_x  f(x) + (gamma/2) ||A x - w||^2
 
 for a fixed function f and a fixed linear map A (A = identity for the
-plain proximal maps).  Oracles are deterministic and, once built, hold no
-mutable state, so they are safe to share across concurrent solves.  The
-exception is problems.AcceleratedGradientProx, the inexact x-oracle, which
-keeps its warm start in the oracle (ROADMAP item 3).  The warm start is its
-only state across calls: its iterate buffers are allocated per call, and
-each result is a fresh array.
+plain proximal maps).  The oracle protocol is two methods:
+
+    evaluate(w, gamma)   the minimizer above;
+    reset(inner=None)    called once at the start of every run.
+
+`ProxOracle`, the exact oracle, ignores `inner` and its reset does nothing:
+it is deterministic and, once built, holds no mutable state, so it is safe
+to share across concurrent solves.  The exception is
+problems.AcceleratedGradientProx, the inexact x-oracle, whose reset drops
+its warm start and sets the run's inner budget.  The warm start is its only
+state across calls: its iterate buffers are allocated per call, and each
+result is a fresh array.
 
 Quadratic oracles share one cached solve of (Q + gamma*I) x = r.  When Q is
 the Gram matrix K'K of an m x n design K, the cache factors whichever Gram
@@ -102,6 +108,9 @@ class ProxOracle:
 
     def __call__(self, w, gamma):
         return self.evaluate(w, gamma)
+
+    def reset(self, inner=None):
+        """Start of a run: an exact oracle has no inner budget and no state to drop."""
 
 
 def soft_threshold_l1(w, tau):

@@ -136,10 +136,13 @@ def test_momentum_run_matches_manual_inertial_iteration():
         zs.append(state.z.copy())
 
 
-def test_run_inexact_requires_iterative_oracle():
+def test_inner_budget_is_a_no_op_for_an_exact_oracle():
     inst = make_lasso(m=16, n=48, sparsity=4, seed=0)
-    with pytest.raises(ValueError):
-        run_a3dmm(inst.problem, SolverConfig(gamma=1.0, max_iter=10), inner=InnerSolver())
+    cfg = SolverConfig(gamma=1.0, tol=1e-10, max_iter=200)
+    ext = ExtrapConfig(q=4, s=math.inf)
+    given = run_a3dmm(inst.problem, cfg, extrap=ext, inner=InnerSolver())
+    plain = run_a3dmm(inst.problem, cfg, extrap=ext)
+    assert rows_without_ms(given.trace) == rows_without_ms(plain.trace)
 
 
 def test_run_inexact_near_exact_inner_matches_closed_form():

@@ -6,10 +6,12 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admmkit import prox
-from admmkit.bench import (ConfigError, EmptySelection, RunConfig, SolverSpec,
-                           build_instance, compute_reference, emit_plot_svg,
+from admmkit.bench import (DEFAULT_COMPARISON, ConfigError, EmptySelection, RunConfig,
+                           SolverSpec, build_instance, compute_reference, emit_plot_svg,
                            parse_solver_spec, read_trace_csv, resolve_gamma,
                            run_experiment, run_solver, write_trace_csv, CSV_HEADER)
 from admmkit.a3dmm import InnerSolver, run_a3dmm
@@ -152,21 +154,43 @@ def test_run_order_permutation_gives_identical_traces():
             assert by_solver[(solver, True)] == by_solver[(solver, False)], problem["problem"]
 
 
-def test_run_solver_without_inner_keeps_the_instance_budget():
-    def rows(trace):
-        return [(r.k, r.norm_v, r.cos_theta, r.dist_z, r.dist_x, r.objective,
-                 r.extrapolated) for r in trace.rows]
+def rows(trace):
+    return [(r.k, r.norm_v, r.cos_theta, r.dist_z, r.dist_x, r.objective,
+             r.extrapolated) for r in trace.rows]
 
+
+def test_run_solver_without_inner_keeps_the_instance_budget():
     spec = parse_solver_spec("a3dmm(6,inf)")
     tv = build_instance(RunConfig(problem="tv", size=12, inner_steps=5, seed=0))
     kept = rows(run_solver(tv, spec, 1.0, 0.0, 30))
     given = rows(run_solver(tv, spec, 1.0, 0.0, 30, inner=InnerSolver(max_steps=5)))
     assert kept == given
     assert rows(run_solver(tv, spec, 1.0, 0.0, 30, inner=InnerSolver(max_steps=6))) != kept
+    # the override lasts for one run only
+    assert rows(run_solver(tv, spec, 1.0, 0.0, 30)) == kept
     # an exact x-oracle has no inner budget, so `inner` leaves its run unchanged
     qp = build_instance(RunConfig(problem="qp", n=12, seed=0))
     assert rows(run_solver(qp, spec, 0.5, 1e-10, 200, inner=InnerSolver(max_steps=3))) \
         == rows(run_solver(qp, spec, 0.5, 1e-10, 200))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.none(), st.integers(1, 6)),
+                          st.sampled_from(DEFAULT_COMPARISON),
+                          st.integers(1, 10)), min_size=2, max_size=4))
+def test_solves_on_one_instance_match_solves_on_fresh_instances(solves):
+    # each solve must see only its own inner budget: neither an earlier
+    # override nor an earlier warm start may leak into it
+    def tv(inner_steps):
+        return build_instance(RunConfig(problem="tv", size=8, inner_steps=inner_steps))
+
+    shared = tv(5)
+    for steps, text, max_iter in solves:
+        spec = parse_solver_spec(text)
+        inner = InnerSolver(max_steps=steps) if steps is not None else None
+        got = rows(run_solver(shared, spec, 1.0, 0.0, max_iter, inner=inner))
+        fresh = tv(steps if steps is not None else 5)
+        assert got == rows(run_solver(fresh, spec, 1.0, 0.0, max_iter))
 
 
 # the shipped desk configs' problem parameters, and a small TV instance
@@ -229,7 +253,9 @@ def test_reference_nan_start_raises_divergence(name):
 
 def test_reference_after_a_solve_starts_from_a_reset_oracle():
     inst, gamma, tol, max_iter = reference_case("tv")
-    run_solver(inst, parse_solver_spec("a3dmm(6,inf)"), gamma, tol, 25)
+    # the solve overrides the instance's budget of 5 inner steps
+    run_solver(inst, parse_solver_spec("a3dmm(6,inf)"), gamma, tol, 25,
+               inner=InnerSolver(max_steps=6))
     after = compute_reference(inst, gamma, tol, max_iter)
     fresh_inst, *_ = reference_case("tv")
     fresh = compute_reference(fresh_inst, gamma, tol, max_iter)

@@ -13,7 +13,8 @@ from admmkit.problems import (AcceleratedGradientProx, BadImage, BadShape, Forma
                               make_lasso_from_data, make_qp_box, make_tv_inpainting,
                               operator_norm, parse_libsvm, piecewise_constant_image,
                               psnr, qp_box_instance, resolve_gamma, serialize_libsvm)
-from admmkit.prox import LinearMap
+from admmkit.prox import (EmptyBox, LinearMap, least_squares_oracle, project_affine,
+                          project_box, soft_threshold_l1)
 from admmkit.splitting import SolverConfig, SubproblemFailure, admm_step, IterateState
 
 
@@ -144,6 +145,51 @@ def test_make_qp_box_seeded():
     Q = inst.extra["Q"]
     assert np.all(np.linalg.eigvalsh(Q) >= 0.1 - 1e-12)
     assert np.all(inst.extra["lo"] < inst.extra["hi"])
+
+
+def _lasso_data_fold(inst):
+    K, f = inst.extra["K"], inst.extra["f"]
+    data = least_squares_oracle(K, f)
+    return lambda w, gamma: data.evaluate(-w, gamma)
+
+
+def _feasibility_fold(inst):
+    u2 = inst.extra["basis_j"][:, 0]
+    return lambda w, gamma: u2 * (u2 @ -w)
+
+
+def _qp_box_fold(inst):
+    lo, hi = inst.extra["lo"], inst.extra["hi"]
+    return lambda w, gamma: project_box(-w, lo, hi)
+
+
+# each y-oracle against the B = -I sign fold the constructors used to write inline
+@pytest.mark.parametrize("build,fold", [
+    (lambda: make_lasso(m=16, n=48, sparsity=4, seed=3), _lasso_data_fold),
+    (lambda: make_lasso(m=16, n=48, sparsity=4, mu=0.3, seed=3, data_block="x"),
+     lambda inst: lambda w, gamma: soft_threshold_l1(-w, 0.3 / gamma)),
+    (lambda: make_lasso_from_data(np.random.default_rng(1).standard_normal((10, 6)),
+                                  np.arange(10.0), mu=0.5), _lasso_data_fold),
+    (lambda: make_affine_constrained("l1", m=12, n=40, sparsity=3, seed=3),
+     lambda inst: lambda w, gamma: project_affine(-w, inst.extra["K"], inst.extra["f"])),
+    (lambda: make_qp_box(n=9, seed=3), _qp_box_fold),
+    (lambda: make_feasibility(np.pi / 5, seed=3), _feasibility_fold),
+    (lambda: make_tv_inpainting(size=6, seed=3),
+     lambda inst: lambda w, gamma: soft_threshold_l1(-w, 1.0 / gamma)),
+], ids=["lasso", "lasso-x", "lasso-data", "bp-l1", "qp-box", "feasibility", "tv"])
+def test_y_oracle_evaluates_the_prox_at_minus_w(build, fold):
+    inst = build()
+    expected = fold(inst)
+    rng = np.random.default_rng(0)
+    for gamma in (0.3, 1.0, 7.5):
+        for _ in range(20):
+            w = rng.standard_normal(inst.problem.p) * rng.choice([1e-3, 1.0, 1e3])
+            assert np.array_equal(inst.problem.prox_j.evaluate(w, gamma), expected(w, gamma))
+
+
+def test_qp_box_with_an_empty_box_fails_at_construction():
+    with pytest.raises(EmptyBox):
+        qp_box_instance(np.eye(2), np.zeros(2), [0.0, 1.0], [1.0, 0.5])
 
 
 def test_feasibility_orthogonal_lines_converge_fast():
