@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .a3dmm import ExtrapConfig, InnerSolver, checked_step, run_a3dmm, start_state
-from .problems import (Reference, make_affine_constrained, make_feasibility,
+from .problems import (Reference, load_pgm, make_affine_constrained, make_feasibility,
                        make_lasso, make_qp_box, make_tv_inpainting, resolve_gamma)
 from .splitting import SolverConfig
 from .trace import Trace, TraceRow
@@ -78,29 +78,34 @@ def parse_solver_spec(text):
         if kind == "admm" or kind == "symmetric":
             if parts:
                 raise ConfigError(f"solvers: {kind} takes no arguments")
-            return SolverSpec(kind=kind)
-        if kind == "iadmm":
+            spec = SolverSpec(kind=kind)
+        elif kind == "iadmm":
             if not 1 <= len(parts) <= 2:
                 raise ConfigError("solvers: iadmm takes (a) or (a,b)")
-            return SolverSpec(kind="iadmm", a=float(parts[0]),
+            spec = SolverSpec(kind="iadmm", a=float(parts[0]),
                               b=float(parts[1]) if len(parts) == 2 else 0.0)
-        if kind == "a3dmm":
+        elif kind == "a3dmm":
             if len(parts) != 2:
                 raise ConfigError("solvers: a3dmm takes (q,s)")
             s = math.inf if parts[1] in ("inf", "Inf", "INF") else float(parts[1])
-            return SolverSpec(kind="a3dmm", q=int(parts[0]), s=s)
-        if kind == "relaxed":
+            spec = SolverSpec(kind="a3dmm", q=int(parts[0]), s=s)
+        elif kind == "relaxed":
             if len(parts) != 1:
                 raise ConfigError("solvers: relaxed takes (phi)")
-            return SolverSpec(kind="relaxed", phi=float(parts[0]))
+            spec = SolverSpec(kind="relaxed", phi=float(parts[0]))
+        else:
+            raise ConfigError(f"solvers: unknown solver kind {kind!r}")
+        # the range checks of the solver configs the spec turns into
+        _solver_pieces(spec, gamma=1.0, tol=0.0, max_iter=1, z0=None)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"solvers: bad argument in {text!r}: {exc}") from None
-    raise ConfigError(f"solvers: unknown solver kind {kind!r}")
+    return spec
 
 
 DEFAULT_COMPARISON = ("admm", "iadmm(0.3)", "a3dmm(6,100)", "a3dmm(6,inf)")
+PROBLEMS = ("lasso", "bp-l1", "bp-l12", "bp-nuclear", "qp", "feasibility", "tv")
 
 
 @dataclass
@@ -123,15 +128,17 @@ class RunConfig:
     size: int = 64
     mask_density: float = 0.5
     inner_steps: int = 20
+    image: Optional[str] = None  # tv: PGM file, cropped to its top-left square
 
     def __post_init__(self):
-        known = ("lasso", "bp-l1", "bp-l12", "bp-nuclear", "qp", "feasibility", "tv")
-        if self.problem not in known:
+        if self.problem not in PROBLEMS:
             raise ConfigError(f"problem: unknown problem {self.problem!r}")
         if self.tol < 0:
             raise ConfigError("tol: must be nonnegative")
         if self.max_iter < 1:
             raise ConfigError("max_iter: must be at least 1")
+        if self.inner_steps < 1:
+            raise ConfigError("inner_steps: must be at least 1")
         if not self.solvers:
             raise ConfigError("solvers: comparison set must not be empty")
         self.solvers = tuple(
@@ -141,32 +148,39 @@ class RunConfig:
 def build_instance(config):
     """Construct the gallery instance selected by a RunConfig."""
     c = config
+    sizes = {key: value for key, value in (("m", c.m), ("n", c.n), ("sparsity", c.sparsity))
+             if value is not None}
     if c.problem == "lasso":
-        kwargs = {}
-        if c.m is not None:
-            kwargs["m"] = c.m
-        if c.n is not None:
-            kwargs["n"] = c.n
-        if c.sparsity is not None:
-            kwargs["sparsity"] = c.sparsity
-        return make_lasso(mu=c.mu, seed=c.seed, **kwargs)
+        return make_lasso(mu=c.mu, seed=c.seed, **sizes)
     if c.problem.startswith("bp-"):
-        kwargs = {}
-        if c.m is not None:
-            kwargs["m"] = c.m
-        if c.n is not None:
-            kwargs["n"] = c.n
-        if c.sparsity is not None:
-            kwargs["sparsity"] = c.sparsity
-        return make_affine_constrained(regularizer=c.problem[3:], seed=c.seed, **kwargs)
+        return make_affine_constrained(regularizer=c.problem[3:], seed=c.seed, **sizes)
     if c.problem == "qp":
         return make_qp_box(n=c.n if c.n is not None else 50, seed=c.seed)
     if c.problem == "feasibility":
         return make_feasibility(alpha=c.alpha, seed=c.seed)
     if c.problem == "tv":
-        return make_tv_inpainting(mask_density=c.mask_density, seed=c.seed,
+        image = None
+        if c.image is not None:
+            with open(c.image, "rb") as fh:
+                image = load_pgm(fh.read())
+            side = min(image.shape)
+            image = image[:side, :side]
+        return make_tv_inpainting(image=image, mask_density=c.mask_density, seed=c.seed,
                                   size=c.size, inner=InnerSolver(max_steps=c.inner_steps))
     raise ConfigError(f"problem: unknown problem {c.problem!r}")
+
+
+def penalty(config, instance):
+    """The run's gamma: config.gamma's rule on the instance, else the instance default."""
+    if config.gamma is None:
+        return instance.gamma_default
+    return resolve_gamma(config.gamma, instance.norm_K)
+
+
+def provenance(label, instance):
+    """Trace metadata naming the solver, the problem instance and the package version."""
+    return {"solver": label, "problem": instance.descriptor,
+            "seed": str(instance.seed), "version": __version__}
 
 
 def _solver_pieces(spec, gamma, tol, max_iter, z0):
@@ -225,12 +239,7 @@ def run_spec(instance, spec, gamma, tol, max_iter, inner=None):
     budget the instance was built with.
     """
     cfg, extrap, momentum = _solver_pieces(spec, gamma, tol, max_iter, instance.z0)
-    trace = Trace(meta={
-        "solver": spec.label,
-        "problem": instance.descriptor,
-        "seed": str(instance.seed),
-        "version": __version__,
-    })
+    trace = Trace(meta=provenance(spec.label, instance))
     return run_a3dmm(instance.problem, cfg, extrap=extrap, trace=trace,
                      reference=instance.reference, momentum=momentum, inner=inner)
 
@@ -252,8 +261,7 @@ def run_experiment(config):
     order; writes them as CSV when config.out_dir is set.
     """
     instance = build_instance(config)
-    gamma = resolve_gamma(config.gamma, instance.norm_K) \
-        if config.gamma is not None else instance.gamma_default
+    gamma = penalty(config, instance)
     reference = compute_reference(instance, gamma, config.tol, config.max_iter)
     traces = []
     for spec in config.solvers:

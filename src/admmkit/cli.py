@@ -4,9 +4,12 @@ Subcommands: `solve` (one problem, one solver), `bench` (comparison per run
 config), `angles` (trajectory diagnostics report), `spectra` (momentum
 regime-map CSV) and `inpaint` (total-variation experiment with PSNR).  Flags
 mirror the flat key=value config-file format; explicit flags override file
-values.  Exit codes: 0 success, 1 runtime failure, 2 usage error, 141
-(128 + SIGPIPE, the shell's status for a writer whose pipe closed) when
-standard output is closed before the output is written, as in `| head`.
+values.  Every subcommand that solves builds its run the way `bench` does:
+flags -> RunConfig -> build_instance -> penalty.  Exit codes: 0 success, 1
+runtime failure, 2 usage error (a bad flag, config key or out-of-range value,
+found before any solve), 141 (128 + SIGPIPE, the shell's status for a writer
+whose pipe closed) when standard output is closed before the output is
+written, as in `| head`.
 """
 
 from __future__ import annotations
@@ -15,16 +18,16 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
-from . import __version__
-from .a3dmm import ExtrapConfig, InnerSolver, run_a3dmm
-from .bench import (DEFAULT_COMPARISON, ConfigError, EmptySelection, RunConfig,
-                    build_instance, compute_reference, emit_plot_svg,
-                    parse_solver_spec, resolve_gamma, run_experiment, run_spec,
-                    trace_file_name, write_trace_csv)
-from .problems import load_pgm, make_tv_inpainting, psnr
+from .a3dmm import ExtrapConfig, run_a3dmm
+from .bench import (PROBLEMS, ConfigError, EmptySelection, RunConfig, SolverSpec,
+                    build_instance, compute_reference, emit_plot_svg, penalty,
+                    provenance, run_experiment, run_spec, trace_file_name,
+                    write_trace_csv)
+from .problems import psnr
 from .spectra import classify_trajectory, inertial_regime_map, write_regime_csv
 from .splitting import SolverConfig
 from .trace import Trace
@@ -80,35 +83,21 @@ def _merge(args, file_values):
     return args
 
 
-def _parse_s(text):
-    if text is None:
-        return None
-    if str(text).lower() == "inf":
-        return math.inf
-    try:
-        value = int(text)
-    except ValueError:
-        raise UsageError(f"--s expects a positive integer or 'inf', got {text!r}") from None
-    if value < 1:
-        raise UsageError("--s must be at least 1")
-    return value
+def _run_config_from(args, **fixed):
+    """RunConfig of the flags that are set, by field name; `fixed` overrides them."""
+    values = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    values["out_dir"] = args.out
+    if values["solvers"] is not None:
+        values["solvers"] = tuple(s.strip() for s in values["solvers"].split(";") if s.strip())
+    values.update(fixed)
+    return RunConfig(**{key: value for key, value in values.items() if value is not None})
 
 
-def _run_config_from(args):
-    kwargs = dict(problem=args.problem or "lasso", seed=args.seed if args.seed is not None else 0,
-                  gamma=args.gamma, tol=args.tol if args.tol is not None else 1e-9,
-                  max_iter=args.max_iter if args.max_iter is not None else 2000)
-    for key in ("m", "n", "sparsity"):
-        if getattr(args, key, None) is not None:
-            kwargs[key] = getattr(args, key)
-    for key in ("mu", "alpha", "size", "mask_density", "inner_steps"):
-        if getattr(args, key, None) is not None:
-            kwargs[key] = getattr(args, key)
-    if getattr(args, "solvers", None):
-        kwargs["solvers"] = tuple(s.strip() for s in args.solvers.split(";") if s.strip())
-    if getattr(args, "out", None):
-        kwargs["out_dir"] = args.out
-    return RunConfig(**kwargs)
+def _build_run(args, **fixed):
+    """(run config, instance, gamma) of a subcommand's flags."""
+    run_cfg = _run_config_from(args, **fixed)
+    instance = build_instance(run_cfg)
+    return run_cfg, instance, penalty(run_cfg, instance)
 
 
 def _add_common(parser):
@@ -122,9 +111,7 @@ def _add_common(parser):
     parser.add_argument("--tol", type=float)
     parser.add_argument("--max-iter", dest="max_iter", type=int)
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--problem",
-                        choices=("lasso", "bp-l1", "bp-l12", "bp-nuclear", "qp",
-                                 "feasibility", "tv"))
+    parser.add_argument("--problem", choices=PROBLEMS)
     parser.add_argument("--m", type=int)
     parser.add_argument("--n", type=int)
     parser.add_argument("--sparsity", type=int)
@@ -136,20 +123,22 @@ def _add_common(parser):
 
 
 def cmd_solve(args):
-    run_cfg = _run_config_from(args)
-    instance = build_instance(run_cfg)
-    gamma = resolve_gamma(args.gamma, instance.norm_K) if args.gamma is not None \
-        else instance.gamma_default
-    s = _parse_s(args.s)
+    run_cfg, instance, gamma = _build_run(args)
+    # SolverSpec cannot express an extrapolated relaxed or symmetric run, so
+    # solve builds its solver configs from the flags itself
     variant = args.variant or "standard"
-    cfg = SolverConfig(gamma=gamma, phi=args.phi if args.phi is not None else 1.0,
-                       variant=variant, tol=run_cfg.tol, max_iter=run_cfg.max_iter,
-                       z0=instance.z0)
-    extrap = ExtrapConfig(q=args.q if args.q is not None else 6, s=s) \
-        if s is not None else None
+    try:
+        cfg = SolverConfig(gamma=gamma, phi=args.phi if args.phi is not None else 1.0,
+                           variant=variant, tol=run_cfg.tol, max_iter=run_cfg.max_iter,
+                           z0=instance.z0)
+        extrap = None
+        if args.s is not None:
+            s = math.inf if args.s.lower() == "inf" else int(args.s)
+            extrap = ExtrapConfig(q=args.q if args.q is not None else 6, s=s)
+    except ValueError as exc:
+        raise UsageError(f"solver flags: {exc}") from None
     label = "a3dmm" if extrap is not None else variant_label(variant, cfg.phi)
-    trace = Trace(meta={"solver": label, "problem": instance.descriptor,
-                        "seed": str(instance.seed), "version": __version__})
+    trace = Trace(meta=provenance(label, instance))
     compute_reference(instance, gamma, cfg.tol, cfg.max_iter)
     result = run_a3dmm(instance.problem, cfg, extrap=extrap, trace=trace,
                        reference=instance.reference)
@@ -191,13 +180,8 @@ def cmd_bench(args):
 
 
 def cmd_angles(args):
-    run_cfg = _run_config_from(args)
-    instance = build_instance(run_cfg)
-    gamma = resolve_gamma(args.gamma, instance.norm_K) if args.gamma is not None \
-        else instance.gamma_default
-    cfg = SolverConfig(gamma=gamma, tol=run_cfg.tol, max_iter=run_cfg.max_iter,
-                       z0=instance.z0)
-    result = run_a3dmm(instance.problem, cfg)
+    run_cfg, instance, gamma = _build_run(args)
+    result = run_spec(instance, SolverSpec(), gamma, run_cfg.tol, run_cfg.max_iter)
     values = result.trace.column("cos_theta")
     window = args.window if args.window is not None else 50
     series = classify_trajectory(values, window=window)
@@ -228,34 +212,18 @@ def cmd_spectra(args):
 
 
 def cmd_inpaint(args):
-    size = args.size if args.size is not None else 64
-    density = args.mask_density if args.mask_density is not None else 0.5
-    seed = args.seed if args.seed is not None else 0
-    inner = InnerSolver(max_steps=args.inner_steps if args.inner_steps is not None else 20)
-    if args.image:
-        with open(args.image, "rb") as fh:
-            image = load_pgm(fh.read())
-        if image.shape[0] != image.shape[1]:
-            side = min(image.shape)
-            image = image[:side, :side]
-        instance = make_tv_inpainting(image=image, mask_density=density, seed=seed,
-                                      inner=inner)
-    else:
-        instance = make_tv_inpainting(mask_density=density, seed=seed, size=size,
-                                      inner=inner)
-    iters = args.iters if args.iters is not None else 30
-    gamma = resolve_gamma(args.gamma, instance.norm_K) if args.gamma is not None else 1.0
+    run_cfg, instance, gamma = _build_run(
+        args, problem="tv", tol=0.0, max_iter=args.iters if args.iters is not None else 30)
     image = instance.extra["image"]
     observed = image.ravel().copy()
     observed[~instance.extra["mask"].ravel()] = 0.0
-    print(f"{instance.descriptor}: gamma={gamma:g}, {iters} iterations")
+    print(f"{instance.descriptor}: gamma={gamma:g}, {run_cfg.max_iter} iterations")
     print(f"  observed image PSNR = {psnr(observed, image):.4f} dB")
-    out_dir = args.out
+    out_dir = run_cfg.out_dir
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    for text in DEFAULT_COMPARISON:
-        spec = parse_solver_spec(text)
-        result = run_spec(instance, spec, gamma, 0.0, iters)
+    for spec in run_cfg.solvers:
+        result = run_spec(instance, spec, gamma, run_cfg.tol, run_cfg.max_iter)
         value = psnr(result.state.x, image)
         print(f"  {spec.label:<14} PSNR = {value:.4f} dB")
         if out_dir:

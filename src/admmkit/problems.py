@@ -447,7 +447,7 @@ def gradient_map(size):
         out[1:] += gh[:-1]
         return out
 
-    return LinearMap(apply, adjoint, 2 * N, N, tag="gradient")
+    return LinearMap(apply, adjoint, 2 * N, N)
 
 
 def masked_gradient_oracle(grad, mask_flat, observed_values, inner=None):

@@ -70,12 +70,11 @@ class LinearMap:
     operators such as the discrete image gradient).
     """
 
-    def __init__(self, apply, apply_adjoint, rows, cols, tag="structured"):
+    def __init__(self, apply, apply_adjoint, rows, cols):
         self._apply = apply
         self._adjoint = apply_adjoint
         self.rows = int(rows)
         self.cols = int(cols)
-        self.tag = tag
 
     def apply(self, v):
         return self._apply(v)
@@ -84,18 +83,18 @@ class LinearMap:
         return self._adjoint(v)
 
     @classmethod
-    def dense(cls, M, tag="dense"):
+    def dense(cls, M):
         M = np.asarray(M, dtype=float)
-        return cls(lambda v: M @ v, lambda v: M.T @ v, M.shape[0], M.shape[1], tag)
+        return cls(lambda v: M @ v, lambda v: M.T @ v, M.shape[0], M.shape[1])
 
     @classmethod
     def identity(cls, n):
-        return cls(lambda v: v, lambda v: v, n, n, tag="identity")
+        return cls(lambda v: v, lambda v: v, n, n)
 
     @classmethod
     def scaled_identity(cls, n, scale):
         s = float(scale)
-        return cls(lambda v: s * v, lambda v: s * v, n, n, tag="scaled-identity")
+        return cls(lambda v: s * v, lambda v: s * v, n, n)
 
 
 @dataclass(frozen=True)
@@ -105,9 +104,6 @@ class ProxOracle:
     evaluate: Callable[[np.ndarray, float], np.ndarray]
     dim: int
     name: str = "prox"
-
-    def __call__(self, w, gamma):
-        return self.evaluate(w, gamma)
 
     def reset(self, inner=None):
         """Start of a run: an exact oracle has no inner budget and no state to drop."""

@@ -86,7 +86,9 @@ def test_parse_solver_specs():
     assert parse_solver_spec("a3dmm(6,100)").s == 100
     assert parse_solver_spec("relaxed(1.5)").phi == 1.5
     assert parse_solver_spec("symmetric").kind == "symmetric"
-    for bad in ("nope", "admm(1)", "iadmm()", "a3dmm(6)", "a3dmm(6,two)"):
+    # the last three fail ExtrapConfig's and SolverConfig's own range checks
+    for bad in ("nope", "admm(1)", "iadmm()", "a3dmm(6)", "a3dmm(6,two)",
+                "a3dmm(6,0)", "a3dmm(40,inf)", "relaxed(2.5)"):
         with pytest.raises(ConfigError):
             parse_solver_spec(bad)
 
@@ -98,6 +100,8 @@ def test_run_config_validation_messages():
         RunConfig(problem="unknown")
     with pytest.raises(ConfigError, match="max_iter"):
         RunConfig(problem="lasso", max_iter=0)
+    with pytest.raises(ConfigError, match="inner_steps"):
+        RunConfig(problem="tv", inner_steps=0)
 
 
 def test_run_experiment_writes_traces(tmp_path):

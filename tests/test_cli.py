@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -6,8 +7,21 @@ import sys
 import numpy as np
 import pytest
 
-from admmkit.cli import EXIT_BROKEN_PIPE, main, parse_config_file
-from admmkit.bench import read_trace_csv
+from admmkit.a3dmm import InnerSolver
+from admmkit.cli import (EXIT_BROKEN_PIPE, _run_config_from, build_parser, main,
+                         parse_config_file)
+from admmkit.bench import (RunConfig, SolverSpec, read_trace_csv, run_spec,
+                           trace_file_name, write_trace_csv)
+from admmkit.problems import load_pgm, make_feasibility, make_tv_inpainting
+
+
+def assert_same_run(path, result, tmp_path):
+    """The CSV at `path` holds the metadata and rows of `result`, apart from ms."""
+    write_trace_csv(result.trace, tmp_path / "expected.csv")
+    got, expected = read_trace_csv(path), read_trace_csv(tmp_path / "expected.csv")
+    assert got.meta == expected.meta
+    assert [dataclasses.replace(r, ms=0.0) for r in got.rows] == \
+        [dataclasses.replace(r, ms=0.0) for r in expected.rows]
 
 
 def test_solve_default_lasso(tmp_path, capsys):
@@ -35,6 +49,23 @@ def test_unknown_flag_is_usage_error(capsys):
     assert main(["solve", "--bogus", "1"]) == 2
     assert main(["nonsense"]) == 2
     assert main(["solve", "--s", "zero.5"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["inpaint", "--size", "8", "--iters", "0"],
+    ["bench", "--problem", "tv", "--size", "8", "--inner-steps", "0"],
+    ["solve", "--q", "40", "--s", "inf"],
+    ["solve", "--variant", "relaxed", "--phi", "3"],
+    ["bench", "--solvers", ""],
+], ids=["inpaint-iters", "bench-inner-steps", "solve-q", "solve-phi", "bench-no-solvers"])
+def test_out_of_range_values_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "failure" not in err
+
+
+def test_run_config_defaults_live_in_run_config():
+    assert _run_config_from(build_parser().parse_args(["bench"])) == RunConfig()
 
 
 def test_bad_config_key_is_usage_error(tmp_path):
@@ -100,7 +131,9 @@ def test_angles_subcommand(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "spiral" in out
-    assert (tmp_path / "angles.csv").exists()
+    instance = make_feasibility(alpha=1.0471975511965976, seed=0)
+    assert_same_run(tmp_path / "angles.csv",
+                    run_spec(instance, SolverSpec(), 1.0, 0.0, 300), tmp_path)
 
 
 def test_spectra_subcommand(tmp_path, capsys):
@@ -127,9 +160,16 @@ def test_inpaint_from_pgm(tmp_path):
     body = " ".join(str(v) for v in img.ravel())
     pgm = tmp_path / "img.pgm"
     pgm.write_text(f"P2 8 8 255\n{body}\n")
+    out = tmp_path / "out"
     code = main(["inpaint", "--image", str(pgm), "--iters", "4",
-                 "--inner-steps", "5", "--mask-density", "0.7"])
+                 "--inner-steps", "5", "--mask-density", "0.7", "--out", str(out)])
     assert code == 0
+    instance = make_tv_inpainting(image=load_pgm(pgm.read_bytes()), mask_density=0.7,
+                                  inner=InnerSolver(max_steps=5))
+    for spec in RunConfig().solvers:
+        name = trace_file_name(spec.label)
+        assert_same_run(out / f"inpaint_{name}.csv",
+                        run_spec(instance, spec, 1.0, 0.0, 4), tmp_path)
 
 
 def test_runtime_failure_exit_code(tmp_path, capsys):
