@@ -76,7 +76,7 @@ class ExtrapConfig:
 
 @dataclass
 class InnerSolver:
-    """Budget for an iterative x-subproblem (accelerated projected gradient)."""
+    """Budget for an iterative x-subproblem (accelerated gradient steps)."""
 
     max_steps: int = 20
 

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .a3dmm import ExtrapConfig, InnerSolver, checked_step, run_a3dmm, start_state
+from .a3dmm import ExtrapConfig, checked_step, run_a3dmm, start_state
 from .problems import (Reference, load_pgm, make_affine_constrained, make_feasibility,
                        make_lasso, make_qp_box, make_tv_inpainting, resolve_gamma)
 from .splitting import SolverConfig
@@ -127,6 +127,8 @@ class RunConfig:
     alpha: float = math.pi / 4
     size: int = 64
     mask_density: float = 0.5
+    # inner step budget for a caller to hand to run_spec as `inner`; only
+    # iterative x-oracles read it, and no problem built here has one
     inner_steps: int = 20
     image: Optional[str] = None  # tv: PGM file, cropped to its top-left square
 
@@ -146,35 +148,49 @@ class RunConfig:
 
 
 def build_instance(config):
-    """Construct the gallery instance selected by a RunConfig."""
+    """Construct the gallery instance selected by a RunConfig.
+
+    A constructor's ValueError (a size, density or angle out of range) is
+    re-raised as a ConfigError.
+    """
     c = config
     sizes = {key: value for key, value in (("m", c.m), ("n", c.n), ("sparsity", c.sparsity))
              if value is not None}
-    if c.problem == "lasso":
-        return make_lasso(mu=c.mu, seed=c.seed, **sizes)
-    if c.problem.startswith("bp-"):
-        return make_affine_constrained(regularizer=c.problem[3:], seed=c.seed, **sizes)
-    if c.problem == "qp":
-        return make_qp_box(n=c.n if c.n is not None else 50, seed=c.seed)
-    if c.problem == "feasibility":
-        return make_feasibility(alpha=c.alpha, seed=c.seed)
-    if c.problem == "tv":
-        image = None
-        if c.image is not None:
-            with open(c.image, "rb") as fh:
-                image = load_pgm(fh.read())
-            side = min(image.shape)
-            image = image[:side, :side]
-        return make_tv_inpainting(image=image, mask_density=c.mask_density, seed=c.seed,
-                                  size=c.size, inner=InnerSolver(max_steps=c.inner_steps))
+    image = None
+    if c.problem == "tv" and c.image is not None:
+        with open(c.image, "rb") as fh:
+            image = load_pgm(fh.read())
+        side = min(image.shape)
+        image = image[:side, :side]
+    try:
+        if c.problem == "lasso":
+            return make_lasso(mu=c.mu, seed=c.seed, **sizes)
+        if c.problem.startswith("bp-"):
+            return make_affine_constrained(regularizer=c.problem[3:], seed=c.seed, **sizes)
+        if c.problem == "qp":
+            return make_qp_box(n=c.n if c.n is not None else 50, seed=c.seed)
+        if c.problem == "feasibility":
+            return make_feasibility(alpha=c.alpha, seed=c.seed)
+        if c.problem == "tv":
+            return make_tv_inpainting(image=image, mask_density=c.mask_density,
+                                      seed=c.seed, size=c.size)
+    except ValueError as exc:
+        raise ConfigError(f"{c.problem}: {exc}") from None
     raise ConfigError(f"problem: unknown problem {c.problem!r}")
 
 
 def penalty(config, instance):
-    """The run's gamma: config.gamma's rule on the instance, else the instance default."""
+    """The run's gamma: config.gamma's rule on the instance, else the instance default.
+
+    A gamma that is not finite and positive is a ConfigError.
+    """
     if config.gamma is None:
-        return instance.gamma_default
-    return resolve_gamma(config.gamma, instance.norm_K)
+        gamma = instance.gamma_default
+    else:
+        gamma = resolve_gamma(config.gamma, instance.norm_K)
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ConfigError(f"gamma: must be finite and positive, got {gamma:g}")
+    return gamma
 
 
 def provenance(label, instance):

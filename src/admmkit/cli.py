@@ -37,7 +37,7 @@ CONFIG_KEYS = {
     "problem": str, "seed": int, "gamma": str, "variant": str, "q": int,
     "s": str, "tol": float, "max_iter": int, "out": str, "solvers": str,
     "m": int, "n": int, "sparsity": int, "mu": float, "alpha": float,
-    "size": int, "mask_density": float, "inner_steps": int, "phi": float,
+    "size": int, "mask_density": float, "phi": float,
     "window": int, "iters": int, "image": str,
 }
 
@@ -119,7 +119,6 @@ def _add_common(parser):
     parser.add_argument("--alpha", type=float)
     parser.add_argument("--size", type=int)
     parser.add_argument("--mask-density", dest="mask_density", type=float)
-    parser.add_argument("--inner-steps", dest="inner_steps", type=int)
 
 
 def cmd_solve(args):

@@ -6,8 +6,7 @@ q older ones, propagate the fitted linear recurrence through the companion
 matrix H(c), and predict future iterates by summing the predicted
 differences: a finite power sum looks s steps ahead, the Neumann closed form
 jumps to the recurrence's limit (minimal polynomial extrapolation, up to a
-one-index shift).  Reduced rank extrapolation is provided as the constrained
-least-squares alternative.  All functions are pure.
+one-index shift).  All functions are pure.
 """
 
 from __future__ import annotations
@@ -35,10 +34,6 @@ class EigenFailure(RuntimeError):
 
 class NearSingular(ValueError):
     """|1 - sum(c)| is too small for the limit formula."""
-
-
-class DegenerateConstraint(RuntimeError):
-    """Sum-to-one constrained least squares has no solution."""
 
 
 class DivergentSeries(ValueError):
@@ -187,60 +182,6 @@ def extrapolate_infinite(z, window, fit):
     w = np.linalg.solve(np.eye(q) - fit.companion, e1)
     Vk = window.matrix(limit=q)
     return (z - window.column(0)) + Vk @ w
-
-
-def extrapolate_infinite_weighted(z, window, fit):
-    """Alternative closed form (z_k - sum_j c_j z_{k-j}) / (1 - sum(c)).
-
-    Algebraically identical to `extrapolate_infinite`; kept as the
-    cross-check route.
-    """
-    if abs(1.0 - fit.coeff_sum) <= 1e-12:
-        raise NearSingular(f"|1 - sum(c)| = {abs(1.0 - fit.coeff_sum):.3e}")
-    acc = z.astype(float).copy()
-    z_back = z.astype(float).copy()
-    for j in range(fit.q):
-        z_back = z_back - window.column(j)  # z_{k-j-1}
-        acc -= fit.c[j] * z_back
-    return acc / (1.0 - fit.coeff_sum)
-
-
-def rre_coefficients(window):
-    """Weights minimizing ||V gamma|| subject to sum(gamma) = 1.
-
-    V holds all q+1 differences of the window.  Solved through the KKT
-    system of the equality-constrained least-squares problem; among
-    non-unique minimizers the minimum-norm one is returned.
-    """
-    if not window.is_full:
-        raise InsufficientHistory(
-            f"need {window.capacity} differences, have {window.count}")
-    V = window.matrix()
-    if not np.all(np.isfinite(V)):
-        raise DegenerateConstraint("window contains non-finite differences")
-    w = V.shape[1]
-    G = V.T @ V
-    kkt = np.zeros((w + 1, w + 1))
-    kkt[:w, :w] = G
-    kkt[:w, w] = 1.0
-    kkt[w, :w] = 1.0
-    rhs = np.zeros(w + 1)
-    rhs[w] = 1.0
-    sol, _res, _rank, _sv = np.linalg.lstsq(kkt, rhs, rcond=None)
-    gamma = sol[:w]
-    if abs(np.sum(gamma) - 1.0) > 1e-8:
-        raise DegenerateConstraint("sum-to-one constraint could not be met")
-    return gamma
-
-
-def rre_point(z, window, gamma):
-    """Weighted combination sum_j gamma_j z_{k-j} rebuilt from z_k and the window."""
-    acc = gamma[0] * z.astype(float)
-    z_back = z.astype(float).copy()
-    for j in range(1, gamma.size):
-        z_back = z_back - window.column(j - 1)  # z_{k-j}
-        acc += gamma[j] * z_back
-    return acc
 
 
 def fitting_error_bound(fit, M_norms, s):

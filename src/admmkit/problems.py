@@ -5,7 +5,9 @@ ProblemInstance bundling the split-form problem data, the planted ground
 truth where one exists, a suggested starting point and a slot for the
 reference solution filled by a long reference run.  Every gallery problem
 has the split A x - y = 0, built by one helper from the A = identity prox of
-each block; its y-oracles are exact.
+each block.  Every oracle is exact except the x-oracle of the iterative
+LASSO, which takes accelerated gradient steps; the TV x-oracle solves its
+subproblem with one cached sparse factorization.
 """
 
 from __future__ import annotations
@@ -13,10 +15,13 @@ from __future__ import annotations
 import io
 import math
 import re
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .prox import (LinearMap, ProxOracle, affine_oracle, box_oracle, group_l12_oracle,
                    l1_oracle, least_squares_oracle, nuclear_oracle, smaller_gram,
@@ -31,6 +36,10 @@ class BadShape(ValueError):
 
 class BadImage(ValueError):
     """Image values outside [0, 1]."""
+
+
+class EmptyMask(ValueError):
+    """Inpainting mask that observes no pixel."""
 
 
 class ParseError(ValueError):
@@ -128,27 +137,25 @@ def _split_problem(prox_r, prox_j, r_value=None, j_value=None, A=None):
 
 
 class AcceleratedGradientProx:
-    """Inexact oracle: warm-started accelerated projected gradient (FISTA).
+    """Inexact oracle: warm-started accelerated gradient (FISTA).
 
     evaluate(w, gamma) takes `inner.max_steps` steps
 
         g, obj = gradient(y, w, gamma)
-        x = project(y - step(gamma) * g)
+        x = y - step(gamma) * g
 
     with Nesterov momentum on the point y, starting from the previous
     call's result (from `start` after reset).  reset(inner=None), called at
     the start of every run, drops the warm start and sets the run's budget
     to `inner`, or to the budget the oracle was built with when `inner` is
     None, so an override lasts for one run.  `gradient` returns the
-    gradient and the objective at y, both formed from one residual.
-    `project` receives a scratch array owned by the call and may modify it
-    in place; it must not keep a reference to it.  The iterates live in
-    buffers allocated once per call, and the result is a fresh array that
-    the oracle keeps no reference to.  The blow-up check raises
-    SubproblemFailure when an objective exceeds 1e6 * (objective where the
-    call starts + 1); it reads the objective that `gradient` returns at
-    every step, and objective(x, w, gamma), which runs once per call, at
-    the returned point.
+    gradient and the objective at y, both formed from one residual.  The
+    iterates live in buffers allocated once per call, and the result is a
+    fresh array that the oracle keeps no reference to.  The blow-up check
+    raises SubproblemFailure when an objective exceeds 1e6 * (objective
+    where the call starts + 1); it reads the objective that `gradient`
+    returns at every step, and objective(x, w, gamma), which runs once per
+    call, at the returned point.  The iterative LASSO is its one user.
 
     The warm start lives in the oracle, not in the run, so one instance
     must not serve interleaved solves.  It stays here because the oracle
@@ -156,10 +163,9 @@ class AcceleratedGradientProx:
     `evaluate` and `reset(inner)`.
     """
 
-    def __init__(self, dim, name, gradient, objective, project, step, start, inner=None):
+    def __init__(self, dim, name, gradient, objective, step, start, inner=None):
         self._gradient = gradient
         self._objective = objective
-        self._project = project
         self._step = step
         self._start = start
         self._built = inner if inner is not None else InnerSolver()
@@ -187,7 +193,7 @@ class AcceleratedGradientProx:
             elif obj > limit:
                 raise SubproblemFailure("inner objective blew up")
             np.multiply(step, g, out=x_buf)
-            x = self._project(np.subtract(y, x_buf, out=x_buf))
+            x = np.subtract(y, x_buf, out=x_buf)
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             np.subtract(x, x_prev, out=diff)
             y = np.add(x, np.multiply((t - 1.0) / t_next, diff, out=diff), out=y_buf)
@@ -222,7 +228,7 @@ def iterative_least_squares_oracle(K, f, inner=None):
 
     return AcceleratedGradientProx(
         K.shape[1], "least-squares-iterative", gradient, objective,
-        project=lambda x: x, step=lambda gamma: 1.0 / (normK2 + gamma),
+        step=lambda gamma: 1.0 / (normK2 + gamma),
         start=np.zeros(K.shape[1]), inner=inner)
 
 
@@ -450,34 +456,64 @@ def gradient_map(size):
     return LinearMap(apply, adjoint, 2 * N, N)
 
 
-def masked_gradient_oracle(grad, mask_flat, observed_values, inner=None):
-    """Inexact oracle of the observed-pixel indicator composed with the gradient.
+def _free_pixel_laplacian(mask):
+    """L_FF of the Neumann 5-point Laplacian L = grad' grad on the unobserved pixels.
 
-    Approximately solves
-
-        argmin_{x : x[mask] = f}  (gamma/2) ||grad x - w||^2
-
-    by accelerated projected-gradient steps of length 1/8 = 1/||grad||^2
-    (gamma scales the objective, not the minimizer).
+    A pixel's diagonal entry is its degree in the n x n grid; each pair of
+    free neighbours adds -1 on both sides of the diagonal.
     """
+    n = mask.shape[0]
+    pixel = np.arange(n * n).reshape(n, n)
+    a = np.concatenate([pixel[:-1].ravel(), pixel[:, :-1].ravel()])  # each grid edge once
+    b = np.concatenate([pixel[1:].ravel(), pixel[:, 1:].ravel()])
+    free = ~mask.ravel()
+    at = np.cumsum(free) - 1  # position of a free pixel among the free ones
+    degree = np.bincount(a, minlength=n * n) + np.bincount(b, minlength=n * n)
+    both = free[a] & free[b]
+    i, j = at[a[both]], at[b[both]]
+    d = np.arange(np.count_nonzero(free))
+    return scipy.sparse.csc_matrix(
+        (np.concatenate([degree[free].astype(float), -np.ones(2 * i.size)]),
+         (np.concatenate([d, i, j]), np.concatenate([d, j, i]))), shape=(d.size, d.size))
 
-    observed = np.flatnonzero(mask_flat)
 
-    def gradient(y, w, gamma):
-        res = grad.apply(y) - w
-        return grad.apply_adjoint(res), 0.5 * float(res @ res)
+def masked_gradient_oracle(grad, mask, image):
+    """Exact oracle of the observed-pixel indicator composed with the gradient.
 
-    def objective(x, w, gamma):
-        res = grad.apply(x) - w
-        return 0.5 * float(res @ res)
+    Solves
 
-    def project(x):
-        x[observed] = observed_values
+        argmin_{x : x[mask] = image[mask]}  (gamma/2) ||grad x - w||^2
+
+    (gamma scales the objective, not the minimizer): with f = image[mask]
+    and L = grad' grad, the free pixels F solve L_FF x_F = (grad' w)_F -
+    L_FO f, one sparse SPD system for every w and gamma.  The first
+    evaluate assembles L_FF and factors it with SuperLU, once per oracle and
+    under a lock, so concurrent solves can share the oracle; each call then
+    costs one adjoint, one sparse LU solve and a scatter into a fresh copy of
+    the observed-pixel image.  L_FF is nonsingular when at least one pixel
+    is observed, since every free region of the connected grid then borders
+    one.
+    """
+    observed = np.flatnonzero(mask)
+    free = np.flatnonzero(~mask)
+    start = np.zeros(grad.cols)
+    start[observed] = image.ravel()[observed]
+    lock = threading.Lock()
+    factored = []  # [(SuperLU factor of L_FF, -L_FO f)] once evaluated
+
+    def evaluate(w, gamma):
+        with lock:
+            if not factored:
+                lu = scipy.sparse.linalg.splu(
+                    _free_pixel_laplacian(mask), permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+                factored.append((lu, -grad.apply_adjoint(grad.apply(start))[free]))
+        lu, shift = factored[0]
+        x = start.copy()
+        x[free] = lu.solve(grad.apply_adjoint(w)[free] + shift)
         return x
 
-    return AcceleratedGradientProx(
-        grad.cols, "masked-gradient", gradient, objective, project=project,
-        step=lambda gamma: 1.0 / 8.0, start=project(np.zeros(grad.cols)), inner=inner)
+    return ProxOracle(evaluate, grad.cols, "masked-gradient")
 
 
 def piecewise_constant_image(size=64, seed=0, patches=5):
@@ -493,12 +529,13 @@ def piecewise_constant_image(size=64, seed=0, patches=5):
     return img
 
 
-def make_tv_inpainting(image=None, mask_density=0.5, seed=0, size=64, inner=None):
+def make_tv_inpainting(image=None, mask_density=0.5, seed=0, size=64):
     """Total-variation inpainting: min ||grad x||_1 s.t. observed pixels match.
 
-    The x-block is the observed-pixel indicator composed with the gradient
-    (solved inexactly), the y-block the l1 norm.  The mask is seeded
-    Bernoulli with the given density.
+    The x-block is the observed-pixel indicator composed with the gradient,
+    solved exactly by one cached sparse factorization; the y-block is the l1
+    norm.  The mask is seeded Bernoulli with the given density and must
+    observe at least one pixel (EmptyMask otherwise).
     """
     if image is None:
         image = piecewise_constant_image(size=size, seed=seed)
@@ -512,10 +549,11 @@ def make_tv_inpainting(image=None, mask_density=0.5, seed=0, size=64, inner=None
     n = image.shape[0]
     rng = np.random.default_rng(seed)
     mask = rng.random((n, n)) < mask_density
-    mask_flat = mask.ravel()
-    fvals = image.ravel()[mask_flat]
+    if not mask.any():
+        raise EmptyMask(f"the mask of density {mask_density} observes none of the "
+                        f"{n * n} pixels")
     grad = gradient_map(n)
-    problem = _split_problem(masked_gradient_oracle(grad, mask_flat, fvals, inner=inner),
+    problem = _split_problem(masked_gradient_oracle(grad, mask, image),
                              l1_oracle(grad.rows), j_value=lambda y: np.abs(y).sum(),
                              A=grad)
     return ProblemInstance(

@@ -250,16 +250,6 @@ def solve_regularized_quadratic(Q, q, gamma, w, cache=None):
     return cache.solve(gamma * np.asarray(w, float) - q, gamma)
 
 
-def moreau_conjugate_prox(prox_f, z, gamma):
-    """prox of gamma*f^* at z via the Moreau identity z = prox_{gamma f*}(z) + gamma*prox_{f/gamma}(z/gamma).
-
-    `prox_f` must be the oracle of f with A = identity, whose evaluate(w, gamma)
-    is exactly prox_{f/gamma}(w).
-    """
-    z = np.asarray(z, dtype=float)
-    return z - gamma * prox_f.evaluate(z / gamma, gamma)
-
-
 # ---------------------------------------------------------------------------
 # oracle constructors
 

@@ -177,7 +177,7 @@ def test_run_inexact_single_inner_step_stays_bounded():
 @pytest.mark.parametrize("extrap", [None, ExtrapConfig(q=2, s=math.inf)], ids=["plain", "a3dmm"])
 @pytest.mark.parametrize("build", [
     lambda: make_feasibility(np.pi / 6, seed=0),
-    lambda: make_tv_inpainting(size=12, seed=0, inner=InnerSolver(max_steps=5)),
+    lambda: make_tv_inpainting(size=12, seed=0),
 ], ids=["feasibility", "tv"])
 def test_nan_start_raises_divergence_at_first_iteration(build, extrap, variant, capfd):
     # a NaN must stop the run before it reaches the recurrence fit (lstsq)
@@ -217,20 +217,22 @@ def test_reference_distances_recorded():
 
 def test_concurrent_solves_share_problem_data():
     # the problem (oracles, caches) is read-only during solves: concurrent
-    # runs must produce the same traces as sequential ones
+    # runs must produce the same traces as sequential ones.  The concurrent
+    # runs go first, so that they also race to build the lazy caches (the
+    # LASSO's per-gamma factor, the TV x-oracle's sparse factor).
     import concurrent.futures
-    inst = make_lasso(m=24, n=72, sparsity=5, seed=8)
+    for inst, max_iter in ((make_lasso(m=24, n=72, sparsity=5, seed=8), 600),
+                           (make_tv_inpainting(size=12, seed=1), 150)):
+        def solve(gamma):
+            cfg = SolverConfig(gamma=gamma, tol=1e-10, max_iter=max_iter, z0=inst.z0)
+            return rows_without_ms(run_a3dmm(inst.problem, cfg,
+                                             extrap=ExtrapConfig(q=4, s=50)).trace)
 
-    def solve(gamma):
-        cfg = SolverConfig(gamma=gamma, tol=1e-10, max_iter=600, z0=inst.z0)
-        return rows_without_ms(run_a3dmm(inst.problem, cfg,
-                                         extrap=ExtrapConfig(q=4, s=50)).trace)
-
-    gammas = [0.5, 0.8, 1.0, 1.3]
-    sequential = [solve(g) for g in gammas]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-        concurrent_rows = list(pool.map(solve, gammas))
-    assert concurrent_rows == sequential
+        gammas = [0.5, 0.8, 1.0, 1.3]
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            concurrent_rows = list(pool.map(solve, gammas))
+        sequential = [solve(g) for g in gammas]
+        assert concurrent_rows == sequential, inst.descriptor
 
 
 def test_result_unpacks_like_a_pair():

@@ -1,11 +1,14 @@
+import concurrent.futures
 import glob
 import math
 import os
+import threading
 import time
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +18,7 @@ from admmkit.bench import (DEFAULT_COMPARISON, ConfigError, EmptySelection, RunC
                            parse_solver_spec, read_trace_csv, resolve_gamma,
                            run_experiment, run_solver, write_trace_csv, CSV_HEADER)
 from admmkit.a3dmm import InnerSolver, run_a3dmm
+from admmkit.problems import make_lasso
 from admmkit.splitting import Divergence, SolverConfig
 from admmkit.trace import Trace, TraceRow
 
@@ -136,26 +140,23 @@ def test_momentum_comparison_at_small_angle():
     assert reach["admm"] < reach["iadmm(0.3)"]
 
 
+def iterative_lasso(inner_steps=5):
+    """LASSO with the data term on the x-block, solved by warm-started inner steps."""
+    return make_lasso(m=16, n=48, sparsity=4, seed=3, data_block="x", iterative=True,
+                      inner=InnerSolver(max_steps=inner_steps))
+
+
 def test_run_order_permutation_gives_identical_traces():
-    # the TV case checks that every run restarts its warm-started inner solver
-    solvers = ("admm", "a3dmm(4,inf)", "iadmm(0.3)")
-    problems = (
-        dict(problem="lasso", m=16, n=48, sparsity=4, seed=3, gamma=1.0, tol=1e-10,
-             max_iter=400),
-        dict(problem="tv", size=12, inner_steps=5, seed=0, gamma=1.0, tol=1e-10,
-             max_iter=60),
-    )
-    for problem in problems:
-        base = RunConfig(solvers=solvers, **problem)
-        perm = RunConfig(solvers=solvers[1:] + solvers[:1], **problem)
-        by_solver = {}
-        for cfg in (base, perm):
-            for t in run_experiment(cfg)[1]:
-                key = (t.meta["solver"], cfg is base)
-                by_solver[key] = [(r.k, r.norm_v, r.cos_theta, r.dist_z, r.dist_x,
-                                   r.objective, r.extrapolated) for r in t.rows]
-        for solver in solvers:
-            assert by_solver[(solver, True)] == by_solver[(solver, False)], problem["problem"]
+    # the iterative case checks that every run restarts its warm-started inner solver
+    solvers = [parse_solver_spec(s) for s in ("admm", "a3dmm(4,inf)", "iadmm(0.3)")]
+    for build in (lambda: make_lasso(m=16, n=48, sparsity=4, seed=3), iterative_lasso):
+        by_order = []
+        for order in (solvers, solvers[1:] + solvers[:1]):
+            inst = build()
+            compute_reference(inst, 1.0, 1e-10, 400)
+            by_order.append({spec.label: rows(run_solver(inst, spec, 1.0, 1e-10, 400))
+                             for spec in order})
+        assert by_order[0] == by_order[1], build().descriptor
 
 
 def rows(trace):
@@ -165,13 +166,14 @@ def rows(trace):
 
 def test_run_solver_without_inner_keeps_the_instance_budget():
     spec = parse_solver_spec("a3dmm(6,inf)")
-    tv = build_instance(RunConfig(problem="tv", size=12, inner_steps=5, seed=0))
-    kept = rows(run_solver(tv, spec, 1.0, 0.0, 30))
-    given = rows(run_solver(tv, spec, 1.0, 0.0, 30, inner=InnerSolver(max_steps=5)))
+    inexact = iterative_lasso(inner_steps=5)
+    kept = rows(run_solver(inexact, spec, 1.0, 0.0, 30))
+    given = rows(run_solver(inexact, spec, 1.0, 0.0, 30, inner=InnerSolver(max_steps=5)))
     assert kept == given
-    assert rows(run_solver(tv, spec, 1.0, 0.0, 30, inner=InnerSolver(max_steps=6))) != kept
+    assert rows(run_solver(inexact, spec, 1.0, 0.0, 30,
+                           inner=InnerSolver(max_steps=6))) != kept
     # the override lasts for one run only
-    assert rows(run_solver(tv, spec, 1.0, 0.0, 30)) == kept
+    assert rows(run_solver(inexact, spec, 1.0, 0.0, 30)) == kept
     # an exact x-oracle has no inner budget, so `inner` leaves its run unchanged
     qp = build_instance(RunConfig(problem="qp", n=12, seed=0))
     assert rows(run_solver(qp, spec, 0.5, 1e-10, 200, inner=InnerSolver(max_steps=3))) \
@@ -185,15 +187,12 @@ def test_run_solver_without_inner_keeps_the_instance_budget():
 def test_solves_on_one_instance_match_solves_on_fresh_instances(solves):
     # each solve must see only its own inner budget: neither an earlier
     # override nor an earlier warm start may leak into it
-    def tv(inner_steps):
-        return build_instance(RunConfig(problem="tv", size=8, inner_steps=inner_steps))
-
-    shared = tv(5)
+    shared = iterative_lasso(5)
     for steps, text, max_iter in solves:
         spec = parse_solver_spec(text)
         inner = InnerSolver(max_steps=steps) if steps is not None else None
         got = rows(run_solver(shared, spec, 1.0, 0.0, max_iter, inner=inner))
-        fresh = tv(steps if steps is not None else 5)
+        fresh = iterative_lasso(steps if steps is not None else 5)
         assert got == rows(run_solver(fresh, spec, 1.0, 0.0, max_iter))
 
 
@@ -206,8 +205,7 @@ REFERENCE_CASES = {
     "qp_box": dict(problem="qp", seed=0, n=50, gamma=0.5, tol=1e-10, max_iter=2000),
     "feasibility": dict(problem="feasibility", seed=0, alpha=math.pi / 6, gamma=1,
                         tol=1e-12, max_iter=2000),
-    "tv": dict(problem="tv", size=16, inner_steps=5, seed=0, gamma=1, tol=1e-6,
-               max_iter=40),
+    "tv": dict(problem="tv", size=16, seed=0, gamma=1, tol=1e-6, max_iter=40),
 }
 
 
@@ -256,16 +254,49 @@ def test_reference_nan_start_raises_divergence(name):
 
 
 def test_reference_after_a_solve_starts_from_a_reset_oracle():
-    inst, gamma, tol, max_iter = reference_case("tv")
+    inst = iterative_lasso(5)
     # the solve overrides the instance's budget of 5 inner steps
-    run_solver(inst, parse_solver_spec("a3dmm(6,inf)"), gamma, tol, 25,
+    run_solver(inst, parse_solver_spec("a3dmm(6,inf)"), 1.0, 1e-6, 25,
                inner=InnerSolver(max_steps=6))
-    after = compute_reference(inst, gamma, tol, max_iter)
-    fresh_inst, *_ = reference_case("tv")
-    fresh = compute_reference(fresh_inst, gamma, tol, max_iter)
+    after = compute_reference(inst, 1.0, 1e-6, 40)
+    fresh = compute_reference(iterative_lasso(5), 1.0, 1e-6, 40)
     assert after.iterations == fresh.iterations
     for field in ("z", "x", "y"):
         assert np.array_equal(getattr(after, field), getattr(fresh, field)), field
+
+
+def test_tv_instance_factors_once_and_only_when_solved(monkeypatch):
+    # building a TV instance factors nothing; its reference and the default
+    # comparison set share one factorization of the free-pixel Laplacian
+    calls = []
+    splu = scipy.sparse.linalg.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    cfg = RunConfig(**REFERENCE_CASES["tv"])
+    inst = build_instance(cfg)
+    assert calls == []
+    compute_reference(inst, 1.0, cfg.tol, cfg.max_iter)
+    for spec in cfg.solvers:
+        run_solver(inst, spec, 1.0, cfg.tol, cfg.max_iter)
+    free = int((~inst.extra["mask"]).sum())
+    assert calls == [(free, free)]
+    # first calls that race on a fresh instance still factor once
+    fresh = build_instance(cfg)
+    together = threading.Barrier(4, timeout=30)
+    w = np.zeros(fresh.problem.p)
+
+    def first_call(_):
+        together.wait()
+        return fresh.problem.prox_r.evaluate(w, 1.0)
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+        results = list(pool.map(first_call, range(4)))
+    assert len(calls) == 2
+    assert all(np.array_equal(x, results[0]) for x in results)
 
 
 @pytest.mark.parametrize("name", ["lasso", "lasso_spiral", "bp_l1", "qp_box", "feasibility"])

@@ -7,7 +7,6 @@ import sys
 import numpy as np
 import pytest
 
-from admmkit.a3dmm import InnerSolver
 from admmkit.cli import (EXIT_BROKEN_PIPE, _run_config_from, build_parser, main,
                          parse_config_file)
 from admmkit.bench import (RunConfig, SolverSpec, read_trace_csv, run_spec,
@@ -53,11 +52,17 @@ def test_unknown_flag_is_usage_error(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["inpaint", "--size", "8", "--iters", "0"],
-    ["bench", "--problem", "tv", "--size", "8", "--inner-steps", "0"],
     ["solve", "--q", "40", "--s", "inf"],
     ["solve", "--variant", "relaxed", "--phi", "3"],
     ["bench", "--solvers", ""],
-], ids=["inpaint-iters", "bench-inner-steps", "solve-q", "solve-phi", "bench-no-solvers"])
+    ["inpaint", "--size", "8", "--mask-density", "0"],
+    ["inpaint", "--size", "4", "--mask-density", "0.001"],
+    ["bench", "--problem", "feasibility", "--alpha", "0"],
+    ["solve", "--m", "0"],
+    ["bench", "--gamma", "-1"],
+    ["solve", "--gamma", "-1"],
+], ids=["inpaint-iters", "solve-q", "solve-phi", "bench-no-solvers", "inpaint-density",
+        "inpaint-no-pixel-observed", "bench-alpha", "solve-m", "bench-gamma", "solve-gamma"])
 def test_out_of_range_values_are_usage_errors(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -147,7 +152,7 @@ def test_spectra_subcommand(tmp_path, capsys):
 
 def test_inpaint_subcommand(tmp_path, capsys):
     code = main(["inpaint", "--size", "16", "--mask-density", "0.6",
-                 "--iters", "8", "--inner-steps", "10", "--seed", "1",
+                 "--iters", "8", "--seed", "1",
                  "--out", str(tmp_path)])
     assert code == 0
     out = capsys.readouterr().out
@@ -162,10 +167,9 @@ def test_inpaint_from_pgm(tmp_path):
     pgm.write_text(f"P2 8 8 255\n{body}\n")
     out = tmp_path / "out"
     code = main(["inpaint", "--image", str(pgm), "--iters", "4",
-                 "--inner-steps", "5", "--mask-density", "0.7", "--out", str(out)])
+                 "--mask-density", "0.7", "--out", str(out)])
     assert code == 0
-    instance = make_tv_inpainting(image=load_pgm(pgm.read_bytes()), mask_density=0.7,
-                                  inner=InnerSolver(max_steps=5))
+    instance = make_tv_inpainting(image=load_pgm(pgm.read_bytes()), mask_density=0.7)
     for spec in RunConfig().solvers:
         name = trace_file_name(spec.label)
         assert_same_run(out / f"inpaint_{name}.csv",

@@ -3,13 +3,71 @@ import math
 import numpy as np
 import pytest
 
-from admmkit.extrapolate import (CompanionFit, DegenerateConstraint, DiffWindow,
-                                 DimensionMismatch, DivergentSeries, EigenFailure,
-                                 InsufficientHistory, NearSingular, companion_matrix,
-                                 extrapolate_finite, extrapolate_infinite,
-                                 extrapolate_infinite_weighted, fit_coefficients,
-                                 fitting_error_bound, push_difference,
-                                 rre_coefficients, rre_point, spectral_radius)
+from admmkit.extrapolate import (CompanionFit, DiffWindow, DimensionMismatch,
+                                 DivergentSeries, EigenFailure, InsufficientHistory,
+                                 NearSingular, companion_matrix, extrapolate_finite,
+                                 extrapolate_infinite, fit_coefficients,
+                                 fitting_error_bound, push_difference, spectral_radius)
+
+
+# reference routes the solver does not take: the weighted closed form of the
+# recurrence limit and reduced rank extrapolation (RRE)
+
+class DegenerateConstraint(RuntimeError):
+    """Sum-to-one constrained least squares has no solution."""
+
+
+def extrapolate_infinite_weighted(z, window, fit):
+    """Alternative closed form (z_k - sum_j c_j z_{k-j}) / (1 - sum(c)).
+
+    Algebraically identical to `extrapolate_infinite`: the cross-check route.
+    """
+    if abs(1.0 - fit.coeff_sum) <= 1e-12:
+        raise NearSingular(f"|1 - sum(c)| = {abs(1.0 - fit.coeff_sum):.3e}")
+    acc = z.astype(float).copy()
+    z_back = z.astype(float).copy()
+    for j in range(fit.q):
+        z_back = z_back - window.column(j)  # z_{k-j-1}
+        acc -= fit.c[j] * z_back
+    return acc / (1.0 - fit.coeff_sum)
+
+
+def rre_coefficients(window):
+    """Weights minimizing ||V gamma|| subject to sum(gamma) = 1.
+
+    V holds all q+1 differences of the window.  Solved through the KKT
+    system of the equality-constrained least-squares problem; among
+    non-unique minimizers the minimum-norm one is returned.
+    """
+    if not window.is_full:
+        raise InsufficientHistory(
+            f"need {window.capacity} differences, have {window.count}")
+    V = window.matrix()
+    if not np.all(np.isfinite(V)):
+        raise DegenerateConstraint("window contains non-finite differences")
+    w = V.shape[1]
+    G = V.T @ V
+    kkt = np.zeros((w + 1, w + 1))
+    kkt[:w, :w] = G
+    kkt[:w, w] = 1.0
+    kkt[w, :w] = 1.0
+    rhs = np.zeros(w + 1)
+    rhs[w] = 1.0
+    sol, _res, _rank, _sv = np.linalg.lstsq(kkt, rhs, rcond=None)
+    gamma = sol[:w]
+    if abs(np.sum(gamma) - 1.0) > 1e-8:
+        raise DegenerateConstraint("sum-to-one constraint could not be met")
+    return gamma
+
+
+def rre_point(z, window, gamma):
+    """Weighted combination sum_j gamma_j z_{k-j} rebuilt from z_k and the window."""
+    acc = gamma[0] * z.astype(float)
+    z_back = z.astype(float).copy()
+    for j in range(1, gamma.size):
+        z_back = z_back - window.column(j - 1)  # z_{k-j}
+        acc += gamma[j] * z_back
+    return acc
 
 
 def window_from(vs, capacity):

