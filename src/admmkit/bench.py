@@ -20,8 +20,9 @@ import numpy as np
 
 from . import __version__
 from .a3dmm import ExtrapConfig, checked_step, run_a3dmm, start_state
-from .problems import (Reference, load_pgm, make_affine_constrained, make_feasibility,
-                       make_lasso, make_qp_box, make_tv_inpainting, resolve_gamma)
+from .problems import (GAMMA_RULES, Reference, load_pgm, make_affine_constrained,
+                       make_feasibility, make_lasso, make_qp_box, make_tv_inpainting,
+                       resolve_gamma)
 from .splitting import SolverConfig
 from .trace import Trace, TraceRow
 
@@ -143,6 +144,12 @@ class RunConfig:
             raise ConfigError("inner_steps: must be at least 1")
         if not self.solvers:
             raise ConfigError("solvers: comparison set must not be empty")
+        if self.gamma is not None and str(self.gamma).strip() not in GAMMA_RULES:
+            try:
+                float(self.gamma)
+            except (TypeError, ValueError):
+                raise ConfigError(f"gamma: {self.gamma!r} is neither a number nor one of "
+                                  f"{', '.join(GAMMA_RULES)}") from None
         self.solvers = tuple(
             s if isinstance(s, SolverSpec) else parse_solver_spec(s) for s in self.solvers)
 

@@ -94,6 +94,9 @@ def operator_norm(K):
     return float(np.sqrt(np.linalg.eigvalsh(G).max(initial=0.0)))
 
 
+GAMMA_RULES = ("K2/10", "K2+0.1")  # penalty rules relative to ||K||^2
+
+
 def resolve_gamma(spec, norm_K=None):
     """Turn a penalty rule into a number.
 
@@ -103,7 +106,7 @@ def resolve_gamma(spec, norm_K=None):
     if isinstance(spec, (int, float)):
         return float(spec)
     text = str(spec).strip()
-    if text in ("K2/10", "K2+0.1"):
+    if text in GAMMA_RULES:
         if norm_K is None:
             raise ValueError(f"gamma rule {text!r} needs the operator norm")
         return norm_K ** 2 / 10.0 if text == "K2/10" else norm_K ** 2 + 0.1

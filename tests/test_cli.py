@@ -61,8 +61,12 @@ def test_unknown_flag_is_usage_error(capsys):
     ["solve", "--m", "0"],
     ["bench", "--gamma", "-1"],
     ["solve", "--gamma", "-1"],
+    ["bench", "--config", os.path.join(os.path.dirname(__file__), "..", "configs", "lasso.cfg"),
+     "--gamma", "abc"],
+    ["solve", "--gamma", "abc"],
 ], ids=["inpaint-iters", "solve-q", "solve-phi", "bench-no-solvers", "inpaint-density",
-        "inpaint-no-pixel-observed", "bench-alpha", "solve-m", "bench-gamma", "solve-gamma"])
+        "inpaint-no-pixel-observed", "bench-alpha", "solve-m", "bench-gamma", "solve-gamma",
+        "bench-gamma-text", "solve-gamma-text"])
 def test_out_of_range_values_are_usage_errors(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admmkit.extrapolate import (CompanionFit, DiffWindow, DimensionMismatch,
                                  DivergentSeries, EigenFailure, InsufficientHistory,
-                                 NearSingular, companion_matrix, extrapolate_finite,
-                                 extrapolate_infinite, fit_coefficients,
+                                 NearSingular, _power_sum_first_column, companion_matrix,
+                                 extrapolate_finite, extrapolate_infinite, fit_coefficients,
                                  fitting_error_bound, push_difference, spectral_radius)
 
 
@@ -117,6 +119,95 @@ def test_window_push_semantics():
         push_difference(w, np.zeros(3))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 20), st.integers(0, 2 ** 31 - 1))
+def test_window_matches_list_model(dim, capacity, pushes, seed):
+    rng = np.random.default_rng(seed)
+    win = DiffWindow(dim, capacity)
+    model = []  # newest first
+    for _ in range(pushes):
+        v = rng.standard_normal(dim)
+        push_difference(win, v)
+        model = [v.copy()] + model[:capacity - 1]
+        assert win.count == len(model)
+        assert win.is_full == (len(model) == capacity)
+        for j, col in enumerate(model):
+            np.testing.assert_array_equal(win.column(j), col)
+        for limit in (None, *range(capacity + 2)):
+            cols = model if limit is None else model[:limit]
+            expected = np.column_stack(cols) if cols else np.zeros((dim, 0))
+            np.testing.assert_array_equal(win.matrix(limit), expected)
+    with pytest.raises(IndexError):
+        win.column(len(model))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(1, 20), st.integers(0, 2 ** 31 - 1))
+def test_window_keeps_its_own_copy(dim, capacity, pushes, seed):
+    rng = np.random.default_rng(seed)
+    win = DiffWindow(dim, capacity)
+    kept = []
+    for _ in range(pushes):
+        v = rng.standard_normal(dim)
+        push_difference(win, v)
+        kept = [v.copy()] + kept[:capacity - 1]
+        v[:] = np.nan  # the caller reuses its buffer
+    for j, col in enumerate(kept):
+        np.testing.assert_array_equal(win.column(j), col)
+    with pytest.raises(ValueError):
+        win.column(0)[0] = 1.0  # columns are read-only views of the ring
+
+
+def recurrence(rng, p, q):
+    """Orthonormal p x q basis Q and a q x q block D with distinct moduli in [0.3, 0.9].
+
+    v_j = Q D^j y satisfies a linear recurrence of order exactly q.
+    """
+    moduli = rng.permutation(np.linspace(0.3, 0.9, q))
+    D = np.zeros((q, q))
+    pos = 0
+    while pos < q:
+        if q - pos >= 2 and rng.random() < 0.5:
+            D[pos:pos + 2, pos:pos + 2] = rotation_block(moduli[pos], rng.uniform(0.3, 2.5))
+            pos += 2
+        else:
+            D[pos, pos] = moduli[pos] * rng.choice([-1.0, 1.0])
+            pos += 1
+    Q = np.linalg.qr(rng.standard_normal((p, q)))[0]
+    return Q, D
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 300), st.integers(1, 6), st.integers(0, 9), st.integers(1, 130),
+       st.integers(0, 2 ** 31 - 1))
+def test_predicts_exact_on_linear_recurrences(p, q, wraps, s, seed):
+    # z_j = z_{j-1} + v_j with v_j = Q D^j y: an order-q recurrence in R^p,
+    # fitted by a window of q + 1 differences after `wraps` extra pushes
+    q = min(q, p)
+    rng = np.random.default_rng(seed)
+    Q, D = recurrence(rng, p, q)
+    y = rng.standard_normal(q)
+    z0 = rng.standard_normal(p)
+    zstar = z0 + Q @ np.linalg.solve(np.eye(q) - D, D @ y)
+    win = DiffWindow(p, q + 1)
+    z, zs = z0.copy(), []
+    for _ in range(q + 1 + wraps + s):
+        y = D @ y
+        z = z + Q @ y
+        zs.append(z)
+        if len(zs) <= q + 1 + wraps:
+            push_difference(win, Q @ y)
+    k = q + wraps  # index into zs of the fitting point
+    fit = fit_coefficients(win)
+    scale = np.linalg.norm(z0 - zstar)
+    assert fit.eps <= 1e-10 * np.linalg.norm(win.column(0))
+    assert fit.rho < 1.0
+    out = extrapolate_infinite(zs[k], win, fit)
+    assert np.linalg.norm(out - zstar) <= 1e-8 * scale
+    out = extrapolate_finite(zs[k], win, fit, s)
+    assert np.linalg.norm(out - zs[k + s]) <= 1e-8 * scale
+
+
 def test_fit_scalar_geometric():
     _, win = geometric_setup(0.5, 6, 1)
     fit = fit_coefficients(win)
@@ -174,6 +265,31 @@ def test_spectral_radius_examples():
         spectral_radius(np.eye(33))
 
 
+def power_sum_loop(C, s):
+    """Reference: first column of sum_{i=1..s} C^i by s matrix-vector products."""
+    w = np.zeros(C.shape[0])
+    w[0] = 1.0
+    acc = np.zeros(C.shape[0])
+    for _ in range(s):
+        w = C @ w
+        acc += w
+    return acc
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 300), st.integers(0, 2 ** 31 - 1))
+def test_power_sum_doubling_matches_loop(q, s, seed):
+    # nonnegative c with sum(c) in [0.5, 1): rho(C) < 1 but up to near 1,
+    # where the finite path runs and the sums grow towards s
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(0.0, 1.0, q)
+    c *= rng.uniform(0.5, 1.0) / c.sum()
+    C = companion_matrix(c)
+    ref = power_sum_loop(C, s)
+    np.testing.assert_allclose(_power_sum_first_column(C, s), ref,
+                               rtol=0, atol=1e-12 * s * max(1.0, np.abs(ref).max()))
+
+
 def test_extrapolate_finite_one_step_geometric():
     z, win = geometric_setup(0.5, 6, 1)
     fit = fit_coefficients(win)
@@ -225,13 +341,20 @@ def test_extrapolate_infinite_no_model_returns_z():
 
 
 def test_extrapolate_infinite_near_singular():
-    # c sums to 1: the limit formula divides by zero
+    # equal differences fit c = [0.5, 0.5]: sum(c) = 1 puts z = 1 among the
+    # companion's eigenvalues, and run_a3dmm's window check rejects the fit
     vs = [np.array([1.0, 0.0]), np.array([1.0, 0.0]), np.array([1.0, 0.0])]
     win = window_from(vs, 3)
     fit = fit_coefficients(win)
     assert abs(fit.coeff_sum - 1.0) <= 1e-12
+    # just inside the unit disc the limit formula still divides by ~0
+    c = np.array([0.5, 0.5 - 1e-13])
+    C = companion_matrix(c)
+    near = CompanionFit(c=c, companion=C, rho=spectral_radius(C), eps=0.0,
+                        coeff_sum=float(c.sum()))
+    assert near.rho < 1.0
     with pytest.raises(NearSingular):
-        extrapolate_infinite(np.zeros(2), win, fit)
+        extrapolate_infinite(np.zeros(2), win, near)
 
 
 def test_mpe_exactness_on_linear_recurrence():
