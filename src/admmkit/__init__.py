@@ -7,7 +7,8 @@ trajectory and spectral diagnostics (`spectra`), a problem gallery
 (`problems`) and the benchmark harness and CLI (`bench`, `cli`).
 
 `run_a3dmm` is the one solver entry point: it runs every scheme variant,
-with or without extrapolation, momentum or an inner-solver budget.
+with or without extrapolation or momentum.  Every subproblem oracle is an
+exact `ProxOracle` whose one method is `evaluate(w, gamma)`.
 """
 
 __version__ = "0.1.0"
@@ -15,7 +16,7 @@ __version__ = "0.1.0"
 from .prox import LinearMap, ProxOracle
 from .splitting import IterateState, SolverConfig, SplitProblem
 from .extrapolate import CompanionFit, DiffWindow
-from .a3dmm import ExtrapConfig, InnerSolver, run_a3dmm
+from .a3dmm import ExtrapConfig, run_a3dmm
 from .trace import Trace, TraceRow
 
 __all__ = [
@@ -23,6 +24,6 @@ __all__ = [
     "LinearMap", "ProxOracle",
     "IterateState", "SolverConfig", "SplitProblem",
     "CompanionFit", "DiffWindow",
-    "ExtrapConfig", "InnerSolver", "run_a3dmm",
+    "ExtrapConfig", "run_a3dmm",
     "Trace", "TraceRow",
 ]

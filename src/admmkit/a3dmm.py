@@ -1,4 +1,4 @@
-"""Adaptively accelerated ADMM: cadence control, guards and inexact solves.
+"""Adaptively accelerated ADMM: cadence control, guards and momentum.
 
 `run_a3dmm` is the one solver entry point.  It performs plain steps of the
 variant named in the SolverConfig (standard, relaxed or symmetric) and,
@@ -9,11 +9,12 @@ fitted companion matrix is contractive, and an online safeguard caps the
 applied increment so that the accumulated perturbations stay absolutely
 summable, which preserves convergence of the underlying fixed-point
 iteration.  Iterations without a prediction may take a momentum fill-in
-instead, and an x-oracle with an inner solver takes its step budget for
-the run from the `inner` argument.
+instead.
 
-`start_state` and `checked_step` are the stepping core that `run_a3dmm`
-shares with the traceless reference solve of `bench.compute_reference`.
+`checked_step`, started from `IterateState.initial`, is the stepping core
+that `run_a3dmm` shares with the traceless reference solve of
+`bench.compute_reference`.  Every oracle is exact and stateless, so a run
+needs no set-up beyond its initial state.
 """
 
 from __future__ import annotations
@@ -76,7 +77,11 @@ class ExtrapConfig:
 
 @dataclass
 class InnerSolver:
-    """Budget for an iterative x-subproblem (accelerated gradient steps)."""
+    """Inner step budget, accepted and ignored: every x-oracle is exact.
+
+    Kept only because `perfbench/pipeline.py` still builds one; nothing in
+    the package reads it.
+    """
 
     max_steps: int = 20
 
@@ -105,17 +110,6 @@ class RunResult:
         return iter((self.state, self.trace))
 
 
-def start_state(problem, config, inner=None):
-    """Reset both oracles for a new run and return its initial IterateState.
-
-    The x-oracle takes `inner` as the run's inner budget (None: the budget it
-    was built with); an exact oracle's reset does nothing.
-    """
-    problem.prox_r.reset(inner)
-    problem.prox_j.reset()
-    return IterateState.initial(problem, config.z0)
-
-
 def _norm(v):
     """Euclidean norm of a 1-D float array, bit-identical to np.linalg.norm."""
     return math.sqrt(float(v @ v))
@@ -138,16 +132,13 @@ def _norm_or_none(a, b):
 
 
 def run_a3dmm(problem, config, extrap=None, trace=None, reference=None,
-              momentum=None, inner=None):
+              momentum=None):
     """Run the accelerated solver; returns (final IterateState, Trace).
 
     With `extrap` None the trace is the plain variant scheme.
     `momentum=(a, b)` applies the two/three-point momentum fill-in at
     iterations without a prediction (pure inertial scheme when extrapolation
-    is off).  `inner` (an InnerSolver) is the step budget of an x-oracle
-    that solves its subproblem iteratively, for this run only; None uses the
-    budget the oracle was built with, and an exact x-oracle ignores it (see
-    `start_state`).  `reference`, when given, carries `z` and `x` for the
+    is off).  `reference`, when given, carries `z` and `x` for the
     distance columns.  Stops at ||v_k|| <= tol or max_iter (soft, flagged in
     the trace metadata); a non-finite ||v_k|| raises Divergence.
     """
@@ -165,7 +156,7 @@ def run_a3dmm(problem, config, extrap=None, trace=None, reference=None,
     ref_z = reference.z if reference is not None else None
     ref_x = reference.x if reference is not None else None
 
-    state = start_state(problem, cfg, inner)
+    state = IterateState.initial(problem, cfg.z0)
     window = ex.DiffWindow(problem.p, ext.q + 1) if ext is not None else None
     z_prev2 = state.z.copy()  # z_{k-2} for three-point momentum
     v_prev = None

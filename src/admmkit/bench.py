@@ -19,11 +19,11 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .a3dmm import ExtrapConfig, checked_step, run_a3dmm, start_state
+from .a3dmm import ExtrapConfig, checked_step, run_a3dmm
 from .problems import (GAMMA_RULES, Reference, load_pgm, make_affine_constrained,
                        make_feasibility, make_lasso, make_qp_box, make_tv_inpainting,
                        resolve_gamma)
-from .splitting import SolverConfig
+from .splitting import IterateState, SolverConfig
 from .trace import Trace, TraceRow
 
 
@@ -128,8 +128,8 @@ class RunConfig:
     alpha: float = math.pi / 4
     size: int = 64
     mask_density: float = 0.5
-    # inner step budget for a caller to hand to run_spec as `inner`; only
-    # iterative x-oracles read it, and no problem built here has one
+    # accepted and ignored, as is run_solver's `inner`: every x-oracle is
+    # exact; kept only because perfbench/pipeline.py still sets both
     inner_steps: int = 20
     image: Optional[str] = None  # tv: PGM file, cropped to its top-left square
 
@@ -189,12 +189,17 @@ def build_instance(config):
 def penalty(config, instance):
     """The run's gamma: config.gamma's rule on the instance, else the instance default.
 
-    A gamma that is not finite and positive is a ConfigError.
+    A gamma that is not finite and positive, or a rule relative to ||K||^2
+    on an instance without an operator norm, is a ConfigError.
     """
     if config.gamma is None:
         gamma = instance.gamma_default
     else:
-        gamma = resolve_gamma(config.gamma, instance.norm_K)
+        try:
+            gamma = resolve_gamma(config.gamma, instance.norm_K)
+        except ValueError:  # RunConfig checked the text: a rule on an instance without ||K||
+            raise ConfigError(f"gamma: rule {config.gamma!r} needs ||K||, which a "
+                              f"{config.problem} instance does not have") from None
     if not (math.isfinite(gamma) and gamma > 0):
         raise ConfigError(f"gamma: must be finite and positive, got {gamma:g}")
     return gamma
@@ -239,7 +244,7 @@ def compute_reference(instance, gamma, tol, max_iter):
     problem = instance.problem
     cfg = SolverConfig(gamma=gamma, tol=tol / 100.0, max_iter=10 * max_iter,
                        z0=instance.z0)
-    state = start_state(problem, cfg)
+    state = IterateState.initial(problem, cfg.z0)
     stop = "budget"
     for _ in range(cfg.max_iter):
         state, nv = checked_step(problem, state, cfg)
@@ -254,22 +259,17 @@ def compute_reference(instance, gamma, tol, max_iter):
     return instance.reference
 
 
-def run_spec(instance, spec, gamma, tol, max_iter, inner=None):
-    """Run one comparison entry against the instance's reference; returns the RunResult.
-
-    `inner` is passed to run_a3dmm: the step budget of an x-oracle with an
-    inner solver for this run only, ignored by an exact one; None uses the
-    budget the instance was built with.
-    """
+def run_spec(instance, spec, gamma, tol, max_iter):
+    """Run one comparison entry against the instance's reference; returns the RunResult."""
     cfg, extrap, momentum = _solver_pieces(spec, gamma, tol, max_iter, instance.z0)
     trace = Trace(meta=provenance(spec.label, instance))
     return run_a3dmm(instance.problem, cfg, extrap=extrap, trace=trace,
-                     reference=instance.reference, momentum=momentum, inner=inner)
+                     reference=instance.reference, momentum=momentum)
 
 
 def run_solver(instance, spec, gamma, tol, max_iter, inner=None):
-    """The trace of run_spec."""
-    return run_spec(instance, spec, gamma, tol, max_iter, inner=inner).trace
+    """The trace of run_spec; `inner` is accepted and ignored (see RunConfig.inner_steps)."""
+    return run_spec(instance, spec, gamma, tol, max_iter).trace
 
 
 def trace_file_name(label):

@@ -1,20 +1,16 @@
-"""Problem gallery, synthetic data generation and external data ingestion.
+"""Problem gallery, synthetic data generation and the PGM image reader.
 
 Every constructor is deterministic given its seed and returns a
 ProblemInstance bundling the split-form problem data, the planted ground
 truth where one exists, a suggested starting point and a slot for the
 reference solution filled by a long reference run.  Every gallery problem
 has the split A x - y = 0, built by one helper from the A = identity prox of
-each block.  Every oracle is exact except the x-oracle of the iterative
-LASSO, which takes accelerated gradient steps; the TV x-oracle solves its
-subproblem with one cached sparse factorization.
+each block.  Every oracle is an exact, stateless ProxOracle; the TV
+x-oracle solves its subproblem with one cached sparse factorization.
 """
 
 from __future__ import annotations
 
-import io
-import math
-import re
 import threading
 from dataclasses import dataclass, field
 from typing import Optional
@@ -26,8 +22,7 @@ import scipy.sparse.linalg
 from .prox import (LinearMap, ProxOracle, affine_oracle, box_oracle, group_l12_oracle,
                    l1_oracle, least_squares_oracle, nuclear_oracle, smaller_gram,
                    subspace_oracle, quadratic_oracle)
-from .splitting import SplitProblem, SubproblemFailure
-from .a3dmm import InnerSolver
+from .splitting import SplitProblem
 
 
 class BadShape(ValueError):
@@ -40,15 +35,6 @@ class BadImage(ValueError):
 
 class EmptyMask(ValueError):
     """Inpainting mask that observes no pixel."""
-
-
-class ParseError(ValueError):
-    """Malformed sparse-data line."""
-
-    def __init__(self, line, reason):
-        super().__init__(f"line {line}: {reason}")
-        self.line = line
-        self.reason = reason
 
 
 class FormatError(ValueError):
@@ -139,111 +125,12 @@ def _split_problem(prox_r, prox_j, r_value=None, j_value=None, A=None):
         j_value=j_value)
 
 
-class AcceleratedGradientProx:
-    """Inexact oracle: warm-started accelerated gradient (FISTA).
-
-    evaluate(w, gamma) takes `inner.max_steps` steps
-
-        g, obj = gradient(y, w, gamma)
-        x = y - step(gamma) * g
-
-    with Nesterov momentum on the point y, starting from the previous
-    call's result (from `start` after reset).  reset(inner=None), called at
-    the start of every run, drops the warm start and sets the run's budget
-    to `inner`, or to the budget the oracle was built with when `inner` is
-    None, so an override lasts for one run.  `gradient` returns the
-    gradient and the objective at y, both formed from one residual.  The
-    iterates live in buffers allocated once per call, and the result is a
-    fresh array that the oracle keeps no reference to.  The blow-up check
-    raises SubproblemFailure when an objective exceeds 1e6 * (objective
-    where the call starts + 1); it reads the objective that `gradient`
-    returns at every step, and objective(x, w, gamma), which runs once per
-    call, at the returned point.  The iterative LASSO is its one user.
-
-    The warm start lives in the oracle, not in the run, so one instance
-    must not serve interleaved solves.  It stays here because the oracle
-    protocol has no per-run object: a run sees its oracles only through
-    `evaluate` and `reset(inner)`.
-    """
-
-    def __init__(self, dim, name, gradient, objective, step, start, inner=None):
-        self._gradient = gradient
-        self._objective = objective
-        self._step = step
-        self._start = start
-        self._built = inner if inner is not None else InnerSolver()
-        self._inner = self._built
-        self._warm = None
-        self.dim = dim
-        self.name = name
-
-    def reset(self, inner=None):
-        self._warm = None
-        self._inner = inner if inner is not None else self._built
-
-    def evaluate(self, w, gamma):
-        x_prev = self._warm if self._warm is not None else self._start
-        step = self._step(gamma)
-        # Call-local buffers; x alternates between two so that x_prev survives.
-        x_buf, x_prev_buf, y_buf, diff = (np.empty_like(x_prev) for _ in range(4))
-        y = x_prev
-        t = 1.0
-        limit = None
-        for _ in range(self._inner.max_steps):
-            g, obj = self._gradient(y, w, gamma)
-            if limit is None:
-                limit = 1e6 * (obj + 1.0)
-            elif obj > limit:
-                raise SubproblemFailure("inner objective blew up")
-            np.multiply(step, g, out=x_buf)
-            x = np.subtract(y, x_buf, out=x_buf)
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            np.subtract(x, x_prev, out=diff)
-            y = np.add(x, np.multiply((t - 1.0) / t_next, diff, out=diff), out=y_buf)
-            t = t_next
-            x_prev = x
-            x_buf, x_prev_buf = x_prev_buf, x_buf
-        if self._objective(x_prev, w, gamma) > limit:
-            raise SubproblemFailure("inner objective blew up")
-        self._warm = x_prev
-        return x_prev.copy()
-
-
-def iterative_least_squares_oracle(K, f, inner=None):
-    """Inexact oracle of f(x) = 0.5||K x - f||^2 with A = identity.
-
-    Minimizes f(x) + (gamma/2)||x - w||^2 by accelerated gradient steps of
-    length 1 / (||K||^2 + gamma).
-    """
-    K = np.asarray(K, dtype=float)
-    f = np.asarray(f, dtype=float)
-    normK2 = operator_norm(K) ** 2
-
-    def gradient(y, w, gamma):
-        r = K @ y - f
-        d = y - w
-        return K.T @ r + gamma * d, 0.5 * float(r @ r) + 0.5 * gamma * float(d @ d)
-
-    def objective(x, w, gamma):
-        r = K @ x - f
-        d = x - w
-        return 0.5 * float(r @ r) + 0.5 * gamma * float(d @ d)
-
-    return AcceleratedGradientProx(
-        K.shape[1], "least-squares-iterative", gradient, objective,
-        step=lambda gamma: 1.0 / (normK2 + gamma),
-        start=np.zeros(K.shape[1]), inner=inner)
-
-
-def make_lasso(m=64, n=256, sparsity=13, mu=1.0, seed=0, data_block="y",
-               iterative=False, inner=None):
+def make_lasso(m=64, n=256, sparsity=13, mu=1.0, seed=0, data_block="y"):
     """l1-regularized least squares split as x - y = 0.
 
     By default the x-block carries mu*||.||_1 and the y-block the quadratic
     data term; f is the measurement of a planted `sparsity`-sparse signal.
-    With data_block="x" the blocks are swapped, and `iterative=True` then
-    replaces the closed-form x-update by a warm-started accelerated gradient
-    solver (the inexact variant).
+    With data_block="x" the blocks are swapped.
     """
     if not (0 < m < n):
         raise BadShape("need 0 < m < n")
@@ -253,8 +140,6 @@ def make_lasso(m=64, n=256, sparsity=13, mu=1.0, seed=0, data_block="y",
         raise ValueError("mu must be finite and positive")
     if data_block not in ("x", "y"):
         raise ValueError("data_block must be 'x' or 'y'")
-    if iterative and data_block != "x":
-        raise ValueError("the iterative solver applies to the x-block")
     rng = np.random.default_rng(seed)
     K = _gaussian_sensing(rng, m, n)
     x_true = np.zeros(n)
@@ -267,39 +152,14 @@ def make_lasso(m=64, n=256, sparsity=13, mu=1.0, seed=0, data_block="y",
         problem = _split_problem(l1_oracle(n, mu), least_squares_oracle(K, f),
                                  l1_value, data_value)
     else:
-        if iterative:
-            prox_r = iterative_least_squares_oracle(K, f, inner=inner)
-        else:
-            prox_r = least_squares_oracle(K, f)
-        problem = _split_problem(prox_r, l1_oracle(n, mu), data_value, l1_value)
+        problem = _split_problem(least_squares_oracle(K, f), l1_oracle(n, mu),
+                                 data_value, l1_value)
     nK = operator_norm(K)
     return ProblemInstance(
         problem=problem,
         descriptor=f"lasso(m={m},n={n},sparsity={sparsity},mu={mu},seed={seed})",
         seed=seed, x_true=x_true, norm_K=nK, gamma_default=nK ** 2 / 10.0,
         extra={"K": K, "f": f})
-
-
-def make_lasso_from_data(features, labels, mu=1.0, descriptor="lasso(data)"):
-    """LASSO instance from an external design matrix.
-
-    Columns are max-abs scaled and mu defaults to 1; both are repository
-    defaults, not values inherited from any benchmark definition.
-    """
-    K = np.asarray(features, dtype=float)
-    f = np.asarray(labels, dtype=float)
-    if K.ndim != 2 or K.shape[0] != f.size:
-        raise BadShape("features and labels disagree")
-    scale = np.abs(K).max(axis=0)
-    scale[scale == 0.0] = 1.0
-    K = K / scale
-    problem = _split_problem(l1_oracle(K.shape[1], mu), least_squares_oracle(K, f),
-                             r_value=lambda x: mu * np.abs(x).sum(),
-                             j_value=lambda y: 0.5 * np.linalg.norm(K @ y - f) ** 2)
-    nK = operator_norm(K)
-    return ProblemInstance(problem=problem, descriptor=descriptor, seed=None,
-                           norm_K=nK, gamma_default=nK ** 2 / 10.0,
-                           extra={"K": K, "f": f})
 
 
 def make_affine_constrained(regularizer="l1", m=None, n=None, sparsity=None,
@@ -574,111 +434,6 @@ def psnr(x, reference):
     if mse == 0.0:
         return float("inf")
     return 10.0 * np.log10(1.0 / mse)
-
-
-# ---------------------------------------------------------------------------
-# external data formats
-
-@dataclass
-class SparseMatrix:
-    """Coordinate-format sparse matrix (row, col, value triplets)."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    shape: tuple
-
-    def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=int)
-        self.cols = np.asarray(self.cols, dtype=int)
-        self.vals = np.asarray(self.vals, dtype=float)
-        if not (self.rows.size == self.cols.size == self.vals.size):
-            raise BadShape("triplet arrays must have equal length")
-        if self.rows.size:
-            if self.rows.min() < 0 or self.rows.max() >= self.shape[0] \
-                    or self.cols.min() < 0 or self.cols.max() >= self.shape[1]:
-                raise BadShape("triplet index out of range")
-            pairs = self.rows * self.shape[1] + self.cols
-            if np.unique(pairs).size != pairs.size:
-                raise BadShape("duplicate coordinates")
-
-    def to_dense(self):
-        out = np.zeros(self.shape)
-        out[self.rows, self.cols] = self.vals
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        return (self.shape == other.shape
-                and np.array_equal(self.rows, other.rows)
-                and np.array_equal(self.cols, other.cols)
-                and np.array_equal(self.vals, other.vals))
-
-
-_FEATURE_RE = re.compile(r"^(\d+):(\S+)$")
-
-
-def parse_libsvm(stream, n_features=None):
-    """Parse "label idx:val idx:val ..." lines with ascending 1-based indices.
-
-    Returns (SparseMatrix, labels).  The column count is the largest index
-    seen unless `n_features` overrides it.  Malformed tokens raise ParseError
-    carrying the 1-based line number.
-    """
-    if isinstance(stream, bytes):
-        stream = stream.decode("ascii")
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    rows, cols, vals, labels = [], [], [], []
-    max_col = 0
-    lineno = 0
-    for lineno, line in enumerate(stream, start=1):
-        parts = line.split()
-        if not parts:
-            raise ParseError(lineno, "empty line")
-        try:
-            labels.append(float(parts[0]))
-        except ValueError:
-            raise ParseError(lineno, f"bad label {parts[0]!r}") from None
-        prev_idx = 0
-        for token in parts[1:]:
-            m = _FEATURE_RE.match(token)
-            if m is None:
-                raise ParseError(lineno, f"bad feature token {token!r}")
-            idx = int(m.group(1))
-            if idx < 1:
-                raise ParseError(lineno, f"index {idx} is not 1-based")
-            if idx <= prev_idx:
-                raise ParseError(lineno, f"index {idx} not ascending")
-            try:
-                val = float(m.group(2))
-            except ValueError:
-                raise ParseError(lineno, f"bad feature value {m.group(2)!r}") from None
-            rows.append(lineno - 1)
-            cols.append(idx - 1)
-            vals.append(val)
-            prev_idx = idx
-            max_col = max(max_col, idx)
-    n_cols = max_col if n_features is None else int(n_features)
-    matrix = SparseMatrix(np.array(rows, int), np.array(cols, int),
-                          np.array(vals, float), (lineno, n_cols))
-    return matrix, np.asarray(labels, dtype=float)
-
-
-def serialize_libsvm(matrix, labels):
-    """Inverse of parse_libsvm on valid data (floats via repr for exact round trips)."""
-    labels = np.asarray(labels, dtype=float)
-    if labels.size != matrix.shape[0]:
-        raise BadShape("one label per row required")
-    by_row = [[] for _ in range(matrix.shape[0])]
-    order = np.lexsort((matrix.cols, matrix.rows))
-    for i in order:
-        by_row[int(matrix.rows[i])].append(
-            f"{int(matrix.cols[i]) + 1}:{float(matrix.vals[i])!r}")
-    lines = [" ".join([repr(float(labels[r]))] + by_row[r])
-             for r in range(matrix.shape[0])]
-    return "\n".join(lines) + "\n"
 
 
 def load_pgm(data):

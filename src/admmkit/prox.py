@@ -5,18 +5,11 @@ Every subproblem oracle used by the splitting solvers evaluates
     argmin_x  f(x) + (gamma/2) ||A x - w||^2
 
 for a fixed function f and a fixed linear map A (A = identity for the
-plain proximal maps).  The oracle protocol is two methods:
-
-    evaluate(w, gamma)   the minimizer above;
-    reset(inner=None)    called once at the start of every run.
-
-`ProxOracle`, the exact oracle, ignores `inner` and its reset does nothing:
-it is deterministic and, once built, holds no mutable state, so it is safe
-to share across concurrent solves.  The exception is
-problems.AcceleratedGradientProx, the inexact x-oracle, whose reset drops
-its warm start and sets the run's inner budget.  The warm start is its only
-state across calls: its iterate buffers are allocated per call, and each
-result is a fresh array.
+plain proximal maps).  The oracle protocol is one method,
+`evaluate(w, gamma)`, which returns that minimizer exactly.  Every oracle is
+a `ProxOracle`: deterministic and, once built, free of mutable state apart
+from factorizations cached on first use, so one instance is safe to share
+across concurrent solves.
 
 Quadratic oracles share one cached solve of (Q + gamma*I) x = r.  When Q is
 the Gram matrix K'K of an m x n design K, the cache factors whichever Gram
@@ -104,9 +97,6 @@ class ProxOracle:
     evaluate: Callable[[np.ndarray, float], np.ndarray]
     dim: int
     name: str = "prox"
-
-    def reset(self, inner=None):
-        """Start of a run: an exact oracle has no inner budget and no state to drop."""
 
 
 def soft_threshold_l1(w, tau):
@@ -239,17 +229,6 @@ class QuadraticSolveCache:
         return (r - K.T @ _cho_solve(factor, K @ r)) / gamma
 
 
-def solve_regularized_quadratic(Q, q, gamma, w, cache=None):
-    """Solve (Q + gamma*I) x = gamma*w - q for symmetric positive semidefinite Q.
-
-    This is the x-update of quadratic-plus-prox splittings; the cache keeps
-    one Cholesky factor per gamma so repeated solves cost one backsubstitution.
-    """
-    if cache is None:
-        cache = QuadraticSolveCache(Q)
-    return cache.solve(gamma * np.asarray(w, float) - q, gamma)
-
-
 # ---------------------------------------------------------------------------
 # oracle constructors
 
@@ -309,15 +288,5 @@ def least_squares_oracle(K, f, name="least-squares"):
 
 
 def _cached_quadratic_oracle(cache, q, name):
-    return ProxOracle(lambda w, gamma: solve_regularized_quadratic(None, q, gamma, w, cache),
-                      q.size, name)
+    return ProxOracle(lambda w, gamma: cache.solve(gamma * w - q, gamma), q.size, name)
 
-
-def zero_oracle(n, name="zero"):
-    """Oracle of f = 0 (the identity map)."""
-    return ProxOracle(lambda w, gamma: np.asarray(w, dtype=float), n, name)
-
-
-def zero_point_oracle(n, name="point-zero"):
-    """Oracle of the indicator of {0}."""
-    return ProxOracle(lambda w, gamma: np.zeros(n), n, name)

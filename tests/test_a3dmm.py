@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admmkit import extrapolate
 from admmkit.a3dmm import (ExtrapConfig, InnerSolver, RunResult, run_a3dmm,
@@ -172,40 +174,31 @@ def test_momentum_run_matches_manual_inertial_iteration():
 
 
 def test_inner_budget_is_a_no_op_for_an_exact_oracle():
-    inst = make_lasso(m=16, n=48, sparsity=4, seed=0)
-    cfg = SolverConfig(gamma=1.0, tol=1e-10, max_iter=200)
-    ext = ExtrapConfig(q=4, s=math.inf)
-    given = run_a3dmm(inst.problem, cfg, extrap=ext, inner=InnerSolver())
-    plain = run_a3dmm(inst.problem, cfg, extrap=ext)
-    assert rows_without_ms(given.trace) == rows_without_ms(plain.trace)
+    # every oracle is exact, so run_solver accepts `inner` and ignores it
+    inst = make_tv_inpainting(size=12, seed=0)
+    for text in ("admm", "a3dmm(6,inf)"):
+        spec = parse_solver_spec(text)
+        given = run_solver(inst, spec, 1.0, 1e-8, 200, inner=InnerSolver(max_steps=7))
+        assert rows_without_ms(given) == rows_without_ms(run_solver(inst, spec, 1.0, 1e-8, 200))
 
 
-def test_run_inexact_near_exact_inner_matches_closed_form():
-    # quadratic data term on the x-block, solved either exactly or by 500
-    # accelerated-gradient steps: the z-trajectories agree
-    exact = make_lasso(m=16, n=48, sparsity=4, mu=0.3, seed=4, data_block="x")
-    inex = make_lasso(m=16, n=48, sparsity=4, mu=0.3, seed=4, data_block="x",
-                      iterative=True)
-    from admmkit.splitting import IterateState, admm_step
-    state = IterateState.initial(exact.problem)
-    cfg = SolverConfig(gamma=1.0, tol=0.0, max_iter=50)
-    res = run_a3dmm(inex.problem, cfg, inner=InnerSolver(max_steps=500))
-    for _ in range(50):
-        state = admm_step(exact.problem, state, 1.0)
-    zdiff = np.linalg.norm(res.state.z - state.z)
-    assert zdiff <= 1e-6 * (1 + np.linalg.norm(state.z))
-
-
-def test_run_inexact_single_inner_step_stays_bounded():
-    inst = make_lasso(m=16, n=48, sparsity=4, mu=0.3, seed=4, data_block="x",
-                      iterative=True)
-    ref = make_lasso(m=16, n=48, sparsity=4, mu=0.3, seed=4, data_block="x")
-    cfg = SolverConfig(gamma=1.0, tol=1e-12, max_iter=4000)
-    z_star = run_a3dmm(ref.problem, cfg).state.z
-    res = run_a3dmm(inst.problem, SolverConfig(gamma=1.0, tol=0.0, max_iter=600),
-                    inner=InnerSolver(max_steps=1))
-    state_dist = np.linalg.norm(res.state.z - z_star)
-    assert state_dist <= 10 * (1 + np.linalg.norm(z_star))
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["qp", "feasibility"]), st.integers(0, 2 ** 31 - 1),
+       st.integers(2, 6), st.sampled_from([math.inf, 10, 100]))
+def test_guarded_run_reaches_the_plain_runs_fixed_point(kind, seed, q, s):
+    # both instances have a unique fixed point z*; stopping at ||v|| <= 1e-12
+    # puts each run within ||v|| / (1 - rate) of it
+    if kind == "qp":
+        inst = make_qp_box(n=int(np.random.default_rng(seed).integers(2, 12)), seed=seed)
+    else:
+        alpha = np.random.default_rng(seed).uniform(np.pi / 12, np.pi / 2)
+        inst = make_feasibility(alpha, seed=seed)
+    cfg = SolverConfig(gamma=0.5, tol=1e-12, max_iter=5000, z0=inst.z0)
+    plain = run_a3dmm(inst.problem, cfg)
+    guarded = run_a3dmm(inst.problem, cfg, extrap=ExtrapConfig(q=q, s=s))
+    assert plain.converged and guarded.converged
+    z_star = plain.state.z
+    assert np.linalg.norm(guarded.state.z - z_star) <= 1e-9 * (1.0 + np.linalg.norm(z_star))
 
 
 @pytest.mark.parametrize("variant", ["standard", "relaxed", "symmetric"])

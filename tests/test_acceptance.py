@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from admmkit.a3dmm import ExtrapConfig, InnerSolver, run_a3dmm
+from admmkit.a3dmm import ExtrapConfig, run_a3dmm
 from admmkit.bench import SolverSpec, compute_reference, run_solver
 from admmkit.extrapolate import (DiffWindow, extrapolate_finite, extrapolate_infinite,
                                  fit_coefficients, fitting_error_bound,
@@ -306,31 +306,27 @@ def test_criterion_08_dual_equivalence():
 
 
 GALLERY = [
-    ("lasso", lambda s: make_lasso(seed=s), "K2/10", False),
-    ("bp-l1", lambda s: make_affine_constrained("l1", sparsity=12, seed=s), 1.0, False),
-    ("bp-l12", lambda s: make_affine_constrained("l12", blocks=4, seed=s), 1.0, False),
-    ("bp-nuclear", lambda s: make_affine_constrained("nuclear", seed=s), 1.0, False),
-    ("qp", lambda s: make_qp_box(n=50, seed=s), 1.0, False),
-    ("feasibility", lambda s: make_feasibility(np.pi / 4, seed=s), 1.0, False),
-    ("tv", lambda s: make_tv_inpainting(mask_density=0.6, seed=s, size=16), 1.0, True),
+    ("lasso", lambda s: make_lasso(seed=s), "K2/10"),
+    ("bp-l1", lambda s: make_affine_constrained("l1", sparsity=12, seed=s), 1.0),
+    ("bp-l12", lambda s: make_affine_constrained("l12", blocks=4, seed=s), 1.0),
+    ("bp-nuclear", lambda s: make_affine_constrained("nuclear", seed=s), 1.0),
+    ("qp", lambda s: make_qp_box(n=50, seed=s), 1.0),
+    ("feasibility", lambda s: make_feasibility(np.pi / 4, seed=s), 1.0),
+    ("tv", lambda s: make_tv_inpainting(mask_density=0.6, seed=s, size=16), 1.0),
 ]
 
 
 def test_criterion_09_guarded_convergence():
     zeta2 = math.pi ** 2 / 6
     counts = {}
-    for name, build, gamma_rule, inexact in GALLERY:
+    for name, build, gamma_rule in GALLERY:
         ks = []
         for seed in range(5):
             inst = build(seed)
             gamma = inst.norm_K ** 2 / 10 if gamma_rule == "K2/10" else gamma_rule
             ext = ExtrapConfig(q=6, s=100, guard_b_rel=1.0, guard_delta=1.0)
             cfg = SolverConfig(gamma=gamma, tol=1e-9, max_iter=30000, z0=inst.z0)
-            if inexact:
-                res = run_a3dmm(inst.problem, cfg, extrap=ext,
-                                inner=InnerSolver(max_steps=40))
-            else:
-                res = run_a3dmm(inst.problem, cfg, extrap=ext)
+            res = run_a3dmm(inst.problem, cfg, extrap=ext)
             assert res.converged, f"{name} seed {seed} did not reach 1e-9"
             b = float(res.trace.meta["guard_b"])
             assert sum(res.trace.applied_increments) <= b * zeta2 + 1e-9
@@ -344,14 +340,13 @@ def test_criterion_10_tv_psnr_ordering():
     start = time.perf_counter()
     inst = make_tv_inpainting(mask_density=0.5, seed=0, size=64)
     image = inst.extra["image"]
-    inner = InnerSolver(max_steps=20)
     values = {}
     for label, extrap, momentum in [
             ("admm", None, None),
             ("iadmm", None, (0.3, 0.0)),
             ("a3dmm", ExtrapConfig(q=6, s=100), None)]:
         cfg = SolverConfig(gamma=1.0, tol=0.0, max_iter=30, z0=inst.z0)
-        res = run_a3dmm(inst.problem, cfg, extrap=extrap, momentum=momentum, inner=inner)
+        res = run_a3dmm(inst.problem, cfg, extrap=extrap, momentum=momentum)
         values[label] = psnr(res.state.x, image)
     assert values["a3dmm"] >= values["admm"]
     assert values["iadmm"] <= values["admm"] + 0.1

@@ -13,12 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admmkit import prox
-from admmkit.bench import (DEFAULT_COMPARISON, ConfigError, EmptySelection, RunConfig,
-                           SolverSpec, build_instance, compute_reference, emit_plot_svg,
-                           parse_solver_spec, read_trace_csv, resolve_gamma,
+from admmkit.bench import (DEFAULT_COMPARISON, PROBLEMS, ConfigError, EmptySelection,
+                           RunConfig, SolverSpec, build_instance, compute_reference,
+                           emit_plot_svg, parse_solver_spec, read_trace_csv, resolve_gamma,
                            run_experiment, run_solver, write_trace_csv, CSV_HEADER)
-from admmkit.a3dmm import InnerSolver, run_a3dmm
+from admmkit.a3dmm import run_a3dmm
 from admmkit.problems import make_lasso
+from admmkit.prox import ProxOracle
 from admmkit.splitting import Divergence, SolverConfig
 from admmkit.trace import Trace, TraceRow
 
@@ -140,23 +141,19 @@ def test_momentum_comparison_at_small_angle():
     assert reach["admm"] < reach["iadmm(0.3)"]
 
 
-def iterative_lasso(inner_steps=5):
-    """LASSO with the data term on the x-block, solved by warm-started inner steps."""
-    return make_lasso(m=16, n=48, sparsity=4, seed=3, data_block="x", iterative=True,
-                      inner=InnerSolver(max_steps=inner_steps))
+def small_lasso(data_block="y"):
+    return make_lasso(m=16, n=48, sparsity=4, seed=3, data_block=data_block)
 
 
 def test_run_order_permutation_gives_identical_traces():
-    # the iterative case checks that every run restarts its warm-started inner solver
     solvers = [parse_solver_spec(s) for s in ("admm", "a3dmm(4,inf)", "iadmm(0.3)")]
-    for build in (lambda: make_lasso(m=16, n=48, sparsity=4, seed=3), iterative_lasso):
-        by_order = []
-        for order in (solvers, solvers[1:] + solvers[:1]):
-            inst = build()
-            compute_reference(inst, 1.0, 1e-10, 400)
-            by_order.append({spec.label: rows(run_solver(inst, spec, 1.0, 1e-10, 400))
-                             for spec in order})
-        assert by_order[0] == by_order[1], build().descriptor
+    by_order = []
+    for order in (solvers, solvers[1:] + solvers[:1]):
+        inst = small_lasso()
+        compute_reference(inst, 1.0, 1e-10, 400)
+        by_order.append({spec.label: rows(run_solver(inst, spec, 1.0, 1e-10, 400))
+                         for spec in order})
+    assert by_order[0] == by_order[1]
 
 
 def rows(trace):
@@ -164,36 +161,25 @@ def rows(trace):
              r.extrapolated) for r in trace.rows]
 
 
-def test_run_solver_without_inner_keeps_the_instance_budget():
-    spec = parse_solver_spec("a3dmm(6,inf)")
-    inexact = iterative_lasso(inner_steps=5)
-    kept = rows(run_solver(inexact, spec, 1.0, 0.0, 30))
-    given = rows(run_solver(inexact, spec, 1.0, 0.0, 30, inner=InnerSolver(max_steps=5)))
-    assert kept == given
-    assert rows(run_solver(inexact, spec, 1.0, 0.0, 30,
-                           inner=InnerSolver(max_steps=6))) != kept
-    # the override lasts for one run only
-    assert rows(run_solver(inexact, spec, 1.0, 0.0, 30)) == kept
-    # an exact x-oracle has no inner budget, so `inner` leaves its run unchanged
-    qp = build_instance(RunConfig(problem="qp", n=12, seed=0))
-    assert rows(run_solver(qp, spec, 0.5, 1e-10, 200, inner=InnerSolver(max_steps=3))) \
-        == rows(run_solver(qp, spec, 0.5, 1e-10, 200))
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_every_oracle_is_a_stateless_prox_oracle(problem):
+    inst = build_instance(RunConfig(problem=problem, size=8))
+    for oracle in (inst.problem.prox_r, inst.problem.prox_j):
+        assert isinstance(oracle, ProxOracle)
+        assert not hasattr(oracle, "reset")
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.lists(st.tuples(st.one_of(st.none(), st.integers(1, 6)),
-                          st.sampled_from(DEFAULT_COMPARISON),
-                          st.integers(1, 10)), min_size=2, max_size=4))
-def test_solves_on_one_instance_match_solves_on_fresh_instances(solves):
-    # each solve must see only its own inner budget: neither an earlier
-    # override nor an earlier warm start may leak into it
-    shared = iterative_lasso(5)
-    for steps, text, max_iter in solves:
+@given(st.sampled_from(["x", "y"]),
+       st.lists(st.tuples(st.sampled_from(DEFAULT_COMPARISON), st.integers(1, 10)),
+                min_size=2, max_size=4))
+def test_solves_on_one_instance_match_solves_on_fresh_instances(data_block, solves):
+    # no solve may leave state behind in the instance it shares with later ones
+    shared = small_lasso(data_block)
+    for text, max_iter in solves:
         spec = parse_solver_spec(text)
-        inner = InnerSolver(max_steps=steps) if steps is not None else None
-        got = rows(run_solver(shared, spec, 1.0, 0.0, max_iter, inner=inner))
-        fresh = iterative_lasso(steps if steps is not None else 5)
-        assert got == rows(run_solver(fresh, spec, 1.0, 0.0, max_iter))
+        got = rows(run_solver(shared, spec, 1.0, 0.0, max_iter))
+        assert got == rows(run_solver(small_lasso(data_block), spec, 1.0, 0.0, max_iter))
 
 
 # the shipped desk configs' problem parameters, and a small TV instance
@@ -251,18 +237,6 @@ def test_reference_nan_start_raises_divergence(name):
     inst.z0[1] = np.nan
     with pytest.raises(Divergence, match=r"\|\|v_1\|\| is not finite"):
         compute_reference(inst, gamma, tol, max_iter)
-
-
-def test_reference_after_a_solve_starts_from_a_reset_oracle():
-    inst = iterative_lasso(5)
-    # the solve overrides the instance's budget of 5 inner steps
-    run_solver(inst, parse_solver_spec("a3dmm(6,inf)"), 1.0, 1e-6, 25,
-               inner=InnerSolver(max_steps=6))
-    after = compute_reference(inst, 1.0, 1e-6, 40)
-    fresh = compute_reference(iterative_lasso(5), 1.0, 1e-6, 40)
-    assert after.iterations == fresh.iterations
-    for field in ("z", "x", "y"):
-        assert np.array_equal(getattr(after, field), getattr(fresh, field)), field
 
 
 def test_tv_instance_factors_once_and_only_when_solved(monkeypatch):

@@ -64,9 +64,12 @@ def test_unknown_flag_is_usage_error(capsys):
     ["bench", "--config", os.path.join(os.path.dirname(__file__), "..", "configs", "lasso.cfg"),
      "--gamma", "abc"],
     ["solve", "--gamma", "abc"],
+    ["solve", "--problem", "feasibility", "--gamma", "K2/10"],
+    ["bench", "--problem", "tv", "--gamma", "K2+0.1"],
 ], ids=["inpaint-iters", "solve-q", "solve-phi", "bench-no-solvers", "inpaint-density",
         "inpaint-no-pixel-observed", "bench-alpha", "solve-m", "bench-gamma", "solve-gamma",
-        "bench-gamma-text", "solve-gamma-text"])
+        "bench-gamma-text", "solve-gamma-text", "solve-gamma-rule-without-norm",
+        "bench-gamma-rule-without-norm"])
 def test_out_of_range_values_are_usage_errors(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -181,8 +184,8 @@ def test_inpaint_from_pgm(tmp_path):
 
 
 def test_runtime_failure_exit_code(tmp_path, capsys):
-    # gamma rule needs an operator norm that feasibility instances lack
-    code = main(["solve", "--problem", "feasibility", "--gamma", "K2/10"])
+    # the image file is read only when the instance is built
+    code = main(["inpaint", "--image", str(tmp_path / "missing.pgm")])
     assert code == 1
     assert "failure" in capsys.readouterr().err
 

@@ -3,15 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from admmkit.a3dmm import InnerSolver, run_a3dmm
-from admmkit.problems import (BadImage, BadShape, EmptyMask, FormatError,
-                              ParseError, SparseMatrix, gradient_map,
-                              iterative_least_squares_oracle, load_pgm,
+from admmkit.a3dmm import run_a3dmm
+from admmkit.problems import (BadImage, BadShape, EmptyMask, FormatError, ProblemInstance,
+                              _split_problem, gradient_map, load_pgm,
                               make_affine_constrained, make_feasibility, make_lasso,
-                              make_lasso_from_data, make_qp_box, make_tv_inpainting,
-                              operator_norm, parse_libsvm, piecewise_constant_image,
-                              psnr, qp_box_instance, resolve_gamma, serialize_libsvm)
-from admmkit.prox import (EmptyBox, least_squares_oracle, project_affine,
+                              make_qp_box, make_tv_inpainting, operator_norm,
+                              piecewise_constant_image, psnr, qp_box_instance,
+                              resolve_gamma)
+from admmkit.prox import (EmptyBox, l1_oracle, least_squares_oracle, project_affine,
                           project_box, soft_threshold_l1)
 from admmkit.splitting import SolverConfig, SubproblemFailure, admm_step, IterateState
 
@@ -70,13 +69,19 @@ def test_wide_lasso_never_forms_an_n_by_n_matrix():
     assert peak < 0.25 * n * n * 8
 
 
+def lasso_on_data(K, f, mu=1.0):
+    """LASSO split on a given design, tall or wide: the l1 x-block, the data y-block."""
+    problem = _split_problem(l1_oracle(K.shape[1], mu), least_squares_oracle(K, f))
+    return ProblemInstance(problem=problem, descriptor="lasso(data)", extra={"K": K, "f": f})
+
+
 @pytest.mark.parametrize("case", ["wide", "tall", "qp_box", "bp_l1"])
 def test_lasso_nan_start_raises_subproblem_failure(case):
     # every path of the cached Cholesky solve: wide and tall designs, a dense Q
     # (qp_box) and the affine projection (bp_l1)
     if case == "tall":
         rng = np.random.default_rng(2)
-        inst = make_lasso_from_data(rng.standard_normal((30, 10)), rng.standard_normal(30))
+        inst = lasso_on_data(rng.standard_normal((30, 10)), rng.standard_normal(30))
     elif case == "qp_box":
         inst = make_qp_box(n=12, seed=0)
     elif case == "bp_l1":
@@ -166,8 +171,8 @@ def _qp_box_fold(inst):
     (lambda: make_lasso(m=16, n=48, sparsity=4, seed=3), _lasso_data_fold),
     (lambda: make_lasso(m=16, n=48, sparsity=4, mu=0.3, seed=3, data_block="x"),
      lambda inst: lambda w, gamma: soft_threshold_l1(-w, 0.3 / gamma)),
-    (lambda: make_lasso_from_data(np.random.default_rng(1).standard_normal((10, 6)),
-                                  np.arange(10.0), mu=0.5), _lasso_data_fold),
+    (lambda: lasso_on_data(np.random.default_rng(1).standard_normal((10, 6)),
+                           np.arange(10.0), mu=0.5), _lasso_data_fold),
     (lambda: make_affine_constrained("l1", m=12, n=40, sparsity=3, seed=3),
      lambda inst: lambda w, gamma: project_affine(-w, inst.extra["K"], inst.extra["f"])),
     (lambda: make_qp_box(n=9, seed=3), _qp_box_fold),
@@ -261,36 +266,6 @@ def test_gradient_map_adjoint_and_norm():
     assert np.linalg.norm(dense, 2) ** 2 <= 8.0 + 1e-9
 
 
-def _reference_fista(gradient, objective, step, x, w, gamma, steps):
-    """Reference inner loop: a separate residual feeds the blow-up check."""
-    y = x.copy()
-    x_prev = x
-    t = 1.0
-    obj0 = None
-    for _ in range(steps):
-        x = y - step * gradient(y, w, gamma)
-        obj = objective(x, w, gamma)
-        if obj0 is None:
-            obj0 = obj
-        elif obj > 1e6 * (obj0 + 1.0):
-            raise SubproblemFailure("inner objective blew up")
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = x + ((t - 1.0) / t_next) * (x - x_prev)
-        t = t_next
-        x_prev = x
-    return x_prev
-
-
-def _assert_matches_reference_loop(oracle, gradient, objective, step, start, dim):
-    rng = np.random.default_rng(8)
-    warm = start
-    for call in range(6):
-        w = rng.standard_normal(dim)
-        gamma = 0.5 + 0.25 * call
-        warm = _reference_fista(gradient, objective, step(gamma), warm, w, gamma, 7)
-        assert np.array_equal(oracle.evaluate(w, gamma), warm)
-
-
 def _assert_results_are_caller_owned(build, dim):
     """Three evaluate calls leave w and earlier results alone; returns the oracle.
 
@@ -314,48 +289,6 @@ def _assert_results_are_caller_owned(build, dim):
         assert np.array_equal(other, x)
         other[:] = np.nan
     return oracle
-
-
-def test_inexact_oracle_results_are_caller_owned():
-    rng = np.random.default_rng(5)
-    K = rng.standard_normal((10, 25))
-    f = rng.standard_normal(10)
-    oracle = _assert_results_are_caller_owned(
-        lambda: iterative_least_squares_oracle(K, f, inner=InnerSolver(max_steps=5)), dim=25)
-    assert np.array_equal(oracle._start, np.zeros(25))
-
-
-def test_iterative_least_squares_bit_identical_to_reference_loop():
-    rng = np.random.default_rng(6)
-    K = rng.standard_normal((12, 30))
-    f = rng.standard_normal(12)
-    normK2 = operator_norm(K) ** 2
-
-    def objective(x, w, gamma):
-        r = K @ x - f
-        return 0.5 * float(r @ r) + 0.5 * gamma * float((x - w) @ (x - w))
-
-    _assert_matches_reference_loop(
-        iterative_least_squares_oracle(K, f, inner=InnerSolver(max_steps=7)),
-        gradient=lambda y, w, gamma: K.T @ (K @ y - f) + gamma * (y - w),
-        objective=objective, step=lambda gamma: 1.0 / (normK2 + gamma),
-        start=np.zeros(30), dim=30)
-
-
-def test_inner_objective_blow_up_raises_subproblem_failure():
-    inst = make_lasso(m=20, n=50, sparsity=4, seed=1, data_block="x", iterative=True,
-                      inner=InnerSolver(max_steps=40))
-    oracle = inst.problem.prox_r
-    too_long = 4.0 / inst.norm_K ** 2  # several times the stable step 1/(||K||^2 + gamma)
-    oracle._step = lambda gamma: too_long
-    w = np.random.default_rng(0).standard_normal(50)
-    with pytest.raises(SubproblemFailure, match="inner objective blew up"):
-        oracle.evaluate(w, 1.0)
-    oracle.reset()
-    with pytest.raises(SubproblemFailure) as err:
-        run_a3dmm(inst.problem, SolverConfig(gamma=1.0, tol=0.0, max_iter=5))
-    assert isinstance(err.value.__cause__, SubproblemFailure)
-    assert str(err.value.__cause__) == "inner objective blew up"
 
 
 def test_tv_constant_image_recovered_exactly():
@@ -440,65 +373,6 @@ def test_piecewise_image_and_psnr():
     assert psnr(img, img) == np.inf
     noisy = np.clip(img + 0.1, 0.0, 1.0)
     assert psnr(noisy, img) < 30.0
-
-
-def test_parse_libsvm_examples():
-    matrix, labels = parse_libsvm("1 1:0.5 3:-2\n")
-    assert matrix.shape == (1, 3)
-    dense = matrix.to_dense()
-    np.testing.assert_allclose(dense, [[0.5, 0.0, -2.0]])
-    np.testing.assert_array_equal(labels, [1.0])
-
-    matrix, labels = parse_libsvm("-1\n")
-    assert matrix.shape[0] == 1 and matrix.vals.size == 0
-    np.testing.assert_array_equal(labels, [-1.0])
-
-    with pytest.raises(ParseError) as err:
-        parse_libsvm("1 2:a\n")
-    assert err.value.line == 1
-
-
-def test_parse_libsvm_ordering_errors():
-    with pytest.raises(ParseError):
-        parse_libsvm("1 3:1 2:1\n")  # not ascending
-    with pytest.raises(ParseError):
-        parse_libsvm("1 0:1\n")  # not 1-based
-    with pytest.raises(ParseError):
-        parse_libsvm("x 1:1\n")  # bad label
-
-
-def test_libsvm_round_trip():
-    rng = np.random.default_rng(4)
-    rows, cols, vals = [], [], []
-    for r in range(6):
-        for c in sorted(rng.choice(9, size=rng.integers(0, 5), replace=False)):
-            rows.append(r)
-            cols.append(int(c))
-            vals.append(float(rng.standard_normal()))
-    rows.append(5)
-    cols.append(9)  # keep the last column occupied so the shape round-trips
-    vals.append(0.25)
-    matrix = SparseMatrix(np.array(rows), np.array(cols), np.array(vals), (6, 10))
-    labels = rng.standard_normal(6)
-    text = serialize_libsvm(matrix, labels)
-    back, back_labels = parse_libsvm(text)
-    assert back == matrix
-    np.testing.assert_array_equal(back_labels, labels)
-
-
-def test_sparse_matrix_validation():
-    with pytest.raises(BadShape):
-        SparseMatrix([0, 0], [1, 1], [1.0, 2.0], (2, 2))  # duplicate coordinate
-    with pytest.raises(BadShape):
-        SparseMatrix([0], [5], [1.0], (2, 2))  # out of range
-
-
-def test_lasso_from_data():
-    matrix, labels = parse_libsvm("1 1:2 2:-1\n-1 1:1\n0.5 2:4\n")
-    inst = make_lasso_from_data(matrix.to_dense(), labels, mu=0.5)
-    assert inst.problem.n == 2
-    res = run_a3dmm(inst.problem, SolverConfig(gamma=1.0, tol=1e-10, max_iter=2000))
-    assert res.converged
 
 
 def test_load_pgm_examples():

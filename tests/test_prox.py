@@ -6,13 +6,21 @@ from hypothesis import strategies as st
 
 from admmkit import prox
 from admmkit.prox import (AffineProjectionCache, EmptyBox, LinearMap, NotSymmetric,
-                          OverlappingGroups, QuadraticSolveCache, RankDeficient,
-                          affine_oracle, box_oracle, group_l12_oracle, l1_oracle,
-                          nuclear_oracle, project_affine,
-                          project_box, prox_group_l12, prox_nuclear,
-                          quadratic_oracle, soft_threshold_l1,
-                          solve_regularized_quadratic, subspace_oracle,
-                          zero_oracle, zero_point_oracle)
+                          OverlappingGroups, ProxOracle, QuadraticSolveCache,
+                          RankDeficient, affine_oracle, box_oracle, group_l12_oracle,
+                          l1_oracle, nuclear_oracle, project_affine, project_box,
+                          prox_group_l12, prox_nuclear, quadratic_oracle,
+                          soft_threshold_l1, subspace_oracle)
+
+
+def zero_oracle(n, name="zero"):
+    """Oracle of f = 0 (the identity map)."""
+    return ProxOracle(lambda w, gamma: np.asarray(w, dtype=float), n, name)
+
+
+def zero_point_oracle(n, name="point-zero"):
+    """Oracle of the indicator of {0}."""
+    return ProxOracle(lambda w, gamma: np.zeros(n), n, name)
 
 
 def test_soft_threshold_examples():
@@ -96,15 +104,16 @@ def test_project_affine_rank_deficient():
 
 
 def test_solve_regularized_quadratic_examples():
+    # quadratic_oracle(Q, q).evaluate(w, gamma) solves (Q + gamma*I) x = gamma*w - q
     np.testing.assert_allclose(
-        solve_regularized_quadratic(np.zeros((3, 3)), np.zeros(3), 1.0,
-                                    np.array([1.0, 2.0, 3.0])),
+        quadratic_oracle(np.zeros((3, 3)), np.zeros(3)).evaluate(np.array([1.0, 2.0, 3.0]),
+                                                                 1.0),
         [1.0, 2.0, 3.0], atol=1e-12)
     np.testing.assert_allclose(
-        solve_regularized_quadratic(np.eye(1), np.zeros(1), 1.0, np.array([2.0])),
+        quadratic_oracle(np.eye(1), np.zeros(1)).evaluate(np.array([2.0]), 1.0),
         [1.0], atol=1e-12)
-    out = solve_regularized_quadratic(np.diag([1.0, 3.0]), np.array([1.0, 0.0]),
-                                      2.0, np.array([3.0, 3.0]))
+    out = quadratic_oracle(np.diag([1.0, 3.0]), np.array([1.0, 0.0])).evaluate(
+        np.array([3.0, 3.0]), 2.0)
     np.testing.assert_allclose(out, [5.0 / 3.0, 1.2], atol=1e-12)
 
 
@@ -114,9 +123,9 @@ def test_solve_regularized_quadratic_residual_and_symmetry():
     Q = G.T @ G
     q = rng.standard_normal(6)
     w = rng.standard_normal(6)
-    cache = QuadraticSolveCache(Q)
+    oracle = quadratic_oracle(Q, q)
     for gamma in (0.1, 1.0, 10.0):
-        x = solve_regularized_quadratic(Q, q, gamma, w, cache)
+        x = oracle.evaluate(w, gamma)
         rhs = gamma * w - q
         assert np.linalg.norm((Q + gamma * np.eye(6)) @ x - rhs) \
             <= 1e-10 * (1 + np.linalg.norm(rhs))
