@@ -12,9 +12,10 @@ iteration.  Iterations without a prediction may take a momentum fill-in
 instead.
 
 `checked_step`, started from `IterateState.initial`, is the stepping core
-that `run_a3dmm` shares with the traceless reference solve of
-`bench.compute_reference`.  Every oracle is exact and stateless, so a run
-needs no set-up beyond its initial state.
+and `extrapolation_step` the one accelerator (cadence, fit, guards,
+prediction, safeguard) that `run_a3dmm` shares with the traceless reference
+solve of `bench.compute_reference`.  Every oracle is exact and stateless, so
+a run needs no set-up beyond its initial state.
 """
 
 from __future__ import annotations
@@ -74,6 +75,10 @@ class ExtrapConfig:
     def cadence(self):
         return self.q + self.spacing
 
+    def guard_b(self, v1_norm):
+        """The safeguard scale b of a run whose first difference has norm v1_norm."""
+        return self.guard_b_rel * v1_norm if v1_norm > 0 else self.guard_b_rel
+
 
 @dataclass
 class InnerSolver:
@@ -127,6 +132,36 @@ def checked_step(problem, state, config):
     return state, nv
 
 
+def extrapolation_step(window, ext, guard_b, state, nv):
+    """Bank v_k and, at a cadence point, move the stepping point to the prediction.
+
+    Pushes state.v into the window.  When k = state.k is a multiple of the
+    cadence and the window is full, fits the difference recurrence and, if
+    the companion is contractive (and, for s = inf, |1 - sum(c)| > 1e-12),
+    predicts z_{k+s}, damps the increment by the safeguard a_k and sets
+    state.z_bar = z_k + a_k * increment.  Returns ||a_k * increment|| when a
+    prediction was applied, otherwise None (state.z_bar stays z_k).
+    """
+    k = state.k
+    ex.push_difference(window, state.v)
+    if k % ext.cadence != 0 or not window.is_full:
+        return None
+    fit = ex.fit_coefficients(window)
+    if not (fit.rho < 1.0 and (ext.s != math.inf or abs(1.0 - fit.coeff_sum) > 1e-12)):
+        return None
+    if ext.s == math.inf:
+        z_pred = ex.extrapolate_infinite(state.z, window, fit)
+    else:
+        z_pred = ex.extrapolate_finite(state.z, window, fit, ext.s)
+    incr = z_pred - state.z
+    scale = _norm(incr) if ext.guard_on_increment else nv
+    a_k = safeguard_coefficient(k, ext.guard_a, guard_b, ext.guard_delta, scale)
+    if not a_k > 0.0:
+        return None
+    state.z_bar = state.z + a_k * incr
+    return _norm(a_k * incr)
+
+
 def _norm_or_none(a, b):
     return None if b is None else _norm(a - b)
 
@@ -173,7 +208,7 @@ def run_a3dmm(problem, config, extrap=None, trace=None, reference=None,
         if k == 1:
             v1_norm = nv
             if ext is not None:
-                guard_b = ext.guard_b_rel * nv if nv > 0 else ext.guard_b_rel
+                guard_b = ext.guard_b(nv)
                 trace.meta["guard_b"] = repr(guard_b)
         if cfg.variant == "symmetric" and v1_norm is not None and nv > 1e6 * max(v1_norm, 1e-30):
             raise Divergence(f"||v_{k}|| = {nv:.3e} exceeds 1e6 * ||v_1||")
@@ -183,23 +218,10 @@ def run_a3dmm(problem, config, extrap=None, trace=None, reference=None,
             converged = True
         else:
             if ext is not None:
-                ex.push_difference(window, v)
-                if k % ext.cadence == 0 and window.is_full:
-                    fit = ex.fit_coefficients(window)
-                    if fit.rho < 1.0 and (ext.s != math.inf
-                                          or abs(1.0 - fit.coeff_sum) > 1e-12):
-                        if ext.s == math.inf:
-                            z_pred = ex.extrapolate_infinite(state.z, window, fit)
-                        else:
-                            z_pred = ex.extrapolate_finite(state.z, window, fit, ext.s)
-                        incr = z_pred - state.z
-                        scale = _norm(incr) if ext.guard_on_increment else nv
-                        a_k = safeguard_coefficient(k, ext.guard_a, guard_b,
-                                                    ext.guard_delta, scale)
-                        if a_k > 0.0:
-                            state.z_bar = state.z + a_k * incr
-                            trace.applied_increments.append(_norm(a_k * incr))
-                            extrapolated = True
+                applied = extrapolation_step(window, ext, guard_b, state, nv)
+                if applied is not None:
+                    trace.applied_increments.append(applied)
+                    extrapolated = True
             if not extrapolated and momentum is not None:
                 a_m, b_m = momentum
                 state.z_bar = inertial_predict(state.z, prev_z, z_prev2, a_m, b_m)

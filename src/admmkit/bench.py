@@ -2,11 +2,12 @@
 
 A RunConfig names a gallery problem, a penalty rule and a comparison set of
 solver specifications.  The harness first computes a reference solution by
-standard ADMM steps that keep no trace; it stops at the first of
-||v_k|| <= tol/100, the rounding floor ||v_k|| <= 10 eps ||z_k||, and 10x
-the iteration budget.  It then runs every solver against the reference and
-persists one CSV trace per solver.  Plot emission writes standalone,
-byte-deterministic SVG files.
+standard ADMM steps that keep no trace, accelerated as A3DMM(6, inf) when
+the instance's solution is unique; it stops at the first plain step (one
+that started from z_bar = z) with ||v_k|| <= tol/100 or at the rounding
+floor ||v_k|| <= 10 eps ||z_k||, or after 10x the iteration budget.  It
+then runs every solver against the reference and persists one CSV trace
+per solver.  Plot emission writes standalone, byte-deterministic SVG files.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .a3dmm import ExtrapConfig, checked_step, run_a3dmm
+from .a3dmm import ExtrapConfig, checked_step, extrapolation_step, run_a3dmm
+from .extrapolate import DiffWindow
 from .problems import (GAMMA_RULES, Reference, load_pgm, make_affine_constrained,
                        make_feasibility, make_lasso, make_qp_box, make_tv_inpainting,
                        resolve_gamma)
@@ -235,27 +237,42 @@ _EPS = np.finfo(float).eps
 def compute_reference(instance, gamma, tol, max_iter):
     """Reference solution by standard ADMM steps that keep no trace.
 
-    The steps stop at the first of ||v_k|| <= tol/100 (stop "tol"),
-    ||v_k|| <= FLOOR_FACTOR * eps * ||z_k|| (stop "floor": the iteration has
-    reached its rounding floor) and 10 * max_iter steps (stop "budget").
-    Stores the Reference on the instance and returns it; a non-finite
-    ||v_k|| raises Divergence.
+    On an instance flagged `unique_solution` the steps are accelerated as
+    A3DMM(6, inf) with the ExtrapConfig defaults, through `run_a3dmm`'s
+    `extrapolation_step`; other instances take plain steps only.  The stop
+    rules are tested only after a plain step, one that started from
+    z_bar = z, so one plain step moves the returned point by at most tol/100
+    or it is at its rounding floor: ||v_k|| <= tol/100 (stop "tol"),
+    ||v_k|| <= FLOOR_FACTOR * eps * ||z_k|| (stop "floor").  10 * max_iter
+    steps end the run in any case (stop "budget").  Stores the Reference,
+    with the number of predictions applied, on the instance and returns it;
+    a non-finite ||v_k|| raises Divergence.
     """
     problem = instance.problem
     cfg = SolverConfig(gamma=gamma, tol=tol / 100.0, max_iter=10 * max_iter,
                        z0=instance.z0)
+    ext = ExtrapConfig() if instance.unique_solution else None
+    window = DiffWindow(problem.p, ext.q + 1) if ext is not None else None
     state = IterateState.initial(problem, cfg.z0)
     stop = "budget"
+    plain = True  # the next step starts from z_bar = z
+    extrapolated = 0
     for _ in range(cfg.max_iter):
         state, nv = checked_step(problem, state, cfg)
-        if nv <= cfg.tol:
-            stop = "tol"
-            break
-        if nv <= FLOOR_FACTOR * _EPS * math.sqrt(float(state.z @ state.z)):
-            stop = "floor"
-            break
+        if plain:
+            if nv <= cfg.tol:
+                stop = "tol"
+                break
+            if nv <= FLOOR_FACTOR * _EPS * math.sqrt(float(state.z @ state.z)):
+                stop = "floor"
+                break
+        if ext is not None:
+            if state.k == 1:
+                guard_b = ext.guard_b(nv)
+            plain = extrapolation_step(window, ext, guard_b, state, nv) is None
+            extrapolated += not plain
     instance.reference = Reference(z=state.z.copy(), x=state.x.copy(), y=state.y.copy(),
-                                   iterations=state.k, stop=stop)
+                                   iterations=state.k, stop=stop, extrapolated=extrapolated)
     return instance.reference
 
 

@@ -160,7 +160,8 @@ def cmd_bench(args):
     reference, traces = run_experiment(run_cfg)
     width = max(len(t.meta["solver"]) for t in traces)
     print(f"benchmark: {traces[0].meta['problem']}")
-    print(f"  reference: iters={reference.iterations}  stop={reference.stop}")
+    print(f"  reference: iters={reference.iterations}  stop={reference.stop}  "
+          f"extrapolated={reference.extrapolated}")
     for trace in traces:
         last = trace.rows[-1]
         reached = trace.iterations_to("dist_x", 1e-6)

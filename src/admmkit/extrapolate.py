@@ -13,11 +13,13 @@ both predicts read its rows in place.  Fit numerics: the Gram matrix of the
 ring (one (q+1) x (q+1) product) gives the normal equations for c, solved
 through one small SVD at lstsq's default cut, followed by one refinement step
 from the residual vector r = V_{k-1} c - v_k (corrected semi-normal
-equations), which restores the accuracy the squared condition number costs;
-the fit residual eps is ||r|| of the final residual vector, never a Gram
-formula.  Rank-deficient windows get the minimum-norm c, so a fully stagnated
-window gives c = 0 and eps = ||v_k||.  Apart from `push_difference`, which
-writes into its window, all functions are pure.
+equations), which restores the accuracy the squared condition number costs.
+A window too ill-conditioned for that (cond(V_{k-1}) > GRAM_COND_LIMIT) is
+fitted through one Householder QR of the ring instead.  The fit residual eps
+is ||r|| of the final residual vector, never a Gram formula.  Rank-deficient
+windows get the minimum-norm c, so a fully stagnated window gives c = 0 and
+eps = ||v_k||.  Apart from `push_difference`, which writes into its window,
+all functions are pure.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeev, dgesdd
+from scipy.linalg.lapack import dgeev, dgeqrf, dgesdd
 
 
 MAX_ORDER = 32  # largest companion matrix (window size q) spectral_radius accepts
@@ -145,18 +147,25 @@ class CompanionFit:
         return self.c.size
 
 
-def _pinv_factors(G):
-    """(A, B) with pinv(G) = A @ B, from one SVD of a small matrix.
+# Largest cond(V_{k-1}) fitted through the Gram matrix: with one refinement
+# step that fits random order-q recurrences to 3e-13 relative residual up to
+# 1e6 but misses 1e-10 from about 3e6 on.  The QR route past it costs about
+# 1.6x as much at p = 18432; benchmark windows measured at most 2.4e6.
+GRAM_COND_LIMIT = 1e6
 
-    Singular values at or below q * machine-eps times the largest are
-    dropped, the cut `np.linalg.lstsq(G, b, rcond=None)` makes; applying
-    A @ (B @ b) keeps lstsq's accuracy, an explicit pinv(G) loses it.
+
+def _pinv_factors(M):
+    """(A, B, sv) with pinv(M) = A @ B and sv M's singular values, from one SVD of a small M.
+
+    Singular values at or below max(M.shape) * machine-eps times the largest
+    are dropped, the cut `np.linalg.lstsq(M, b, rcond=None)` makes; applying
+    A @ (B @ b) keeps lstsq's accuracy, an explicit pinv(M) loses it.
     """
-    U, sv, Vt, info = dgesdd(G)
+    U, sv, Vt, info = dgesdd(M)
     if info != 0:
         raise np.linalg.LinAlgError(f"SVD did not converge (dgesdd info {info})")
-    rank = np.count_nonzero(sv > G.shape[0] * _EPS * sv[0])  # sv is descending
-    return Vt[:rank].T / sv[:rank], U[:, :rank].T
+    rank = np.count_nonzero(sv > max(M.shape) * _EPS * sv[0])  # sv is descending
+    return Vt[:rank].T / sv[:rank], U[:, :rank].T, sv
 
 
 def fit_coefficients(window):
@@ -168,12 +177,15 @@ def fit_coefficients(window):
     G' = V_{k-1}' V_{k-1} through one SVD of G' cut as lstsq(rcond=None) cuts,
     then takes one refinement step from the residual vector r = V_{k-1} c - v_k,
     c -= pinv(G') V_{k-1}' r, which recovers the accuracy the squared
-    condition number of G' costs.  eps is ||r|| of the final residual vector,
-    never read off G (that cancels catastrophically near a perfect fit).
-    Rank-deficient windows get the minimum-norm solution, so a fully
-    stagnated window yields c = 0 with eps = ||v_k||.  Cost: four passes
-    over the (q+1) x p ring plus one q x q SVD; no p-sized array but the
-    residual is allocated.
+    condition number of G' costs.  When that SVD puts cond(V_{k-1}) above
+    GRAM_COND_LIMIT, c instead solves min ||R_prev c - R_target|| over the
+    columns of R from one Householder QR W' = Q R of the ring (LAPACK
+    dgeqrf), which never squares the condition number.
+    eps is ||r|| of the final residual vector, never read off G (that
+    cancels catastrophically near a perfect fit).  Rank-deficient windows
+    get the minimum-norm solution, so a fully stagnated window yields c = 0
+    with eps = ||v_k||.  Cost: four passes over the (q+1) x p ring plus one
+    q x q SVD, and the QR's passes over a copy of the ring when it is taken.
     """
     if not window.is_full or window.capacity < 2:
         raise InsufficientHistory(
@@ -187,13 +199,21 @@ def fit_coefficients(window):
     for j in range(0, window.capacity, 4):
         G[:, j:j + 4] = W @ W[j:j + 4].T
     G = G.take(slots, 0).take(slots, 1)  # newest first
-    A, B = _pinv_factors(G[1:, 1:])
-    c = A @ (B @ G[1:, 0])
+    A, B, sv = _pinv_factors(G[1:, 1:])
     a = np.empty(window.capacity)  # residual weights in ring order
     a[target] = -1.0
-    a[prev] = c
-    r = a @ W
-    c = c - A @ (B @ (W @ r)[prev])
+    if sv[0] <= GRAM_COND_LIMIT ** 2 * sv[-1]:  # cond(G') = cond(V_{k-1})^2
+        c = A @ (B @ G[1:, 0])
+        a[prev] = c
+        r = a @ W
+        c = c - A @ (B @ (W @ r)[prev])
+    else:
+        qr, _, _, info = dgeqrf(W.T)  # W.T is Fortran-ordered: dgeqrf copies it
+        if info != 0:
+            raise np.linalg.LinAlgError(f"QR failed (dgeqrf info {info})")
+        R = np.triu(qr[:window.capacity])  # p < q+1 leaves R with p rows
+        A, B, _ = _pinv_factors(R[:, prev])
+        c = A @ (B @ R[:, target])
     a[prev] = c
     r = a @ W
     C = companion_matrix(c)

@@ -2,10 +2,10 @@
 
 Every constructor is deterministic given its seed and returns a
 ProblemInstance bundling the split-form problem data, the planted ground
-truth where one exists, a suggested starting point and a slot for the
-reference solution filled by a long reference run.  Every gallery problem
-has the split A x - y = 0, built by one helper from the A = identity prox of
-each block.  Every oracle is an exact, stateless ProxOracle; the TV
+truth where one exists, a suggested starting point, a slot for the
+reference solution filled by a long reference run, and whether that
+solution is unique.  Every gallery problem has the split A x - y = 0, built
+by one helper from the A = identity prox of each block.  Every oracle is an exact, stateless ProxOracle; the TV
 x-oracle solves its subproblem with one cached sparse factorization.
 """
 
@@ -51,7 +51,8 @@ class Reference:
     """Solution triple produced by a long reference run.
 
     `iterations` and `stop` ("tol", "floor" or "budget") say how the run
-    ended; a triple given by hand leaves them at 0 and None.
+    ended and `extrapolated` how many predictions it applied; a triple given
+    by hand leaves them at 0, None and 0.
     """
 
     z: np.ndarray
@@ -59,10 +60,21 @@ class Reference:
     y: np.ndarray
     iterations: int = 0
     stop: Optional[str] = None
+    extrapolated: int = 0
 
 
 @dataclass
 class ProblemInstance:
+    """A gallery problem with its data, ground truth and reference slot.
+
+    `unique_solution`, set by each constructor, says that the fixed point z*
+    is unique, and with it x*, y* and the multiplier: True for LASSO with
+    Gaussian data (in general position with probability one; Tibshirani
+    2013), the positive-definite QP of `make_qp_box` and two distinct lines.
+    False for basis pursuit (its multiplier need not be unique), TV (its
+    minimizer need not be) and `qp_box_instance` (Q is not checked).
+    """
+
     problem: SplitProblem
     descriptor: str
     seed: Optional[int] = None
@@ -72,6 +84,7 @@ class ProblemInstance:
     gamma_default: float = 1.0
     extra: dict = field(default_factory=dict)
     reference: Optional[Reference] = None
+    unique_solution: bool = False
 
 
 def operator_norm(K):
@@ -159,7 +172,7 @@ def make_lasso(m=64, n=256, sparsity=13, mu=1.0, seed=0, data_block="y"):
         problem=problem,
         descriptor=f"lasso(m={m},n={n},sparsity={sparsity},mu={mu},seed={seed})",
         seed=seed, x_true=x_true, norm_K=nK, gamma_default=nK ** 2 / 10.0,
-        extra={"K": K, "f": f})
+        extra={"K": K, "f": f}, unique_solution=True)
 
 
 def make_affine_constrained(regularizer="l1", m=None, n=None, sparsity=None,
@@ -251,6 +264,7 @@ def make_qp_box(n=50, seed=0):
     inst = qp_box_instance(Q, q, lo, hi, descriptor=f"qp-box(n={n},seed={seed})",
                            seed=seed)
     inst.norm_K = operator_norm(G)
+    inst.unique_solution = True  # Q = G'G + 0.1 I is positive definite
     return inst
 
 
@@ -277,7 +291,8 @@ def make_feasibility(alpha, seed=0):
         problem=problem,
         descriptor=f"feasibility(alpha={alpha:.6f},seed={seed})",
         seed=seed, x_true=np.zeros(2), z0=z0,
-        extra={"basis_r": basis1, "basis_j": basis2, "alpha": float(alpha)})
+        extra={"basis_r": basis1, "basis_j": basis2, "alpha": float(alpha)},
+        unique_solution=True)
 
 
 # ---------------------------------------------------------------------------

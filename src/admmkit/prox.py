@@ -100,9 +100,16 @@ class ProxOracle:
 
 
 def soft_threshold_l1(w, tau):
-    """Componentwise shrinkage sign(w) * max(|w| - tau, 0), the prox of tau*||.||_1."""
+    """Componentwise shrinkage sign(w) * max(|w| - tau, 0), the prox of tau*||.||_1.
+
+    Formed in one buffer as copysign(max(|w| - tau, 0), w), so a zero result
+    keeps the sign of its input (-0.0 for w <= 0, including w = -0.0).
+    """
     w = np.asarray(w, dtype=float)
-    return np.sign(w) * np.maximum(np.abs(w) - tau, 0.0)
+    out = np.abs(w)
+    out -= tau
+    np.maximum(out, 0.0, out=out)
+    return np.copysign(out, w, out=out)
 
 
 def prox_group_l12(w, groups, tau):

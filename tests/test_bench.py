@@ -17,8 +17,9 @@ from admmkit.bench import (DEFAULT_COMPARISON, PROBLEMS, ConfigError, EmptySelec
                            RunConfig, SolverSpec, build_instance, compute_reference,
                            emit_plot_svg, parse_solver_spec, read_trace_csv, resolve_gamma,
                            run_experiment, run_solver, write_trace_csv, CSV_HEADER)
+from admmkit import a3dmm
 from admmkit.a3dmm import run_a3dmm
-from admmkit.problems import make_lasso
+from admmkit.problems import make_feasibility, make_lasso, make_qp_box
 from admmkit.prox import ProxOracle
 from admmkit.splitting import Divergence, SolverConfig
 from admmkit.trace import Trace, TraceRow
@@ -207,15 +208,75 @@ def traced_reference_run(inst, gamma, tol, max_iter):
     return run_a3dmm(inst.problem, cfg)
 
 
+def recorded_reference(inst, gamma, tol, max_iter, monkeypatch):
+    """compute_reference, with (started from z_bar = z, ||v_k||) recorded for every step."""
+    steps = []
+    step = a3dmm.variant_step
+
+    def recording_step(problem, state, config):
+        plain = np.array_equal(state.z_bar, state.z)
+        state = step(problem, state, config)
+        steps.append((plain, np.linalg.norm(state.v)))
+        return state
+
+    with monkeypatch.context() as patch:
+        patch.setattr(a3dmm, "variant_step", recording_step)
+        ref = compute_reference(inst, gamma, tol, max_iter)
+    return ref, steps
+
+
 @pytest.mark.parametrize("name", ["lasso", "bp_l1", "qp_box", "feasibility", "tv"])
-def test_reference_above_the_floor_matches_a_traced_run(name):
+def test_reference_above_the_floor_matches_a_traced_run(name, monkeypatch):
     inst, gamma, tol, max_iter = reference_case(name)
-    ref = compute_reference(inst, gamma, tol, max_iter)
+    ref, steps = recorded_reference(inst, gamma, tol, max_iter, monkeypatch)
     run = traced_reference_run(inst, gamma, tol, max_iter)
-    assert ref.iterations == run.state.k
-    assert ref.stop == ("tol" if run.converged else "budget")
-    for field in ("z", "x", "y"):
-        assert np.array_equal(getattr(ref, field), getattr(run.state, field)), field
+    assert len(steps) == ref.iterations
+    if not inst.unique_solution:
+        # plain steps only: the traced plain run, bit for bit
+        assert ref.extrapolated == 0 and all(plain for plain, _ in steps)
+        assert ref.iterations == run.state.k
+        assert ref.stop == ("tol" if run.converged else "budget")
+        for field in ("z", "x", "y"):
+            assert np.array_equal(getattr(ref, field), getattr(run.state, field)), field
+        return
+    # accelerated: the last step is plain and moved the point by at most tol/100,
+    # which lies within 1e-9 relative of where the traced plain run stops
+    assert run.converged and ref.stop == "tol"
+    plain, last_norm = steps[-1]
+    assert plain and last_norm <= tol / 100.0
+    assert ref.extrapolated == sum(not p for p, _ in steps) > 0
+    assert ref.iterations < run.state.k
+    for field in ("z", "x"):
+        exact = getattr(run.state, field)
+        gap = np.linalg.norm(getattr(ref, field) - exact)
+        assert gap <= 1e-9 * max(1.0, np.linalg.norm(exact)), field
+
+
+FLAGGED = {
+    "lasso": lambda seed: make_lasso(m=40, n=120, sparsity=6, seed=seed),
+    "lasso-x": lambda seed: make_lasso(m=40, n=120, sparsity=6, seed=seed, data_block="x"),
+    "qp_box": lambda seed: make_qp_box(n=30, seed=seed),
+    "feasibility": lambda seed: make_feasibility(alpha=math.pi / 5, seed=seed),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAGGED))
+def test_accelerated_reference_agrees_with_the_plain_one(name):
+    # the same instance with its flag cleared gives the plain reference
+    for seed in range(1, 6):
+        inst = FLAGGED[name](seed)
+        assert inst.unique_solution
+        gamma = inst.gamma_default
+        ref = compute_reference(inst, gamma, 1e-9, 2000)
+        inst.unique_solution = False
+        plain = compute_reference(inst, gamma, 1e-9, 2000)
+        assert plain.extrapolated == 0 < ref.extrapolated
+        assert ref.stop in ("tol", "floor") and plain.stop in ("tol", "floor")
+        assert ref.iterations < plain.iterations, seed
+        for field in ("z", "x"):
+            exact = getattr(plain, field)
+            gap = np.linalg.norm(getattr(ref, field) - exact)
+            assert gap <= 1e-9 * max(1.0, np.linalg.norm(exact)), (seed, field)
 
 
 def test_reference_stops_at_the_rounding_floor():

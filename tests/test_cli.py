@@ -125,15 +125,16 @@ def test_bench_subcommand(tmp_path, capsys):
     assert "admm" in out and "iadmm(0.3)" in out
     assert (tmp_path / "dist_z.svg").exists()
     [line] = [l for l in out.splitlines() if "reference" in l]
-    assert re.fullmatch(r"  reference: iters=\d+  stop=tol", line)
+    assert re.fullmatch(r"  reference: iters=\d+  stop=tol  extrapolated=\d+", line)
 
 
 def test_bench_reports_a_reference_at_the_rounding_floor(capsys):
     cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "lasso_spiral.cfg")
     assert main(["bench", "--config", cfg, "--solvers", "admm"]) == 0
     [line] = [l for l in capsys.readouterr().out.splitlines() if "reference" in l]
-    iters = int(re.fullmatch(r"  reference: iters=(\d+)  stop=floor", line).group(1))
-    assert iters < 4000  # the budget is 10 * max_iter
+    match = re.fullmatch(r"  reference: iters=(\d+)  stop=floor  extrapolated=(\d+)", line)
+    assert int(match.group(1)) < 4000  # the budget is 10 * max_iter
+    assert int(match.group(2)) > 0  # a LASSO solution is unique: the reference is accelerated
 
 
 def test_angles_subcommand(tmp_path, capsys):

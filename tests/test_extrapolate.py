@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from admmkit.extrapolate import (CompanionFit, DiffWindow, DimensionMismatch,
@@ -180,6 +180,9 @@ def recurrence(rng, p, q):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 300), st.integers(1, 6), st.integers(0, 9), st.integers(1, 130),
        st.integers(0, 2 ** 31 - 1))
+# windows with condition numbers 1.5e7 and 1.8e8, beyond what normal equations fit
+@example(p=84, q=6, wraps=6, s=1, seed=6)
+@example(p=218, q=5, wraps=9, s=68, seed=425339929)
 def test_predicts_exact_on_linear_recurrences(p, q, wraps, s, seed):
     # z_j = z_{j-1} + v_j with v_j = Q D^j y: an order-q recurrence in R^p,
     # fitted by a window of q + 1 differences after `wraps` extra pushes

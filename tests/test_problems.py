@@ -150,6 +150,18 @@ def test_make_qp_box_seeded():
     assert np.all(inst.extra["lo"] < inst.extra["hi"])
 
 
+def test_instances_whose_solution_may_not_be_unique_are_unflagged():
+    # basis pursuit's multiplier and TV's minimizer need not be unique, and a
+    # hand-built QP may have a semidefinite Q; their references take plain steps
+    for reg in ("l1", "l12", "nuclear"):
+        assert not make_affine_constrained(regularizer=reg, seed=0).unique_solution
+    assert not make_tv_inpainting(size=8, seed=0).unique_solution
+    assert not qp_box_instance(np.zeros((2, 2)), np.ones(2), -np.ones(2),
+                               np.ones(2)).unique_solution
+    assert make_lasso(seed=0).unique_solution and make_qp_box(n=5).unique_solution
+    assert make_feasibility(alpha=0.3).unique_solution
+
+
 def _lasso_data_fold(inst):
     K, f = inst.extra["K"], inst.extra["f"]
     data = least_squares_oracle(K, f)

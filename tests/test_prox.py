@@ -62,6 +62,23 @@ def test_prox_nuclear_examples():
                                0.5 * np.outer(u, v), atol=1e-12)
 
 
+def test_soft_threshold_special_values():
+    tau = 0.75
+    w = np.array([0.0, -0.0, tau, -tau, np.inf, -np.inf, np.nan, 2.0, -2.0])
+    out = soft_threshold_l1(w, tau)
+    np.testing.assert_array_equal(out, [0.0, 0.0, 0.0, 0.0, np.inf, -np.inf, np.nan,
+                                        1.25, -1.25])
+    # a zero result carries the sign of its input
+    np.testing.assert_array_equal(np.signbit(out[:4]), [False, True, False, True])
+    assert np.isnan(out[6])
+    # the caller's array is left as it was
+    assert w[2] == tau and np.isnan(w[6])
+    # the old two-temporary formula, apart from the sign of -0.0's zero
+    finite = np.array([3.0, -3.0, 0.5, -0.5, 0.0, 1e300, -1e-300])
+    np.testing.assert_array_equal(soft_threshold_l1(finite, tau),
+                                  np.sign(finite) * np.maximum(np.abs(finite) - tau, 0.0))
+
+
 def test_prox_nuclear_diagonal_matches_soft_threshold():
     d = np.array([3.0, -1.5, 0.2, 0.0])
     out = prox_nuclear(np.diag(d), 0.7)
