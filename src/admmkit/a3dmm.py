@@ -24,6 +24,8 @@ import math
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import extrapolate as ex
 from .splitting import Divergence, IterateState, inertial_predict, variant_step
 from .spectra import trajectory_angle
@@ -162,8 +164,9 @@ def extrapolation_step(window, ext, guard_b, state, nv):
     return _norm(a_k * incr)
 
 
-def _norm_or_none(a, b):
-    return None if b is None else _norm(a - b)
+def _dist(a, b, buf):
+    """||a - b|| formed in buf, or None without a reference b."""
+    return None if b is None else _norm(np.subtract(a, b, out=buf))
 
 
 def run_a3dmm(problem, config, extrap=None, trace=None, reference=None,
@@ -190,10 +193,11 @@ def run_a3dmm(problem, config, extrap=None, trace=None, reference=None,
 
     ref_z = reference.z if reference is not None else None
     ref_x = reference.x if reference is not None else None
+    buf_z, buf_x = np.empty(problem.p), np.empty(problem.n)
 
     state = IterateState.initial(problem, cfg.z0)
     window = ex.DiffWindow(problem.p, ext.q + 1) if ext is not None else None
-    z_prev2 = state.z.copy()  # z_{k-2} for three-point momentum
+    z_prev2 = state.z  # z_{k-2} for three-point momentum
     v_prev = None
     nv_prev = None
     guard_b = None
@@ -230,8 +234,8 @@ def run_a3dmm(problem, config, extrap=None, trace=None, reference=None,
             k=k, norm_v=nv,
             cos_theta=(trajectory_angle(v, v_prev, nv, nv_prev)
                        if v_prev is not None else None),
-            dist_z=_norm_or_none(state.z, ref_z),
-            dist_x=_norm_or_none(state.x, ref_x),
+            dist_z=_dist(state.z, ref_z, buf_z),
+            dist_x=_dist(state.x, ref_x, buf_x),
             objective=problem.objective(state.x, state.y),
             extrapolated=extrapolated,
             ms=(time.perf_counter() - t0) * 1e3))

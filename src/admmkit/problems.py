@@ -4,9 +4,10 @@ Every constructor is deterministic given its seed and returns a
 ProblemInstance bundling the split-form problem data, the planted ground
 truth where one exists, a suggested starting point, a slot for the
 reference solution filled by a long reference run, and whether that
-solution is unique.  Every gallery problem has the split A x - y = 0, built
-by one helper from the A = identity prox of each block.  Every oracle is an exact, stateless ProxOracle; the TV
-x-oracle solves its subproblem with one cached sparse factorization.
+solution is unique.  Every gallery problem has the split A x = y, with A
+the identity except for TV's image gradient; its y-oracle is J's own prox.
+Every oracle is an exact, stateless ProxOracle; the TV x-oracle solves its
+subproblem with one cached sparse factorization.
 """
 
 from __future__ import annotations
@@ -119,27 +120,8 @@ def _gaussian_sensing(rng, m, n):
     return K
 
 
-def _split_problem(prox_r, prox_j, r_value=None, j_value=None, A=None):
-    """SplitProblem of min R(x) + J(y) s.t. A x - y = 0 (B = -I, b = 0).
-
-    A is the identity unless given.  `prox_j` is the exact A = identity prox
-    of J; with B = -I the y-subproblem argmin J + (gamma/2)||-y - w||^2 is
-    that prox at -w, which the problem's y-oracle evaluates.
-    """
-    A = A if A is not None else LinearMap.identity(prox_r.dim)
-    prox = prox_j.evaluate
-    return SplitProblem(
-        prox_r=prox_r,
-        prox_j=ProxOracle(lambda w, gamma: prox(-w, gamma), prox_j.dim, prox_j.name),
-        A=A,
-        B=LinearMap.scaled_identity(A.rows, -1.0),
-        b=np.zeros(A.rows),
-        r_value=r_value,
-        j_value=j_value)
-
-
 def make_lasso(m=64, n=256, sparsity=13, mu=1.0, seed=0, data_block="y"):
-    """l1-regularized least squares split as x - y = 0.
+    """l1-regularized least squares split as x = y.
 
     By default the x-block carries mu*||.||_1 and the y-block the quadratic
     data term; f is the measurement of a planted `sparsity`-sparse signal.
@@ -162,11 +144,11 @@ def make_lasso(m=64, n=256, sparsity=13, mu=1.0, seed=0, data_block="y"):
     data_value = lambda u: 0.5 * np.linalg.norm(K @ u - f) ** 2
     l1_value = lambda u: mu * np.abs(u).sum()
     if data_block == "y":
-        problem = _split_problem(l1_oracle(n, mu), least_squares_oracle(K, f),
-                                 l1_value, data_value)
+        problem = SplitProblem(l1_oracle(n, mu), least_squares_oracle(K, f),
+                               r_value=l1_value, j_value=data_value)
     else:
-        problem = _split_problem(least_squares_oracle(K, f), l1_oracle(n, mu),
-                                 data_value, l1_value)
+        problem = SplitProblem(least_squares_oracle(K, f), l1_oracle(n, mu),
+                               r_value=data_value, j_value=l1_value)
     nK = operator_norm(K)
     return ProblemInstance(
         problem=problem,
@@ -178,7 +160,7 @@ def make_lasso(m=64, n=256, sparsity=13, mu=1.0, seed=0, data_block="y"):
 def make_affine_constrained(regularizer="l1", m=None, n=None, sparsity=None,
                             blocks=None, block_size=4, matrix_shape=(24, 24),
                             rank=2, measurements=300, seed=0):
-    """min R(x) s.t. K x = f, split as x - y = 0 with the set on the y-block.
+    """min R(x) s.t. K x = f, split as x = y with the set on the y-block.
 
     `regularizer` picks R among the l1 norm (sparsity-sparse truth), the
     group l1,2 norm (`blocks` active blocks of `block_size`) and the nuclear
@@ -231,7 +213,7 @@ def make_affine_constrained(regularizer="l1", m=None, n=None, sparsity=None,
     else:
         raise ValueError(f"unknown regularizer {regularizer!r}")
     f = K @ x_true
-    problem = _split_problem(prox_r, affine_oracle(K, f, "affine-set"), r_value)
+    problem = SplitProblem(prox_r, affine_oracle(K, f, "affine-set"), r_value=r_value)
     nK = operator_norm(K)
     return ProblemInstance(problem=problem, descriptor=desc, seed=seed,
                            x_true=x_true, norm_K=nK, gamma_default=1.0,
@@ -239,7 +221,7 @@ def make_affine_constrained(regularizer="l1", m=None, n=None, sparsity=None,
 
 
 def qp_box_instance(Q, q, lo, hi, descriptor="qp-box", seed=None):
-    """Box-constrained quadratic program split as x - y = 0."""
+    """Box-constrained quadratic program split as x = y."""
     Q = np.asarray(Q, dtype=float)
     q = np.asarray(q, dtype=float)
     lo = np.asarray(lo, dtype=float)
@@ -247,8 +229,8 @@ def qp_box_instance(Q, q, lo, hi, descriptor="qp-box", seed=None):
     n = q.size
     if Q.shape != (n, n) or lo.size != n or hi.size != n:
         raise BadShape("Q, q and the box must agree on the dimension")
-    problem = _split_problem(quadratic_oracle(Q, q), box_oracle(lo, hi),
-                             r_value=lambda x: 0.5 * x @ Q @ x + q @ x)
+    problem = SplitProblem(quadratic_oracle(Q, q), box_oracle(lo, hi),
+                           r_value=lambda x: 0.5 * x @ Q @ x + q @ x)
     return ProblemInstance(problem=problem, descriptor=descriptor, seed=seed,
                            extra={"Q": Q, "q": q, "lo": lo, "hi": hi})
 
@@ -283,8 +265,8 @@ def make_feasibility(alpha, seed=0):
     u2 = np.array([np.cos(theta + alpha), np.sin(theta + alpha)])
     basis1 = u1.reshape(2, 1)
     basis2 = u2.reshape(2, 1)
-    problem = _split_problem(subspace_oracle(basis1, "line-1"),
-                             subspace_oracle(basis2, "line-2"))
+    problem = SplitProblem(subspace_oracle(basis1, "line-1"),
+                           subspace_oracle(basis2, "line-2"))
     z0 = rng.standard_normal(2)
     z0 /= np.linalg.norm(z0)
     return ProblemInstance(
@@ -431,9 +413,8 @@ def make_tv_inpainting(image=None, mask_density=0.5, seed=0, size=64):
         raise EmptyMask(f"the mask of density {mask_density} observes none of the "
                         f"{n * n} pixels")
     grad = gradient_map(n)
-    problem = _split_problem(masked_gradient_oracle(grad, mask, image),
-                             l1_oracle(grad.rows), j_value=lambda y: np.abs(y).sum(),
-                             A=grad)
+    problem = SplitProblem(masked_gradient_oracle(grad, mask, image),
+                           l1_oracle(grad.rows), A=grad, j_value=lambda y: np.abs(y).sum())
     return ProblemInstance(
         problem=problem,
         descriptor=f"tv-inpaint(size={n},density={mask_density},seed={seed})",

@@ -4,12 +4,13 @@ Every subproblem oracle used by the splitting solvers evaluates
 
     argmin_x  f(x) + (gamma/2) ||A x - w||^2
 
-for a fixed function f and a fixed linear map A (A = identity for the
-plain proximal maps).  The oracle protocol is one method,
-`evaluate(w, gamma)`, which returns that minimizer exactly.  Every oracle is
-a `ProxOracle`: deterministic and, once built, free of mutable state apart
-from factorizations cached on first use, so one instance is safe to share
-across concurrent solves.
+for a fixed function f and a fixed linear map A.  For a split
+min R(x) + J(y) s.t. A x = y that is R with the split's A for the x-oracle
+and J's own prox (A = identity) at w for the y-oracle.  The oracle protocol
+is one method, `evaluate(w, gamma)`, which returns that minimizer exactly.
+Every oracle is a `ProxOracle`: deterministic and, once built, free of
+mutable state apart from factorizations cached on first use, so one
+instance is safe to share across concurrent solves.
 
 Quadratic oracles share one cached solve of (Q + gamma*I) x = r.  When Q is
 the Gram matrix K'K of an m x n design K, the cache factors whichever Gram
@@ -83,11 +84,6 @@ class LinearMap:
     @classmethod
     def identity(cls, n):
         return cls(lambda v: v, lambda v: v, n, n)
-
-    @classmethod
-    def scaled_identity(cls, n, scale):
-        s = float(scale)
-        return cls(lambda v: s * v, lambda v: s * v, n, n)
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,20 @@
 """One-step state transitions for the ADMM family and their dual fixed-point twins.
 
-The solver state is the four-point tuple (x, y, psi, z) plus the latest
-difference v = z - z_prev.  Steps consume the stepping point `z_bar`
-carried by the state (z_bar = z when no acceleration is active) and update
-the blocks in the order y -> psi -> x -> z, which confines any acceleration
-of the iteration to the single variable z.  The dual steps run the same
-fixed-point iteration through the conjugate proximal maps and serve as
-equivalence oracles: Douglas-Rachford for the standard/relaxed scheme,
-Peaceman-Rachford for the symmetric one.
+Every problem has the split form min R(x) + J(y) s.t. A x = y (the
+constraint A x - y = 0 of Boyd et al. 2011).  The solver state is the
+four-point tuple (x, y, psi, z) plus the latest difference v = z - z_prev.
+Steps consume the stepping point `z_bar` carried by the state (z_bar = z
+when no acceleration is active) and update the blocks in the order
+y -> psi -> x -> z, which confines any acceleration of the iteration to the
+single variable z.  The dual steps run the same fixed-point iteration
+through the conjugate proximal maps and serve as equivalence oracles:
+Douglas-Rachford for the standard/relaxed scheme, Peaceman-Rachford for the
+symmetric one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,6 +25,10 @@ from .prox import LinearMap, ProxOracle
 
 class BadRelaxation(ValueError):
     """Relaxation parameter outside the open interval (0, 2)."""
+
+
+class BadStart(ValueError):
+    """Starting point z0 whose shape is not (p,)."""
 
 
 class SubproblemFailure(RuntimeError):
@@ -37,27 +44,25 @@ VARIANTS = ("standard", "relaxed", "symmetric")
 
 @dataclass
 class SplitProblem:
-    """Problem data for min R(x) + J(y) s.t. A x + B y = b.
+    """Problem data for min R(x) + J(y) s.t. A x = y.
 
-    `prox_r` solves argmin R + (gamma/2)||A x - w||^2 and `prox_j` solves
-    argmin J + (gamma/2)||B y - w||^2; the maps A, B are also carried
-    explicitly for the multiplier and constraint algebra.
+    `prox_r` solves argmin R + (gamma/2)||A x - w||^2 and `prox_j` is J's
+    own prox, argmin J + (gamma/2)||y - w||^2.  A is the identity on the
+    x-block unless given, and is carried explicitly for the multiplier and
+    constraint algebra.
     """
 
     prox_r: ProxOracle
     prox_j: ProxOracle
-    A: LinearMap
-    B: LinearMap
-    b: np.ndarray
+    A: Optional[LinearMap] = None
     r_value: Optional[callable] = None
     j_value: Optional[callable] = None
 
     def __post_init__(self):
-        self.b = np.asarray(self.b, dtype=float)
-        if self.A.rows != self.B.rows or self.A.rows != self.b.size:
-            raise ValueError("A, B and b must agree on the constraint dimension")
-        if self.A.cols != self.prox_r.dim or self.B.cols != self.prox_j.dim:
-            raise ValueError("prox oracle dimensions must match the maps")
+        if self.A is None:
+            self.A = LinearMap.identity(self.prox_r.dim)
+        if self.A.cols != self.prox_r.dim or self.A.rows != self.prox_j.dim:
+            raise ValueError("prox oracle dimensions must match A")
 
     @property
     def n(self):
@@ -65,11 +70,11 @@ class SplitProblem:
 
     @property
     def m(self):
-        return self.B.cols
+        return self.A.rows
 
     @property
     def p(self):
-        return self.b.size
+        return self.A.rows
 
     def objective(self, x, y):
         """Finite part of R(x) + J(y); indicator terms contribute zero."""
@@ -83,7 +88,11 @@ class SplitProblem:
 
 @dataclass
 class IterateState:
-    """Four-point state; `z_bar` is the point the next step starts from."""
+    """Four-point state; `z_bar` is the point the next step starts from.
+
+    Steps never write into a state's arrays, so after a plain step z_bar is
+    z itself; extrapolation and momentum assign a fresh z_bar.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -96,9 +105,11 @@ class IterateState:
     @classmethod
     def initial(cls, problem, z0=None):
         p = problem.p
-        z = np.zeros(p) if z0 is None else np.asarray(z0, dtype=float).copy()
+        z = np.zeros(p) if z0 is None else np.array(z0, dtype=float)
+        if z.shape != (p,):
+            raise BadStart(f"z0 has shape {z.shape}; expected ({p},)")
         return cls(x=np.zeros(problem.n), y=np.zeros(problem.m),
-                   psi=np.zeros(p), z=z, z_bar=z.copy(), v=None, k=0)
+                   psi=np.zeros(p), z=z, z_bar=z, v=None, k=0)
 
 
 @dataclass
@@ -113,67 +124,80 @@ class SolverConfig:
     z0: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma={self.gamma} must be finite and positive")
+        if not self.tol >= 0:
+            raise ValueError(f"tol={self.tol} must be non-negative")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter={self.max_iter} must be at least 1")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if self.variant == "relaxed" and not (0.0 < self.phi < 2.0):
             raise BadRelaxation(f"phi={self.phi} outside the open interval (0, 2)")
 
 
-def _advance(problem, state, gamma, z_update):
-    """Shared y -> psi -> x body; `z_update(psi, Ax, By)` picks the scheme."""
+def _advance(problem, state, gamma, variant, phi):
+    """One step of `variant` from state.z_bar: y -> psi -> x -> z.
+
+    y = prox_j(z_bar/gamma), psi = z_bar - gamma*y, x = prox_r((z_bar - 2psi)/gamma)
+    and z = psi + gamma*u with u = A x (standard), phi*A x + (1 - phi)*y
+    (relaxed) or 2 A x - y (symmetric).  Writes only into arrays it made.
+    """
     zb = state.z_bar
     try:
-        y = problem.prox_j.evaluate(problem.b - zb / gamma, gamma)
+        y = problem.prox_j.evaluate(zb / gamma, gamma)
     except Exception as exc:  # noqa: BLE001 - oracle failures become solver errors
         raise SubproblemFailure("y-subproblem failed") from exc
-    By = problem.B.apply(y)
-    psi = zb + gamma * (By - problem.b)
+    psi = gamma * y
+    np.subtract(zb, psi, out=psi)
+    w = 2.0 * psi
+    np.subtract(zb, w, out=w)
+    w /= gamma
     try:
-        x = problem.prox_r.evaluate((zb - 2.0 * psi) / gamma, gamma)
+        x = problem.prox_r.evaluate(w, gamma)
     except Exception as exc:  # noqa: BLE001
         raise SubproblemFailure("x-subproblem failed") from exc
     Ax = problem.A.apply(x)
-    z = z_update(psi, Ax, By)
-    return IterateState(x=x, y=y, psi=psi, z=z, z_bar=z.copy(),
-                        v=z - state.z, k=state.k + 1)
+    if variant == "symmetric":
+        u = 2.0 * Ax
+        u -= y
+    elif variant == "relaxed":
+        u = phi * Ax
+        u += (1.0 - phi) * y
+    else:
+        u = Ax
+    z = gamma * u
+    z += psi
+    return IterateState(x=x, y=y, psi=psi, z=z, z_bar=z, v=z - state.z, k=state.k + 1)
 
 
 def admm_step(problem, state, gamma):
     """One standard ADMM step: z = psi + gamma * A x."""
-    return _advance(problem, state, gamma,
-                    lambda psi, Ax, By: psi + gamma * Ax)
+    return _advance(problem, state, gamma, "standard", 1.0)
 
 
 def relaxed_step(problem, state, gamma, phi):
-    """One relaxed step: z = psi + gamma * (phi*A x - (1 - phi)*(B y - b)).
+    """One relaxed step: z = psi + gamma * (phi*A x + (1 - phi)*y).
 
     Reduces to `admm_step` at phi = 1; over-relaxed for phi in (1, 2).
     """
     if not (0.0 < phi < 2.0):
         raise BadRelaxation(f"phi={phi} outside the open interval (0, 2)")
-    return _advance(problem, state, gamma,
-                    lambda psi, Ax, By: psi + gamma * (phi * Ax - (1.0 - phi) * (By - problem.b)))
+    return _advance(problem, state, gamma, "relaxed", phi)
 
 
 def symmetric_step(problem, state, gamma):
-    """One symmetric (double multiplier update) step: z = psi + gamma*(2 A x + B y - b).
+    """One symmetric (double multiplier update) step: z = psi + gamma*(2 A x - y).
 
     Convergence needs stronger assumptions than the standard scheme; callers
     should watch for `Divergence`.
     """
-    return _advance(problem, state, gamma,
-                    lambda psi, Ax, By: psi + gamma * (2.0 * Ax + By - problem.b))
+    return _advance(problem, state, gamma, "symmetric", 1.0)
 
 
 def variant_step(problem, state, config):
-    """Dispatch on config.variant with config.gamma / config.phi."""
-    if config.variant == "relaxed":
-        return relaxed_step(problem, state, config.gamma, config.phi)
-    if config.variant == "symmetric":
-        return symmetric_step(problem, state, config.gamma)
-    return admm_step(problem, state, config.gamma)
+    """One step of config.variant with config.gamma / config.phi."""
+    return _advance(problem, state, config.gamma, config.variant, config.phi)
 
 
 def inertial_predict(z, z_prev, z_prev2=None, a=0.0, b=0.0):
@@ -186,28 +210,19 @@ def inertial_predict(z, z_prev, z_prev2=None, a=0.0, b=0.0):
     return out
 
 
-def _conjugate_prox(oracle, lin_map, w, gamma):
-    """Resolvent of gamma * (f^* o -M^T) at w, via the primal oracle of f.
-
-    Returns (u, xhat) with u = w + gamma * M xhat and
-    xhat = argmin f + (gamma/2)||M x + w/gamma||^2.
-    """
-    xhat = oracle.evaluate(-w / gamma, gamma)
-    return w + gamma * lin_map.apply(xhat), xhat
-
-
 def dr_dual_step(problem, z, gamma, variant="standard", phi=1.0):
     """One dual fixed-point step on z; returns (u, z_next, psi).
 
     Runs Douglas-Rachford splitting on the dual problem (standard/relaxed)
-    or Peaceman-Rachford (symmetric).  The z-sequence coincides with the one
-    produced by the corresponding primal step functions.
+    or Peaceman-Rachford (symmetric) through the resolvents of the
+    conjugates: psi = z - gamma*prox_j(z/gamma) (Moreau) and, with
+    w = 2psi - z, u = w + gamma*A x for x = prox_r(-w/gamma).  The
+    z-sequence coincides with the one produced by the primal step functions.
     """
     try:
-        psi, _y = _conjugate_prox(problem.prox_j, problem.B, z - gamma * problem.b, gamma)
-        u, _x = _conjugate_prox(problem.prox_r, problem.A, 2.0 * psi - z, gamma)
-    except SubproblemFailure:
-        raise
+        psi = z - gamma * problem.prox_j.evaluate(z / gamma, gamma)
+        w = 2.0 * psi - z
+        u = w + gamma * problem.A.apply(problem.prox_r.evaluate(-w / gamma, gamma))
     except Exception as exc:  # noqa: BLE001
         raise SubproblemFailure("dual resolvent failed") from exc
     if variant == "symmetric":

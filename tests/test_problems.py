@@ -5,14 +5,15 @@ import pytest
 
 from admmkit.a3dmm import run_a3dmm
 from admmkit.problems import (BadImage, BadShape, EmptyMask, FormatError, ProblemInstance,
-                              _split_problem, gradient_map, load_pgm,
+                              gradient_map, load_pgm,
                               make_affine_constrained, make_feasibility, make_lasso,
                               make_qp_box, make_tv_inpainting, operator_norm,
                               piecewise_constant_image, psnr, qp_box_instance,
                               resolve_gamma)
 from admmkit.prox import (EmptyBox, l1_oracle, least_squares_oracle, project_affine,
                           project_box, soft_threshold_l1)
-from admmkit.splitting import SolverConfig, SubproblemFailure, admm_step, IterateState
+from admmkit.splitting import (IterateState, SolverConfig, SplitProblem, SubproblemFailure,
+                               admm_step)
 
 
 def test_instances_reproducible():
@@ -71,7 +72,7 @@ def test_wide_lasso_never_forms_an_n_by_n_matrix():
 
 def lasso_on_data(K, f, mu=1.0):
     """LASSO split on a given design, tall or wide: the l1 x-block, the data y-block."""
-    problem = _split_problem(l1_oracle(K.shape[1], mu), least_squares_oracle(K, f))
+    problem = SplitProblem(l1_oracle(K.shape[1], mu), least_squares_oracle(K, f))
     return ProblemInstance(problem=problem, descriptor="lasso(data)", extra={"K": K, "f": f})
 
 
@@ -162,39 +163,39 @@ def test_instances_whose_solution_may_not_be_unique_are_unflagged():
     assert make_feasibility(alpha=0.3).unique_solution
 
 
-def _lasso_data_fold(inst):
+def _lasso_data_prox(inst):
     K, f = inst.extra["K"], inst.extra["f"]
     data = least_squares_oracle(K, f)
-    return lambda w, gamma: data.evaluate(-w, gamma)
+    return lambda w, gamma: data.evaluate(w, gamma)
 
 
-def _feasibility_fold(inst):
+def _feasibility_prox(inst):
     u2 = inst.extra["basis_j"][:, 0]
-    return lambda w, gamma: u2 * (u2 @ -w)
+    return lambda w, gamma: u2 * (u2 @ w)
 
 
-def _qp_box_fold(inst):
+def _qp_box_prox(inst):
     lo, hi = inst.extra["lo"], inst.extra["hi"]
-    return lambda w, gamma: project_box(-w, lo, hi)
+    return lambda w, gamma: project_box(w, lo, hi)
 
 
-# each y-oracle against the B = -I sign fold the constructors used to write inline
-@pytest.mark.parametrize("build,fold", [
-    (lambda: make_lasso(m=16, n=48, sparsity=4, seed=3), _lasso_data_fold),
+# each y-oracle against the plain prox of its block, at w itself
+@pytest.mark.parametrize("build,prox", [
+    (lambda: make_lasso(m=16, n=48, sparsity=4, seed=3), _lasso_data_prox),
     (lambda: make_lasso(m=16, n=48, sparsity=4, mu=0.3, seed=3, data_block="x"),
-     lambda inst: lambda w, gamma: soft_threshold_l1(-w, 0.3 / gamma)),
+     lambda inst: lambda w, gamma: soft_threshold_l1(w, 0.3 / gamma)),
     (lambda: lasso_on_data(np.random.default_rng(1).standard_normal((10, 6)),
-                           np.arange(10.0), mu=0.5), _lasso_data_fold),
+                           np.arange(10.0), mu=0.5), _lasso_data_prox),
     (lambda: make_affine_constrained("l1", m=12, n=40, sparsity=3, seed=3),
-     lambda inst: lambda w, gamma: project_affine(-w, inst.extra["K"], inst.extra["f"])),
-    (lambda: make_qp_box(n=9, seed=3), _qp_box_fold),
-    (lambda: make_feasibility(np.pi / 5, seed=3), _feasibility_fold),
+     lambda inst: lambda w, gamma: project_affine(w, inst.extra["K"], inst.extra["f"])),
+    (lambda: make_qp_box(n=9, seed=3), _qp_box_prox),
+    (lambda: make_feasibility(np.pi / 5, seed=3), _feasibility_prox),
     (lambda: make_tv_inpainting(size=6, seed=3),
-     lambda inst: lambda w, gamma: soft_threshold_l1(-w, 1.0 / gamma)),
+     lambda inst: lambda w, gamma: soft_threshold_l1(w, 1.0 / gamma)),
 ], ids=["lasso", "lasso-x", "lasso-data", "bp-l1", "qp-box", "feasibility", "tv"])
-def test_y_oracle_evaluates_the_prox_at_minus_w(build, fold):
+def test_y_oracle_evaluates_the_prox_at_w(build, prox):
     inst = build()
-    expected = fold(inst)
+    expected = prox(inst)
     rng = np.random.default_rng(0)
     for gamma in (0.3, 1.0, 7.5):
         for _ in range(20):
@@ -425,6 +426,5 @@ def test_reference_solution_kkt_residual(build, gamma):
     # fixed-point residual of one more step plus primal feasibility
     state = admm_step(inst.problem, res.state, gamma)
     fp = np.linalg.norm(state.z - res.state.z)
-    feas = np.linalg.norm(inst.problem.A.apply(state.x)
-                          + inst.problem.B.apply(state.y) - inst.problem.b)
+    feas = np.linalg.norm(inst.problem.A.apply(state.x) - state.y)
     assert fp + feas <= 1e-8

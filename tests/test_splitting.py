@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from admmkit.prox import LinearMap, ProxOracle, l1_oracle, quadratic_oracle
 from admmkit.problems import (make_affine_constrained, make_feasibility, make_lasso,
-                              make_qp_box)
-from admmkit.splitting import (BadRelaxation, Divergence, IterateState, SolverConfig,
-                               SplitProblem, admm_step, dr_dual_step, inertial_predict,
-                               relaxed_step, symmetric_step)
+                              make_qp_box, make_tv_inpainting)
+from admmkit.splitting import (BadRelaxation, BadStart, Divergence, IterateState,
+                               SolverConfig, SplitProblem, admm_step, dr_dual_step,
+                               inertial_predict, relaxed_step, symmetric_step, variant_step)
 from admmkit.a3dmm import run_a3dmm
 
 
@@ -24,10 +26,7 @@ def test_feasibility_fixed_point_in_one_step():
     u = np.array([1.0, 0.0])
     basis = u.reshape(2, 1)
     prox = ProxOracle(lambda w, g: u * (u @ w), 2, "line")
-    prox_neg = ProxOracle(lambda w, g: u * (u @ -w), 2, "line-neg")
-    problem = SplitProblem(prox_r=prox, prox_j=prox_neg,
-                           A=LinearMap.identity(2),
-                           B=LinearMap.scaled_identity(2, -1.0), b=np.zeros(2))
+    problem = SplitProblem(prox_r=prox, prox_j=prox, A=LinearMap.identity(2))
     states = run_steps(problem, admm_step, np.array([0.3, -0.7]), 3, 1.0)
     assert np.linalg.norm(states[1].v) <= 1e-15
     assert np.linalg.norm(states[2].v) <= 1e-15
@@ -62,11 +61,10 @@ def test_state_identities_after_every_step():
         for _ in range(25):
             prev = state
             state = step_fn(inst.problem, state, *args)
-            A, B, b = inst.problem.A, inst.problem.B, inst.problem.b
+            A = inst.problem.A
             scale = 1 + np.linalg.norm(state.z)
-            # multiplier identity: psi_k = zbar_{k-1} + gamma (B y_k - b)
-            psi_err = np.linalg.norm(
-                state.psi - (prev.z_bar + gamma * (B.apply(state.y) - b)))
+            # multiplier identity: psi_k = zbar_{k-1} - gamma y_k
+            psi_err = np.linalg.norm(state.psi - (prev.z_bar - gamma * state.y))
             assert psi_err <= 1e-10 * scale
             if step_fn is admm_step:
                 # fixed-point variable: z_k = psi_k + gamma A x_k
@@ -74,7 +72,7 @@ def test_state_identities_after_every_step():
                 assert z_err <= 1e-10 * scale
             if step_fn is symmetric_step:
                 # z_k = psi_{k-1/2} + gamma A x_k with the half-step multiplier
-                psi_half = state.psi + gamma * (A.apply(state.x) + B.apply(state.y) - b)
+                psi_half = state.psi + gamma * (A.apply(state.x) - state.y)
                 z_err = np.linalg.norm(state.z - (psi_half + gamma * A.apply(state.x)))
                 assert z_err <= 1e-10 * scale
 
@@ -158,7 +156,7 @@ def test_symmetric_degenerate_block_reduces_to_dual_pr():
     problem = SplitProblem(
         prox_r=quadratic_oracle(G.T @ G + 0.5 * np.eye(5), rng.standard_normal(5)),
         prox_j=ProxOracle(lambda w, g: np.zeros(5), 5, "point-zero"),
-        A=LinearMap.identity(5), B=LinearMap.scaled_identity(5, -1.0), b=np.zeros(5))
+        A=LinearMap.identity(5))
     state = IterateState.initial(problem)
     z_dual = state.z.copy()
     for _ in range(30):
@@ -172,8 +170,8 @@ def test_divergence_detector_fires_on_expansive_map():
     n = 3
     expanding = ProxOracle(lambda w, g: 4.0 * np.asarray(w), n, "expanding")
     problem = SplitProblem(prox_r=expanding, prox_j=ProxOracle(
-        lambda w, g: -np.asarray(w), n, "neg"),
-        A=LinearMap.identity(n), B=LinearMap.scaled_identity(n, -1.0), b=np.zeros(n))
+        lambda w, g: np.asarray(w), n, "identity"),
+        A=LinearMap.identity(n))
     cfg = SolverConfig(gamma=1.0, variant="symmetric", tol=0.0, max_iter=100,
                        z0=np.ones(n))
     with pytest.raises(Divergence):
@@ -262,8 +260,7 @@ def test_monotone_differences_and_fejer(build, gamma):
         if prev_d is not None:
             assert d <= prev_d + 1e-10
         prev_v, prev_d = nv, d
-        feas.append(np.linalg.norm(inst.problem.A.apply(state.x)
-                                   + inst.problem.B.apply(state.y) - inst.problem.b))
+        feas.append(np.linalg.norm(inst.problem.A.apply(state.x) - state.y))
     assert feas[-1] < feas[0] or feas[-1] <= 1e-10
 
 
@@ -273,8 +270,7 @@ def test_primal_feasibility_at_convergence():
     cfg = SolverConfig(gamma=1.0, tol=tol, max_iter=10000, z0=inst.z0)
     res = run_a3dmm(inst.problem, cfg)
     assert res.converged
-    gap = np.linalg.norm(inst.problem.A.apply(res.state.x)
-                         + inst.problem.B.apply(res.state.y) - inst.problem.b)
+    gap = np.linalg.norm(inst.problem.A.apply(res.state.x) - res.state.y)
     assert gap <= 10 * tol
 
 
@@ -283,3 +279,100 @@ def test_solver_config_validation():
         SolverConfig(gamma=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(gamma=1.0, variant="nope")
+    for gamma in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="gamma"):
+            SolverConfig(gamma=gamma)
+    for max_iter in (0, -5):
+        with pytest.raises(ValueError, match="max_iter"):
+            SolverConfig(gamma=1.0, max_iter=max_iter)
+    for tol in (-1e-12, math.nan):
+        with pytest.raises(ValueError, match="tol"):
+            SolverConfig(gamma=1.0, tol=tol)
+    SolverConfig(gamma=1e-300, tol=0.0, max_iter=1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_qp_box(n=6, seed=0),
+    lambda: make_lasso(m=8, n=24, sparsity=3, seed=0),
+    lambda: make_feasibility(np.pi / 4, seed=0),
+], ids=["qp_box", "lasso", "feasibility"])
+def test_initial_state_rejects_a_start_of_the_wrong_shape(build):
+    inst = build()
+    p = inst.problem.p
+    for z0 in (np.ones(1), 1.0, np.ones(p + 1), np.ones((p, 1))):
+        with pytest.raises(BadStart):
+            IterateState.initial(inst.problem, z0)
+        with pytest.raises(BadStart):
+            run_a3dmm(inst.problem, SolverConfig(gamma=1.0, max_iter=5, z0=z0))
+    assert IterateState.initial(inst.problem, list(np.ones(p))).z.shape == (p,)
+
+
+def general_step(problem, state, gamma, variant="standard", phi=1.0):
+    """The step of the general form A x + B y = b at B = -I, b = 0, operation for operation.
+
+    Its y-oracle solves argmin J + (gamma/2)||B y - w||^2, which is J's prox
+    at -w; every expression keeps its operands and their order.
+    """
+    b = np.zeros(problem.p)
+    B = LinearMap(lambda v: -1.0 * v, lambda v: -1.0 * v, problem.p, problem.p)
+    zb = state.z_bar
+    y = problem.prox_j.evaluate(-(b - zb / gamma), gamma)
+    By = B.apply(y)
+    psi = zb + gamma * (By - b)
+    x = problem.prox_r.evaluate((zb - 2.0 * psi) / gamma, gamma)
+    Ax = problem.A.apply(x)
+    if variant == "symmetric":
+        z = psi + gamma * (2.0 * Ax + By - b)
+    elif variant == "relaxed":
+        z = psi + gamma * (phi * Ax - (1.0 - phi) * (By - b))
+    else:
+        z = psi + gamma * Ax
+    return IterateState(x=x, y=y, psi=psi, z=z, z_bar=z.copy(), v=z - state.z, k=state.k + 1)
+
+
+@pytest.mark.parametrize("build,gamma", [
+    (lambda: make_lasso(m=16, n=48, sparsity=4, seed=7), 0.7),
+    (lambda: make_lasso(m=16, n=48, sparsity=4, mu=0.3, seed=7, data_block="x"), 0.7),
+    (lambda: make_affine_constrained("l1", m=12, n=40, sparsity=3, seed=7), 1.0),
+    (lambda: make_qp_box(n=20, seed=7), 0.5),
+    (lambda: make_feasibility(np.pi / 5, seed=7), 1.0),
+    (lambda: make_tv_inpainting(size=8, seed=7), 1.0),
+], ids=["lasso", "lasso-x", "bp-l1", "qp_box", "feasibility", "tv"])
+def test_step_equals_the_general_form_bit_for_bit(build, gamma):
+    inst = build()
+    z0 = np.random.default_rng(7).standard_normal(inst.problem.p)
+    for variant, phi in (("standard", 1.0), ("relaxed", 0.6), ("relaxed", 1.5),
+                         ("symmetric", 1.0)):
+        cfg = SolverConfig(gamma=gamma, variant=variant, phi=phi)
+        state = expected = IterateState.initial(inst.problem, z0)
+        for _ in range(30):
+            state = variant_step(inst.problem, state, cfg)
+            expected = general_step(inst.problem, expected, gamma, variant, phi)
+            for field in ("x", "y", "psi", "z", "v"):
+                assert np.array_equal(getattr(state, field), getattr(expected, field)), \
+                    (variant, phi, state.k, field)
+
+
+def _read_only(a):
+    a = np.asarray(a)
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("variant,phi", [("standard", 1.0), ("relaxed", 1.5),
+                                         ("symmetric", 1.0)])
+def test_step_writes_into_none_of_its_inputs(variant, phi):
+    for inst in (make_lasso(m=16, n=48, sparsity=4, seed=4), make_tv_inpainting(size=8, seed=4)):
+        base = inst.problem
+        problem = SplitProblem(
+            prox_r=ProxOracle(lambda w, g: _read_only(base.prox_r.evaluate(w, g)), base.n),
+            prox_j=ProxOracle(lambda w, g: _read_only(base.prox_j.evaluate(w, g)), base.m),
+            A=LinearMap(lambda v: _read_only(base.A.apply(v)), base.A.apply_adjoint,
+                        base.p, base.n))
+        cfg = SolverConfig(gamma=0.8, variant=variant, phi=phi)
+        state = IterateState.initial(problem, np.random.default_rng(4).standard_normal(base.p))
+        for _ in range(5):
+            for a in (state.x, state.y, state.psi, state.z, state.z_bar, state.v):
+                if a is not None:
+                    _read_only(a)
+            state = variant_step(problem, state, cfg)
