@@ -236,7 +236,7 @@ def run_a3dmm(problem, config, extrap=None, trace=None, reference=None,
                        if v_prev is not None else None),
             dist_z=_dist(state.z, ref_z, buf_z),
             dist_x=_dist(state.x, ref_x, buf_x),
-            objective=problem.objective(state.x, state.y),
+            objective=problem.objective(state.x, state.y, state.psi),
             extrapolated=extrapolated,
             ms=(time.perf_counter() - t0) * 1e3))
         if converged:

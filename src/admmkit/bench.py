@@ -138,8 +138,8 @@ class RunConfig:
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise ConfigError(f"problem: unknown problem {self.problem!r}")
-        if self.tol < 0:
-            raise ConfigError("tol: must be nonnegative")
+        if not self.tol >= 0:
+            raise ConfigError(f"tol: must be nonnegative, got {self.tol!r}")
         if self.max_iter < 1:
             raise ConfigError("max_iter: must be at least 1")
         if self.inner_steps < 1:

@@ -20,9 +20,9 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .prox import (LinearMap, ProxOracle, affine_oracle, box_oracle, group_l12_oracle,
-                   l1_oracle, least_squares_oracle, nuclear_oracle, smaller_gram,
-                   subspace_oracle, quadratic_oracle)
+from .prox import (GroupPartition, LinearMap, ProxOracle, affine_oracle, box_oracle,
+                   group_l12_oracle, l1_oracle, least_squares_oracle, nuclear_oracle,
+                   smaller_gram, subspace_oracle, quadratic_oracle)
 from .splitting import SplitProblem
 
 
@@ -141,14 +141,18 @@ def make_lasso(m=64, n=256, sparsity=13, mu=1.0, seed=0, data_block="y"):
     support = rng.choice(n, size=sparsity, replace=False)
     x_true[support] = rng.standard_normal(sparsity)
     f = K @ x_true
-    data_value = lambda u: 0.5 * np.linalg.norm(K @ u - f) ** 2
     l1_value = lambda u: mu * np.abs(u).sum()
     if data_block == "y":
+        # J(y) = 0.5 y'K'Ky + q'y + 0.5||f||^2 with q = -K'f, and the y-step
+        # makes psi = K'Ky + q, so J(y) = 0.5 (y'psi + q'y + ||f||^2)
+        q, ff = -(K.T @ f), f @ f
         problem = SplitProblem(l1_oracle(n, mu), least_squares_oracle(K, f),
-                               r_value=l1_value, j_value=data_value)
+                               r_value=l1_value,
+                               j_value=lambda y, psi: 0.5 * (y @ psi + y @ q + ff))
     else:
         problem = SplitProblem(least_squares_oracle(K, f), l1_oracle(n, mu),
-                               r_value=data_value, j_value=l1_value)
+                               r_value=lambda u: 0.5 * np.linalg.norm(K @ u - f) ** 2,
+                               j_value=lambda y, psi: l1_value(y))
     nK = operator_norm(K)
     return ProblemInstance(
         problem=problem,
@@ -195,7 +199,8 @@ def make_affine_constrained(regularizer="l1", m=None, n=None, sparsity=None,
         for g in rng.choice(ngroups, size=blocks, replace=False):
             x_true[groups[g]] = rng.standard_normal(block_size)
         prox_r = group_l12_oracle(n, groups, 1.0)
-        r_value = lambda x: sum(np.linalg.norm(x[g]) for g in groups)
+        partition = GroupPartition(groups, n)
+        r_value = lambda x: partition.norms(x).sum()
         desc = f"bp-l12(m={m},n={n},blocks={blocks}x{block_size},seed={seed})"
     elif regularizer == "nuclear":
         rows, cols = matrix_shape
@@ -237,6 +242,8 @@ def qp_box_instance(Q, q, lo, hi, descriptor="qp-box", seed=None):
 
 def make_qp_box(n=50, seed=0):
     """Seeded positive-definite QP with a box that leaves some bounds active."""
+    if n < 1:
+        raise BadShape(f"n={n}: the QP needs at least one variable")
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, n)) / np.sqrt(n)
     Q = G.T @ G + 0.1 * np.eye(n)
@@ -398,6 +405,8 @@ def make_tv_inpainting(image=None, mask_density=0.5, seed=0, size=64):
     observe at least one pixel (EmptyMask otherwise).
     """
     if image is None:
+        if size < 2:
+            raise BadShape(f"size={size}: TV inpainting needs an image of at least 2 x 2 pixels")
         image = piecewise_constant_image(size=size, seed=seed)
     image = np.asarray(image, dtype=float)
     if image.ndim != 2 or image.shape[0] != image.shape[1]:
@@ -414,7 +423,8 @@ def make_tv_inpainting(image=None, mask_density=0.5, seed=0, size=64):
                         f"{n * n} pixels")
     grad = gradient_map(n)
     problem = SplitProblem(masked_gradient_oracle(grad, mask, image),
-                           l1_oracle(grad.rows), A=grad, j_value=lambda y: np.abs(y).sum())
+                           l1_oracle(grad.rows), A=grad,
+                           j_value=lambda y, psi: np.abs(y).sum())
     return ProblemInstance(
         problem=problem,
         descriptor=f"tv-inpaint(size={n},density={mask_density},seed={seed})",

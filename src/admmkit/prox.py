@@ -108,6 +108,39 @@ def soft_threshold_l1(w, tau):
     return np.copysign(out, w, out=out)
 
 
+class GroupPartition:
+    """Groups of coordinates that partition range(n), laid out for blockwise sums.
+
+    `order` lists the groups' indices one group after another and `starts`
+    holds where each nonempty group begins in it, so that one
+    `np.add.reduceat` over w[order] sums every block.  Anything but a
+    partition of range(n) raises OverlappingGroups.
+    """
+
+    def __init__(self, groups, n):
+        groups = [g for g in (np.asarray(g, dtype=int).ravel() for g in groups) if g.size]
+        order = np.concatenate(groups) if groups else np.array([], int)
+        if order.size != n or order.min(initial=0) < 0 or order.max(initial=-1) >= n \
+                or np.unique(order).size != n:
+            raise OverlappingGroups("group index sets must partition all coordinates")
+        self.order = order
+        self.sizes = np.array([g.size for g in groups], dtype=int)
+        self.starts = np.cumsum(self.sizes) - self.sizes
+
+    def norms(self, w):
+        """The Euclidean norm of each block of w."""
+        wg = w[self.order]
+        return np.sqrt(np.add.reduceat(wg * wg, self.starts))
+
+    def shrink(self, w, tau):
+        """Blockwise shrinkage w_g * max(1 - tau/||w_g||, 0); a zero block stays zero."""
+        norms = self.norms(w)
+        ratio = np.divide(tau, norms, out=np.ones_like(norms), where=norms > 0.0)
+        out = np.empty_like(w)
+        out[self.order] = w[self.order] * np.repeat(np.maximum(1.0 - ratio, 0.0), self.sizes)
+        return out
+
+
 def prox_group_l12(w, groups, tau):
     """Blockwise shrinkage w_g * max(1 - tau/||w_g||, 0), the prox of tau*||.||_{1,2}.
 
@@ -115,17 +148,7 @@ def prox_group_l12(w, groups, tau):
     coordinates of `w`; a zero-norm block maps to the zero vector.
     """
     w = np.asarray(w, dtype=float)
-    seen = np.concatenate([np.asarray(g, dtype=int) for g in groups]) if groups else np.array([], int)
-    if len(seen) != w.size or len(np.unique(seen)) != w.size or seen.min(initial=0) < 0 \
-            or seen.max(initial=-1) >= w.size:
-        raise OverlappingGroups("group index sets must partition all coordinates")
-    out = np.zeros_like(w)
-    for g in groups:
-        g = np.asarray(g, dtype=int)
-        ng = np.linalg.norm(w[g])
-        if ng > 0.0:
-            out[g] = w[g] * max(1.0 - tau / ng, 0.0)
-    return out
+    return GroupPartition(groups, w.size).shrink(w, tau)
 
 
 def prox_nuclear(W, tau):
@@ -241,9 +264,9 @@ def l1_oracle(n, mu=1.0, name="l1"):
 
 
 def group_l12_oracle(n, groups, mu=1.0, name="l12"):
-    """Oracle of f = mu*||.||_{1,2} with A = identity."""
-    groups = [np.asarray(g, dtype=int) for g in groups]
-    return ProxOracle(lambda w, gamma: prox_group_l12(w, groups, mu / gamma), n, name)
+    """Oracle of f = mu*||.||_{1,2} with A = identity; the partition is checked once, here."""
+    partition = GroupPartition(groups, n)
+    return ProxOracle(lambda w, gamma: partition.shrink(w, mu / gamma), n, name)
 
 
 def nuclear_oracle(shape, mu=1.0, name="nuclear"):

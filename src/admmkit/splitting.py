@@ -49,7 +49,9 @@ class SplitProblem:
     `prox_r` solves argmin R + (gamma/2)||A x - w||^2 and `prox_j` is J's
     own prox, argmin J + (gamma/2)||y - w||^2.  A is the identity on the
     x-block unless given, and is carried explicitly for the multiplier and
-    constraint algebra.
+    constraint algebra.  `r_value(x)` and `j_value(y, psi)` give the finite
+    parts of R and J; `j_value` also receives the step's multiplier psi,
+    an element of the subdifferential of J at y.
     """
 
     prox_r: ProxOracle
@@ -76,13 +78,18 @@ class SplitProblem:
     def p(self):
         return self.A.rows
 
-    def objective(self, x, y):
-        """Finite part of R(x) + J(y); indicator terms contribute zero."""
+    def objective(self, x, y, psi):
+        """Finite part of R(x) + J(y); indicator terms contribute zero.
+
+        psi is the multiplier of the step that produced y: y = prox_j(w)
+        makes psi = gamma*(w - y) a subgradient of J at y, which lets a
+        quadratic J be valued without applying its data matrix.
+        """
         val = 0.0
         if self.r_value is not None:
             val += self.r_value(x)
         if self.j_value is not None:
-            val += self.j_value(y)
+            val += self.j_value(y, psi)
         return val
 
 

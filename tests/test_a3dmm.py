@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from admmkit import extrapolate
 from admmkit.a3dmm import (ExtrapConfig, InnerSolver, RunResult, run_a3dmm,
                            safeguard_coefficient)
 from admmkit.bench import parse_solver_spec, run_solver
-from admmkit.problems import make_feasibility, make_lasso, make_qp_box, make_tv_inpainting
+from admmkit.problems import (Reference, make_feasibility, make_lasso, make_qp_box,
+                              make_tv_inpainting)
 from admmkit.splitting import Divergence, SolverConfig
 
 
@@ -199,6 +201,36 @@ def test_guarded_run_reaches_the_plain_runs_fixed_point(kind, seed, q, s):
     assert plain.converged and guarded.converged
     z_star = plain.state.z
     assert np.linalg.norm(guarded.state.z - z_star) <= 1e-9 * (1.0 + np.linalg.norm(z_star))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(8, 48), st.floats(1.2, 4.0),
+       st.floats(0.05, 2.0))
+def test_lasso_objective_read_off_the_multiplier_matches_the_direct_value(seed, m, aspect, mu):
+    # the y-block value 0.5 (y'psi + q'y + ||f||^2) against mu||x||_1 + 0.5||Ky - f||^2
+    # formed from K; accelerated and momentum steps move z_bar but not (y, psi)
+    n = int(m * aspect) + 1
+    sparsity = 1 + seed % (m // 2)
+    inst = make_lasso(m=m, n=n, sparsity=sparsity, mu=mu, seed=seed)
+    K, f = inst.extra["K"], inst.extra["f"]
+    direct = replace(inst.problem, r_value=lambda x: mu * np.abs(x).sum(),
+                     j_value=lambda y, psi: 0.5 * np.linalg.norm(K @ y - f) ** 2)
+    reference = Reference(z=np.zeros(n), x=inst.x_true, y=inst.x_true)
+    extrapolated = 0
+    for variant, phi in (("standard", 1.0), ("relaxed", 1.5), ("symmetric", 1.0)):
+        cfg = SolverConfig(gamma=inst.gamma_default, variant=variant, phi=phi, tol=0.0,
+                           max_iter=60)
+        runs = [run_a3dmm(problem, cfg, extrap=ExtrapConfig(q=4), reference=reference,
+                          momentum=(0.3, 0.0)) for problem in (inst.problem, direct)]
+        read, formed = (run.trace.rows for run in runs)
+        for a, b in zip(read, formed, strict=True):
+            assert (a.k, a.norm_v, a.cos_theta, a.dist_z, a.dist_x, a.extrapolated) == \
+                (b.k, b.norm_v, b.cos_theta, b.dist_z, b.dist_x, b.extrapolated)
+            assert a.objective == pytest.approx(b.objective, rel=1e-12, abs=0.0)
+        for name in ("x", "y", "psi", "z"):
+            assert np.array_equal(getattr(runs[0].state, name), getattr(runs[1].state, name))
+        extrapolated += sum(r.extrapolated for r in read)
+    assert extrapolated > 0
 
 
 @pytest.mark.parametrize("variant", ["standard", "relaxed", "symmetric"])

@@ -66,10 +66,17 @@ def test_unknown_flag_is_usage_error(capsys):
     ["solve", "--gamma", "abc"],
     ["solve", "--problem", "feasibility", "--gamma", "K2/10"],
     ["bench", "--problem", "tv", "--gamma", "K2+0.1"],
+    ["bench", "--config", os.path.join(os.path.dirname(__file__), "..", "configs", "lasso.cfg"),
+     "--tol", "nan"],
+    ["bench", "--problem", "qp", "--n", "0"],
+    ["solve", "--problem", "qp", "--n", "0"],
+    ["bench", "--problem", "tv", "--size", "1"],
+    ["inpaint", "--size", "0", "--iters", "3"],
 ], ids=["inpaint-iters", "solve-q", "solve-phi", "bench-no-solvers", "inpaint-density",
         "inpaint-no-pixel-observed", "bench-alpha", "solve-m", "bench-gamma", "solve-gamma",
         "bench-gamma-text", "solve-gamma-text", "solve-gamma-rule-without-norm",
-        "bench-gamma-rule-without-norm"])
+        "bench-gamma-rule-without-norm", "bench-tol-nan", "bench-qp-n", "solve-qp-n",
+        "bench-tv-size", "inpaint-size"])
 def test_out_of_range_values_are_usage_errors(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -149,6 +149,9 @@ def test_make_qp_box_seeded():
     Q = inst.extra["Q"]
     assert np.all(np.linalg.eigvalsh(Q) >= 0.1 - 1e-12)
     assert np.all(inst.extra["lo"] < inst.extra["hi"])
+    for n in (0, -3):
+        with pytest.raises(BadShape, match=f"n={n}"):
+            make_qp_box(n=n)
 
 
 def test_instances_whose_solution_may_not_be_unique_are_unflagged():
@@ -325,6 +328,9 @@ def test_tv_validation():
         make_tv_inpainting(image=np.full((4, 4), 1.5))
     with pytest.raises(BadShape):
         make_tv_inpainting(image=np.zeros((4, 5)))
+    for size in (1, 0, -2):
+        with pytest.raises(BadShape, match=f"size={size}"):
+            make_tv_inpainting(size=size)
     with pytest.raises(ValueError):
         make_tv_inpainting(image=np.zeros((4, 4)), mask_density=0.0)
     # no observed pixel leaves the x-subproblem without a unique solution

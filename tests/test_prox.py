@@ -45,6 +45,34 @@ def test_group_l12_rejects_bad_partition():
         prox_group_l12([1.0, 2.0, 3.0], [np.array([0, 1])], 1.0)
 
 
+def test_group_l12_oracle_checks_the_partition_when_built():
+    with pytest.raises(OverlappingGroups):
+        group_l12_oracle(4, [np.array([0, 1]), np.array([1, 2, 3])])
+    with pytest.raises(OverlappingGroups):
+        group_l12_oracle(5, [np.array([0, 1]), np.array([2, 3])])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 80), st.floats(0.0, 3.0))
+def test_group_l12_matches_the_blockwise_loop(seed, n, tau):
+    # shuffled groups of mixed sizes, some empty, and some all-zero blocks
+    rng = np.random.default_rng(seed)
+    cuts = np.sort(rng.integers(0, n + 1, size=rng.integers(0, 12)))
+    groups = np.split(rng.permutation(n), cuts)
+    w = rng.standard_normal(n) * (rng.random(n) < 0.7)
+    expected = np.zeros(n)
+    for g in groups:
+        ng = np.linalg.norm(w[g])
+        if ng > 0.0:
+            expected[g] = w[g] * max(1.0 - tau / ng, 0.0)
+    np.testing.assert_allclose(prox_group_l12(w, groups, tau), expected, rtol=1e-14, atol=1e-15)
+    oracle = group_l12_oracle(n, groups, mu=tau)
+    np.testing.assert_array_equal(oracle.evaluate(w, 1.0), prox_group_l12(w, groups, tau))
+    norms = prox.GroupPartition(groups, n).norms(w)
+    np.testing.assert_allclose(norms.sum(), sum(np.linalg.norm(w[g]) for g in groups),
+                               rtol=1e-14)
+
+
 def test_group_l12_zero_block_maps_to_zero():
     out = prox_group_l12([0.0, 0.0, 3.0, 4.0],
                          [np.array([0, 1]), np.array([2, 3])], 1.0)
