@@ -37,12 +37,18 @@ class EmptySelection(ValueError):
     """No trace holds the requested plot quantity."""
 
 
+KINDS = ("admm", "iadmm", "a3dmm")
+
+
 @dataclass(frozen=True)
 class SolverSpec:
-    """One entry of a comparison set.
+    """One entry of a comparison set: an accelerator on top of a scheme variant.
 
-    kind: "admm" | "iadmm" | "a3dmm" | "relaxed" | "symmetric".
-    iadmm uses momentum (a, b); a3dmm uses window q and depth s.
+    kind names the accelerator: "admm" (none), "iadmm" (momentum (a, b)) or
+    "a3dmm" (window q, depth s).  variant names the scheme it steps:
+    "standard", "relaxed" (with relaxation phi) or "symmetric".  A value
+    that the SolverConfig or ExtrapConfig it turns into rejects raises
+    ValueError here.
     """
 
     kind: str = "admm"
@@ -51,6 +57,13 @@ class SolverSpec:
     q: int = 6
     s: float = math.inf
     phi: float = 1.0
+    variant: str = "standard"
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown solver kind {self.kind!r}; expected one of {KINDS}")
+        # the range checks of the solver configs the spec turns into
+        _solver_pieces(self, gamma=1.0, tol=0.0, max_iter=1, z0=None)
 
     @property
     def label(self):
@@ -61,9 +74,9 @@ class SolverSpec:
         if self.kind == "a3dmm":
             s = "inf" if self.s == math.inf else f"{int(self.s)}"
             return f"a3dmm({self.q},{s})"
-        if self.kind == "relaxed":
+        if self.variant == "relaxed":
             return f"relaxed({self.phi:g})"
-        return self.kind
+        return self.kind if self.variant == "standard" else self.variant
 
 
 def parse_solver_spec(text):
@@ -81,7 +94,7 @@ def parse_solver_spec(text):
         if kind == "admm" or kind == "symmetric":
             if parts:
                 raise ConfigError(f"solvers: {kind} takes no arguments")
-            spec = SolverSpec(kind=kind)
+            spec = SolverSpec(variant="symmetric") if kind == "symmetric" else SolverSpec()
         elif kind == "iadmm":
             if not 1 <= len(parts) <= 2:
                 raise ConfigError("solvers: iadmm takes (a) or (a,b)")
@@ -95,11 +108,9 @@ def parse_solver_spec(text):
         elif kind == "relaxed":
             if len(parts) != 1:
                 raise ConfigError("solvers: relaxed takes (phi)")
-            spec = SolverSpec(kind="relaxed", phi=float(parts[0]))
+            spec = SolverSpec(variant="relaxed", phi=float(parts[0]))
         else:
             raise ConfigError(f"solvers: unknown solver kind {kind!r}")
-        # the range checks of the solver configs the spec turns into
-        _solver_pieces(spec, gamma=1.0, tol=0.0, max_iter=1, z0=None)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -214,13 +225,7 @@ def provenance(label, instance):
 
 
 def _solver_pieces(spec, gamma, tol, max_iter, z0):
-    variant = "standard"
-    phi = 1.0
-    if spec.kind == "symmetric":
-        variant = "symmetric"
-    elif spec.kind == "relaxed":
-        variant, phi = "relaxed", spec.phi
-    cfg = SolverConfig(gamma=gamma, phi=phi, variant=variant, tol=tol,
+    cfg = SolverConfig(gamma=gamma, phi=spec.phi, variant=spec.variant, tol=tol,
                        max_iter=max_iter, z0=z0)
     extrap = ExtrapConfig(q=spec.q, s=spec.s) if spec.kind == "a3dmm" else None
     momentum = (spec.a, spec.b) if spec.kind == "iadmm" else None
@@ -276,10 +281,13 @@ def compute_reference(instance, gamma, tol, max_iter):
     return instance.reference
 
 
-def run_spec(instance, spec, gamma, tol, max_iter):
-    """Run one comparison entry against the instance's reference; returns the RunResult."""
+def run_spec(instance, spec, gamma, tol, max_iter, label=None):
+    """Run one comparison entry against the instance's reference; returns the RunResult.
+
+    The trace names the solver `label`, spec.label unless given.
+    """
     cfg, extrap, momentum = _solver_pieces(spec, gamma, tol, max_iter, instance.z0)
-    trace = Trace(meta=provenance(spec.label, instance))
+    trace = Trace(meta=provenance(label or spec.label, instance))
     return run_a3dmm(instance.problem, cfg, extrap=extrap, trace=trace,
                      reference=instance.reference, momentum=momentum)
 

@@ -2,14 +2,18 @@
 
 Subcommands: `solve` (one problem, one solver), `bench` (comparison per run
 config), `angles` (trajectory diagnostics report), `spectra` (momentum
-regime-map CSV) and `inpaint` (total-variation experiment with PSNR).  Flags
-mirror the flat key=value config-file format; explicit flags override file
-values.  Every subcommand that solves builds its run the way `bench` does:
-flags -> RunConfig -> build_instance -> penalty.  Exit codes: 0 success, 1
-runtime failure, 2 usage error (a bad flag, config key or out-of-range value,
-found before any solve), 141 (128 + SIGPIPE, the shell's status for a writer
-whose pipe closed) when standard output is closed before the output is
-written, as in `| head`.
+regime-map CSV) and `inpaint` (total-variation experiment with PSNR).  One
+flag table, FLAGS, gives each subcommand only the flags its handler reads,
+and a config file (flat key=value lines) may set exactly the keys its
+subcommand has flags for; explicit flags override file values.  Every
+subcommand that solves builds its run the way `bench` does: flags ->
+RunConfig -> build_instance -> penalty, then a SolverSpec -> run_spec
+(`solve` turns its --variant/--phi/--q/--s into one SolverSpec).  Exit
+codes: 0 success, 1 runtime failure, 2 usage error (a flag or config key
+the subcommand does not take, or an out-of-range value, found before any
+solve), 141 (128 + SIGPIPE, the shell's status for a writer whose pipe
+closed) when standard output is closed before the output is written, as in
+`| head`.
 """
 
 from __future__ import annotations
@@ -22,24 +26,43 @@ from dataclasses import fields
 
 import numpy as np
 
-from .a3dmm import ExtrapConfig, run_a3dmm
 from .bench import (PROBLEMS, ConfigError, EmptySelection, RunConfig, SolverSpec,
                     build_instance, compute_reference, emit_plot_svg, penalty,
-                    provenance, run_experiment, run_spec, trace_file_name,
-                    write_trace_csv)
+                    run_experiment, run_spec, trace_file_name, write_trace_csv)
 from .problems import psnr
 from .spectra import classify_trajectory, inertial_regime_map, write_regime_csv
-from .splitting import SolverConfig
-from .trace import Trace
+from .splitting import VARIANTS
 
 
-CONFIG_KEYS = {
-    "problem": str, "seed": int, "gamma": str, "variant": str, "q": int,
-    "s": str, "tol": float, "max_iter": int, "out": str, "solvers": str,
-    "m": int, "n": int, "sparsity": int, "mu": float, "alpha": float,
-    "size": int, "mask_density": float, "phi": float,
-    "window": int, "iters": int, "image": str,
-}
+_RUN = ("solve", "bench", "angles")  # the subcommands that take a whole RunConfig
+_SOLVING = _RUN + ("inpaint",)
+
+# (flag, the subcommands whose handler reads it, argparse keywords); a
+# config key is the flag's dest and is parsed with its type
+FLAGS = (
+    ("--config", _SOLVING, dict(help="flat key=value config file")),
+    ("--seed", _SOLVING, dict(type=int)),
+    ("--gamma", _SOLVING, dict(help="number, 'K2/10' or 'K2+0.1'")),
+    ("--variant", ("solve",), dict(choices=VARIANTS)),
+    ("--phi", ("solve",), dict(type=float, help="relaxation of --variant relaxed")),
+    ("--q", ("solve",), dict(type=int, help="extrapolation window; needs --s")),
+    ("--s", ("solve",), dict(help="extrapolation depth: positive integer or 'inf'")),
+    ("--tol", _RUN, dict(type=float)),
+    ("--max-iter", _RUN, dict(type=int)),
+    ("--out", _SOLVING + ("spectra",), dict(help="output directory")),
+    ("--problem", _RUN, dict(choices=PROBLEMS)),
+    ("--m", _RUN, dict(type=int)),
+    ("--n", _RUN, dict(type=int)),
+    ("--sparsity", _RUN, dict(type=int)),
+    ("--mu", _RUN, dict(type=float)),
+    ("--alpha", _RUN, dict(type=float)),
+    ("--size", _SOLVING, dict(type=int)),
+    ("--mask-density", _SOLVING, dict(type=float)),
+    ("--solvers", ("bench",), dict(help="semicolon-separated solver specs")),
+    ("--window", ("angles",), dict(type=int, help="classification window")),
+    ("--iters", ("inpaint",), dict(type=int, help="fixed iteration budget")),
+    ("--image", ("inpaint",), dict(help="PGM image path")),
+)
 
 
 EXIT_BROKEN_PIPE = 141
@@ -49,8 +72,15 @@ class UsageError(Exception):
     pass
 
 
-def parse_config_file(path):
-    """Flat "key = value" lines; '#' starts a comment."""
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are UsageErrors, reported like every other one."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def parse_config_file(path, keys=None):
+    """Flat "key = value" lines; '#' starts a comment.  A key outside `keys` is a usage error."""
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -62,7 +92,7 @@ def parse_config_file(path):
                     raise UsageError(f"{path}:{lineno}: expected key = value")
                 key, _, value = line.partition("=")
                 key = key.strip()
-                if key not in CONFIG_KEYS:
+                if keys is not None and key not in keys:
                     raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = value.strip()
     except OSError as exc:
@@ -70,16 +100,20 @@ def parse_config_file(path):
     return values
 
 
+def _config_keys(parser):
+    """{key: type} of the options a subcommand's config file may set."""
+    return {a.dest: a.type or str for a in parser._actions if a.dest not in ("help", "config")}
+
+
 def _merge(args, file_values):
     """Fill argparse values that were left at None from the config file."""
     for key, text in file_values.items():
-        attr = key
-        if getattr(args, attr, None) is None and hasattr(args, attr):
-            caster = CONFIG_KEYS[key]
-            try:
-                setattr(args, attr, caster(text))
-            except ValueError as exc:
-                raise UsageError(f"config key {key}: {exc}") from None
+        if getattr(args, key) is not None:
+            continue
+        try:
+            setattr(args, key, args.config_keys[key](text))
+        except ValueError as exc:
+            raise UsageError(f"config key {key}: {exc}") from None
     return args
 
 
@@ -100,47 +134,30 @@ def _build_run(args, **fixed):
     return run_cfg, instance, penalty(run_cfg, instance)
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--gamma", help="number, 'K2/10' or 'K2+0.1'")
-    parser.add_argument("--variant", choices=("standard", "relaxed", "symmetric"))
-    parser.add_argument("--phi", type=float)
-    parser.add_argument("--q", type=int)
-    parser.add_argument("--s", help="extrapolation depth: positive integer or 'inf'")
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--max-iter", dest="max_iter", type=int)
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--problem", choices=PROBLEMS)
-    parser.add_argument("--m", type=int)
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--sparsity", type=int)
-    parser.add_argument("--mu", type=float)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--size", type=int)
-    parser.add_argument("--mask-density", dest="mask_density", type=float)
+def _solve_spec(args):
+    """The SolverSpec of solve's --variant, --phi, --q and --s."""
+    if args.q is not None and args.s is None:
+        raise UsageError("--q needs --s: it is the window of the extrapolation --s turns on")
+    if args.phi is not None and args.variant != "relaxed":
+        raise UsageError("--phi needs --variant relaxed: it is that variant's relaxation")
+    spec = {key: value for key, value in
+            (("variant", args.variant), ("phi", args.phi), ("q", args.q)) if value is not None}
+    try:
+        if args.s is not None:
+            spec.update(kind="a3dmm", s=math.inf if args.s.lower() == "inf" else int(args.s))
+        return SolverSpec(**spec)
+    except ValueError as exc:
+        raise UsageError(f"solver flags: {exc}") from None
 
 
 def cmd_solve(args):
+    spec = _solve_spec(args)
     run_cfg, instance, gamma = _build_run(args)
-    # SolverSpec cannot express an extrapolated relaxed or symmetric run, so
-    # solve builds its solver configs from the flags itself
-    variant = args.variant or "standard"
-    try:
-        cfg = SolverConfig(gamma=gamma, phi=args.phi if args.phi is not None else 1.0,
-                           variant=variant, tol=run_cfg.tol, max_iter=run_cfg.max_iter,
-                           z0=instance.z0)
-        extrap = None
-        if args.s is not None:
-            s = math.inf if args.s.lower() == "inf" else int(args.s)
-            extrap = ExtrapConfig(q=args.q if args.q is not None else 6, s=s)
-    except ValueError as exc:
-        raise UsageError(f"solver flags: {exc}") from None
-    label = "a3dmm" if extrap is not None else variant_label(variant, cfg.phi)
-    trace = Trace(meta=provenance(label, instance))
-    compute_reference(instance, gamma, cfg.tol, cfg.max_iter)
-    result = run_a3dmm(instance.problem, cfg, extrap=extrap, trace=trace,
-                       reference=instance.reference)
+    # solve names its trace by the variant, or "a3dmm" when it extrapolates
+    label = ("a3dmm" if spec.kind == "a3dmm"
+             else "standard" if spec.variant == "standard" else spec.label)
+    compute_reference(instance, gamma, run_cfg.tol, run_cfg.max_iter)
+    result = run_spec(instance, spec, gamma, run_cfg.tol, run_cfg.max_iter, label=label)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "trace.csv")
@@ -149,10 +166,6 @@ def cmd_solve(args):
     print(f"{instance.descriptor}: {status} after {result.state.k} iterations, "
           f"||v|| = {result.trace.rows[-1].norm_v:.3e}; trace at {path}")
     return 0
-
-
-def variant_label(variant, phi):
-    return f"relaxed({phi:g})" if variant == "relaxed" else variant
 
 
 def cmd_bench(args):
@@ -233,39 +246,28 @@ def cmd_inpaint(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="admmkit",
         description="ADMM-family solvers with trajectory-following acceleration")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, extra in (
-            ("solve", cmd_solve, ()),
-            ("bench", cmd_bench, ("solvers",)),
-            ("angles", cmd_angles, ("window",)),
-            ("spectra", cmd_spectra, ()),
-            ("inpaint", cmd_inpaint, ("iters", "image"))):
-        p = sub.add_parser(name)
-        _add_common(p)
-        if "solvers" in extra:
-            p.add_argument("--solvers", help="semicolon-separated solver specs")
-        if "window" in extra:
-            p.add_argument("--window", type=int, help="classification window")
-        if "iters" in extra:
-            p.add_argument("--iters", type=int, help="fixed iteration budget")
-        if "image" in extra:
-            p.add_argument("--image", help="PGM image path")
-        p.set_defaults(func=fn)
+    for name, fn in (("solve", cmd_solve), ("bench", cmd_bench), ("angles", cmd_angles),
+                     ("spectra", cmd_spectra), ("inpaint", cmd_inpaint)):
+        p = sub.add_parser(name, allow_abbrev=False)  # --m is not --mask-density
+        for flag, commands, options in FLAGS:
+            if name in commands:
+                p.add_argument(flag, **options)
+        p.set_defaults(func=fn, config_keys=_config_keys(p))
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else 2
-    try:
-        if args.config:
-            _merge(args, parse_config_file(args.config))
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help
+            return exc.code
+        if getattr(args, "config", None):
+            _merge(args, parse_config_file(args.config, args.config_keys))
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code

@@ -141,16 +141,6 @@ class GroupPartition:
         return out
 
 
-def prox_group_l12(w, groups, tau):
-    """Blockwise shrinkage w_g * max(1 - tau/||w_g||, 0), the prox of tau*||.||_{1,2}.
-
-    `groups` is a sequence of index arrays that must partition all
-    coordinates of `w`; a zero-norm block maps to the zero vector.
-    """
-    w = np.asarray(w, dtype=float)
-    return GroupPartition(groups, w.size).shrink(w, tau)
-
-
 def prox_nuclear(W, tau):
     """Singular value soft thresholding, the prox of tau*||.||_* on matrices."""
     W = np.asarray(W, dtype=float)
@@ -159,15 +149,6 @@ def prox_nuclear(W, tau):
     except np.linalg.LinAlgError as exc:
         raise SvdFailure(f"SVD did not converge on a {W.shape} matrix") from exc
     return (U * np.maximum(s - tau, 0.0)) @ Vt
-
-
-def project_box(w, lo, hi):
-    """Componentwise clamp onto {x : lo <= x <= hi}."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if np.any(lo > hi):
-        raise EmptyBox("some lower bound exceeds its upper bound")
-    return np.clip(np.asarray(w, dtype=float), lo, hi)
 
 
 def _cho_solve(factor, b):

@@ -3,13 +3,14 @@
 Every problem has the split form min R(x) + J(y) s.t. A x = y (the
 constraint A x - y = 0 of Boyd et al. 2011).  The solver state is the
 four-point tuple (x, y, psi, z) plus the latest difference v = z - z_prev.
-Steps consume the stepping point `z_bar` carried by the state (z_bar = z
-when no acceleration is active) and update the blocks in the order
-y -> psi -> x -> z, which confines any acceleration of the iteration to the
-single variable z.  The dual steps run the same fixed-point iteration
-through the conjugate proximal maps and serve as equivalence oracles:
-Douglas-Rachford for the standard/relaxed scheme, Peaceman-Rachford for the
-symmetric one.
+The one primal step, `variant_step`, runs the variant a SolverConfig names
+(standard, relaxed or symmetric).  It consumes the stepping point `z_bar`
+carried by the state (z_bar = z when no acceleration is active) and updates
+the blocks in the order y -> psi -> x -> z, which confines any acceleration
+of the iteration to the single variable z.  The dual step `dr_dual_step`
+runs the same fixed-point iteration through the conjugate proximal maps and
+serves as an equivalence oracle: Douglas-Rachford for the standard/relaxed
+scheme, Peaceman-Rachford for the symmetric one.
 """
 
 from __future__ import annotations
@@ -143,13 +144,17 @@ class SolverConfig:
             raise BadRelaxation(f"phi={self.phi} outside the open interval (0, 2)")
 
 
-def _advance(problem, state, gamma, variant, phi):
-    """One step of `variant` from state.z_bar: y -> psi -> x -> z.
+def variant_step(problem, state, config):
+    """One step of config.variant from state.z_bar: y -> psi -> x -> z.
 
-    y = prox_j(z_bar/gamma), psi = z_bar - gamma*y, x = prox_r((z_bar - 2psi)/gamma)
-    and z = psi + gamma*u with u = A x (standard), phi*A x + (1 - phi)*y
-    (relaxed) or 2 A x - y (symmetric).  Writes only into arrays it made.
+    With gamma = config.gamma: y = prox_j(z_bar/gamma), psi = z_bar - gamma*y,
+    x = prox_r((z_bar - 2psi)/gamma) and z = psi + gamma*u, where u is A x
+    (standard), phi*A x + (1 - phi)*y (relaxed, phi = config.phi; over-relaxed
+    for phi in (1, 2)) or 2 A x - y (symmetric, which needs stronger
+    assumptions than the standard scheme; run_a3dmm watches it for
+    Divergence).  Writes only into arrays it made.
     """
+    gamma = config.gamma
     zb = state.z_bar
     try:
         y = problem.prox_j.evaluate(zb / gamma, gamma)
@@ -165,46 +170,17 @@ def _advance(problem, state, gamma, variant, phi):
     except Exception as exc:  # noqa: BLE001
         raise SubproblemFailure("x-subproblem failed") from exc
     Ax = problem.A.apply(x)
-    if variant == "symmetric":
+    if config.variant == "symmetric":
         u = 2.0 * Ax
         u -= y
-    elif variant == "relaxed":
-        u = phi * Ax
-        u += (1.0 - phi) * y
+    elif config.variant == "relaxed":
+        u = config.phi * Ax
+        u += (1.0 - config.phi) * y
     else:
         u = Ax
     z = gamma * u
     z += psi
     return IterateState(x=x, y=y, psi=psi, z=z, z_bar=z, v=z - state.z, k=state.k + 1)
-
-
-def admm_step(problem, state, gamma):
-    """One standard ADMM step: z = psi + gamma * A x."""
-    return _advance(problem, state, gamma, "standard", 1.0)
-
-
-def relaxed_step(problem, state, gamma, phi):
-    """One relaxed step: z = psi + gamma * (phi*A x + (1 - phi)*y).
-
-    Reduces to `admm_step` at phi = 1; over-relaxed for phi in (1, 2).
-    """
-    if not (0.0 < phi < 2.0):
-        raise BadRelaxation(f"phi={phi} outside the open interval (0, 2)")
-    return _advance(problem, state, gamma, "relaxed", phi)
-
-
-def symmetric_step(problem, state, gamma):
-    """One symmetric (double multiplier update) step: z = psi + gamma*(2 A x - y).
-
-    Convergence needs stronger assumptions than the standard scheme; callers
-    should watch for `Divergence`.
-    """
-    return _advance(problem, state, gamma, "symmetric", 1.0)
-
-
-def variant_step(problem, state, config):
-    """One step of config.variant with config.gamma / config.phi."""
-    return _advance(problem, state, config.gamma, config.variant, config.phi)
 
 
 def inertial_predict(z, z_prev, z_prev2=None, a=0.0, b=0.0):
@@ -224,7 +200,7 @@ def dr_dual_step(problem, z, gamma, variant="standard", phi=1.0):
     or Peaceman-Rachford (symmetric) through the resolvents of the
     conjugates: psi = z - gamma*prox_j(z/gamma) (Moreau) and, with
     w = 2psi - z, u = w + gamma*A x for x = prox_r(-w/gamma).  The
-    z-sequence coincides with the one produced by the primal step functions.
+    z-sequence coincides with the one `variant_step` produces.
     """
     try:
         psi = z - gamma * problem.prox_j.evaluate(z / gamma, gamma)

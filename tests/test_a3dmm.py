@@ -162,14 +162,14 @@ def test_run_variant_symmetric_faster_on_qp():
 
 
 def test_momentum_run_matches_manual_inertial_iteration():
-    from admmkit.splitting import IterateState, admm_step, inertial_predict
+    from admmkit.splitting import IterateState, inertial_predict, variant_step
     inst = make_feasibility(np.pi / 4, seed=0)
     res = run_a3dmm(inst.problem, SolverConfig(gamma=1.0, tol=0.0, max_iter=30,
                                                z0=inst.z0), momentum=(0.4, -0.2))
     state = IterateState.initial(inst.problem, inst.z0)
     zs = [state.z.copy(), state.z.copy()]
     for k, row in enumerate(res.trace.rows, start=1):
-        state = admm_step(inst.problem, state, 1.0)
+        state = variant_step(inst.problem, state, SolverConfig(gamma=1.0))
         np.testing.assert_allclose(np.linalg.norm(state.v), row.norm_v, atol=1e-14)
         state.z_bar = inertial_predict(state.z, zs[-1], zs[-2], 0.4, -0.2)
         zs.append(state.z.copy())

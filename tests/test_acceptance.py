@@ -24,8 +24,7 @@ from admmkit.problems import (make_affine_constrained, make_feasibility, make_la
 from admmkit.spectra import (SPIRAL, STRAIGHT_LINE, classify_trajectory,
                              inertial_spectral_radius, polyhedral_admm_matrix,
                              trajectory_angle)
-from admmkit.splitting import (IterateState, SolverConfig, admm_step, dr_dual_step,
-                               symmetric_step)
+from admmkit.splitting import IterateState, SolverConfig, dr_dual_step, variant_step
 
 
 def report(num, ok, detail):
@@ -118,7 +117,7 @@ def test_criterion_02_angle_limit_and_linearization():
         state = IterateState.initial(inst.problem, inst.z0)
         v_of = {}  # iteration counter -> difference vector
         for k in range(1, 202):
-            state = admm_step(inst.problem, state, 1.0)
+            state = variant_step(inst.problem, state, SolverConfig(gamma=1.0))
             v_of[k] = state.v
         worst_angle = max(abs(trajectory_angle(v_of[k], v_of[k - 1], np.linalg.norm(v_of[k]),
                                                np.linalg.norm(v_of[k - 1])) - np.cos(alpha))
@@ -288,7 +287,7 @@ def test_criterion_08_dual_equivalence():
         state = IterateState.initial(inst.problem, inst.z0)
         z = state.z.copy()
         for _ in range(100):
-            state = admm_step(inst.problem, state, gamma)
+            state = variant_step(inst.problem, state, SolverConfig(gamma=gamma))
             _, z, _ = dr_dual_step(inst.problem, z, gamma)
             worst_dr = max(worst_dr, float(np.linalg.norm(state.z - z)))
         assert worst_dr <= 1e-10
@@ -297,7 +296,7 @@ def test_criterion_08_dual_equivalence():
     z = state.z.copy()
     worst_pr = 0.0
     for _ in range(100):
-        state = symmetric_step(inst.problem, state, 0.5)
+        state = variant_step(inst.problem, state, SolverConfig(gamma=0.5, variant="symmetric"))
         _, z, _ = dr_dual_step(inst.problem, z, 0.5, variant="symmetric")
         worst_pr = max(worst_pr, float(np.linalg.norm(state.z - z)))
     assert worst_pr <= 1e-10

@@ -90,8 +90,8 @@ def test_parse_solver_specs():
     assert parse_solver_spec("iadmm(0.4,-0.2)") == SolverSpec(kind="iadmm", a=0.4, b=-0.2)
     assert parse_solver_spec("a3dmm(6,inf)") == SolverSpec(kind="a3dmm", q=6, s=math.inf)
     assert parse_solver_spec("a3dmm(6,100)").s == 100
-    assert parse_solver_spec("relaxed(1.5)").phi == 1.5
-    assert parse_solver_spec("symmetric").kind == "symmetric"
+    assert parse_solver_spec("relaxed(1.5)") == SolverSpec(variant="relaxed", phi=1.5)
+    assert parse_solver_spec("symmetric") == SolverSpec(variant="symmetric")
     # the last three fail ExtrapConfig's and SolverConfig's own range checks
     for bad in ("nope", "admm(1)", "iadmm()", "a3dmm(6)", "a3dmm(6,two)",
                 "a3dmm(6,0)", "a3dmm(40,inf)", "relaxed(2.5)"):

@@ -9,9 +9,9 @@ import pytest
 
 from admmkit.cli import (EXIT_BROKEN_PIPE, _run_config_from, build_parser, main,
                          parse_config_file)
-from admmkit.bench import (RunConfig, SolverSpec, read_trace_csv, run_spec,
-                           trace_file_name, write_trace_csv)
-from admmkit.problems import load_pgm, make_feasibility, make_tv_inpainting
+from admmkit.bench import (RunConfig, SolverSpec, compute_reference, read_trace_csv,
+                           run_spec, trace_file_name, write_trace_csv)
+from admmkit.problems import load_pgm, make_feasibility, make_lasso, make_tv_inpainting
 
 
 def assert_same_run(path, result, tmp_path):
@@ -44,6 +44,24 @@ def test_solve_s_inf_enables_extrapolation(tmp_path):
     assert any(r.extrapolated for r in trace.rows)
 
 
+@pytest.mark.parametrize("flags,spec,label", [
+    (["--variant", "symmetric", "--s", "100"],
+     SolverSpec(kind="a3dmm", s=100, variant="symmetric"), "a3dmm"),
+    (["--variant", "relaxed", "--phi", "1.5"], SolverSpec(variant="relaxed", phi=1.5),
+     "relaxed(1.5)"),
+], ids=["symmetric-a3dmm", "relaxed"])
+def test_solve_is_run_spec_of_its_flags(flags, spec, label, tmp_path):
+    code = main(["solve", "--gamma", "1", "--tol", "1e-9", "--m", "16", "--n", "48",
+                 "--sparsity", "4", *flags, "--out", str(tmp_path)])
+    assert code == 0
+    instance = make_lasso(m=16, n=48, sparsity=4, mu=1.0, seed=0)
+    compute_reference(instance, 1.0, 1e-9, RunConfig().max_iter)
+    expected = run_spec(instance, spec, 1.0, 1e-9, RunConfig().max_iter, label=label)
+    assert expected.trace.meta["solver"] == label
+    assert expected.trace.meta["variant"] == spec.variant
+    assert_same_run(tmp_path / "trace.csv", expected, tmp_path)
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["solve", "--bogus", "1"]) == 2
     assert main(["nonsense"]) == 2
@@ -72,11 +90,21 @@ def test_unknown_flag_is_usage_error(capsys):
     ["solve", "--problem", "qp", "--n", "0"],
     ["bench", "--problem", "tv", "--size", "1"],
     ["inpaint", "--size", "0", "--iters", "3"],
+    # flags and config keys that the subcommand would not read
+    ["bench", "--variant", "symmetric"],
+    ["angles", "--s", "inf"],
+    ["inpaint", "--tol", "5"],
+    ["spectra", "--problem", "tv"],
+    ["solve", "--q", "3"],
+    ["solve", "--phi", "1.9"],
+    ["bench", "--config", os.path.join(os.path.dirname(__file__), "data", "variant.cfg")],
 ], ids=["inpaint-iters", "solve-q", "solve-phi", "bench-no-solvers", "inpaint-density",
         "inpaint-no-pixel-observed", "bench-alpha", "solve-m", "bench-gamma", "solve-gamma",
         "bench-gamma-text", "solve-gamma-text", "solve-gamma-rule-without-norm",
         "bench-gamma-rule-without-norm", "bench-tol-nan", "bench-qp-n", "solve-qp-n",
-        "bench-tv-size", "inpaint-size"])
+        "bench-tv-size", "inpaint-size", "bench-variant", "angles-s", "inpaint-tol",
+        "spectra-problem", "solve-q-without-s", "solve-phi-without-relaxed",
+        "bench-config-variant"])
 def test_out_of_range_values_are_usage_errors(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -10,10 +10,10 @@ from admmkit.problems import (BadImage, BadShape, EmptyMask, FormatError, Proble
                               make_qp_box, make_tv_inpainting, operator_norm,
                               piecewise_constant_image, psnr, qp_box_instance,
                               resolve_gamma)
-from admmkit.prox import (EmptyBox, l1_oracle, least_squares_oracle, project_affine,
-                          project_box, soft_threshold_l1)
+from admmkit.prox import (EmptyBox, box_oracle, l1_oracle, least_squares_oracle,
+                          project_affine, soft_threshold_l1)
 from admmkit.splitting import (IterateState, SolverConfig, SplitProblem, SubproblemFailure,
-                               admm_step)
+                               variant_step)
 
 
 def test_instances_reproducible():
@@ -178,8 +178,7 @@ def _feasibility_prox(inst):
 
 
 def _qp_box_prox(inst):
-    lo, hi = inst.extra["lo"], inst.extra["hi"]
-    return lambda w, gamma: project_box(w, lo, hi)
+    return box_oracle(inst.extra["lo"], inst.extra["hi"]).evaluate
 
 
 # each y-oracle against the plain prox of its block, at w itself
@@ -215,7 +214,7 @@ def test_feasibility_orthogonal_lines_converge_fast():
     inst = make_feasibility(np.pi / 2, seed=0)
     state = IterateState.initial(inst.problem, inst.z0)
     for _ in range(2):
-        state = admm_step(inst.problem, state, 1.0)
+        state = variant_step(inst.problem, state, SolverConfig(gamma=1.0))
     assert np.linalg.norm(state.z) <= 1e-14
 
 
@@ -430,7 +429,7 @@ def test_reference_solution_kkt_residual(build, gamma):
     res = run_a3dmm(inst.problem, cfg)
     assert res.converged
     # fixed-point residual of one more step plus primal feasibility
-    state = admm_step(inst.problem, res.state, gamma)
+    state = variant_step(inst.problem, res.state, cfg)
     fp = np.linalg.norm(state.z - res.state.z)
     feas = np.linalg.norm(inst.problem.A.apply(state.x) - state.y)
     assert fp + feas <= 1e-8

@@ -8,9 +8,8 @@ from admmkit import prox
 from admmkit.prox import (AffineProjectionCache, EmptyBox, LinearMap, NotSymmetric,
                           OverlappingGroups, ProxOracle, QuadraticSolveCache,
                           RankDeficient, affine_oracle, box_oracle, group_l12_oracle,
-                          l1_oracle, nuclear_oracle, project_affine, project_box,
-                          prox_group_l12, prox_nuclear, quadratic_oracle,
-                          soft_threshold_l1, subspace_oracle)
+                          l1_oracle, nuclear_oracle, project_affine, prox_nuclear,
+                          quadratic_oracle, soft_threshold_l1, subspace_oracle)
 
 
 def zero_oracle(n, name="zero"):
@@ -29,20 +28,26 @@ def test_soft_threshold_examples():
     np.testing.assert_allclose(soft_threshold_l1([-3.0, 4.0], 2.0), [-1.0, 2.0])
 
 
+def group_l12_prox(w, groups, tau):
+    """The prox of tau*||.||_{1,2} at w, through the oracle the package builds."""
+    w = np.asarray(w, dtype=float)
+    return group_l12_oracle(w.size, groups, mu=tau).evaluate(w, 1.0)
+
+
 def test_group_l12_examples():
     one = [np.array([0, 1])]
-    np.testing.assert_allclose(prox_group_l12([3.0, 4.0], one, 5.0), [0.0, 0.0])
-    np.testing.assert_allclose(prox_group_l12([3.0, 4.0], one, 2.5), [1.5, 2.0])
+    np.testing.assert_allclose(group_l12_prox([3.0, 4.0], one, 5.0), [0.0, 0.0])
+    np.testing.assert_allclose(group_l12_prox([3.0, 4.0], one, 2.5), [1.5, 2.0])
     two = [np.array([0, 1]), np.array([2, 3])]
-    np.testing.assert_allclose(prox_group_l12([1.0, 0.0, 0.0, 2.0], two, 0.0),
+    np.testing.assert_allclose(group_l12_prox([1.0, 0.0, 0.0, 2.0], two, 0.0),
                                [1.0, 0.0, 0.0, 2.0])
 
 
 def test_group_l12_rejects_bad_partition():
     with pytest.raises(OverlappingGroups):
-        prox_group_l12([1.0, 2.0, 3.0], [np.array([0, 1]), np.array([1, 2])], 1.0)
+        group_l12_prox([1.0, 2.0, 3.0], [np.array([0, 1]), np.array([1, 2])], 1.0)
     with pytest.raises(OverlappingGroups):
-        prox_group_l12([1.0, 2.0, 3.0], [np.array([0, 1])], 1.0)
+        group_l12_prox([1.0, 2.0, 3.0], [np.array([0, 1])], 1.0)
 
 
 def test_group_l12_oracle_checks_the_partition_when_built():
@@ -65,16 +70,18 @@ def test_group_l12_matches_the_blockwise_loop(seed, n, tau):
         ng = np.linalg.norm(w[g])
         if ng > 0.0:
             expected[g] = w[g] * max(1.0 - tau / ng, 0.0)
-    np.testing.assert_allclose(prox_group_l12(w, groups, tau), expected, rtol=1e-14, atol=1e-15)
     oracle = group_l12_oracle(n, groups, mu=tau)
-    np.testing.assert_array_equal(oracle.evaluate(w, 1.0), prox_group_l12(w, groups, tau))
+    np.testing.assert_allclose(oracle.evaluate(w, 1.0), expected, rtol=1e-14, atol=1e-15)
+    # gamma scales the threshold as mu/gamma
+    np.testing.assert_array_equal(group_l12_oracle(n, groups, mu=2.0 * tau).evaluate(w, 2.0),
+                                  oracle.evaluate(w, 1.0))
     norms = prox.GroupPartition(groups, n).norms(w)
     np.testing.assert_allclose(norms.sum(), sum(np.linalg.norm(w[g]) for g in groups),
                                rtol=1e-14)
 
 
 def test_group_l12_zero_block_maps_to_zero():
-    out = prox_group_l12([0.0, 0.0, 3.0, 4.0],
+    out = group_l12_prox([0.0, 0.0, 3.0, 4.0],
                          [np.array([0, 1]), np.array([2, 3])], 1.0)
     np.testing.assert_allclose(out[:2], [0.0, 0.0])
 
@@ -115,6 +122,9 @@ def test_prox_nuclear_diagonal_matches_soft_threshold():
 
 
 def test_project_box_examples():
+    def project_box(w, lo, hi):
+        return box_oracle(lo, hi).evaluate(np.asarray(w, dtype=float), 1.0)
+
     np.testing.assert_allclose(project_box([2.0], [0.0], [1.0]), [1.0])
     np.testing.assert_allclose(project_box([0.5], [0.0], [1.0]), [0.5])
     np.testing.assert_allclose(project_box([-1.0, 3.0], [0.0, 0.0], [2.0, 2.0]),

@@ -167,11 +167,11 @@ def test_feasibility_run_matches_linearization():
     # difference propagation is exactly the polyhedral matrix
     inst = make_feasibility(np.pi / 4, seed=7)
     M = polyhedral_admm_matrix(inst.extra["basis_r"], inst.extra["basis_j"])
-    from admmkit.splitting import IterateState, admm_step
+    from admmkit.splitting import IterateState, SolverConfig, variant_step
     state = IterateState.initial(inst.problem, inst.z0)
     vs = []
     for _ in range(120):
-        state = admm_step(inst.problem, state, 1.0)
+        state = variant_step(inst.problem, state, SolverConfig(gamma=1.0))
         vs.append(state.v)
     for k in range(1, 100):
         assert np.linalg.norm(vs[k + 1] - M @ vs[k]) <= 1e-10 * max(np.linalg.norm(vs[k]), 1e-30)

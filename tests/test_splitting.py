@@ -7,16 +7,16 @@ from admmkit.prox import LinearMap, ProxOracle, l1_oracle, quadratic_oracle
 from admmkit.problems import (make_affine_constrained, make_feasibility, make_lasso,
                               make_qp_box, make_tv_inpainting)
 from admmkit.splitting import (BadRelaxation, BadStart, Divergence, IterateState,
-                               SolverConfig, SplitProblem, admm_step, dr_dual_step,
-                               inertial_predict, relaxed_step, symmetric_step, variant_step)
+                               SolverConfig, SplitProblem, dr_dual_step, inertial_predict,
+                               variant_step)
 from admmkit.a3dmm import run_a3dmm
 
 
-def run_steps(problem, step_fn, z0, count, *args):
+def run_steps(problem, config, z0, count):
     state = IterateState.initial(problem, z0)
     states = []
     for _ in range(count):
-        state = step_fn(problem, state, *args)
+        state = variant_step(problem, state, config)
         states.append(state)
     return states
 
@@ -27,7 +27,7 @@ def test_feasibility_fixed_point_in_one_step():
     basis = u.reshape(2, 1)
     prox = ProxOracle(lambda w, g: u * (u @ w), 2, "line")
     problem = SplitProblem(prox_r=prox, prox_j=prox, A=LinearMap.identity(2))
-    states = run_steps(problem, admm_step, np.array([0.3, -0.7]), 3, 1.0)
+    states = run_steps(problem, SolverConfig(gamma=1.0), np.array([0.3, -0.7]), 3)
     assert np.linalg.norm(states[1].v) <= 1e-15
     assert np.linalg.norm(states[2].v) <= 1e-15
 
@@ -35,7 +35,7 @@ def test_feasibility_fixed_point_in_one_step():
 def test_feasibility_difference_contraction_rate():
     # two lines at pi/4: ||v_{k+1}|| / ||v_k|| equals cos(pi/4) exactly
     inst = make_feasibility(np.pi / 4, seed=2)
-    states = run_steps(inst.problem, admm_step, inst.z0, 40, 1.0)
+    states = run_steps(inst.problem, SolverConfig(gamma=1.0), inst.z0, 40)
     rates = [np.linalg.norm(states[k + 1].v) / np.linalg.norm(states[k].v)
              for k in range(5, 35)]
     np.testing.assert_allclose(rates, np.cos(np.pi / 4), atol=1e-10)
@@ -55,22 +55,22 @@ def test_lasso_straight_line_angles():
 def test_state_identities_after_every_step():
     inst = make_lasso(m=16, n=48, sparsity=4, seed=1)
     gamma = 0.7
-    for step_fn, args in [(admm_step, (gamma,)), (relaxed_step, (gamma, 1.4)),
-                          (symmetric_step, (gamma,))]:
+    for variant, phi in [("standard", 1.0), ("relaxed", 1.4), ("symmetric", 1.0)]:
+        cfg = SolverConfig(gamma=gamma, variant=variant, phi=phi)
         state = IterateState.initial(inst.problem, inst.z0)
         for _ in range(25):
             prev = state
-            state = step_fn(inst.problem, state, *args)
+            state = variant_step(inst.problem, state, cfg)
             A = inst.problem.A
             scale = 1 + np.linalg.norm(state.z)
             # multiplier identity: psi_k = zbar_{k-1} - gamma y_k
             psi_err = np.linalg.norm(state.psi - (prev.z_bar - gamma * state.y))
             assert psi_err <= 1e-10 * scale
-            if step_fn is admm_step:
+            if variant == "standard":
                 # fixed-point variable: z_k = psi_k + gamma A x_k
                 z_err = np.linalg.norm(state.z - (state.psi + gamma * A.apply(state.x)))
                 assert z_err <= 1e-10 * scale
-            if step_fn is symmetric_step:
+            if variant == "symmetric":
                 # z_k = psi_{k-1/2} + gamma A x_k with the half-step multiplier
                 psi_half = state.psi + gamma * (A.apply(state.x) - state.y)
                 z_err = np.linalg.norm(state.z - (psi_half + gamma * A.apply(state.x)))
@@ -81,21 +81,20 @@ def test_relaxed_step_matches_admm_at_phi_one():
     inst = make_lasso(m=12, n=40, sparsity=4, seed=3)
     state_a = IterateState.initial(inst.problem, inst.z0)
     state_r = IterateState.initial(inst.problem, inst.z0)
+    standard = SolverConfig(gamma=0.9)
+    relaxed = SolverConfig(gamma=0.9, variant="relaxed", phi=1.0)
     for _ in range(100):
-        state_a = admm_step(inst.problem, state_a, 0.9)
-        state_r = relaxed_step(inst.problem, state_r, 0.9, 1.0)
+        state_a = variant_step(inst.problem, state_a, standard)
+        state_r = variant_step(inst.problem, state_r, relaxed)
         for field in ("x", "y", "psi", "z", "v"):
             assert np.array_equal(getattr(state_a, field), getattr(state_r, field))
 
 
 def test_relaxed_step_rejects_bad_phi():
-    inst = make_feasibility(np.pi / 4, seed=0)
-    state = IterateState.initial(inst.problem, inst.z0)
-    for phi in (0.0, 2.0, -0.5, 2.5):
+    # the relaxed step reads phi from its SolverConfig, which checks the range
+    for phi in (0.0, 2.0, -0.5, 2.5, math.nan):
         with pytest.raises(BadRelaxation):
-            relaxed_step(inst.problem, state, 1.0, phi)
-    with pytest.raises(BadRelaxation):
-        SolverConfig(gamma=1.0, variant="relaxed", phi=2.0)
+            SolverConfig(gamma=1.0, variant="relaxed", phi=phi)
 
 
 def test_relaxed_overrelaxation_converges_on_lasso():
@@ -109,7 +108,7 @@ def test_relaxed_overrelaxation_converges_on_lasso():
     state = IterateState.initial(inst.problem, inst.z0)
     dists = []
     for _ in range(200):
-        state = relaxed_step(inst.problem, state, 1.0, 1.5)
+        state = variant_step(inst.problem, state, cfg)
         dists.append(np.linalg.norm(state.z - zs))
     assert all(d2 <= d1 + 1e-10 for d1, d2 in zip(dists, dists[1:]))
 
@@ -144,7 +143,7 @@ def test_symmetric_orthogonal_lines_reflection_composition():
     # two orthogonal reflections, i.e. exactly -I, so the z-sequence is
     # 2-periodic (while the averaged scheme reaches the solution at once)
     inst = make_feasibility(np.pi / 2, seed=3)
-    states = run_steps(inst.problem, symmetric_step, inst.z0, 2, 1.0)
+    states = run_steps(inst.problem, SolverConfig(gamma=1.0, variant="symmetric"), inst.z0, 2)
     np.testing.assert_allclose(states[0].z, -inst.z0, atol=1e-12)
     np.testing.assert_allclose(states[1].z, inst.z0, atol=1e-12)
 
@@ -159,8 +158,9 @@ def test_symmetric_degenerate_block_reduces_to_dual_pr():
         A=LinearMap.identity(5))
     state = IterateState.initial(problem)
     z_dual = state.z.copy()
+    cfg = SolverConfig(gamma=1.0, variant="symmetric")
     for _ in range(30):
-        state = symmetric_step(problem, state, 1.0)
+        state = variant_step(problem, state, cfg)
         _, z_dual, _ = dr_dual_step(problem, z_dual, 1.0, variant="symmetric")
         assert np.linalg.norm(state.y) == 0.0
         assert np.linalg.norm(state.z - z_dual) <= 1e-10 * (1 + np.linalg.norm(z_dual))
@@ -208,8 +208,9 @@ def test_dual_dr_equivalence(build, gamma):
     inst = build()
     state = IterateState.initial(inst.problem, inst.z0)
     z_dual = state.z.copy()
+    cfg = SolverConfig(gamma=gamma)
     for _ in range(60):
-        state = admm_step(inst.problem, state, gamma)
+        state = variant_step(inst.problem, state, cfg)
         _, z_dual, _ = dr_dual_step(inst.problem, z_dual, gamma)
         assert np.linalg.norm(state.z - z_dual) <= 1e-10 * (1 + np.linalg.norm(z_dual))
 
@@ -218,8 +219,9 @@ def test_dual_relaxed_equivalence():
     inst = make_lasso(m=16, n=48, sparsity=4, seed=2)
     state = IterateState.initial(inst.problem, inst.z0)
     z_dual = state.z.copy()
+    cfg = SolverConfig(gamma=0.8, variant="relaxed", phi=1.6)
     for _ in range(60):
-        state = relaxed_step(inst.problem, state, 0.8, 1.6)
+        state = variant_step(inst.problem, state, cfg)
         _, z_dual, _ = dr_dual_step(inst.problem, z_dual, 0.8, variant="relaxed", phi=1.6)
         assert np.linalg.norm(state.z - z_dual) <= 1e-10 * (1 + np.linalg.norm(z_dual))
 
@@ -252,7 +254,7 @@ def test_monotone_differences_and_fejer(build, gamma):
     prev_d = None
     feas = []
     for _ in range(300):
-        state = admm_step(inst.problem, state, gamma)
+        state = variant_step(inst.problem, state, cfg)
         nv = np.linalg.norm(state.v)
         if prev_v is not None:
             assert nv <= prev_v + 1e-12
