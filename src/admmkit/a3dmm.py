@@ -2,7 +2,7 @@
 
 `run_a3dmm` is the one solver entry point.  It performs plain steps of the
 variant named in the SolverConfig (standard, relaxed or symmetric) and,
-every `q + spacing` iterations once q+1 difference vectors are banked, fits
+every `q + SPACING` iterations once q+1 difference vectors are banked, fits
 the difference recurrence and replaces the stepping point z_bar by the
 trajectory-following prediction.  The prediction is applied only when the
 fitted companion matrix is contractive, and an online safeguard caps the
@@ -32,42 +32,35 @@ from .spectra import trajectory_angle
 from .trace import Trace, TraceRow
 
 
+# The cadence is q + SPACING.  2 is the smallest spacing for which the fitted
+# window never contains the difference vector straddling the previous
+# prediction jump (that vector does not follow the local linear recurrence,
+# so windows containing it fit a corrupted model).
+SPACING = 2
+
+
 @dataclass
 class ExtrapConfig:
-    """Window size q, prediction depth s (int or math.inf) and guard constants.
+    """Window size q, prediction depth s (int or math.inf) and the safeguard's b and delta.
 
-    The cadence q_bar = q + spacing controls how often a prediction is
-    attempted.  The default spacing of 2 is the smallest one for which the
-    fitted window never contains the difference vector straddling the
-    previous prediction jump (that vector does not follow the local linear
-    recurrence, so windows containing it fit a corrupted model).
-
-    The online rule a_k = min(a, b / (k^(1+delta) * scale)) bounds the
-    applied increments; b is `guard_b_rel` times the first difference norm
-    (`guard_b_rel` itself when that norm is zero), and the run records it as
-    the trace metadata `guard_b`.  With `guard_on_increment` the scale is the
-    increment norm itself, which makes ||a_k E_k|| <= b * k^-(1+delta) hold
-    by construction; switching it off uses the difference norm
-    ||z_k - z_{k-1}|| as the scale instead.
+    A prediction is attempted every `cadence` = q + SPACING iterations.  The
+    online rule a_k = min(1, b / (k^(1+delta) * ||E_k||)) damps the
+    increment E_k, so ||a_k E_k|| <= b * k^-(1+delta) holds by construction
+    and the applied increments are summable; b is `guard_b_rel` times the
+    first difference norm (`guard_b_rel` itself when that norm is zero), and
+    the run records it as the trace metadata `guard_b`.
     """
 
     q: int = 6
     s: float = math.inf
-    spacing: int = 2
-    guard_a: float = 1.0
     guard_b_rel: float = 1e6
     guard_delta: float = 3.0
-    guard_on_increment: bool = True
 
     def __post_init__(self):
         if not (1 <= self.q <= ex.MAX_ORDER):
             raise ValueError(f"window size q must lie in [1, {ex.MAX_ORDER}]")
-        if self.spacing < 1:
-            raise ValueError("cadence spacing must be at least 1")
         if self.s != math.inf and (self.s < 1 or int(self.s) != self.s):
             raise ValueError("s must be a positive integer or inf")
-        if not (0.0 <= self.guard_a <= 1.0):
-            raise ValueError("guard coefficient a must lie in [0, 1]")
         if self.guard_b_rel <= 0:
             raise ValueError("guard scale b_rel must be positive")
         if self.guard_delta <= 0:
@@ -75,7 +68,7 @@ class ExtrapConfig:
 
     @property
     def cadence(self):
-        return self.q + self.spacing
+        return self.q + SPACING
 
     def guard_b(self, v1_norm):
         """The safeguard scale b of a run whose first difference has norm v1_norm."""
@@ -97,14 +90,14 @@ class InnerSolver:
             raise ValueError("max_steps must be at least 1")
 
 
-def safeguard_coefficient(k, a, b, delta, increment_norm):
-    """Online coefficient a_k = min(a, b / (k^(1+delta) * increment_norm)).
+def safeguard_coefficient(k, b, delta, increment_norm):
+    """Online coefficient a_k = min(1, b / (k^(1+delta) * increment_norm)).
 
-    A zero increment needs no damping, so a_k = a in that case.
+    A zero increment needs no damping, so a_k = 1 in that case.
     """
     if increment_norm == 0.0:
-        return a
-    return min(a, b / (k ** (1.0 + delta) * increment_norm))
+        return 1.0
+    return min(1.0, b / (k ** (1.0 + delta) * increment_norm))
 
 
 @dataclass
@@ -134,7 +127,7 @@ def checked_step(problem, state, config):
     return state, nv
 
 
-def extrapolation_step(window, ext, guard_b, state, nv):
+def extrapolation_step(window, ext, guard_b, state):
     """Bank v_k and, at a cadence point, move the stepping point to the prediction.
 
     Pushes state.v into the window.  When k = state.k is a multiple of the
@@ -156,8 +149,7 @@ def extrapolation_step(window, ext, guard_b, state, nv):
     else:
         z_pred = ex.extrapolate_finite(state.z, window, fit, ext.s)
     incr = z_pred - state.z
-    scale = _norm(incr) if ext.guard_on_increment else nv
-    a_k = safeguard_coefficient(k, ext.guard_a, guard_b, ext.guard_delta, scale)
+    a_k = safeguard_coefficient(k, guard_b, ext.guard_delta, _norm(incr))
     if not a_k > 0.0:
         return None
     state.z_bar = state.z + a_k * incr
@@ -222,7 +214,7 @@ def run_a3dmm(problem, config, extrap=None, trace=None, reference=None,
             converged = True
         else:
             if ext is not None:
-                applied = extrapolation_step(window, ext, guard_b, state, nv)
+                applied = extrapolation_step(window, ext, guard_b, state)
                 if applied is not None:
                     trace.applied_increments.append(applied)
                     extrapolated = True

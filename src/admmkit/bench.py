@@ -22,9 +22,9 @@ import numpy as np
 from . import __version__
 from .a3dmm import ExtrapConfig, checked_step, extrapolation_step, run_a3dmm
 from .extrapolate import DiffWindow
-from .problems import (GAMMA_RULES, Reference, load_pgm, make_affine_constrained,
-                       make_feasibility, make_lasso, make_qp_box, make_tv_inpainting,
-                       resolve_gamma)
+from .problems import (GAMMA_RULES, FormatError, Reference, load_pgm,
+                       make_affine_constrained, make_feasibility, make_lasso, make_qp_box,
+                       make_tv_inpainting, resolve_gamma)
 from .splitting import IterateState, SolverConfig
 from .trace import Trace, TraceRow
 
@@ -167,19 +167,31 @@ class RunConfig:
             s if isinstance(s, SolverSpec) else parse_solver_spec(s) for s in self.solvers)
 
 
+# the size knobs that each problem's constructor reads
+_SIZES_READ = {"lasso": ("m", "n", "sparsity"), "bp-l1": ("m", "n", "sparsity"),
+              "bp-l12": ("m", "n"), "qp": ("n",)}
+
+
 def build_instance(config):
     """Construct the gallery instance selected by a RunConfig.
 
-    A constructor's ValueError (a size, density or angle out of range) is
-    re-raised as a ConfigError.
+    A set m, n or sparsity that the problem does not read, an image file
+    that cannot be read or decoded, and a constructor's ValueError (a size,
+    density or angle out of range) are ConfigErrors.
     """
     c = config
     sizes = {key: value for key, value in (("m", c.m), ("n", c.n), ("sparsity", c.sparsity))
              if value is not None}
+    for key in sizes:
+        if key not in _SIZES_READ.get(c.problem, ()):
+            raise ConfigError(f"{key}: problem {c.problem} does not read it")
     image = None
     if c.problem == "tv" and c.image is not None:
-        with open(c.image, "rb") as fh:
-            image = load_pgm(fh.read())
+        try:
+            with open(c.image, "rb") as fh:
+                image = load_pgm(fh.read())
+        except (OSError, FormatError) as exc:
+            raise ConfigError(f"image: cannot read {c.image}: {exc}") from None
         side = min(image.shape)
         image = image[:side, :side]
     try:
@@ -188,7 +200,7 @@ def build_instance(config):
         if c.problem.startswith("bp-"):
             return make_affine_constrained(regularizer=c.problem[3:], seed=c.seed, **sizes)
         if c.problem == "qp":
-            return make_qp_box(n=c.n if c.n is not None else 50, seed=c.seed)
+            return make_qp_box(seed=c.seed, **sizes)
         if c.problem == "feasibility":
             return make_feasibility(alpha=c.alpha, seed=c.seed)
         if c.problem == "tv":
@@ -274,7 +286,7 @@ def compute_reference(instance, gamma, tol, max_iter):
         if ext is not None:
             if state.k == 1:
                 guard_b = ext.guard_b(nv)
-            plain = extrapolation_step(window, ext, guard_b, state, nv) is None
+            plain = extrapolation_step(window, ext, guard_b, state) is None
             extrapolated += not plain
     instance.reference = Reference(z=state.z.copy(), x=state.x.copy(), y=state.y.copy(),
                                    iterations=state.k, stop=stop, extrapolated=extrapolated)
@@ -391,8 +403,8 @@ def _fmt(x):
     return f"{x:.4f}".rstrip("0").rstrip(".")
 
 
-def emit_plot_svg(traces, quantity, path, width=640, height=420):
-    """Standalone SVG of one trace column versus iteration.
+def emit_plot_svg(traces, quantity, path):
+    """Standalone 640 x 420 SVG of one trace column versus iteration.
 
     Distance-like quantities get a log y-axis (nonpositive samples are
     skipped); the legend uses each trace's solver id.  Output depends only on
@@ -425,6 +437,7 @@ def emit_plot_svg(traces, quantity, path, width=640, height=420):
         x_hi = x_lo + 1
     if y_hi == y_lo:
         y_hi = y_lo + 1
+    width, height = 640, 420
     mleft, mright, mtop, mbot = 60, 20, 20, 40
     pw, ph = width - mleft - mright, height - mtop - mbot
 

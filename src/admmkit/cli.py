@@ -79,7 +79,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def parse_config_file(path, keys=None):
+def parse_config_file(path, keys):
     """Flat "key = value" lines; '#' starts a comment.  A key outside `keys` is a usage error."""
     values = {}
     try:
@@ -92,7 +92,7 @@ def parse_config_file(path, keys=None):
                     raise UsageError(f"{path}:{lineno}: expected key = value")
                 key, _, value = line.partition("=")
                 key = key.strip()
-                if keys is not None and key not in keys:
+                if key not in keys:
                     raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = value.strip()
     except OSError as exc:
@@ -193,10 +193,12 @@ def cmd_bench(args):
 
 
 def cmd_angles(args):
+    window = args.window if args.window is not None else 50
+    if window < 1:
+        raise UsageError(f"--window must be at least 1, got {window}")
     run_cfg, instance, gamma = _build_run(args)
     result = run_spec(instance, SolverSpec(), gamma, run_cfg.tol, run_cfg.max_iter)
     values = result.trace.column("cos_theta")
-    window = args.window if args.window is not None else 50
     series = classify_trajectory(values, window=window)
     print(f"{instance.descriptor}: gamma={gamma:.6g}, {result.state.k} iterations")
     print(f"trajectory: {series.classification}")

@@ -120,12 +120,12 @@ def _gaussian_sensing(rng, m, n):
     return K
 
 
-def make_lasso(m=64, n=256, sparsity=13, mu=1.0, seed=0, data_block="y"):
+def make_lasso(m=64, n=256, sparsity=13, mu=1.0, seed=0):
     """l1-regularized least squares split as x = y.
 
-    By default the x-block carries mu*||.||_1 and the y-block the quadratic
-    data term; f is the measurement of a planted `sparsity`-sparse signal.
-    With data_block="x" the blocks are swapped.
+    The x-block carries mu*||.||_1 and the y-block the quadratic data term
+    0.5||K y - f||^2; f is the measurement of a planted `sparsity`-sparse
+    signal.
     """
     if not (0 < m < n):
         raise BadShape("need 0 < m < n")
@@ -133,26 +133,18 @@ def make_lasso(m=64, n=256, sparsity=13, mu=1.0, seed=0, data_block="y"):
         raise BadShape("need 0 < sparsity < m")
     if not (mu > 0 and np.isfinite(mu)):
         raise ValueError("mu must be finite and positive")
-    if data_block not in ("x", "y"):
-        raise ValueError("data_block must be 'x' or 'y'")
     rng = np.random.default_rng(seed)
     K = _gaussian_sensing(rng, m, n)
     x_true = np.zeros(n)
     support = rng.choice(n, size=sparsity, replace=False)
     x_true[support] = rng.standard_normal(sparsity)
     f = K @ x_true
-    l1_value = lambda u: mu * np.abs(u).sum()
-    if data_block == "y":
-        # J(y) = 0.5 y'K'Ky + q'y + 0.5||f||^2 with q = -K'f, and the y-step
-        # makes psi = K'Ky + q, so J(y) = 0.5 (y'psi + q'y + ||f||^2)
-        q, ff = -(K.T @ f), f @ f
-        problem = SplitProblem(l1_oracle(n, mu), least_squares_oracle(K, f),
-                               r_value=l1_value,
-                               j_value=lambda y, psi: 0.5 * (y @ psi + y @ q + ff))
-    else:
-        problem = SplitProblem(least_squares_oracle(K, f), l1_oracle(n, mu),
-                               r_value=lambda u: 0.5 * np.linalg.norm(K @ u - f) ** 2,
-                               j_value=lambda y, psi: l1_value(y))
+    # J(y) = 0.5 y'K'Ky + q'y + 0.5||f||^2 with q = -K'f, and the y-step
+    # makes psi = K'Ky + q, so J(y) = 0.5 (y'psi + q'y + ||f||^2)
+    q, ff = -(K.T @ f), f @ f
+    problem = SplitProblem(l1_oracle(n, mu), least_squares_oracle(K, f),
+                           r_value=lambda u: mu * np.abs(u).sum(),
+                           j_value=lambda y, psi: 0.5 * (y @ psi + y @ q + ff))
     nK = operator_norm(K)
     return ProblemInstance(
         problem=problem,
@@ -383,11 +375,11 @@ def masked_gradient_oracle(grad, mask, image):
     return ProxOracle(evaluate, grad.cols, "masked-gradient")
 
 
-def piecewise_constant_image(size=64, seed=0, patches=5):
-    """Synthetic [0,1] image: constant background plus axis-aligned patches."""
+def piecewise_constant_image(size=64, seed=0):
+    """Synthetic [0,1] image: constant background plus five axis-aligned patches."""
     rng = np.random.default_rng(seed)
     img = np.full((size, size), 0.2)
-    for _ in range(patches):
+    for _ in range(5):
         h = rng.integers(size // 8, size // 2)
         w = rng.integers(size // 8, size // 2)
         i = rng.integers(0, size - h)

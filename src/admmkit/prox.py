@@ -22,7 +22,7 @@ applies the matrix inversion lemma
 for m >= n it factors K'K + gamma*I.  Building costs O(min(m,n)^2 max(m,n))
 and each solve O(mn); the cached factor has min(m,n)^2 entries.
 
-Cached solves, here and in `project_affine`, go through LAPACK `potrs`
+Cached solves, here and in `affine_oracle`, go through LAPACK `potrs`
 after an explicit finiteness check of the right-hand side; the factor was
 checked once when `cho_factor` built it.
 """
@@ -166,27 +166,13 @@ def _cho_solve(factor, b):
     return x
 
 
-class AffineProjectionCache:
-    """Cholesky factor of K K^T, built once and reused by project_affine."""
+def project_affine(w, K, f):
+    """Orthogonal projection w - K^T (K K^T)^{-1} (K w - f) of w onto {x : K x = f}.
 
-    def __init__(self, K):
-        K = np.asarray(K, dtype=float)
-        try:
-            self.factor = scipy.linalg.cho_factor(K @ K.T)
-        except scipy.linalg.LinAlgError as exc:
-            raise RankDeficient("K K^T is singular; K must have full row rank") from exc
-
-
-def project_affine(w, K, f, cache=None):
-    """Orthogonal projection of w onto {x : K x = f}.
-
-    The projection is w - K^T (K K^T)^{-1} (K w - f).  Pass a prebuilt
-    `AffineProjectionCache` to reuse the K K^T factorization across calls.
+    Factors K K^T on every call; `affine_oracle` factors it once.
     """
     K = np.asarray(K, dtype=float)
-    if cache is None:
-        cache = AffineProjectionCache(K)
-    return w - K.T @ _cho_solve(cache.factor, K @ w - f)
+    return w - K.T @ _cho_solve(scipy.linalg.cho_factor(K @ K.T), K @ w - f)
 
 
 def smaller_gram(K):
@@ -270,10 +256,19 @@ def box_oracle(lo, hi, name="box"):
 
 
 def affine_oracle(K, f, name="affine"):
-    """Oracle of the indicator of {x : K x = f} with A = identity."""
+    """Oracle of the indicator of {x : K x = f} with A = identity.
+
+    Evaluates the projection w - K^T (K K^T)^{-1} (K w - f) with one
+    Cholesky factor of K K^T, built here; a K without full row rank (K K^T
+    numerically singular) raises RankDeficient.
+    """
     K = np.asarray(K, dtype=float)
-    cache = AffineProjectionCache(K)
-    return ProxOracle(lambda w, gamma: project_affine(w, K, f, cache), K.shape[1], name)
+    try:
+        factor = scipy.linalg.cho_factor(K @ K.T)
+    except scipy.linalg.LinAlgError as exc:
+        raise RankDeficient("K K^T is singular; K must have full row rank") from exc
+    return ProxOracle(lambda w, gamma: w - K.T @ _cho_solve(factor, K @ w - f),
+                      K.shape[1], name)
 
 
 def subspace_oracle(basis, name="subspace"):

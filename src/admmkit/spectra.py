@@ -48,47 +48,52 @@ def trajectory_angle(v, v_prev, norm_v, norm_v_prev):
     return min(max(float(np.dot(v, v_prev)) / (norm_v * norm_v_prev), -1.0), 1.0)
 
 
+# classification thresholds on the trailing mean and width of cos(theta_k)
+STRAIGHT_GAP = 1e-3  # straight line: mean within this of 1
+SPIRAL_GAP = 1e-2  # spiral: mean at least this far below 1 ...
+OSCILLATION_BAND = 0.5  # ... and max - min at most this
+
+
 @dataclass
 class AngleSeries:
-    """Per-iteration cos(theta_k) values with a trajectory classification.
+    """The trajectory classification of a cos(theta_k) series.
 
     `limit` estimates the limiting cosine from the trailing window and
     `band` is the half-width (max deviation) observed over that window.
     """
 
-    values: list
     classification: str = UNDETERMINED
     limit: Optional[float] = None
     band: Optional[float] = None
 
 
-def classify_trajectory(series, window=50, straight_gap=1e-3, spiral_gap=1e-2,
-                        oscillation_band=0.5):
-    """Classify the trailing behaviour of a cos(theta_k) series.
+def classify_trajectory(values, window=50):
+    """Classify the trailing `window` samples of a cos(theta_k) series.
 
-    Straight line when the trailing mean is within `straight_gap` of 1;
-    spiral when the trailing mean sits below 1 - `spiral_gap` and the values
-    stay inside a band narrower than `oscillation_band` (a settled constant
-    or a bounded oscillation); undetermined otherwise, including series
-    whose entries are mostly absent (stagnated runs).  Thresholds are
-    heuristics and deliberately exposed.
+    Straight line when the trailing mean is within STRAIGHT_GAP of 1; spiral
+    when the trailing mean sits below 1 - SPIRAL_GAP and the values stay
+    inside a band no wider than OSCILLATION_BAND (a settled constant or a
+    bounded oscillation); undetermined otherwise, including series whose
+    entries are mostly absent (stagnated runs).  A window below 1 raises
+    ValueError, a series shorter than the window InsufficientData.
     """
-    values = series.values if isinstance(series, AngleSeries) else list(series)
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
+    values = list(values)
     if len(values) < window:
         raise InsufficientData(f"need {window} samples, have {len(values)}")
     valid = [c for c in values if c is not None]
     if len(valid) < window:
-        return AngleSeries(values=values, classification=UNDETERMINED,
-                           limit=None, band=None)
+        return AngleSeries()
     tail = np.asarray(valid[-window:])
     mean = float(tail.mean())
     band = float(tail.max() - tail.min()) / 2.0
     tag = UNDETERMINED
-    if mean >= 1.0 - straight_gap:
+    if mean >= 1.0 - STRAIGHT_GAP:
         tag = STRAIGHT_LINE
-    elif mean <= 1.0 - spiral_gap and 2.0 * band <= oscillation_band:
+    elif mean <= 1.0 - SPIRAL_GAP and 2.0 * band <= OSCILLATION_BAND:
         tag = SPIRAL
-    return AngleSeries(values=values, classification=tag, limit=mean, band=band)
+    return AngleSeries(classification=tag, limit=mean, band=band)
 
 
 def _check_orthonormal(U, tol=1e-10):
@@ -122,14 +127,14 @@ def principal_angles(U1, U2):
     return np.sort(angles)
 
 
-def friedrichs_angle(U1, U2, zero_tol=1e-8):
+def friedrichs_angle(U1, U2):
     """Smallest nonzero principal angle: the (d+1)-th with d = dim of the intersection.
 
     Raises DegenerateIntersection when the subspaces coincide; for a strict
     inclusion the angle is pi/2 by the empty-complement convention.
     """
     angles = principal_angles(U1, U2)
-    d = int(np.sum(angles < zero_tol))
+    d = int(np.sum(angles < 1e-8))  # an angle below 1e-8 counts as zero
     if d < angles.size:
         return float(angles[d])
     U1 = np.atleast_2d(np.asarray(U1, dtype=float))

@@ -142,8 +142,8 @@ def test_momentum_comparison_at_small_angle():
     assert reach["admm"] < reach["iadmm(0.3)"]
 
 
-def small_lasso(data_block="y"):
-    return make_lasso(m=16, n=48, sparsity=4, seed=3, data_block=data_block)
+def small_lasso():
+    return make_lasso(m=16, n=48, sparsity=4, seed=3)
 
 
 def test_run_order_permutation_gives_identical_traces():
@@ -171,16 +171,15 @@ def test_every_oracle_is_a_stateless_prox_oracle(problem):
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.sampled_from(["x", "y"]),
-       st.lists(st.tuples(st.sampled_from(DEFAULT_COMPARISON), st.integers(1, 10)),
+@given(st.lists(st.tuples(st.sampled_from(DEFAULT_COMPARISON), st.integers(1, 10)),
                 min_size=2, max_size=4))
-def test_solves_on_one_instance_match_solves_on_fresh_instances(data_block, solves):
+def test_solves_on_one_instance_match_solves_on_fresh_instances(solves):
     # no solve may leave state behind in the instance it shares with later ones
-    shared = small_lasso(data_block)
+    shared = small_lasso()
     for text, max_iter in solves:
         spec = parse_solver_spec(text)
         got = rows(run_solver(shared, spec, 1.0, 0.0, max_iter))
-        assert got == rows(run_solver(small_lasso(data_block), spec, 1.0, 0.0, max_iter))
+        assert got == rows(run_solver(small_lasso(), spec, 1.0, 0.0, max_iter))
 
 
 # the shipped desk configs' problem parameters, and a small TV instance
@@ -254,7 +253,6 @@ def test_reference_above_the_floor_matches_a_traced_run(name, monkeypatch):
 
 FLAGGED = {
     "lasso": lambda seed: make_lasso(m=40, n=120, sparsity=6, seed=seed),
-    "lasso-x": lambda seed: make_lasso(m=40, n=120, sparsity=6, seed=seed, data_block="x"),
     "qp_box": lambda seed: make_qp_box(n=30, seed=seed),
     "feasibility": lambda seed: make_feasibility(alpha=math.pi / 5, seed=seed),
 }

@@ -98,13 +98,24 @@ def test_unknown_flag_is_usage_error(capsys):
     ["solve", "--q", "3"],
     ["solve", "--phi", "1.9"],
     ["bench", "--config", os.path.join(os.path.dirname(__file__), "data", "variant.cfg")],
+    ["angles", "--window", "0"],
+    ["angles", "--window", "-5"],
+    # an image that cannot be read or decoded
+    ["inpaint", "--image", os.path.join(os.path.dirname(__file__), "data", "missing.pgm")],
+    ["inpaint", "--image", os.path.join(os.path.dirname(__file__), "data", "truncated.pgm")],
+    # size flags that the problem would not read
+    ["bench", "--problem", "qp", "--m", "7", "--sparsity", "3"],
+    ["bench", "--problem", "bp-l12", "--sparsity", "3"],
+    ["bench", "--problem", "bp-nuclear", "--m", "10"],
 ], ids=["inpaint-iters", "solve-q", "solve-phi", "bench-no-solvers", "inpaint-density",
         "inpaint-no-pixel-observed", "bench-alpha", "solve-m", "bench-gamma", "solve-gamma",
         "bench-gamma-text", "solve-gamma-text", "solve-gamma-rule-without-norm",
         "bench-gamma-rule-without-norm", "bench-tol-nan", "bench-qp-n", "solve-qp-n",
         "bench-tv-size", "inpaint-size", "bench-variant", "angles-s", "inpaint-tol",
         "spectra-problem", "solve-q-without-s", "solve-phi-without-relaxed",
-        "bench-config-variant"])
+        "bench-config-variant", "angles-window-0", "angles-window-negative",
+        "inpaint-missing-image", "inpaint-truncated-image", "bench-qp-m-sparsity",
+        "bench-bp-l12-sparsity", "bench-bp-nuclear-m"])
 def test_out_of_range_values_are_usage_errors(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -135,7 +146,7 @@ tol = 1e-10
 max_iter = 400
 seed = 3
 """)
-    values = parse_config_file(cfg)
+    values = parse_config_file(cfg, {"problem", "alpha", "gamma", "tol", "max_iter", "seed"})
     assert values["problem"] == "feasibility"
     out = tmp_path / "out"
     code = main(["solve", "--config", str(cfg), "--out", str(out)])
@@ -220,8 +231,9 @@ def test_inpaint_from_pgm(tmp_path):
 
 
 def test_runtime_failure_exit_code(tmp_path, capsys):
-    # the image file is read only when the instance is built
-    code = main(["inpaint", "--image", str(tmp_path / "missing.pgm")])
+    # an output directory that cannot be made fails at run time, after the checks
+    (tmp_path / "taken").write_text("a file, not a directory\n")
+    code = main(["inpaint", "--size", "8", "--iters", "1", "--out", str(tmp_path / "taken")])
     assert code == 1
     assert "failure" in capsys.readouterr().err
 

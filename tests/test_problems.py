@@ -184,8 +184,6 @@ def _qp_box_prox(inst):
 # each y-oracle against the plain prox of its block, at w itself
 @pytest.mark.parametrize("build,prox", [
     (lambda: make_lasso(m=16, n=48, sparsity=4, seed=3), _lasso_data_prox),
-    (lambda: make_lasso(m=16, n=48, sparsity=4, mu=0.3, seed=3, data_block="x"),
-     lambda inst: lambda w, gamma: soft_threshold_l1(w, 0.3 / gamma)),
     (lambda: lasso_on_data(np.random.default_rng(1).standard_normal((10, 6)),
                            np.arange(10.0), mu=0.5), _lasso_data_prox),
     (lambda: make_affine_constrained("l1", m=12, n=40, sparsity=3, seed=3),
@@ -194,7 +192,7 @@ def _qp_box_prox(inst):
     (lambda: make_feasibility(np.pi / 5, seed=3), _feasibility_prox),
     (lambda: make_tv_inpainting(size=6, seed=3),
      lambda inst: lambda w, gamma: soft_threshold_l1(w, 1.0 / gamma)),
-], ids=["lasso", "lasso-x", "lasso-data", "bp-l1", "qp-box", "feasibility", "tv"])
+], ids=["lasso", "lasso-data", "bp-l1", "qp-box", "feasibility", "tv"])
 def test_y_oracle_evaluates_the_prox_at_w(build, prox):
     inst = build()
     expected = prox(inst)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admmkit import prox
-from admmkit.prox import (AffineProjectionCache, EmptyBox, LinearMap, NotSymmetric,
+from admmkit.prox import (EmptyBox, LinearMap, NotSymmetric,
                           OverlappingGroups, ProxOracle, QuadraticSolveCache,
                           RankDeficient, affine_oracle, box_oracle, group_l12_oracle,
                           l1_oracle, nuclear_oracle, project_affine, prox_nuclear,
@@ -140,9 +140,8 @@ def test_project_affine_identity_and_idempotence():
                                f, atol=1e-12)
     K = rng.standard_normal((2, 5))
     f = rng.standard_normal(2)
-    cache = AffineProjectionCache(K)
-    p = project_affine(rng.standard_normal(5), K, f, cache)
-    np.testing.assert_allclose(project_affine(p, K, f, cache), p, atol=1e-10)
+    p = project_affine(rng.standard_normal(5), K, f)
+    np.testing.assert_allclose(project_affine(p, K, f), p, atol=1e-10)
     assert np.linalg.norm(K @ p - f) <= 1e-10 * (1 + np.linalg.norm(f))
 
 
@@ -155,7 +154,7 @@ def test_project_affine_hand_kkt():
 def test_project_affine_rank_deficient():
     K = np.array([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(RankDeficient):
-        AffineProjectionCache(K)
+        affine_oracle(K, np.zeros(2))
 
 
 def test_solve_regularized_quadratic_examples():
@@ -214,9 +213,8 @@ def test_cached_solves_match_scipy_cho_solve_bit_for_bit(case, monkeypatch):
     if case == "affine":
         K = rng.standard_normal((20, 60))
         f = rng.standard_normal(20)
-        cache = AffineProjectionCache(K)
-        factor, rhs = cache.factor, K @ rng.standard_normal(60) - f
-        solve = lambda w: project_affine(w, K, f, cache)
+        factor, rhs = scipy.linalg.cho_factor(K @ K.T), K @ rng.standard_normal(60) - f
+        solve = lambda w, oracle=affine_oracle(K, f): oracle.evaluate(w, 1.0)
         w = rng.standard_normal(60)
     else:
         K = rng.standard_normal((64, 200) if case == "wide" else (200, 64))

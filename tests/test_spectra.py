@@ -78,6 +78,10 @@ def test_classify_constant_sequence_undetermined():
 def test_classify_needs_enough_samples():
     with pytest.raises(InsufficientData):
         classify_trajectory([0.5] * 10, window=50)
+    # an empty or negative window would classify the whole series or drop its head
+    for window in (0, -5):
+        with pytest.raises(ValueError, match="window"):
+            classify_trajectory([0.5] * 10, window=window)
 
 
 def test_principal_angles_examples():

@@ -334,12 +334,11 @@ def general_step(problem, state, gamma, variant="standard", phi=1.0):
 
 @pytest.mark.parametrize("build,gamma", [
     (lambda: make_lasso(m=16, n=48, sparsity=4, seed=7), 0.7),
-    (lambda: make_lasso(m=16, n=48, sparsity=4, mu=0.3, seed=7, data_block="x"), 0.7),
     (lambda: make_affine_constrained("l1", m=12, n=40, sparsity=3, seed=7), 1.0),
     (lambda: make_qp_box(n=20, seed=7), 0.5),
     (lambda: make_feasibility(np.pi / 5, seed=7), 1.0),
     (lambda: make_tv_inpainting(size=8, seed=7), 1.0),
-], ids=["lasso", "lasso-x", "bp-l1", "qp_box", "feasibility", "tv"])
+], ids=["lasso", "bp-l1", "qp_box", "feasibility", "tv"])
 def test_step_equals_the_general_form_bit_for_bit(build, gamma):
     inst = build()
     z0 = np.random.default_rng(7).standard_normal(inst.problem.p)
