@@ -134,8 +134,10 @@ def extrapolation_step(window, ext, guard_b, state):
     cadence and the window is full, fits the difference recurrence and, if
     the companion is contractive (and, for s = inf, |1 - sum(c)| > 1e-12),
     predicts z_{k+s}, damps the increment by the safeguard a_k and sets
-    state.z_bar = z_k + a_k * increment.  Returns ||a_k * increment|| when a
-    prediction was applied, otherwise None (state.z_bar stays z_k).
+    state.z_bar = z_k + a_k * increment, without an image (the next step
+    forms K z_bar densely on a problem that carries one).  Returns
+    ||a_k * increment|| when a prediction was applied, otherwise None
+    (state.z_bar stays z_k).
     """
     k = state.k
     ex.push_difference(window, state.v)
@@ -189,7 +191,7 @@ def run_a3dmm(problem, config, extrap=None, trace=None, reference=None,
 
     state = IterateState.initial(problem, cfg.z0)
     window = ex.DiffWindow(problem.p, ext.q + 1) if ext is not None else None
-    z_prev2 = state.z  # z_{k-2} for three-point momentum
+    z_prev2, Kz_prev2 = state.z, state.Kz  # z_{k-2} and its image (three-point momentum)
     v_prev = None
     nv_prev = None
     guard_b = None
@@ -198,7 +200,7 @@ def run_a3dmm(problem, config, extrap=None, trace=None, reference=None,
     t0 = time.perf_counter()
 
     for k in range(1, cfg.max_iter + 1):
-        prev_z = state.z
+        prev_z, prev_Kz = state.z, state.Kz
         state, nv = checked_step(problem, state, cfg)
         v = state.v
         if k == 1:
@@ -219,8 +221,12 @@ def run_a3dmm(problem, config, extrap=None, trace=None, reference=None,
                     trace.applied_increments.append(applied)
                     extrapolated = True
             if not extrapolated and momentum is not None:
+                # momentum is linear in z, so a carried image moves with it
                 a_m, b_m = momentum
-                state.z_bar = inertial_predict(state.z, prev_z, z_prev2, a_m, b_m)
+                Kz = state.Kz
+                state.move_to(inertial_predict(state.z, prev_z, z_prev2, a_m, b_m),
+                              None if Kz is None
+                              else inertial_predict(Kz, prev_Kz, Kz_prev2, a_m, b_m))
 
         trace.append(TraceRow(
             k=k, norm_v=nv,
@@ -234,7 +240,7 @@ def run_a3dmm(problem, config, extrap=None, trace=None, reference=None,
         if converged:
             break
         v_prev, nv_prev = v, nv
-        z_prev2 = prev_z
+        z_prev2, Kz_prev2 = prev_z, prev_Kz
 
     trace.meta["converged"] = "1" if converged else "0"
     trace.meta["iterations"] = str(state.k)

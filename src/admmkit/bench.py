@@ -133,14 +133,14 @@ class RunConfig:
     max_iter: int = 2000
     solvers: tuple = DEFAULT_COMPARISON
     out_dir: Optional[str] = None
-    # problem-specific knobs
+    # problem-specific knobs; None leaves the constructor's default
     m: Optional[int] = None
     n: Optional[int] = None
     sparsity: Optional[int] = None
-    mu: float = 1.0
-    alpha: float = math.pi / 4
-    size: int = 64
-    mask_density: float = 0.5
+    mu: Optional[float] = None
+    alpha: Optional[float] = None
+    size: Optional[int] = None
+    mask_density: Optional[float] = None
     # accepted and ignored, as is run_solver's `inner`: every x-oracle is
     # exact; kept only because perfbench/pipeline.py still sets both
     inner_steps: int = 20
@@ -167,48 +167,50 @@ class RunConfig:
             s if isinstance(s, SolverSpec) else parse_solver_spec(s) for s in self.solvers)
 
 
-# the size knobs that each problem's constructor reads
-_SIZES_READ = {"lasso": ("m", "n", "sparsity"), "bp-l1": ("m", "n", "sparsity"),
-              "bp-l12": ("m", "n"), "qp": ("n",)}
+# the knobs that each problem's constructor reads
+_KNOBS_READ = {"lasso": ("m", "n", "sparsity", "mu"), "bp-l1": ("m", "n", "sparsity"),
+               "bp-l12": ("m", "n"), "bp-nuclear": (), "qp": ("n",),
+               "feasibility": ("alpha",), "tv": ("size", "mask_density", "image")}
 
 
 def build_instance(config):
     """Construct the gallery instance selected by a RunConfig.
 
-    A set m, n or sparsity that the problem does not read, an image file
-    that cannot be read or decoded, and a constructor's ValueError (a size,
-    density or angle out of range) are ConfigErrors.
+    A set knob that the problem does not read (see _KNOBS_READ), an image
+    file that cannot be read or decoded, and a constructor's ValueError (a
+    size, density or angle out of range) are ConfigErrors.
     """
     c = config
-    sizes = {key: value for key, value in (("m", c.m), ("n", c.n), ("sparsity", c.sparsity))
-             if value is not None}
-    for key in sizes:
-        if key not in _SIZES_READ.get(c.problem, ()):
+    knobs = {key: getattr(c, key) for key in
+             ("m", "n", "sparsity", "mu", "alpha", "size", "mask_density", "image")
+             if getattr(c, key) is not None}
+    for key in knobs:
+        if key not in _KNOBS_READ[c.problem]:
             raise ConfigError(f"{key}: problem {c.problem} does not read it")
     image = None
-    if c.problem == "tv" and c.image is not None:
+    if "image" in knobs:
+        if "size" in knobs:  # the image sets the size
+            raise ConfigError("size: problem tv does not read it with an image")
+        path = knobs.pop("image")
         try:
-            with open(c.image, "rb") as fh:
+            with open(path, "rb") as fh:
                 image = load_pgm(fh.read())
         except (OSError, FormatError) as exc:
-            raise ConfigError(f"image: cannot read {c.image}: {exc}") from None
+            raise ConfigError(f"image: cannot read {path}: {exc}") from None
         side = min(image.shape)
         image = image[:side, :side]
     try:
         if c.problem == "lasso":
-            return make_lasso(mu=c.mu, seed=c.seed, **sizes)
+            return make_lasso(seed=c.seed, **knobs)
         if c.problem.startswith("bp-"):
-            return make_affine_constrained(regularizer=c.problem[3:], seed=c.seed, **sizes)
+            return make_affine_constrained(regularizer=c.problem[3:], seed=c.seed, **knobs)
         if c.problem == "qp":
-            return make_qp_box(seed=c.seed, **sizes)
+            return make_qp_box(seed=c.seed, **knobs)
         if c.problem == "feasibility":
-            return make_feasibility(alpha=c.alpha, seed=c.seed)
-        if c.problem == "tv":
-            return make_tv_inpainting(image=image, mask_density=c.mask_density,
-                                      seed=c.seed, size=c.size)
+            return make_feasibility(seed=c.seed, **knobs)
+        return make_tv_inpainting(image=image, seed=c.seed, **knobs)
     except ValueError as exc:
         raise ConfigError(f"{c.problem}: {exc}") from None
-    raise ConfigError(f"problem: unknown problem {c.problem!r}")
 
 
 def penalty(config, instance):

@@ -177,9 +177,10 @@ def cmd_bench(args):
           f"extrapolated={reference.extrapolated}")
     for trace in traces:
         last = trace.rows[-1]
+        stop = "tol" if trace.meta["converged"] == "1" else "budget"
         reached = trace.iterations_to("dist_x", 1e-6)
         reach_txt = f"dist_x<=1e-6 at k={reached}" if reached is not None else "dist_x>1e-6"
-        print(f"  {trace.meta['solver']:<{width}}  iters={last.k:>6}  "
+        print(f"  {trace.meta['solver']:<{width}}  iters={last.k:>6}  stop={stop:<6}  "
               f"||v||={last.norm_v:.3e}  {reach_txt}")
     if run_cfg.out_dir:
         for quantity in ("dist_z", "cos_theta"):

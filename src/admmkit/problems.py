@@ -7,7 +7,9 @@ reference solution filled by a long reference run, and whether that
 solution is unique.  Every gallery problem has the split A x = y, with A
 the identity except for TV's image gradient; its y-oracle is J's own prox.
 Every oracle is an exact, stateless ProxOracle; the TV x-oracle solves its
-subproblem with one cached sparse factorization.
+subproblem with one cached sparse factorization.  A LASSO whose design has
+at least WIDE_IMAGE_MIN_ENTRIES entries also declares its data term as the
+split's `wide_lsq`, so its steps carry K z.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .prox import (GroupPartition, LinearMap, ProxOracle, affine_oracle, box_oracle,
-                   group_l12_oracle, l1_oracle, least_squares_oracle, nuclear_oracle,
+                   group_l12_oracle, l1_oracle, least_squares_block, nuclear_oracle,
                    smaller_gram, subspace_oracle, quadratic_oracle)
 from .splitting import SplitProblem
 
@@ -120,12 +122,23 @@ def _gaussian_sensing(rng, m, n):
     return K
 
 
+# make_lasso declares its y-block `wide_lsq` (steps carry K z) when K has at
+# least this many entries.  Per step the carry saves the y-solve's dense K r
+# and adds a gather of x's few nonzero columns of K and three passes of
+# length m.  Measured per plain step against the oracle step, on the same
+# instance (best of 11 alternating runs, one BLAS thread, 2-vCPU VM):
+# 64 x 256 +12%, 100 x 500 -3%, 128 x 512 -1%, 100 x 1000 -15%,
+# 128 x 1024 -14%, 200 x 2000 -36%; so the carry starts at 2^16 entries.
+WIDE_IMAGE_MIN_ENTRIES = 2 ** 16
+
+
 def make_lasso(m=64, n=256, sparsity=13, mu=1.0, seed=0):
     """l1-regularized least squares split as x = y.
 
     The x-block carries mu*||.||_1 and the y-block the quadratic data term
     0.5||K y - f||^2; f is the measurement of a planted `sparsity`-sparse
-    signal.
+    signal.  A K of at least WIDE_IMAGE_MIN_ENTRIES entries is declared as
+    the split's `wide_lsq`, so steps carry K z.
     """
     if not (0 < m < n):
         raise BadShape("need 0 < m < n")
@@ -141,10 +154,12 @@ def make_lasso(m=64, n=256, sparsity=13, mu=1.0, seed=0):
     f = K @ x_true
     # J(y) = 0.5 y'K'Ky + q'y + 0.5||f||^2 with q = -K'f, and the y-step
     # makes psi = K'Ky + q, so J(y) = 0.5 (y'psi + q'y + ||f||^2)
-    q, ff = -(K.T @ f), f @ f
-    problem = SplitProblem(l1_oracle(n, mu), least_squares_oracle(K, f),
+    y_oracle, wide = least_squares_block(K, f)  # wide, since m < n
+    q, ff = -wide.Ktf, f @ f
+    problem = SplitProblem(l1_oracle(n, mu), y_oracle,
                            r_value=lambda u: mu * np.abs(u).sum(),
-                           j_value=lambda y, psi: 0.5 * (y @ psi + y @ q + ff))
+                           j_value=lambda y, psi: 0.5 * (y @ psi + y @ q + ff),
+                           wide_lsq=wide if m * n >= WIDE_IMAGE_MIN_ENTRIES else None)
     nK = operator_norm(K)
     return ProblemInstance(
         problem=problem,
@@ -153,16 +168,30 @@ def make_lasso(m=64, n=256, sparsity=13, mu=1.0, seed=0):
         extra={"K": K, "f": f}, unique_solution=True)
 
 
+# the sizes each regularizer of make_affine_constrained reads
+_AFFINE_SIZES = {"l1": ("m", "n", "sparsity"), "l12": ("m", "n", "blocks", "block_size"),
+                 "nuclear": ("matrix_shape", "rank", "measurements")}
+
+
 def make_affine_constrained(regularizer="l1", m=None, n=None, sparsity=None,
-                            blocks=None, block_size=4, matrix_shape=(24, 24),
-                            rank=2, measurements=300, seed=0):
+                            blocks=None, block_size=None, matrix_shape=None,
+                            rank=None, measurements=None, seed=0):
     """min R(x) s.t. K x = f, split as x = y with the set on the y-block.
 
     `regularizer` picks R among the l1 norm (sparsity-sparse truth), the
     group l1,2 norm (`blocks` active blocks of `block_size`) and the nuclear
     norm (low-rank matrix truth observed through `measurements` Gaussian
-    functionals).
+    functionals).  A size left at None takes its default; a size that the
+    regularizer does not read (see _AFFINE_SIZES) raises BadShape.
     """
+    if regularizer not in _AFFINE_SIZES:
+        raise ValueError(f"unknown regularizer {regularizer!r}")
+    given = dict(m=m, n=n, sparsity=sparsity, blocks=blocks, block_size=block_size,
+                 matrix_shape=matrix_shape, rank=rank, measurements=measurements)
+    ignored = [key for key, value in given.items()
+               if value is not None and key not in _AFFINE_SIZES[regularizer]]
+    if ignored:
+        raise BadShape(f"{regularizer} does not read {', '.join(ignored)}")
     rng = np.random.default_rng(seed)
     if regularizer == "l1":
         m = 64 if m is None else m
@@ -180,6 +209,7 @@ def make_affine_constrained(regularizer="l1", m=None, n=None, sparsity=None,
         m = 64 if m is None else m
         n = 256 if n is None else n
         blocks = 8 if blocks is None else blocks
+        block_size = 4 if block_size is None else block_size
         if n % block_size != 0:
             raise BadShape("n must be a multiple of the block size")
         ngroups = n // block_size
@@ -194,10 +224,11 @@ def make_affine_constrained(regularizer="l1", m=None, n=None, sparsity=None,
         partition = GroupPartition(groups, n)
         r_value = lambda x: partition.norms(x).sum()
         desc = f"bp-l12(m={m},n={n},blocks={blocks}x{block_size},seed={seed})"
-    elif regularizer == "nuclear":
-        rows, cols = matrix_shape
+    else:
+        rows, cols = (24, 24) if matrix_shape is None else matrix_shape
+        rank = 2 if rank is None else rank
         n = rows * cols
-        m = measurements
+        m = 300 if measurements is None else measurements
         if not (0 < rank <= min(rows, cols)) or not (0 < m < n):
             raise BadShape("need rank <= min(shape) and measurements < rows*cols")
         K = _gaussian_sensing(rng, m, n)
@@ -207,8 +238,6 @@ def make_affine_constrained(regularizer="l1", m=None, n=None, sparsity=None,
         prox_r = nuclear_oracle((rows, cols), 1.0)
         r_value = lambda x: np.linalg.svd(x.reshape(rows, cols), compute_uv=False).sum()
         desc = f"bp-nuclear(shape={rows}x{cols},rank={rank},m={m},seed={seed})"
-    else:
-        raise ValueError(f"unknown regularizer {regularizer!r}")
     f = K @ x_true
     problem = SplitProblem(prox_r, affine_oracle(K, f, "affine-set"), r_value=r_value)
     nK = operator_norm(K)
@@ -249,7 +278,7 @@ def make_qp_box(n=50, seed=0):
     return inst
 
 
-def make_feasibility(alpha, seed=0):
+def make_feasibility(alpha=np.pi / 4, seed=0):
     """Two lines through the origin of the plane with angle alpha between them.
 
     Both blocks are orthogonal line projections; the unique common point is

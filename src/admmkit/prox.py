@@ -20,7 +20,13 @@ applies the matrix inversion lemma
     x = (r - K'(KK' + gamma*I)^{-1} K r) / gamma,
 
 for m >= n it factors K'K + gamma*I.  Building costs O(min(m,n)^2 max(m,n))
-and each solve O(mn); the cached factor has min(m,n)^2 entries.
+and each solve O(mn); the cached factor has min(m,n)^2 entries.  For a wide
+K an oracle solve makes two dense passes over K (K r and K't).
+`WideLeastSquares` declares the data term 0.5||K y - f||^2 of such a K to
+a step that carries the image K z: it takes K r = K z + KK'f from it and
+returns K y = t beside y, so a step makes one dense pass (K't), a gather of
+the x-iterate's nonzero columns of K and a few passes of length m.  It
+shares the oracle's cache: no second factor and no copy of K.
 
 Cached solves, here and in `affine_oracle`, go through LAPACK `potrs`
 after an explicit finiteness check of the right-hand side; the factor was
@@ -215,11 +221,55 @@ class QuadraticSolveCache:
 
     def solve(self, r, gamma):
         """x = (Q + gamma*I)^{-1} r; a non-finite r raises ValueError."""
-        factor = self.factor(gamma)
         K = self._wide
         if K is None:
-            return _cho_solve(factor, r)
-        return (r - K.T @ _cho_solve(factor, K @ r)) / gamma
+            return _cho_solve(self.factor(gamma), r)
+        return self.solve_wide(r, K @ r, gamma)[0]
+
+    def solve_wide(self, r, Kr, gamma):
+        """(x, K x) for x = (K'K + gamma*I)^{-1} r of a wide design, given Kr = K r.
+
+        With t = (KK' + gamma*I)^{-1} K r the matrix inversion lemma gives
+        x = (r - K't)/gamma, and K x = (K r - KK't)/gamma = t.  A non-finite
+        Kr raises ValueError.
+        """
+        t = _cho_solve(self.factor(gamma), Kr)
+        return (r - self._wide.T @ t) / gamma, t
+
+
+# `WideLeastSquares.image` gathers u's nonzero columns of K when at most
+# 1/SPARSE_IMAGE_SHARE of u is nonzero, else forms K u densely: a gathered
+# column is strided in K, and the measured crossover lay at 3-8% nonzero
+# for 100 x 500 and 200 x 2000 designs (one BLAS thread).
+SPARSE_IMAGE_SHARE = 20
+
+
+@dataclass(frozen=True)
+class WideLeastSquares:
+    """J(y) = 0.5||K y - f||^2 for a wide K, with its prox taken from the image K z.
+
+    `cache` is the oracle's own (one factor per gamma serves both) and K
+    its design; `Ktf` and `KKtf` are K'f and KK'f.
+    """
+
+    cache: QuadraticSolveCache
+    K: np.ndarray
+    Ktf: np.ndarray
+    KKtf: np.ndarray
+
+    def prox(self, z, Kz, gamma):
+        """(y, K y) for y = argmin J + (gamma/2)||y - z/gamma||^2, given Kz = K z.
+
+        y solves (K'K + gamma*I) y = r for r = z + K'f, and K r = Kz + KK'f.
+        """
+        return self.cache.solve_wide(z + self.Ktf, Kz + self.KKtf, gamma)
+
+    def image(self, u):
+        """K u, from the columns of u's nonzero entries when they are few."""
+        nz = u.nonzero()[0]
+        if nz.size * SPARSE_IMAGE_SHARE > u.size:
+            return self.K @ u
+        return self.K[:, nz] @ u[nz]
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +334,23 @@ def quadratic_oracle(Q, q, name="quadratic"):
 
 def least_squares_oracle(K, f, name="least-squares"):
     """Oracle of 0.5||K x - f||^2 with A = identity, solved through the smaller Gram matrix."""
+    return least_squares_block(K, f, name)[0]
+
+
+def least_squares_block(K, f, name="least-squares"):
+    """The oracle of 0.5||K x - f||^2 and, for a wide K, its WideLeastSquares.
+
+    Both share one QuadraticSolveCache; a K with no more columns than rows
+    gets None in place of the WideLeastSquares.
+    """
     K = np.asarray(K, dtype=float)
-    return _cached_quadratic_oracle(QuadraticSolveCache.from_design(K),
-                                    -(K.T @ np.asarray(f, dtype=float)), name)
+    f = np.asarray(f, dtype=float)
+    cache = QuadraticSolveCache.from_design(K)
+    Ktf = K.T @ f
+    oracle = _cached_quadratic_oracle(cache, -Ktf, name)
+    if K.shape[0] >= K.shape[1]:
+        return oracle, None
+    return oracle, WideLeastSquares(cache, K, Ktf, K @ Ktf)
 
 
 def _cached_quadratic_oracle(cache, q, name):

@@ -7,10 +7,16 @@ The one primal step, `variant_step`, runs the variant a SolverConfig names
 (standard, relaxed or symmetric).  It consumes the stepping point `z_bar`
 carried by the state (z_bar = z when no acceleration is active) and updates
 the blocks in the order y -> psi -> x -> z, which confines any acceleration
-of the iteration to the single variable z.  The dual step `dr_dual_step`
-runs the same fixed-point iteration through the conjugate proximal maps and
-serves as an equivalence oracle: Douglas-Rachford for the standard/relaxed
-scheme, Peaceman-Rachford for the symmetric one.
+of the iteration to the single variable z.  A step costs one call of each
+oracle, one apply of A and a few vector passes.  On a split that declares a
+wide least-squares y-block (`SplitProblem.wide_lsq`) the state also carries
+the image K z, and K z_bar when it is known; the y-step then runs from the
+image in place of `prox_j`, with one dense pass over K instead of two, and
+a prediction leaves K z_bar to be formed densely by the next step.  The
+dual step `dr_dual_step` runs the same fixed-point iteration through the
+conjugate proximal maps and serves as an equivalence oracle:
+Douglas-Rachford for the standard/relaxed scheme, Peaceman-Rachford for
+the symmetric one.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .prox import LinearMap, ProxOracle
+from .prox import LinearMap, ProxOracle, WideLeastSquares
 
 
 class BadRelaxation(ValueError):
@@ -52,7 +58,9 @@ class SplitProblem:
     x-block unless given, and is carried explicitly for the multiplier and
     constraint algebra.  `r_value(x)` and `j_value(y, psi)` give the finite
     parts of R and J; `j_value` also receives the step's multiplier psi,
-    an element of the subdifferential of J at y.
+    an element of the subdifferential of J at y.  `wide_lsq`, when given,
+    declares J = 0.5||K y - f||^2 for a wide K: steps then carry K z beside
+    z and take J's prox from it in place of `prox_j`.
     """
 
     prox_r: ProxOracle
@@ -60,12 +68,15 @@ class SplitProblem:
     A: Optional[LinearMap] = None
     r_value: Optional[callable] = None
     j_value: Optional[callable] = None
+    wide_lsq: Optional[WideLeastSquares] = None
 
     def __post_init__(self):
         if self.A is None:
             self.A = LinearMap.identity(self.prox_r.dim)
         if self.A.cols != self.prox_r.dim or self.A.rows != self.prox_j.dim:
             raise ValueError("prox oracle dimensions must match A")
+        if self.wide_lsq is not None and self.wide_lsq.K.shape[1] != self.prox_j.dim:
+            raise ValueError("the wide least-squares design must act on the y-block")
 
     @property
     def n(self):
@@ -94,21 +105,39 @@ class SplitProblem:
         return val
 
 
-@dataclass
 class IterateState:
     """Four-point state; `z_bar` is the point the next step starts from.
 
     Steps never write into a state's arrays, so after a plain step z_bar is
-    z itself; extrapolation and momentum assign a fresh z_bar.
+    z itself; extrapolation and momentum move it to a fresh point.  On a
+    `wide_lsq` problem `Kz` is K z and `Kz_bar` is K z_bar or None when
+    unknown.  `move_to` is the one place that sets z_bar, and it sets or
+    clears the image with it; assigning `z_bar` goes through it too, so a
+    point set without its image never meets a stale one.
     """
 
-    x: np.ndarray
-    y: np.ndarray
-    psi: np.ndarray
-    z: np.ndarray
-    z_bar: np.ndarray
-    v: Optional[np.ndarray]
-    k: int = 0
+    __slots__ = ("x", "y", "psi", "z", "v", "k", "Kz", "_z_bar", "_Kz_bar")
+
+    def __init__(self, x, y, psi, z, z_bar, v, k=0, Kz=None):
+        self.x, self.y, self.psi, self.z, self.v, self.k, self.Kz = x, y, psi, z, v, k, Kz
+        self.move_to(z_bar, Kz if z_bar is z else None)
+
+    @property
+    def z_bar(self):
+        return self._z_bar
+
+    @z_bar.setter
+    def z_bar(self, z_bar):
+        self.move_to(z_bar)
+
+    @property
+    def Kz_bar(self):
+        return self._Kz_bar
+
+    def move_to(self, z_bar, Kz_bar=None):
+        """Make z_bar the next stepping point, with its image K z_bar when known."""
+        self._z_bar = z_bar
+        self._Kz_bar = Kz_bar
 
     @classmethod
     def initial(cls, problem, z0=None):
@@ -116,8 +145,9 @@ class IterateState:
         z = np.zeros(p) if z0 is None else np.array(z0, dtype=float)
         if z.shape != (p,):
             raise BadStart(f"z0 has shape {z.shape}; expected ({p},)")
-        return cls(x=np.zeros(problem.n), y=np.zeros(problem.m),
-                   psi=np.zeros(p), z=z, z_bar=z, v=None, k=0)
+        lsq = problem.wide_lsq
+        return cls(x=np.zeros(problem.n), y=np.zeros(problem.m), psi=np.zeros(p), z=z,
+                   z_bar=z, v=None, k=0, Kz=None if lsq is None else lsq.K @ z)
 
 
 @dataclass
@@ -152,12 +182,23 @@ def variant_step(problem, state, config):
     (standard), phi*A x + (1 - phi)*y (relaxed, phi = config.phi; over-relaxed
     for phi in (1, 2)) or 2 A x - y (symmetric, which needs stronger
     assumptions than the standard scheme; run_a3dmm watches it for
-    Divergence).  Writes only into arrays it made.
+    Divergence).  On a `wide_lsq` problem the y-step runs from K z_bar
+    (formed densely when the state does not carry it) and returns t = K y,
+    so K psi = K z_bar - gamma*t and the new image is
+    K z = K z_bar + gamma*(K u - t), with K A x formed from A x's nonzero
+    entries.  Writes only into arrays it made.
     """
     gamma = config.gamma
     zb = state.z_bar
+    lsq = problem.wide_lsq
     try:
-        y = problem.prox_j.evaluate(zb / gamma, gamma)
+        if lsq is None:
+            y = problem.prox_j.evaluate(zb / gamma, gamma)
+        else:
+            Kzb = state.Kz_bar
+            if Kzb is None:
+                Kzb = lsq.K @ zb
+            y, t = lsq.prox(zb, Kzb, gamma)
     except Exception as exc:  # noqa: BLE001 - oracle failures become solver errors
         raise SubproblemFailure("y-subproblem failed") from exc
     psi = gamma * y
@@ -170,6 +211,23 @@ def variant_step(problem, state, config):
     except Exception as exc:  # noqa: BLE001
         raise SubproblemFailure("x-subproblem failed") from exc
     Ax = problem.A.apply(x)
+    z = gamma * _combine(config, Ax, y)
+    z += psi
+    Kz = None
+    if lsq is not None:
+        Kz = _combine(config, lsq.image(Ax), t)
+        Kz -= t
+        Kz *= gamma
+        Kz += Kzb
+    return IterateState(x=x, y=y, psi=psi, z=z, z_bar=z, v=z - state.z, k=state.k + 1,
+                        Kz=Kz)
+
+
+def _combine(config, Ax, y):
+    """The u of config.variant from A x and y: A x, phi*A x + (1 - phi)*y or 2 A x - y.
+
+    Images combine the same way (K A x and K y in place of A x and y).
+    """
     if config.variant == "symmetric":
         u = 2.0 * Ax
         u -= y
@@ -178,9 +236,7 @@ def variant_step(problem, state, config):
         u += (1.0 - config.phi) * y
     else:
         u = Ax
-    z = gamma * u
-    z += psi
-    return IterateState(x=x, y=y, psi=psi, z=z, z_bar=z, v=z - state.z, k=state.k + 1)
+    return u
 
 
 def inertial_predict(z, z_prev, z_prev2=None, a=0.0, b=0.0):

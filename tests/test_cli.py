@@ -107,6 +107,12 @@ def test_unknown_flag_is_usage_error(capsys):
     ["bench", "--problem", "qp", "--m", "7", "--sparsity", "3"],
     ["bench", "--problem", "bp-l12", "--sparsity", "3"],
     ["bench", "--problem", "bp-nuclear", "--m", "10"],
+    # problem knobs that the problem would not read
+    ["bench", "--problem", "qp", "--mu", "3", "--alpha", "0.2", "--size", "9",
+     "--mask-density", "0.3"],
+    ["bench", "--problem", "tv", "--mu", "2"],
+    ["solve", "--problem", "lasso", "--alpha", "0.5"],
+    ["angles", "--problem", "feasibility", "--mask-density", "0.3"],
 ], ids=["inpaint-iters", "solve-q", "solve-phi", "bench-no-solvers", "inpaint-density",
         "inpaint-no-pixel-observed", "bench-alpha", "solve-m", "bench-gamma", "solve-gamma",
         "bench-gamma-text", "solve-gamma-text", "solve-gamma-rule-without-norm",
@@ -115,11 +121,21 @@ def test_unknown_flag_is_usage_error(capsys):
         "spectra-problem", "solve-q-without-s", "solve-phi-without-relaxed",
         "bench-config-variant", "angles-window-0", "angles-window-negative",
         "inpaint-missing-image", "inpaint-truncated-image", "bench-qp-m-sparsity",
-        "bench-bp-l12-sparsity", "bench-bp-nuclear-m"])
+        "bench-bp-l12-sparsity", "bench-bp-nuclear-m", "bench-qp-problem-knobs",
+        "bench-tv-mu", "solve-lasso-alpha", "angles-feasibility-mask-density"])
 def test_out_of_range_values_are_usage_errors(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "failure" not in err
+
+
+def test_inpaint_refuses_a_size_beside_an_image(tmp_path, capsys):
+    path = tmp_path / "ramp.pgm"
+    path.write_bytes(b"P5 6 6 255\n" + bytes(range(0, 216, 6)))
+    assert main(["inpaint", "--image", str(path), "--size", "40", "--iters", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: size:")
+    assert main(["inpaint", "--image", str(path), "--iters", "1"]) == 0
+    assert "tv-inpaint(size=6," in capsys.readouterr().out
 
 
 def test_run_config_defaults_live_in_run_config():
@@ -172,6 +188,23 @@ def test_bench_subcommand(tmp_path, capsys):
     assert (tmp_path / "dist_z.svg").exists()
     [line] = [l for l in out.splitlines() if "reference" in l]
     assert re.fullmatch(r"  reference: iters=\d+  stop=tol  extrapolated=\d+", line)
+    solver_lines = [l for l in out.splitlines() if "iters=" in l and "reference" not in l]
+    assert len(solver_lines) == 2
+    for line in solver_lines:
+        assert re.fullmatch(r"  i?admm(\(0\.3\))? +iters= +\d+  stop=tol {5}"
+                            r"\|\|v\|\|=\S+  dist_x<=1e-6 at k=\d+", line), line
+
+
+def test_bench_reports_a_budget_stop(capsys):
+    # a run cut off by --max-iter still exits 0, but each solver line says so
+    cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "lasso.cfg")
+    assert main(["bench", "--config", cfg, "--max-iter", "20"]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines()
+             if "iters=" in l and "reference" not in l]
+    assert len(lines) == 4
+    for line in lines:
+        assert re.fullmatch(r"  \S+ +iters= +20  stop=budget  \|\|v\|\|=\S+  dist_x>1e-6",
+                            line), line
 
 
 def test_bench_reports_a_reference_at_the_rounding_floor(capsys):

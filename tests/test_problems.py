@@ -127,6 +127,14 @@ def test_affine_constrained_shapes():
         make_affine_constrained("huber")
 
 
+@pytest.mark.parametrize("reg,size", [("nuclear", dict(m=10)), ("l12", dict(sparsity=3)),
+                                      ("l1", dict(rank=3)), ("nuclear", dict(block_size=2))],
+                         ids=["nuclear-m", "l12-sparsity", "l1-rank", "nuclear-block-size"])
+def test_affine_constrained_refuses_sizes_its_regularizer_ignores(reg, size):
+    with pytest.raises(BadShape):
+        make_affine_constrained(reg, seed=0, **size)
+
+
 def test_qp_box_hand_oracles():
     # n=1, Q=2, q=-2: unconstrained minimizer of x^2 - 2x is 1 (interior)
     inst = qp_box_instance([[2.0]], [-2.0], [0.0], [10.0])

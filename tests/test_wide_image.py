@@ -1,0 +1,160 @@
+"""The carried image K z of a wide LASSO against the same instance stepped through its oracle."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from admmkit import a3dmm
+from admmkit.bench import compute_reference, parse_solver_spec, run_spec
+from admmkit.problems import WIDE_IMAGE_MIN_ENTRIES, make_lasso
+from admmkit.splitting import IterateState, SolverConfig, variant_step
+
+SPECS = ("admm", "relaxed(1.5)", "symmetric", "iadmm(0.3)", "iadmm(0.4,-0.2)",
+         "a3dmm(6,100)", "a3dmm(6,inf)")
+TOL, MAX_ITER = 1e-8, 3000
+
+
+@pytest.fixture(scope="module")
+def wide():
+    inst = make_lasso(m=100, n=700, sparsity=10, seed=0)
+    assert inst.problem.wide_lsq is not None
+    return inst
+
+
+def without_image(inst):
+    """The same instance and data, stepped through its y-oracle."""
+    return dataclasses.replace(inst, problem=dataclasses.replace(inst.problem, wide_lsq=None),
+                               reference=None)
+
+
+def rows(trace):
+    return [dataclasses.replace(r, ms=0.0) for r in trace.rows]
+
+
+def rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def test_the_image_is_carried_only_from_the_size_constant_on():
+    assert make_lasso().problem.wide_lsq is None  # 64 x 256, the desk LASSO
+    n = -(-WIDE_IMAGE_MIN_ENTRIES // 64)  # the narrowest 64-row design at the constant
+    assert make_lasso(m=64, n=n - 1, sparsity=5).problem.wide_lsq is None
+    assert make_lasso(m=64, n=n, sparsity=5).problem.wide_lsq is not None
+
+
+def test_a_design_off_the_y_block_is_refused(wide):
+    other = make_lasso(m=100, n=701, sparsity=10, seed=0)
+    with pytest.raises(ValueError):
+        dataclasses.replace(wide.problem, wide_lsq=other.problem.wide_lsq)
+
+
+def test_runs_with_the_image_match_runs_through_the_oracle(wide):
+    gamma = wide.gamma_default
+    plain = without_image(wide)
+    ref, ref_plain = (compute_reference(i, gamma, TOL, MAX_ITER) for i in (wide, plain))
+    assert (ref.iterations, ref.stop, ref.extrapolated) == \
+        (ref_plain.iterations, ref_plain.stop, ref_plain.extrapolated)
+    assert rel(ref.z, ref_plain.z) <= 1e-10
+    for text in SPECS:
+        spec = parse_solver_spec(text)
+        got = run_spec(wide, spec, gamma, TOL, MAX_ITER)
+        expected = run_spec(plain, spec, gamma, TOL, MAX_ITER)
+        assert got.state.k == expected.state.k, text
+        assert [r.extrapolated for r in got.trace.rows] == \
+            [r.extrapolated for r in expected.trace.rows], text
+        assert rel(got.state.z, expected.state.z) <= 1e-10, text
+
+
+@pytest.mark.parametrize("text", ["admm", "relaxed(1.5)", "symmetric", "iadmm(0.3)",
+                                  "iadmm(0.4,-0.2)"])
+def test_plain_and_momentum_runs_keep_z_at_every_row(wide, text, monkeypatch):
+    gamma = wide.gamma_default
+    recorded = []
+
+    def recording_step(problem, state, config):
+        state, nv = checked_step(problem, state, config)
+        recorded.append(state.z.copy())
+        return state, nv
+
+    checked_step = a3dmm.checked_step
+    monkeypatch.setattr(a3dmm, "checked_step", recording_step)
+    spec = parse_solver_spec(text)
+    run_spec(wide, spec, gamma, TOL, MAX_ITER)
+    with_image, recorded[:] = recorded[:], []
+    run_spec(without_image(wide), spec, gamma, TOL, MAX_ITER)
+    assert len(with_image) == len(recorded)
+    for k, (z, z_plain) in enumerate(zip(with_image, recorded), start=1):
+        assert rel(z, z_plain) <= 1e-13, (text, k)
+
+
+@pytest.mark.parametrize("text", ["admm", "symmetric", "iadmm(0.4,-0.2)", "a3dmm(6,inf)"])
+def test_the_carried_image_stays_at_rounding_level(wide, text):
+    # the y-step absorbs an error in the carried image (K psi uses the true
+    # K y), so the drift stays at rounding level without any refresh
+    result = run_spec(wide, parse_solver_spec(text), wide.gamma_default, 0.0, 400)
+    assert result.state.k == 400
+    Kz = wide.extra["K"] @ result.state.z
+    assert np.linalg.norm(Kz - result.state.Kz) <= 1e-12 * np.linalg.norm(Kz)
+
+
+class CountingProxy:
+    """A stand-in oracle with only evaluate, dim and name, counting its calls."""
+
+    def __init__(self, oracle):
+        self._oracle = oracle
+        self.dim, self.name = oracle.dim, oracle.name
+        self.calls = 0
+
+    def evaluate(self, w, gamma):
+        self.calls += 1
+        return self._oracle.evaluate(w, gamma)
+
+
+def test_wrapped_oracles_give_identical_rows(wide):
+    gamma = wide.gamma_default
+    wrapped = dataclasses.replace(wide, reference=None, problem=dataclasses.replace(
+        wide.problem, prox_r=CountingProxy(wide.problem.prox_r),
+        prox_j=CountingProxy(wide.problem.prox_j)))
+    compute_reference(wide, gamma, TOL, MAX_ITER)
+    compute_reference(wrapped, gamma, TOL, MAX_ITER)
+    for text in ("admm", "iadmm(0.3)", "a3dmm(6,inf)"):
+        spec = parse_solver_spec(text)
+        assert rows(run_spec(wrapped, spec, gamma, TOL, MAX_ITER).trace) == \
+            rows(run_spec(wide, spec, gamma, TOL, MAX_ITER).trace), text
+    assert wrapped.problem.prox_r.calls > 0
+    assert wrapped.problem.prox_j.calls == 0  # the y-step runs from the image
+
+
+def test_a_stepping_point_set_without_its_image_never_reuses_a_stale_one(wide):
+    problem, K = wide.problem, wide.extra["K"]
+    cfg = SolverConfig(gamma=wide.gamma_default)
+    state = variant_step(problem, IterateState.initial(problem), cfg)
+    assert state.Kz_bar is state.Kz
+    z_bar = state.z + 0.5 * state.v
+    state.z_bar = z_bar  # no image: the next step forms K z_bar itself
+    assert state.Kz_bar is None
+    dense = variant_step(problem, state, cfg)
+    state.move_to(z_bar, K @ z_bar)
+    carried = variant_step(problem, state, cfg)
+    for field in ("x", "y", "psi", "z", "Kz"):
+        assert np.array_equal(getattr(dense, field), getattr(carried, field)), field
+    state.move_to(z_bar, state.Kz)  # a stale image would move the step
+    assert not np.array_equal(variant_step(problem, state, cfg).z, dense.z)
+    # a state built around a point other than z starts without an image
+    moved = IterateState(x=state.x, y=state.y, psi=state.psi, z=state.z, z_bar=z_bar,
+                         v=state.v, k=state.k, Kz=state.Kz)
+    assert moved.Kz_bar is None
+
+
+def test_the_image_of_a_sparse_or_dense_vector_is_k_times_it(wide):
+    lsq, K = wide.problem.wide_lsq, wide.extra["K"]
+    rng = np.random.default_rng(3)
+    for nonzeros in (0, 3, 35, 36, 700):  # the gather serves up to 1/20 of the entries
+        u = np.zeros(K.shape[1])
+        u[rng.choice(u.size, nonzeros, replace=False)] = rng.standard_normal(nonzeros)
+        np.testing.assert_allclose(lsq.image(u), K @ u, rtol=1e-13, atol=1e-13)
+    y, t = lsq.prox(u, K @ u, 0.7)
+    np.testing.assert_allclose(t, K @ y, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(y, wide.problem.prox_j.evaluate(u / 0.7, 0.7),
+                               rtol=1e-12, atol=1e-12)
