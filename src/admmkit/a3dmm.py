@@ -133,8 +133,8 @@ def extrapolation_step(window, ext, guard_b, state):
     Pushes state.v into the window.  When k = state.k is a multiple of the
     cadence and the window is full, fits the difference recurrence and, if
     the companion is contractive (and, for s = inf, |1 - sum(c)| > 1e-12),
-    predicts z_{k+s}, damps the increment by the safeguard a_k and sets
-    state.z_bar = z_k + a_k * increment, without an image (the next step
+    predicts z_{k+s}, damps the increment by the safeguard a_k and moves
+    state to z_bar = z_k + a_k * increment, without an image (the next step
     forms K z_bar densely on a problem that carries one).  Returns
     ||a_k * increment|| when a prediction was applied, otherwise None
     (state.z_bar stays z_k).
@@ -154,7 +154,7 @@ def extrapolation_step(window, ext, guard_b, state):
     a_k = safeguard_coefficient(k, guard_b, ext.guard_delta, _norm(incr))
     if not a_k > 0.0:
         return None
-    state.z_bar = state.z + a_k * incr
+    state.move_to(state.z + a_k * incr)
     return _norm(a_k * incr)
 
 

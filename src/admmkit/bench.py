@@ -46,9 +46,9 @@ class SolverSpec:
 
     kind names the accelerator: "admm" (none), "iadmm" (momentum (a, b)) or
     "a3dmm" (window q, depth s).  variant names the scheme it steps:
-    "standard", "relaxed" (with relaxation phi) or "symmetric".  A value
-    that the SolverConfig or ExtrapConfig it turns into rejects raises
-    ValueError here.
+    "standard", "relaxed" (with relaxation phi) or "symmetric".  A
+    non-finite momentum, or a value that the SolverConfig or ExtrapConfig
+    it turns into rejects, raises ValueError here.
     """
 
     kind: str = "admm"
@@ -62,6 +62,8 @@ class SolverSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown solver kind {self.kind!r}; expected one of {KINDS}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"momentum (a, b) = ({self.a}, {self.b}) must be finite")
         # the range checks of the solver configs the spec turns into
         _solver_pieces(self, gamma=1.0, tol=0.0, max_iter=1, z0=None)
 

@@ -198,12 +198,18 @@ def cmd_angles(args):
     if window < 1:
         raise UsageError(f"--window must be at least 1, got {window}")
     run_cfg, instance, gamma = _build_run(args)
+    if run_cfg.max_iter < window:  # a run has at most max_iter angle samples
+        raise UsageError(f"max_iter {run_cfg.max_iter} is below the window {window}: "
+                         "the run can never fill it")
     result = run_spec(instance, SolverSpec(), gamma, run_cfg.tol, run_cfg.max_iter)
     values = result.trace.column("cos_theta")
     series = classify_trajectory(values, window=window)
     print(f"{instance.descriptor}: gamma={gamma:.6g}, {result.state.k} iterations")
     print(f"trajectory: {series.classification}")
-    print(f"trailing cos(theta): mean={series.limit:.8f}, half-band={series.band:.3e}")
+    if series.limit is None:  # too few angle samples in the window to estimate either
+        print("trailing cos(theta): mean=n/a, half-band=n/a")
+    else:
+        print(f"trailing cos(theta): mean={series.limit:.8f}, half-band={series.band:.3e}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         write_trace_csv(result.trace, os.path.join(args.out, "angles.csv"))

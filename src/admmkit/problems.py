@@ -7,9 +7,10 @@ reference solution filled by a long reference run, and whether that
 solution is unique.  Every gallery problem has the split A x = y, with A
 the identity except for TV's image gradient; its y-oracle is J's own prox.
 Every oracle is an exact, stateless ProxOracle; the TV x-oracle solves its
-subproblem with one cached sparse factorization.  A LASSO whose design has
-at least WIDE_IMAGE_MIN_ENTRIES entries also declares its data term as the
-split's `wide_lsq`, so its steps carry K z.
+subproblem with one cached sparse factorization.  A LASSO's data term is
+one `prox.WideLeastSquares`, which gives the y-oracle and, when its design
+is large enough to carry the image K z (`carries_image`), is also declared
+as the split's `wide_lsq`.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .prox import (GroupPartition, LinearMap, ProxOracle, affine_oracle, box_oracle,
-                   group_l12_oracle, l1_oracle, least_squares_block, nuclear_oracle,
-                   smaller_gram, subspace_oracle, quadratic_oracle)
+from .prox import (GroupPartition, LinearMap, ProxOracle, WideLeastSquares, affine_oracle,
+                   box_oracle, group_l12_oracle, l1_oracle, nuclear_oracle, subspace_oracle,
+                   quadratic_oracle)
 from .splitting import SplitProblem
 
 
@@ -92,7 +93,8 @@ class ProblemInstance:
 
 def operator_norm(K):
     """2-norm of a dense matrix: the root of the top eigenvalue of its smaller Gram matrix."""
-    G, _ = smaller_gram(np.asarray(K, dtype=float))
+    K = np.asarray(K, dtype=float)
+    G = K @ K.T if K.shape[0] < K.shape[1] else K.T @ K
     return float(np.sqrt(np.linalg.eigvalsh(G).max(initial=0.0)))
 
 
@@ -122,23 +124,14 @@ def _gaussian_sensing(rng, m, n):
     return K
 
 
-# make_lasso declares its y-block `wide_lsq` (steps carry K z) when K has at
-# least this many entries.  Per step the carry saves the y-solve's dense K r
-# and adds a gather of x's few nonzero columns of K and three passes of
-# length m.  Measured per plain step against the oracle step, on the same
-# instance (best of 11 alternating runs, one BLAS thread, 2-vCPU VM):
-# 64 x 256 +12%, 100 x 500 -3%, 128 x 512 -1%, 100 x 1000 -15%,
-# 128 x 1024 -14%, 200 x 2000 -36%; so the carry starts at 2^16 entries.
-WIDE_IMAGE_MIN_ENTRIES = 2 ** 16
-
-
 def make_lasso(m=64, n=256, sparsity=13, mu=1.0, seed=0):
     """l1-regularized least squares split as x = y.
 
     The x-block carries mu*||.||_1 and the y-block the quadratic data term
     0.5||K y - f||^2; f is the measurement of a planted `sparsity`-sparse
-    signal.  A K of at least WIDE_IMAGE_MIN_ENTRIES entries is declared as
-    the split's `wide_lsq`, so steps carry K z.
+    signal.  The data term is one WideLeastSquares; when it carries the
+    image (`carries_image`, K large enough) it is also the split's
+    `wide_lsq`, so steps carry K z.
     """
     if not (0 < m < n):
         raise BadShape("need 0 < m < n")
@@ -154,12 +147,12 @@ def make_lasso(m=64, n=256, sparsity=13, mu=1.0, seed=0):
     f = K @ x_true
     # J(y) = 0.5 y'K'Ky + q'y + 0.5||f||^2 with q = -K'f, and the y-step
     # makes psi = K'Ky + q, so J(y) = 0.5 (y'psi + q'y + ||f||^2)
-    y_oracle, wide = least_squares_block(K, f)  # wide, since m < n
-    q, ff = -wide.Ktf, f @ f
-    problem = SplitProblem(l1_oracle(n, mu), y_oracle,
+    term = WideLeastSquares(K, f)  # wide, since m < n
+    q, ff = -term.Ktf, f @ f
+    problem = SplitProblem(l1_oracle(n, mu), term.oracle(),
                            r_value=lambda u: mu * np.abs(u).sum(),
                            j_value=lambda y, psi: 0.5 * (y @ psi + y @ q + ff),
-                           wide_lsq=wide if m * n >= WIDE_IMAGE_MIN_ENTRIES else None)
+                           wide_lsq=term if term.carries_image else None)
     nK = operator_norm(K)
     return ProblemInstance(
         problem=problem,

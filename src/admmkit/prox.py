@@ -12,25 +12,17 @@ Every oracle is a `ProxOracle`: deterministic and, once built, free of
 mutable state apart from factorizations cached on first use, so one
 instance is safe to share across concurrent solves.
 
-Quadratic oracles share one cached solve of (Q + gamma*I) x = r.  When Q is
-the Gram matrix K'K of an m x n design K, the cache factors whichever Gram
-matrix is smaller: for m < n it factors the m x m matrix KK' + gamma*I and
-applies the matrix inversion lemma
-
-    x = (r - K'(KK' + gamma*I)^{-1} K r) / gamma,
-
-for m >= n it factors K'K + gamma*I.  Building costs O(min(m,n)^2 max(m,n))
-and each solve O(mn); the cached factor has min(m,n)^2 entries.  For a wide
-K an oracle solve makes two dense passes over K (K r and K't).
-`WideLeastSquares` declares the data term 0.5||K y - f||^2 of such a K to
-a step that carries the image K z: it takes K r = K z + KK'f from it and
-returns K y = t beside y, so a step makes one dense pass (K't), a gather of
-the x-iterate's nonzero columns of K and a few passes of length m.  It
-shares the oracle's cache: no second factor and no copy of K.
-
-Cached solves, here and in `affine_oracle`, go through LAPACK `potrs`
-after an explicit finiteness check of the right-hand side; the factor was
-checked once when `cho_factor` built it.
+Quadratic oracles go through one cached solve, `QuadraticSolveCache`, of
+(Q + gamma*I) x = r for a symmetric Q: one Cholesky factor per gamma, built
+on first use (`affine_oracle` factors its K K^T at gamma = 0 when built).
+A least-squares term 0.5||K x - f||^2 with an m x n design K is solved
+through the smaller Gram matrix: K'K for m >= n, and KK' with the matrix
+inversion lemma for m < n (`WideLeastSquares`, which also owns the size
+rule for steps that carry the image K z).  Building costs
+O(min(m,n)^2 max(m,n)) and each solve O(mn).  Cached solves go through
+LAPACK `potrs` after an explicit finiteness check of the right-hand side;
+the factor was checked once when `cho_factor` built it.  The reference
+`project_affine` factors on every call.
 """
 
 from __future__ import annotations
@@ -181,61 +173,36 @@ def project_affine(w, K, f):
     return w - K.T @ _cho_solve(scipy.linalg.cho_factor(K @ K.T), K @ w - f)
 
 
-def smaller_gram(K):
-    """The smaller of KK' and K'K for a dense K, and whether it is KK' (K wide)."""
-    wide = K.shape[0] < K.shape[1]
-    return (K @ K.T if wide else K.T @ K), wide
-
-
 class QuadraticSolveCache:
-    """Solves (Q + gamma*I) x = r with one Cholesky factor per gamma, built lazily.
-
-    Q is given densely, or as the Gram matrix K'K of a design K through
-    `from_design`, which never forms K'K when K is wide.
-    """
+    """Solves (Q + gamma*I) x = r for a symmetric Q, one Cholesky factor per gamma, built lazily."""
 
     def __init__(self, Q):
         Q = np.asarray(Q, dtype=float)
         if np.abs(Q - Q.T).max(initial=0.0) > 1e-10:
             raise NotSymmetric("Q must be symmetric")
-        self._gram = Q
-        self._wide = None  # the design K when Q = K'K is solved through KK'
+        self._Q = Q
         self._factors: dict[float, tuple] = {}
-
-    @classmethod
-    def from_design(cls, K):
-        """Cache for Q = K'K that factors the smaller of KK' and K'K."""
-        K = np.asarray(K, dtype=float)
-        cache = cls.__new__(cls)
-        cache._gram, wide = smaller_gram(K)
-        cache._wide = K if wide else None
-        cache._factors = {}
-        return cache
 
     def factor(self, gamma):
         key = float(gamma)
         if key not in self._factors:
-            G = self._gram
-            self._factors[key] = scipy.linalg.cho_factor(G + key * np.eye(G.shape[0]))
+            Q = self._Q
+            self._factors[key] = scipy.linalg.cho_factor(Q + key * np.eye(Q.shape[0]))
         return self._factors[key]
 
     def solve(self, r, gamma):
         """x = (Q + gamma*I)^{-1} r; a non-finite r raises ValueError."""
-        K = self._wide
-        if K is None:
-            return _cho_solve(self.factor(gamma), r)
-        return self.solve_wide(r, K @ r, gamma)[0]
+        return _cho_solve(self.factor(gamma), r)
 
-    def solve_wide(self, r, Kr, gamma):
-        """(x, K x) for x = (K'K + gamma*I)^{-1} r of a wide design, given Kr = K r.
 
-        With t = (KK' + gamma*I)^{-1} K r the matrix inversion lemma gives
-        x = (r - K't)/gamma, and K x = (K r - KK't)/gamma = t.  A non-finite
-        Kr raises ValueError.
-        """
-        t = _cho_solve(self.factor(gamma), Kr)
-        return (r - self._wide.T @ t) / gamma, t
-
+# A WideLeastSquares carries the image K z (`carries_image`) when K has at
+# least this many entries.  Per step the carry saves the y-solve's dense K r
+# and adds a gather of x's few nonzero columns of K and three passes of
+# length m.  Measured per plain step against the oracle step, on the same
+# instance (best of 11 alternating runs, one BLAS thread, 2-vCPU VM):
+# 64 x 256 +12%, 100 x 500 -3%, 128 x 512 -1%, 100 x 1000 -15%,
+# 128 x 1024 -14%, 200 x 2000 -36%; so the carry starts at 2^16 entries.
+WIDE_IMAGE_MIN_ENTRIES = 2 ** 16
 
 # `WideLeastSquares.image` gathers u's nonzero columns of K when at most
 # 1/SPARSE_IMAGE_SHARE of u is nonzero, else forms K u densely: a gathered
@@ -244,25 +211,49 @@ class QuadraticSolveCache:
 SPARSE_IMAGE_SHARE = 20
 
 
-@dataclass(frozen=True)
 class WideLeastSquares:
-    """J(y) = 0.5||K y - f||^2 for a wide K, with its prox taken from the image K z.
+    """J(y) = 0.5||K y - f||^2 for a wide m x n K, solved through one cache over KK'.
 
-    `cache` is the oracle's own (one factor per gamma serves both) and K
-    its design; `Ktf` and `KKtf` are K'f and KK'f.
+    J's prox solves (K'K + gamma*I) y = r, r = gamma*w + K'f, as
+    y = (r - K't)/gamma with t = (KK' + gamma*I)^{-1} K r = K y.  `oracle()`
+    is that prox as a ProxOracle: two dense passes over K (K r and K't).
+    `prox` takes K r from an image K z that a step carries and returns K y
+    beside y, so the step makes one dense pass and forms K x with `image`
+    from x's nonzero columns of K.  `carries_image` says whether K has the
+    WIDE_IMAGE_MIN_ENTRIES entries from which the carry pays.  `Ktf` and
+    `KKtf` are K'f and KK'f.
     """
 
-    cache: QuadraticSolveCache
-    K: np.ndarray
-    Ktf: np.ndarray
-    KKtf: np.ndarray
+    def __init__(self, K, f):
+        K = np.asarray(K, dtype=float)
+        self.K = K
+        self.Ktf = K.T @ np.asarray(f, dtype=float)
+        self.KKtf = K @ self.Ktf
+        self.carries_image = K.size >= WIDE_IMAGE_MIN_ENTRIES
+        self._cache = QuadraticSolveCache(K @ K.T)
+
+    def _solve(self, r, Kr, gamma):
+        """(y, K y) for y = (K'K + gamma*I)^{-1} r, given Kr = K r.
+
+        A non-finite Kr raises ValueError.
+        """
+        t = self._cache.solve(Kr, gamma)
+        return (r - self.K.T @ t) / gamma, t
+
+    def oracle(self, name="least-squares"):
+        """J's prox as a ProxOracle: evaluate(w, gamma) = argmin J + (gamma/2)||y - w||^2."""
+        def evaluate(w, gamma):
+            r = gamma * w + self.Ktf
+            return self._solve(r, self.K @ r, gamma)[0]
+
+        return ProxOracle(evaluate, self.K.shape[1], name)
 
     def prox(self, z, Kz, gamma):
         """(y, K y) for y = argmin J + (gamma/2)||y - z/gamma||^2, given Kz = K z.
 
-        y solves (K'K + gamma*I) y = r for r = z + K'f, and K r = Kz + KK'f.
+        Here r = z + K'f, so K r = Kz + KK'f.
         """
-        return self.cache.solve_wide(z + self.Ktf, Kz + self.KKtf, gamma)
+        return self._solve(z + self.Ktf, Kz + self.KKtf, gamma)
 
     def image(self, u):
         """K u, from the columns of u's nonzero entries when they are few."""
@@ -308,16 +299,17 @@ def box_oracle(lo, hi, name="box"):
 def affine_oracle(K, f, name="affine"):
     """Oracle of the indicator of {x : K x = f} with A = identity.
 
-    Evaluates the projection w - K^T (K K^T)^{-1} (K w - f) with one
-    Cholesky factor of K K^T, built here; a K without full row rank (K K^T
-    numerically singular) raises RankDeficient.
+    Evaluates the projection w - K^T (K K^T)^{-1} (K w - f) through a
+    QuadraticSolveCache over K K^T at gamma = 0, factored here; a K without
+    full row rank (K K^T numerically singular) raises RankDeficient.
     """
     K = np.asarray(K, dtype=float)
+    cache = QuadraticSolveCache(K @ K.T)
     try:
-        factor = scipy.linalg.cho_factor(K @ K.T)
+        cache.factor(0.0)
     except scipy.linalg.LinAlgError as exc:
         raise RankDeficient("K K^T is singular; K must have full row rank") from exc
-    return ProxOracle(lambda w, gamma: w - K.T @ _cho_solve(factor, K @ w - f),
+    return ProxOracle(lambda w, gamma: w - K.T @ cache.solve(K @ w - f, 0.0),
                       K.shape[1], name)
 
 
@@ -329,30 +321,17 @@ def subspace_oracle(basis, name="subspace"):
 
 def quadratic_oracle(Q, q, name="quadratic"):
     """Oracle of f = 0.5 x'Qx + q'x with A = identity, using a cached solve."""
-    return _cached_quadratic_oracle(QuadraticSolveCache(Q), np.asarray(q, dtype=float), name)
+    cache = QuadraticSolveCache(Q)
+    q = np.asarray(q, dtype=float)
+    return ProxOracle(lambda w, gamma: cache.solve(gamma * w - q, gamma), q.size, name)
 
 
 def least_squares_oracle(K, f, name="least-squares"):
-    """Oracle of 0.5||K x - f||^2 with A = identity, solved through the smaller Gram matrix."""
-    return least_squares_block(K, f, name)[0]
+    """Oracle of 0.5||K x - f||^2 with A = identity, solved through the smaller Gram matrix.
 
-
-def least_squares_block(K, f, name="least-squares"):
-    """The oracle of 0.5||K x - f||^2 and, for a wide K, its WideLeastSquares.
-
-    Both share one QuadraticSolveCache; a K with no more columns than rows
-    gets None in place of the WideLeastSquares.
+    A wide K goes through KK' (`WideLeastSquares`), any other through K'K.
     """
     K = np.asarray(K, dtype=float)
-    f = np.asarray(f, dtype=float)
-    cache = QuadraticSolveCache.from_design(K)
-    Ktf = K.T @ f
-    oracle = _cached_quadratic_oracle(cache, -Ktf, name)
-    if K.shape[0] >= K.shape[1]:
-        return oracle, None
-    return oracle, WideLeastSquares(cache, K, Ktf, K @ Ktf)
-
-
-def _cached_quadratic_oracle(cache, q, name):
-    return ProxOracle(lambda w, gamma: cache.solve(gamma * w - q, gamma), q.size, name)
-
+    if K.shape[0] < K.shape[1]:
+        return WideLeastSquares(K, f).oracle(name)
+    return quadratic_oracle(K.T @ K, -(K.T @ np.asarray(f, dtype=float)), name)

@@ -5,7 +5,8 @@ constraint A x - y = 0 of Boyd et al. 2011).  The solver state is the
 four-point tuple (x, y, psi, z) plus the latest difference v = z - z_prev.
 The one primal step, `variant_step`, runs the variant a SolverConfig names
 (standard, relaxed or symmetric).  It consumes the stepping point `z_bar`
-carried by the state (z_bar = z when no acceleration is active) and updates
+carried by the state (z_bar = z when no acceleration is active; an
+accelerator moves it with `IterateState.move_to`) and updates
 the blocks in the order y -> psi -> x -> z, which confines any acceleration
 of the iteration to the single variable z.  A step costs one call of each
 oracle, one apply of A and a few vector passes.  On a split that declares a
@@ -108,27 +109,23 @@ class SplitProblem:
 class IterateState:
     """Four-point state; `z_bar` is the point the next step starts from.
 
-    Steps never write into a state's arrays, so after a plain step z_bar is
-    z itself; extrapolation and momentum move it to a fresh point.  On a
-    `wide_lsq` problem `Kz` is K z and `Kz_bar` is K z_bar or None when
-    unknown.  `move_to` is the one place that sets z_bar, and it sets or
-    clears the image with it; assigning `z_bar` goes through it too, so a
-    point set without its image never meets a stale one.
+    A state starts at z_bar = z (with Kz_bar = Kz), and steps never write
+    into a state's arrays, so after a plain step z_bar is z itself;
+    extrapolation and momentum move it to a fresh point.  On a `wide_lsq`
+    problem `Kz` is K z and `Kz_bar` is K z_bar or None when unknown.
+    `move_to` is the one setter of z_bar, and it sets or clears the image
+    with it, so a point set without its image never meets a stale one.
     """
 
     __slots__ = ("x", "y", "psi", "z", "v", "k", "Kz", "_z_bar", "_Kz_bar")
 
-    def __init__(self, x, y, psi, z, z_bar, v, k=0, Kz=None):
+    def __init__(self, x, y, psi, z, v, k=0, Kz=None):
         self.x, self.y, self.psi, self.z, self.v, self.k, self.Kz = x, y, psi, z, v, k, Kz
-        self.move_to(z_bar, Kz if z_bar is z else None)
+        self.move_to(z, Kz)
 
     @property
     def z_bar(self):
         return self._z_bar
-
-    @z_bar.setter
-    def z_bar(self, z_bar):
-        self.move_to(z_bar)
 
     @property
     def Kz_bar(self):
@@ -147,7 +144,7 @@ class IterateState:
             raise BadStart(f"z0 has shape {z.shape}; expected ({p},)")
         lsq = problem.wide_lsq
         return cls(x=np.zeros(problem.n), y=np.zeros(problem.m), psi=np.zeros(p), z=z,
-                   z_bar=z, v=None, k=0, Kz=None if lsq is None else lsq.K @ z)
+                   v=None, k=0, Kz=None if lsq is None else lsq.K @ z)
 
 
 @dataclass
@@ -219,8 +216,7 @@ def variant_step(problem, state, config):
         Kz -= t
         Kz *= gamma
         Kz += Kzb
-    return IterateState(x=x, y=y, psi=psi, z=z, z_bar=z, v=z - state.z, k=state.k + 1,
-                        Kz=Kz)
+    return IterateState(x=x, y=y, psi=psi, z=z, v=z - state.z, k=state.k + 1, Kz=Kz)
 
 
 def _combine(config, Ax, y):

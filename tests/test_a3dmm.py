@@ -153,7 +153,7 @@ def test_momentum_run_matches_manual_inertial_iteration():
     for k, row in enumerate(res.trace.rows, start=1):
         state = variant_step(inst.problem, state, SolverConfig(gamma=1.0))
         np.testing.assert_allclose(np.linalg.norm(state.v), row.norm_v, atol=1e-14)
-        state.z_bar = inertial_predict(state.z, zs[-1], zs[-2], 0.4, -0.2)
+        state.move_to(inertial_predict(state.z, zs[-1], zs[-2], 0.4, -0.2))
         zs.append(state.z.copy())
 
 

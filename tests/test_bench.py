@@ -92,9 +92,10 @@ def test_parse_solver_specs():
     assert parse_solver_spec("a3dmm(6,100)").s == 100
     assert parse_solver_spec("relaxed(1.5)") == SolverSpec(variant="relaxed", phi=1.5)
     assert parse_solver_spec("symmetric") == SolverSpec(variant="symmetric")
-    # the last three fail ExtrapConfig's and SolverConfig's own range checks
+    # then ExtrapConfig's and SolverConfig's own range checks, then non-finite momentum
     for bad in ("nope", "admm(1)", "iadmm()", "a3dmm(6)", "a3dmm(6,two)",
-                "a3dmm(6,0)", "a3dmm(40,inf)", "relaxed(2.5)"):
+                "a3dmm(6,0)", "a3dmm(40,inf)", "relaxed(2.5)",
+                "iadmm(nan)", "iadmm(inf)", "iadmm(0.3,nan)", "iadmm(0.3,-inf)"):
         with pytest.raises(ConfigError):
             parse_solver_spec(bad)
 

@@ -113,6 +113,12 @@ def test_unknown_flag_is_usage_error(capsys):
     ["bench", "--problem", "tv", "--mu", "2"],
     ["solve", "--problem", "lasso", "--alpha", "0.5"],
     ["angles", "--problem", "feasibility", "--mask-density", "0.3"],
+    # non-finite momentum
+    ["bench", "--problem", "feasibility", "--solvers", "iadmm(nan)"],
+    ["bench", "--problem", "feasibility", "--solvers", "iadmm(inf)"],
+    ["bench", "--problem", "feasibility", "--solvers", "iadmm(0.3,nan)"],
+    # a budget too short for one window of angle samples
+    ["angles", "--problem", "feasibility", "--tol", "0", "--max-iter", "20"],
 ], ids=["inpaint-iters", "solve-q", "solve-phi", "bench-no-solvers", "inpaint-density",
         "inpaint-no-pixel-observed", "bench-alpha", "solve-m", "bench-gamma", "solve-gamma",
         "bench-gamma-text", "solve-gamma-text", "solve-gamma-rule-without-norm",
@@ -122,7 +128,8 @@ def test_unknown_flag_is_usage_error(capsys):
         "bench-config-variant", "angles-window-0", "angles-window-negative",
         "inpaint-missing-image", "inpaint-truncated-image", "bench-qp-m-sparsity",
         "bench-bp-l12-sparsity", "bench-bp-nuclear-m", "bench-qp-problem-knobs",
-        "bench-tv-mu", "solve-lasso-alpha", "angles-feasibility-mask-density"])
+        "bench-tv-mu", "solve-lasso-alpha", "angles-feasibility-mask-density",
+        "bench-iadmm-nan", "bench-iadmm-inf", "bench-iadmm-b-nan", "angles-budget-below-window"])
 def test_out_of_range_values_are_usage_errors(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -226,6 +233,23 @@ def test_angles_subcommand(tmp_path, capsys):
     instance = make_feasibility(alpha=1.0471975511965976, seed=0)
     assert_same_run(tmp_path / "angles.csv",
                     run_spec(instance, SolverSpec(), 1.0, 0.0, 300), tmp_path)
+
+
+def test_angles_reports_an_undetermined_trajectory_without_estimates(capsys):
+    # a stagnated run: most angle samples are absent, so no mean or band
+    code = main(["angles", "--problem", "feasibility", "--alpha", "1.0", "--tol", "0",
+                 "--max-iter", "60", "--window", "60"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "trajectory: undetermined" in out
+    assert "mean=n/a, half-band=n/a" in out
+
+
+def test_angles_run_that_stops_short_of_the_window_is_a_runtime_failure(capsys):
+    code = main(["angles", "--problem", "feasibility", "--tol", "1e-6", "--max-iter", "2000",
+                 "--window", "2000"])
+    assert code == 1
+    assert "failure" in capsys.readouterr().err
 
 
 def test_spectra_subcommand(tmp_path, capsys):

@@ -8,8 +8,8 @@ from admmkit import prox
 from admmkit.prox import (EmptyBox, LinearMap, NotSymmetric,
                           OverlappingGroups, ProxOracle, QuadraticSolveCache,
                           RankDeficient, affine_oracle, box_oracle, group_l12_oracle,
-                          l1_oracle, nuclear_oracle, project_affine, prox_nuclear,
-                          quadratic_oracle, soft_threshold_l1, subspace_oracle)
+                          l1_oracle, least_squares_oracle, nuclear_oracle, project_affine,
+                          prox_nuclear, quadratic_oracle, soft_threshold_l1, subspace_oracle)
 
 
 def zero_oracle(n, name="zero"):
@@ -190,43 +190,60 @@ def test_solve_regularized_quadratic_residual_and_symmetry():
 @pytest.mark.parametrize("shape", [(5, 12), (12, 5), (7, 7), None],
                          ids=["wide", "tall", "square", "dense-Q"])
 def test_quadratic_solve_cache_matches_dense_solve(shape):
+    # a design K goes through the least-squares oracle: KK' and the
+    # inversion lemma when wide, K'K otherwise
     rng = np.random.default_rng(4)
     if shape is None:
         G = rng.standard_normal((9, 9))
         Q = G.T @ G
-        cache = QuadraticSolveCache(Q)
+        solve = QuadraticSolveCache(Q).solve
     else:
         K = rng.standard_normal(shape)
+        f = rng.standard_normal(shape[0])
         Q = K.T @ K
-        cache = QuadraticSolveCache.from_design(K)
+        oracle = least_squares_oracle(K, f)
+        solve = lambda r, gamma: oracle.evaluate((r - K.T @ f) / gamma, gamma)
     n = Q.shape[0]
     r = rng.standard_normal(n)
     for gamma in (0.3, 7.0):
-        np.testing.assert_allclose(cache.solve(r, gamma),
+        np.testing.assert_allclose(solve(r, gamma),
                                    np.linalg.solve(Q + gamma * np.eye(n), r),
                                    rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("case", ["wide", "tall", "affine"])
-def test_cached_solves_match_scipy_cho_solve_bit_for_bit(case, monkeypatch):
+def test_cached_solves_match_scipy_cho_solve_bit_for_bit(case):
     rng = np.random.default_rng(7)
+    gamma = 1.0 if case == "affine" else 0.7
+    K = rng.standard_normal({"wide": (64, 200), "tall": (200, 64), "affine": (20, 60)}[case])
+    f = rng.standard_normal(K.shape[0])
+    w = rng.standard_normal(K.shape[1])
+    rhs = rng.standard_normal(min(K.shape))
     if case == "affine":
-        K = rng.standard_normal((20, 60))
-        f = rng.standard_normal(20)
-        factor, rhs = scipy.linalg.cho_factor(K @ K.T), K @ rng.standard_normal(60) - f
-        solve = lambda w, oracle=affine_oracle(K, f): oracle.evaluate(w, 1.0)
-        w = rng.standard_normal(60)
+        fast = affine_oracle(K, f).evaluate(w, gamma)
+        factor = scipy.linalg.cho_factor(K @ K.T)
+        expected = w - K.T @ scipy.linalg.cho_solve(factor, K @ w - f)
+    elif case == "wide":
+        fast = least_squares_oracle(K, f).evaluate(w, gamma)
+        factor = scipy.linalg.cho_factor(K @ K.T + gamma * np.eye(K.shape[0]))
+        r = gamma * w + K.T @ f
+        expected = (r - K.T @ scipy.linalg.cho_solve(factor, K @ r)) / gamma
     else:
-        K = rng.standard_normal((64, 200) if case == "wide" else (200, 64))
-        cache = QuadraticSolveCache.from_design(K)
-        factor = cache.factor(0.7)
-        rhs = rng.standard_normal(factor[0].shape[0])
-        solve = lambda w: cache.solve(w, 0.7)
-        w = rng.standard_normal(K.shape[1])
+        fast = least_squares_oracle(K, f).evaluate(w, gamma)
+        factor = scipy.linalg.cho_factor(K.T @ K + gamma * np.eye(K.shape[1]))
+        expected = scipy.linalg.cho_solve(factor, gamma * w + K.T @ f)
     assert np.array_equal(prox._cho_solve(factor, rhs), scipy.linalg.cho_solve(factor, rhs))
-    fast = solve(w)
-    monkeypatch.setattr(prox, "_cho_solve", scipy.linalg.cho_solve)
-    assert np.array_equal(fast, solve(w))
+    assert np.array_equal(fast, expected)
+
+
+def test_affine_oracle_is_the_reference_projection_bit_for_bit():
+    rng = np.random.default_rng(8)
+    K = rng.standard_normal((15, 40))
+    f = rng.standard_normal(15)
+    oracle = affine_oracle(K, f)
+    for gamma in (0.5, 3.0):
+        w = rng.standard_normal(40)
+        assert np.array_equal(oracle.evaluate(w, gamma), project_affine(w, K, f))
 
 
 def test_cached_solve_rejects_a_non_finite_right_hand_side():

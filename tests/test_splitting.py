@@ -329,7 +329,7 @@ def general_step(problem, state, gamma, variant="standard", phi=1.0):
         z = psi + gamma * (phi * Ax - (1.0 - phi) * (By - b))
     else:
         z = psi + gamma * Ax
-    return IterateState(x=x, y=y, psi=psi, z=z, z_bar=z.copy(), v=z - state.z, k=state.k + 1)
+    return IterateState(x=x, y=y, psi=psi, z=z, v=z - state.z, k=state.k + 1)
 
 
 @pytest.mark.parametrize("build,gamma", [

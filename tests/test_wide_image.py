@@ -7,7 +7,8 @@ import pytest
 
 from admmkit import a3dmm
 from admmkit.bench import compute_reference, parse_solver_spec, run_spec
-from admmkit.problems import WIDE_IMAGE_MIN_ENTRIES, make_lasso
+from admmkit.problems import make_lasso
+from admmkit.prox import WIDE_IMAGE_MIN_ENTRIES
 from admmkit.splitting import IterateState, SolverConfig, variant_step
 
 SPECS = ("admm", "relaxed(1.5)", "symmetric", "iadmm(0.3)", "iadmm(0.4,-0.2)",
@@ -132,7 +133,9 @@ def test_a_stepping_point_set_without_its_image_never_reuses_a_stale_one(wide):
     state = variant_step(problem, IterateState.initial(problem), cfg)
     assert state.Kz_bar is state.Kz
     z_bar = state.z + 0.5 * state.v
-    state.z_bar = z_bar  # no image: the next step forms K z_bar itself
+    with pytest.raises(AttributeError):
+        state.z_bar = z_bar  # move_to is the one setter
+    state.move_to(z_bar)  # no image: the next step forms K z_bar itself
     assert state.Kz_bar is None
     dense = variant_step(problem, state, cfg)
     state.move_to(z_bar, K @ z_bar)
@@ -141,10 +144,10 @@ def test_a_stepping_point_set_without_its_image_never_reuses_a_stale_one(wide):
         assert np.array_equal(getattr(dense, field), getattr(carried, field)), field
     state.move_to(z_bar, state.Kz)  # a stale image would move the step
     assert not np.array_equal(variant_step(problem, state, cfg).z, dense.z)
-    # a state built around a point other than z starts without an image
-    moved = IterateState(x=state.x, y=state.y, psi=state.psi, z=state.z, z_bar=z_bar,
-                         v=state.v, k=state.k, Kz=state.Kz)
-    assert moved.Kz_bar is None
+    # a new state starts from its own z, with its own image
+    fresh = IterateState(x=state.x, y=state.y, psi=state.psi, z=state.z, v=state.v,
+                         k=state.k, Kz=state.Kz)
+    assert fresh.z_bar is state.z and fresh.Kz_bar is state.Kz
 
 
 def test_the_image_of_a_sparse_or_dense_vector_is_k_times_it(wide):
