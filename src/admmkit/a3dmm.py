@@ -61,10 +61,10 @@ class ExtrapConfig:
             raise ValueError(f"window size q must lie in [1, {ex.MAX_ORDER}]")
         if self.s != math.inf and (self.s < 1 or int(self.s) != self.s):
             raise ValueError("s must be a positive integer or inf")
-        if self.guard_b_rel <= 0:
-            raise ValueError("guard scale b_rel must be positive")
-        if self.guard_delta <= 0:
-            raise ValueError("guard exponent delta must be positive")
+        if not 0 < self.guard_b_rel < math.inf:  # NaN or inf would void the safeguard
+            raise ValueError(f"guard scale b_rel must be finite and positive: {self.guard_b_rel}")
+        if not 0 < self.guard_delta < math.inf:
+            raise ValueError(f"guard delta must be finite and positive: {self.guard_delta}")
 
     @property
     def cadence(self):

@@ -1,7 +1,8 @@
 """Experiment harness: solver comparisons, trace persistence and plots.
 
-A RunConfig names a gallery problem, a penalty rule and a comparison set of
-solver specifications.  The harness first computes a reference solution by
+A RunConfig names a gallery problem (a GALLERY entry), a penalty rule and a
+comparison set of solver specifications (each read through SPEC_FORMS, with
+a label of its own).  The harness first computes a reference solution by
 standard ADMM steps that keep no trace, accelerated as A3DMM(6, inf) when
 the instance's solution is unique; it stops at the first plain step (one
 that started from z_bar = z) with ||v_k|| <= tol/100 or at the rounding
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -81,47 +83,51 @@ class SolverSpec:
         return self.kind if self.variant == "standard" else self.variant
 
 
+# name -> (the SolverSpec fields its arguments fill, in order, each read with
+# the field's type; how many of them it needs; the fields the name fixes)
+SPEC_FORMS = {
+    "admm": ((), 0, {}),
+    "symmetric": ((), 0, {"variant": "symmetric"}),
+    "iadmm": (("a", "b"), 1, {"kind": "iadmm"}),
+    "a3dmm": (("q", "s"), 2, {"kind": "a3dmm"}),
+    "relaxed": (("phi",), 1, {"variant": "relaxed"}),
+}
+
+
 def parse_solver_spec(text):
     """Parse "admm", "iadmm(0.3)", "iadmm(0.4,-0.2)", "a3dmm(6,inf)", "relaxed(1.5)", "symmetric"."""
     text = text.strip()
-    if "(" in text:
-        if not text.endswith(")"):
-            raise ConfigError(f"solvers: unbalanced parentheses in {text!r}")
-        kind, args = text[:-1].split("(", 1)
-        parts = [p.strip() for p in args.split(",")] if args.strip() else []
-    else:
-        kind, parts = text, []
-    kind = kind.strip()
+    name, paren, args = text.partition("(")
+    if paren and not args.endswith(")"):
+        raise ConfigError(f"solvers: unbalanced parentheses in {text!r}")
+    name = name.strip()
+    if name not in SPEC_FORMS:
+        raise ConfigError(f"solvers: unknown solver kind {name!r}")
+    names, needed, fixed = SPEC_FORMS[name]
+    parts = [p.strip() for p in args[:-1].split(",")] if args[:-1].strip() else []
+    if not needed <= len(parts) <= len(names):
+        forms = (f"({','.join(names[:n])})" for n in range(needed, len(names) + 1))
+        raise ConfigError(f"solvers: {name} takes {' or '.join(forms)}, got {text!r}")
     try:
-        if kind == "admm" or kind == "symmetric":
-            if parts:
-                raise ConfigError(f"solvers: {kind} takes no arguments")
-            spec = SolverSpec(variant="symmetric") if kind == "symmetric" else SolverSpec()
-        elif kind == "iadmm":
-            if not 1 <= len(parts) <= 2:
-                raise ConfigError("solvers: iadmm takes (a) or (a,b)")
-            spec = SolverSpec(kind="iadmm", a=float(parts[0]),
-                              b=float(parts[1]) if len(parts) == 2 else 0.0)
-        elif kind == "a3dmm":
-            if len(parts) != 2:
-                raise ConfigError("solvers: a3dmm takes (q,s)")
-            s = math.inf if parts[1] in ("inf", "Inf", "INF") else float(parts[1])
-            spec = SolverSpec(kind="a3dmm", q=int(parts[0]), s=s)
-        elif kind == "relaxed":
-            if len(parts) != 1:
-                raise ConfigError("solvers: relaxed takes (phi)")
-            spec = SolverSpec(variant="relaxed", phi=float(parts[0]))
-        else:
-            raise ConfigError(f"solvers: unknown solver kind {kind!r}")
-    except ConfigError:
-        raise
+        return SolverSpec(**fixed, **{key: type(getattr(SolverSpec, key))(part)
+                                      for key, part in zip(names, parts)})
     except ValueError as exc:
         raise ConfigError(f"solvers: bad argument in {text!r}: {exc}") from None
-    return spec
 
 
 DEFAULT_COMPARISON = ("admm", "iadmm(0.3)", "a3dmm(6,100)", "a3dmm(6,inf)")
-PROBLEMS = ("lasso", "bp-l1", "bp-l12", "bp-nuclear", "qp", "feasibility", "tv")
+
+# problem name -> (its constructor, the RunConfig knobs that constructor reads)
+GALLERY = {
+    "lasso": (make_lasso, ("m", "n", "sparsity", "mu")),
+    "bp-l1": (partial(make_affine_constrained, "l1"), ("m", "n", "sparsity")),
+    "bp-l12": (partial(make_affine_constrained, "l12"), ("m", "n")),
+    "bp-nuclear": (partial(make_affine_constrained, "nuclear"), ()),
+    "qp": (make_qp_box, ("n",)),
+    "feasibility": (make_feasibility, ("alpha",)),
+    "tv": (make_tv_inpainting, ("size", "mask_density", "image")),
+}
+PROBLEMS = tuple(GALLERY)
 
 
 @dataclass
@@ -167,52 +173,40 @@ class RunConfig:
                                   f"{', '.join(GAMMA_RULES)}") from None
         self.solvers = tuple(
             s if isinstance(s, SolverSpec) else parse_solver_spec(s) for s in self.solvers)
-
-
-# the knobs that each problem's constructor reads
-_KNOBS_READ = {"lasso": ("m", "n", "sparsity", "mu"), "bp-l1": ("m", "n", "sparsity"),
-               "bp-l12": ("m", "n"), "bp-nuclear": (), "qp": ("n",),
-               "feasibility": ("alpha",), "tv": ("size", "mask_density", "image")}
+        labels = [s.label for s in self.solvers]  # each names a trace file and a legend entry
+        if len(set(labels)) < len(labels):
+            raise ConfigError(f"solvers: {max(labels, key=labels.count)} appears more than once")
 
 
 def build_instance(config):
     """Construct the gallery instance selected by a RunConfig.
 
-    A set knob that the problem does not read (see _KNOBS_READ), an image
-    file that cannot be read or decoded, and a constructor's ValueError (a
-    size, density or angle out of range) are ConfigErrors.
+    A set knob that the problem does not read (see GALLERY), an image file
+    that cannot be read or decoded, and a constructor's ValueError (a size,
+    density or angle out of range) are ConfigErrors.
     """
-    c = config
-    knobs = {key: getattr(c, key) for key in
+    make, reads = GALLERY[config.problem]
+    knobs = {key: getattr(config, key) for key in
              ("m", "n", "sparsity", "mu", "alpha", "size", "mask_density", "image")
-             if getattr(c, key) is not None}
+             if getattr(config, key) is not None}
     for key in knobs:
-        if key not in _KNOBS_READ[c.problem]:
-            raise ConfigError(f"{key}: problem {c.problem} does not read it")
-    image = None
+        if key not in reads:
+            raise ConfigError(f"{key}: problem {config.problem} does not read it")
     if "image" in knobs:
         if "size" in knobs:  # the image sets the size
             raise ConfigError("size: problem tv does not read it with an image")
-        path = knobs.pop("image")
+        path = knobs["image"]
         try:
             with open(path, "rb") as fh:
                 image = load_pgm(fh.read())
         except (OSError, FormatError) as exc:
             raise ConfigError(f"image: cannot read {path}: {exc}") from None
         side = min(image.shape)
-        image = image[:side, :side]
+        knobs["image"] = image[:side, :side]
     try:
-        if c.problem == "lasso":
-            return make_lasso(seed=c.seed, **knobs)
-        if c.problem.startswith("bp-"):
-            return make_affine_constrained(regularizer=c.problem[3:], seed=c.seed, **knobs)
-        if c.problem == "qp":
-            return make_qp_box(seed=c.seed, **knobs)
-        if c.problem == "feasibility":
-            return make_feasibility(seed=c.seed, **knobs)
-        return make_tv_inpainting(image=image, seed=c.seed, **knobs)
+        return make(seed=config.seed, **knobs)
     except ValueError as exc:
-        raise ConfigError(f"{c.problem}: {exc}") from None
+        raise ConfigError(f"{config.problem}: {exc}") from None
 
 
 def penalty(config, instance):

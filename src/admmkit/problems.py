@@ -15,6 +15,7 @@ as the split's `wide_lsq`.
 
 from __future__ import annotations
 
+import re
 import threading
 from dataclasses import dataclass, field
 from typing import Optional
@@ -456,75 +457,54 @@ def psnr(x, reference):
     return 10.0 * np.log10(1.0 / mse)
 
 
+# one PGM token at a position: the separators before it (whitespace, and '#'
+# comments that run to the end of the line), then its run of non-whitespace
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
+
+
 def load_pgm(data):
-    """Decode a P2 (ascii) or P5 (binary) PGM image to floats in [0, 1]."""
+    """Decode a P2 (ascii) or P5 (binary) PGM image to floats in [0, 1].
+
+    As Netpbm's PGM format requires, whitespace follows the magic number and
+    the header fields and ASCII samples are unsigned decimal integers.
+    """
     if not isinstance(data, (bytes, bytearray)):
         raise FormatError(0, "expected bytes")
     data = bytes(data)
+    magic = _PGM_TOKEN.match(data)
+    if magic.start(1) != 0 or magic[1] not in (b"P2", b"P5"):
+        raise FormatError(0, f"expected magic P2 or P5 and whitespace, got {data[:3]!r}")
+    pos = magic.end()
 
-    pos = 0
-
-    def skip_separators(required=True):
+    def integer(what):
         nonlocal pos
-        start = pos
-        while pos < len(data):
-            ch = data[pos:pos + 1]
-            if ch.isspace():
-                pos += 1
-            elif ch == b"#":
-                while pos < len(data) and data[pos:pos + 1] != b"\n":
-                    pos += 1
-            else:
-                break
-        if required and pos == start:
-            raise FormatError(pos, "expected whitespace")
-
-    def read_token():
-        nonlocal pos
-        skip_separators(required=False)
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise FormatError(start, "unexpected end of header")
-        return data[start:pos], start
-
-    magic = data[:2]
-    if magic not in (b"P2", b"P5"):
-        raise FormatError(0, f"unsupported magic {magic!r}")
-    pos = 2
-    dims = []
-    for _ in range(3):
-        token, at = read_token()
+        token = _PGM_TOKEN.match(data, pos)
+        text, at, pos = token[1], token.start(1), token.end()
+        if not text:
+            raise FormatError(at, "unexpected end of header")
         try:
-            dims.append(int(token))
-        except ValueError:
-            raise FormatError(at, f"bad header integer {token!r}") from None
-    width, height, maxval = dims
+            if text.isdigit():  # no sign or '_', which int() would take
+                return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+        raise FormatError(at, f"bad {what} {text!r}")
+
+    width, height, maxval = [integer("header integer") for _ in range(3)]
     if width <= 0 or height <= 0:
         raise FormatError(2, "non-positive dimensions")
     if not (0 < maxval <= 65535):
         raise FormatError(2, f"maxval {maxval} out of range")
     count = width * height
-    if magic == b"P2":
-        values = []
-        for _ in range(count):
-            token, at = read_token()
-            try:
-                values.append(int(token))
-            except ValueError:
-                raise FormatError(at, f"bad sample {token!r}") from None
-        arr = np.array(values, dtype=float)
+    if magic[1] == b"P2":
+        arr = np.array([integer("sample") for _ in range(count)], dtype=float)
     else:
-        if pos >= len(data) or not data[pos:pos + 1].isspace():
+        if not data[pos:pos + 1].isspace():
             raise FormatError(pos, "missing separator before raster")
         pos += 1
-        wide = maxval > 255
-        need = count * (2 if wide else 1)
-        raster = data[pos:pos + need]
-        if len(raster) < need:
+        dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+        raster = data[pos:pos + count * dtype.itemsize]
+        if len(raster) < count * dtype.itemsize:
             raise FormatError(pos + len(raster), "truncated raster")
-        dtype = ">u2" if wide else np.uint8
         arr = np.frombuffer(raster, dtype=dtype, count=count).astype(float)
     if arr.max(initial=0.0) > maxval:
         raise FormatError(pos, "sample exceeds maxval")

@@ -40,6 +40,27 @@ def test_extrap_config_validation():
     assert ExtrapConfig(q=4).cadence == 6
     with pytest.raises(ValueError):
         InnerSolver(max_steps=0)
+    # a NaN or infinite safeguard parameter would pin a_k at 1 or 0
+    for bad in (dict(guard_b_rel=math.nan), dict(guard_b_rel=math.inf),
+                dict(guard_delta=math.nan), dict(guard_delta=math.inf)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            ExtrapConfig(**bad)
+
+
+@pytest.mark.parametrize("build,gamma,tol", [
+    (lambda: make_lasso(seed=0), None, 1e-10),
+    (lambda: make_feasibility(np.pi / 6, seed=0), 1.0, 1e-12),
+])
+def test_safeguard_that_underflows_to_zero_rejects_every_prediction(build, gamma, tol):
+    # b = 5e-324 ||v_1|| makes a_k = 0 at every cadence point, so A3DMM is plain ADMM
+    inst = build()
+    cfg = SolverConfig(gamma=gamma or inst.gamma_default, tol=tol, max_iter=2000, z0=inst.z0)
+    plain = run_a3dmm(inst.problem, cfg)
+    damped = run_a3dmm(inst.problem, cfg, extrap=ExtrapConfig(guard_b_rel=5e-324))
+    assert plain.converged
+    assert rows_without_ms(damped.trace) == rows_without_ms(plain.trace)
+    assert damped.trace.applied_increments == []
+    assert run_a3dmm(inst.problem, cfg, extrap=ExtrapConfig()).trace.applied_increments
 
 
 def test_traces_are_deterministic():

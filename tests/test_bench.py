@@ -93,11 +93,14 @@ def test_parse_solver_specs():
     assert parse_solver_spec("relaxed(1.5)") == SolverSpec(variant="relaxed", phi=1.5)
     assert parse_solver_spec("symmetric") == SolverSpec(variant="symmetric")
     # then ExtrapConfig's and SolverConfig's own range checks, then non-finite momentum
-    for bad in ("nope", "admm(1)", "iadmm()", "a3dmm(6)", "a3dmm(6,two)",
+    for bad in ("nope", "bogus(1)", "admm(", "admm(1)", "iadmm()", "a3dmm(6)",
+                "a3dmm(6,100,1)", "relaxed()", "relaxed(1,2)", "a3dmm(6,two)",
                 "a3dmm(6,0)", "a3dmm(40,inf)", "relaxed(2.5)",
                 "iadmm(nan)", "iadmm(inf)", "iadmm(0.3,nan)", "iadmm(0.3,-inf)"):
         with pytest.raises(ConfigError):
             parse_solver_spec(bad)
+    with pytest.raises(ValueError, match="unknown solver kind"):
+        SolverSpec(kind="bogus")
 
 
 def test_run_config_validation_messages():
@@ -109,6 +112,9 @@ def test_run_config_validation_messages():
         RunConfig(problem="lasso", max_iter=0)
     with pytest.raises(ConfigError, match="inner_steps"):
         RunConfig(problem="tv", inner_steps=0)
+    # two specs with one label would write one trace file
+    with pytest.raises(ConfigError, match=r"solvers: iadmm\(0\.3\) appears more than once"):
+        RunConfig(problem="feasibility", solvers=("admm", "iadmm(0.3)", "iadmm(0.30)"))
 
 
 def test_run_experiment_writes_traces(tmp_path):

@@ -117,6 +117,8 @@ def test_unknown_flag_is_usage_error(capsys):
     ["bench", "--problem", "feasibility", "--solvers", "iadmm(nan)"],
     ["bench", "--problem", "feasibility", "--solvers", "iadmm(inf)"],
     ["bench", "--problem", "feasibility", "--solvers", "iadmm(0.3,nan)"],
+    # two specs with one label, whose traces would share a file
+    ["bench", "--problem", "feasibility", "--solvers", "admm;iadmm(0.3);iadmm(0.30)"],
     # a budget too short for one window of angle samples
     ["angles", "--problem", "feasibility", "--tol", "0", "--max-iter", "20"],
 ], ids=["inpaint-iters", "solve-q", "solve-phi", "bench-no-solvers", "inpaint-density",
@@ -129,7 +131,8 @@ def test_unknown_flag_is_usage_error(capsys):
         "inpaint-missing-image", "inpaint-truncated-image", "bench-qp-m-sparsity",
         "bench-bp-l12-sparsity", "bench-bp-nuclear-m", "bench-qp-problem-knobs",
         "bench-tv-mu", "solve-lasso-alpha", "angles-feasibility-mask-density",
-        "bench-iadmm-nan", "bench-iadmm-inf", "bench-iadmm-b-nan", "angles-budget-below-window"])
+        "bench-iadmm-nan", "bench-iadmm-inf", "bench-iadmm-b-nan", "bench-repeated-label",
+        "angles-budget-below-window"])
 def test_out_of_range_values_are_usage_errors(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -415,6 +415,36 @@ def test_load_pgm_examples():
     np.testing.assert_allclose(wide, [[1.0]])
 
 
+@pytest.mark.parametrize("payload,reason", [
+    ("P2 1 1 255 3", "expected bytes"),
+    (b"P3 1 1 255 0", "expected magic"),
+    (b"P21 1 255 3", "expected magic"),  # no whitespace after the magic number
+    (b"P2#c\n1 1 255 3", "expected magic"),
+    (b" P2 1 1 255 3", "expected magic"),
+    (b"P2 1 1", "end of header"),
+    (b"P2 1 1 255", "end of header"),  # the samples end early
+    (b"P2 +1 1 255 3", "bad header integer"),
+    (b"P2 1 1 2_55 3", "bad header integer"),
+    (b"P2 1 1 255#c\n3", "bad header integer"),
+    (b"P2 " + b"1" * 5000 + b" 1 255 3", "bad header integer"),  # past int()'s digit limit
+    (b"P2 0 1 255", "non-positive dimensions"),
+    (b"P2 1 1 0 0", "maxval 0 out of range"),
+    (b"P2 1 1 65536 0", "maxval 65536 out of range"),
+    (b"P2 1 1 255 -1", "bad sample"),
+    (b"P2 2 1 255 1 +7", "bad sample"),
+    (b"P2 1 1 255 3.0", "bad sample"),
+    (b"P5 1 1 255", "missing separator before raster"),
+    (b"P5 2 2 255\n\x00\x01", "truncated raster"),
+    (b"P5 1 1 256\n\x00", "truncated raster"),
+    (b"P2 2 1 10 5 11", "sample exceeds maxval"),
+    (b"P5 1 1 100\n\xff", "sample exceeds maxval"),
+])
+def test_load_pgm_rejects_malformed_payloads(payload, reason):
+    # header fields and ASCII samples are unsigned decimals, as Netpbm requires
+    with pytest.raises(FormatError, match=reason):
+        load_pgm(payload)
+
+
 def test_load_pgm_comments_and_16bit_binary():
     img = load_pgm(b"P2 # comment\n2 1 # another\n10\n5 10")
     np.testing.assert_allclose(img, [[0.5, 1.0]])
