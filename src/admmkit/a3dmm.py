@@ -59,7 +59,7 @@ class ExtrapConfig:
     def __post_init__(self):
         if not (1 <= self.q <= ex.MAX_ORDER):
             raise ValueError(f"window size q must lie in [1, {ex.MAX_ORDER}]")
-        if self.s != math.inf and (self.s < 1 or int(self.s) != self.s):
+        if not (self.s == math.inf or (self.s >= 1 and int(self.s) == self.s)):
             raise ValueError("s must be a positive integer or inf")
         if not 0 < self.guard_b_rel < math.inf:  # NaN or inf would void the safeguard
             raise ValueError(f"guard scale b_rel must be finite and positive: {self.guard_b_rel}")

@@ -13,10 +13,10 @@ per solver.  Plot emission writes standalone, byte-deterministic SVG files.
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__
 from .a3dmm import ExtrapConfig, checked_step, extrapolation_step, run_a3dmm
 from .extrapolate import DiffWindow
-from .problems import (GAMMA_RULES, FormatError, Reference, load_pgm,
-                       make_affine_constrained, make_feasibility, make_lasso, make_qp_box,
+from .problems import (GAMMA_RULES, FormatError, Reference, load_pgm, make_bp_l1, make_bp_l12,
+                       make_bp_nuclear, make_feasibility, make_lasso, make_qp_box,
                        make_tv_inpainting, resolve_gamma)
 from .splitting import IterateState, SolverConfig
 from .trace import Trace, TraceRow
@@ -117,17 +117,14 @@ def parse_solver_spec(text):
 
 DEFAULT_COMPARISON = ("admm", "iadmm(0.3)", "a3dmm(6,100)", "a3dmm(6,inf)")
 
-# problem name -> (its constructor, the RunConfig knobs that constructor reads)
-GALLERY = {
-    "lasso": (make_lasso, ("m", "n", "sparsity", "mu")),
-    "bp-l1": (partial(make_affine_constrained, "l1"), ("m", "n", "sparsity")),
-    "bp-l12": (partial(make_affine_constrained, "l12"), ("m", "n")),
-    "bp-nuclear": (partial(make_affine_constrained, "nuclear"), ()),
-    "qp": (make_qp_box, ("n",)),
-    "feasibility": (make_feasibility, ("alpha",)),
-    "tv": (make_tv_inpainting, ("size", "mask_density", "image")),
-}
+# problem name -> (its constructor, the names of its parameters): a problem reads
+# those KNOBS (RunConfig fields) that are its constructor's parameters
+GALLERY = {name: (make, frozenset(inspect.signature(make).parameters)) for name, make in (
+    ("lasso", make_lasso), ("bp-l1", make_bp_l1), ("bp-l12", make_bp_l12),
+    ("bp-nuclear", make_bp_nuclear), ("qp", make_qp_box), ("feasibility", make_feasibility),
+    ("tv", make_tv_inpainting))}
 PROBLEMS = tuple(GALLERY)
+KNOBS = ("m", "n", "sparsity", "mu", "alpha", "size", "mask_density", "image")
 
 
 @dataclass
@@ -186,9 +183,7 @@ def build_instance(config):
     density or angle out of range) are ConfigErrors.
     """
     make, reads = GALLERY[config.problem]
-    knobs = {key: getattr(config, key) for key in
-             ("m", "n", "sparsity", "mu", "alpha", "size", "mask_density", "image")
-             if getattr(config, key) is not None}
+    knobs = {key: getattr(config, key) for key in KNOBS if getattr(config, key) is not None}
     for key in knobs:
         if key not in reads:
             raise ConfigError(f"{key}: problem {config.problem} does not read it")

@@ -19,7 +19,6 @@ closed) when standard output is closed before the output is written, as in
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import fields
@@ -46,7 +45,7 @@ FLAGS = (
     ("--variant", ("solve",), dict(choices=VARIANTS)),
     ("--phi", ("solve",), dict(type=float, help="relaxation of --variant relaxed")),
     ("--q", ("solve",), dict(type=int, help="extrapolation window; needs --s")),
-    ("--s", ("solve",), dict(help="extrapolation depth: positive integer or 'inf'")),
+    ("--s", ("solve",), dict(type=float, help="extrapolation depth: positive integer or inf")),
     ("--tol", _RUN, dict(type=float)),
     ("--max-iter", _RUN, dict(type=int)),
     ("--out", _SOLVING + ("spectra",), dict(help="output directory")),
@@ -140,12 +139,10 @@ def _solve_spec(args):
         raise UsageError("--q needs --s: it is the window of the extrapolation --s turns on")
     if args.phi is not None and args.variant != "relaxed":
         raise UsageError("--phi needs --variant relaxed: it is that variant's relaxation")
-    spec = {key: value for key, value in
-            (("variant", args.variant), ("phi", args.phi), ("q", args.q)) if value is not None}
+    given = dict(variant=args.variant, phi=args.phi, q=args.q, s=args.s)
     try:
-        if args.s is not None:
-            spec.update(kind="a3dmm", s=math.inf if args.s.lower() == "inf" else int(args.s))
-        return SolverSpec(**spec)
+        return SolverSpec(kind="admm" if args.s is None else "a3dmm",
+                          **{key: value for key, value in given.items() if value is not None})
     except ValueError as exc:
         raise UsageError(f"solver flags: {exc}") from None
 
@@ -175,11 +172,13 @@ def cmd_bench(args):
     print(f"benchmark: {traces[0].meta['problem']}")
     print(f"  reference: iters={reference.iterations}  stop={reference.stop}  "
           f"extrapolated={reference.extrapolated}")
+    unsolved = reference.stop == "budget"  # then no distance to it measures anything
     for trace in traces:
         last = trace.rows[-1]
         stop = "tol" if trace.meta["converged"] == "1" else "budget"
         reached = trace.iterations_to("dist_x", 1e-6)
-        reach_txt = f"dist_x<=1e-6 at k={reached}" if reached is not None else "dist_x>1e-6"
+        reach_txt = ("dist_x n/a" if unsolved else "dist_x>1e-6" if reached is None
+                     else f"dist_x<=1e-6 at k={reached}")
         print(f"  {trace.meta['solver']:<{width}}  iters={last.k:>6}  stop={stop:<6}  "
               f"||v||={last.norm_v:.3e}  {reach_txt}")
     if run_cfg.out_dir:
@@ -190,6 +189,8 @@ def cmd_bench(args):
             except EmptySelection:  # a quantity no trace holds gets no plot
                 pass
         print(f"traces and plots written to {run_cfg.out_dir}")
+    if unsolved:  # a runtime failure, reported once everything above is printed
+        raise RuntimeError(f"the reference stopped on its budget of {reference.iterations} steps")
     return 0
 
 

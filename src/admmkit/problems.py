@@ -6,6 +6,8 @@ truth where one exists, a suggested starting point, a slot for the
 reference solution filled by a long reference run, and whether that
 solution is unique.  Every gallery problem has the split A x = y, with A
 the identity except for TV's image gradient; its y-oracle is J's own prox.
+The basis-pursuit builders (`make_bp_l1`, `make_bp_l12`, `make_bp_nuclear`)
+draw their truth and regularizer and share one tail, `_basis_pursuit`.
 Every oracle is an exact, stateless ProxOracle; the TV x-oracle solves its
 subproblem with one cached sparse factorization.  A LASSO's data term is
 one `prox.WideLeastSquares`, which gives the y-oracle and, when its design
@@ -162,82 +164,59 @@ def make_lasso(m=64, n=256, sparsity=13, mu=1.0, seed=0):
         extra={"K": K, "f": f}, unique_solution=True)
 
 
-# the sizes each regularizer of make_affine_constrained reads
-_AFFINE_SIZES = {"l1": ("m", "n", "sparsity"), "l12": ("m", "n", "blocks", "block_size"),
-                 "nuclear": ("matrix_shape", "rank", "measurements")}
-
-
-def make_affine_constrained(regularizer="l1", m=None, n=None, sparsity=None,
-                            blocks=None, block_size=None, matrix_shape=None,
-                            rank=None, measurements=None, seed=0):
-    """min R(x) s.t. K x = f, split as x = y with the set on the y-block.
-
-    `regularizer` picks R among the l1 norm (sparsity-sparse truth), the
-    group l1,2 norm (`blocks` active blocks of `block_size`) and the nuclear
-    norm (low-rank matrix truth observed through `measurements` Gaussian
-    functionals).  A size left at None takes its default; a size that the
-    regularizer does not read (see _AFFINE_SIZES) raises BadShape.
-    """
-    if regularizer not in _AFFINE_SIZES:
-        raise ValueError(f"unknown regularizer {regularizer!r}")
-    given = dict(m=m, n=n, sparsity=sparsity, blocks=blocks, block_size=block_size,
-                 matrix_shape=matrix_shape, rank=rank, measurements=measurements)
-    ignored = [key for key, value in given.items()
-               if value is not None and key not in _AFFINE_SIZES[regularizer]]
-    if ignored:
-        raise BadShape(f"{regularizer} does not read {', '.join(ignored)}")
-    rng = np.random.default_rng(seed)
-    if regularizer == "l1":
-        m = 64 if m is None else m
-        n = 256 if n is None else n
-        sparsity = 16 if sparsity is None else sparsity
-        if not (0 < sparsity < m < n):
-            raise BadShape("need sparsity < m < n")
-        K = _gaussian_sensing(rng, m, n)
-        x_true = np.zeros(n)
-        x_true[rng.choice(n, size=sparsity, replace=False)] = rng.standard_normal(sparsity)
-        prox_r = l1_oracle(n, 1.0)
-        r_value = lambda x: np.abs(x).sum()
-        desc = f"bp-l1(m={m},n={n},sparsity={sparsity},seed={seed})"
-    elif regularizer == "l12":
-        m = 64 if m is None else m
-        n = 256 if n is None else n
-        blocks = 8 if blocks is None else blocks
-        block_size = 4 if block_size is None else block_size
-        if n % block_size != 0:
-            raise BadShape("n must be a multiple of the block size")
-        ngroups = n // block_size
-        if not (0 < blocks * block_size < m < n):
-            raise BadShape("need blocks*block_size < m < n")
-        groups = [np.arange(g * block_size, (g + 1) * block_size) for g in range(ngroups)]
-        K = _gaussian_sensing(rng, m, n)
-        x_true = np.zeros(n)
-        for g in rng.choice(ngroups, size=blocks, replace=False):
-            x_true[groups[g]] = rng.standard_normal(block_size)
-        prox_r = group_l12_oracle(n, groups, 1.0)
-        partition = GroupPartition(groups, n)
-        r_value = lambda x: partition.norms(x).sum()
-        desc = f"bp-l12(m={m},n={n},blocks={blocks}x{block_size},seed={seed})"
-    else:
-        rows, cols = (24, 24) if matrix_shape is None else matrix_shape
-        rank = 2 if rank is None else rank
-        n = rows * cols
-        m = 300 if measurements is None else measurements
-        if not (0 < rank <= min(rows, cols)) or not (0 < m < n):
-            raise BadShape("need rank <= min(shape) and measurements < rows*cols")
-        K = _gaussian_sensing(rng, m, n)
-        L = rng.standard_normal((rows, rank))
-        Rm = rng.standard_normal((cols, rank))
-        x_true = (L @ Rm.T).ravel() / np.sqrt(rank)
-        prox_r = nuclear_oracle((rows, cols), 1.0)
-        r_value = lambda x: np.linalg.svd(x.reshape(rows, cols), compute_uv=False).sum()
-        desc = f"bp-nuclear(shape={rows}x{cols},rank={rank},m={m},seed={seed})"
+def _basis_pursuit(K, x_true, prox_r, r_value, descriptor, seed):
+    """min R(x) s.t. K x = f with f = K x_true, split as x = y with the set on the y-block."""
     f = K @ x_true
     problem = SplitProblem(prox_r, affine_oracle(K, f, "affine-set"), r_value=r_value)
-    nK = operator_norm(K)
-    return ProblemInstance(problem=problem, descriptor=desc, seed=seed,
-                           x_true=x_true, norm_K=nK, gamma_default=1.0,
-                           extra={"K": K, "f": f})
+    return ProblemInstance(problem=problem, descriptor=descriptor, seed=seed, x_true=x_true,
+                           norm_K=operator_norm(K), extra={"K": K, "f": f})
+
+
+def make_bp_l1(m=64, n=256, sparsity=16, seed=0):
+    """Basis pursuit with the l1 norm: a `sparsity`-sparse truth seen through m measurements."""
+    if not (0 < sparsity < m < n):
+        raise BadShape("need sparsity < m < n")
+    rng = np.random.default_rng(seed)
+    K = _gaussian_sensing(rng, m, n)
+    x_true = np.zeros(n)
+    x_true[rng.choice(n, size=sparsity, replace=False)] = rng.standard_normal(sparsity)
+    return _basis_pursuit(K, x_true, l1_oracle(n, 1.0), lambda x: np.abs(x).sum(),
+                          f"bp-l1(m={m},n={n},sparsity={sparsity},seed={seed})", seed)
+
+
+def make_bp_l12(m=64, n=256, blocks=8, block_size=4, seed=0):
+    """Basis pursuit with the group l1,2 norm: `blocks` active blocks of `block_size`."""
+    if n % block_size != 0:
+        raise BadShape("n must be a multiple of the block size")
+    ngroups = n // block_size
+    if not (0 < blocks * block_size < m < n):
+        raise BadShape("need blocks*block_size < m < n")
+    groups = [np.arange(g * block_size, (g + 1) * block_size) for g in range(ngroups)]
+    rng = np.random.default_rng(seed)
+    K = _gaussian_sensing(rng, m, n)
+    x_true = np.zeros(n)
+    for g in rng.choice(ngroups, size=blocks, replace=False):
+        x_true[groups[g]] = rng.standard_normal(block_size)
+    partition = GroupPartition(groups, n)
+    return _basis_pursuit(K, x_true, group_l12_oracle(n, groups, 1.0),
+                          lambda x: partition.norms(x).sum(),
+                          f"bp-l12(m={m},n={n},blocks={blocks}x{block_size},seed={seed})", seed)
+
+
+def make_bp_nuclear(matrix_shape=(24, 24), rank=2, measurements=300, seed=0):
+    """Basis pursuit with the nuclear norm: a low-rank truth seen through `measurements`."""
+    rows, cols = matrix_shape
+    n, m = rows * cols, measurements
+    if not (0 < rank <= min(rows, cols)) or not (0 < m < n):
+        raise BadShape("need rank <= min(shape) and measurements < rows*cols")
+    rng = np.random.default_rng(seed)
+    K = _gaussian_sensing(rng, m, n)
+    L, R = rng.standard_normal((rows, rank)), rng.standard_normal((cols, rank))
+    x_true = (L @ R.T).ravel() / np.sqrt(rank)
+    return _basis_pursuit(
+        K, x_true, nuclear_oracle((rows, cols), 1.0),
+        lambda x: np.linalg.svd(x.reshape(rows, cols), compute_uv=False).sum(),
+        f"bp-nuclear(shape={rows}x{cols},rank={rank},m={m},seed={seed})", seed)
 
 
 def qp_box_instance(Q, q, lo, hi, descriptor="qp-box", seed=None):
@@ -474,10 +453,10 @@ def load_pgm(data):
     magic = _PGM_TOKEN.match(data)
     if magic.start(1) != 0 or magic[1] not in (b"P2", b"P5"):
         raise FormatError(0, f"expected magic P2 or P5 and whitespace, got {data[:3]!r}")
-    pos = magic.end()
+    pos, at = magic.end(), 0
 
     def integer(what):
-        nonlocal pos
+        nonlocal pos, at
         token = _PGM_TOKEN.match(data, pos)
         text, at, pos = token[1], token.start(1), token.end()
         if not text:
@@ -489,11 +468,12 @@ def load_pgm(data):
             pass
         raise FormatError(at, f"bad {what} {text!r}")
 
-    width, height, maxval = [integer("header integer") for _ in range(3)]
-    if width <= 0 or height <= 0:
-        raise FormatError(2, "non-positive dimensions")
+    (width, width_at), (height, height_at), (maxval, maxval_at) = [
+        (integer("header integer"), at) for _ in range(3)]  # each with its offset
+    if min(width, height) <= 0:
+        raise FormatError(width_at if width <= 0 else height_at, "non-positive dimensions")
     if not (0 < maxval <= 65535):
-        raise FormatError(2, f"maxval {maxval} out of range")
+        raise FormatError(maxval_at, f"maxval {maxval} out of range")
     count = width * height
     if magic[1] == b"P2":
         arr = np.array([integer("sample") for _ in range(count)], dtype=float)

@@ -37,6 +37,9 @@ def test_extrap_config_validation():
         ExtrapConfig(s=0)
     with pytest.raises(ValueError):
         ExtrapConfig(s=2.5)
+    for bad in (math.nan, -math.inf):  # each fails its own check, not int()
+        with pytest.raises(ValueError, match="s must be a positive integer or inf"):
+            ExtrapConfig(s=bad)
     assert ExtrapConfig(q=4).cadence == 6
     with pytest.raises(ValueError):
         InnerSolver(max_steps=0)

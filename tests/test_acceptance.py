@@ -19,8 +19,8 @@ from admmkit.bench import SolverSpec, compute_reference, run_solver
 from admmkit.extrapolate import (DiffWindow, extrapolate_finite, extrapolate_infinite,
                                  fit_coefficients, fitting_error_bound,
                                  push_difference)
-from admmkit.problems import (make_affine_constrained, make_feasibility, make_lasso,
-                              make_qp_box, make_tv_inpainting, psnr)
+from admmkit.problems import (make_bp_l1, make_bp_l12, make_bp_nuclear, make_feasibility,
+                              make_lasso, make_qp_box, make_tv_inpainting, psnr)
 from admmkit.spectra import (SPIRAL, STRAIGHT_LINE, classify_trajectory,
                              inertial_spectral_radius, polyhedral_admm_matrix,
                              trajectory_angle)
@@ -206,7 +206,7 @@ def test_criterion_05_acceleration_factor():
     details = []
     for label, inst, gamma in [
             ("lasso", make_lasso(seed=0), None),
-            ("bp-l1", make_affine_constrained("l1", seed=0), 1.0)]:
+            ("bp-l1", make_bp_l1(seed=0), 1.0)]:
         gamma = gamma if gamma is not None else inst.norm_K ** 2 / 10.0
         compute_reference(inst, gamma, 1e-9, 8000)
         reach = {}
@@ -306,9 +306,9 @@ def test_criterion_08_dual_equivalence():
 
 GALLERY = [
     ("lasso", lambda s: make_lasso(seed=s), "K2/10"),
-    ("bp-l1", lambda s: make_affine_constrained("l1", sparsity=12, seed=s), 1.0),
-    ("bp-l12", lambda s: make_affine_constrained("l12", blocks=4, seed=s), 1.0),
-    ("bp-nuclear", lambda s: make_affine_constrained("nuclear", seed=s), 1.0),
+    ("bp-l1", lambda s: make_bp_l1(sparsity=12, seed=s), 1.0),
+    ("bp-l12", lambda s: make_bp_l12(blocks=4, seed=s), 1.0),
+    ("bp-nuclear", lambda s: make_bp_nuclear(seed=s), 1.0),
     ("qp", lambda s: make_qp_box(n=50, seed=s), 1.0),
     ("feasibility", lambda s: make_feasibility(np.pi / 4, seed=s), 1.0),
     ("tv", lambda s: make_tv_inpainting(mask_density=0.6, seed=s, size=16), 1.0),

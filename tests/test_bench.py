@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import glob
 import math
 import os
@@ -13,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admmkit import prox
-from admmkit.bench import (DEFAULT_COMPARISON, PROBLEMS, ConfigError, EmptySelection,
-                           RunConfig, SolverSpec, build_instance, compute_reference,
-                           emit_plot_svg, parse_solver_spec, read_trace_csv, resolve_gamma,
-                           run_experiment, run_solver, write_trace_csv, CSV_HEADER)
+from admmkit.bench import (DEFAULT_COMPARISON, GALLERY, KNOBS, PROBLEMS, ConfigError,
+                           EmptySelection, RunConfig, SolverSpec, build_instance,
+                           compute_reference, emit_plot_svg, parse_solver_spec, read_trace_csv,
+                           resolve_gamma, run_experiment, run_solver, write_trace_csv, CSV_HEADER)
 from admmkit import a3dmm
 from admmkit.a3dmm import run_a3dmm
 from admmkit.problems import make_feasibility, make_lasso, make_qp_box
@@ -167,6 +168,15 @@ def test_run_order_permutation_gives_identical_traces():
 def rows(trace):
     return [(r.k, r.norm_v, r.cos_theta, r.dist_z, r.dist_x, r.objective,
              r.extrapolated) for r in trace.rows]
+
+
+def test_each_problem_reads_the_knobs_that_are_its_constructors_parameters():
+    # a new constructor parameter named like a knob would silently become one
+    assert {name: reads & set(KNOBS) for name, (_, reads) in GALLERY.items()} == {
+        "lasso": {"m", "n", "sparsity", "mu"}, "bp-l1": {"m", "n", "sparsity"},
+        "bp-l12": {"m", "n"}, "bp-nuclear": set(), "qp": {"n"}, "feasibility": {"alpha"},
+        "tv": {"size", "mask_density", "image"}}
+    assert set(KNOBS) <= {f.name for f in dataclasses.fields(RunConfig)}
 
 
 @pytest.mark.parametrize("problem", PROBLEMS)

@@ -44,6 +44,14 @@ def test_solve_s_inf_enables_extrapolation(tmp_path):
     assert any(r.extrapolated for r in trace.rows)
 
 
+def test_solve_reads_s_as_a_number(tmp_path, capsys):
+    # --s takes any spelling of a positive integer, as a3dmm's s in a solver spec does
+    assert main(["solve", "--problem", "feasibility", "--s", "100.0", "--out", str(tmp_path)]) == 0
+    assert read_trace_csv(tmp_path / "trace.csv").meta["s"] == "100"
+    assert main(["solve", "--problem", "feasibility", "--s", "nan"]) == 2
+    assert "s must be a positive integer or inf" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags,spec,label", [
     (["--variant", "symmetric", "--s", "100"],
      SolverSpec(kind="a3dmm", s=100, variant="symmetric"), "a3dmm"),
@@ -224,6 +232,19 @@ def test_bench_reports_a_reference_at_the_rounding_floor(capsys):
     match = re.fullmatch(r"  reference: iters=(\d+)  stop=floor  extrapolated=(\d+)", line)
     assert int(match.group(1)) < 4000  # the budget is 10 * max_iter
     assert int(match.group(2)) > 0  # a LASSO solution is unique: the reference is accelerated
+
+
+def test_bench_with_a_reference_stopped_on_its_budget_fails(capsys):
+    # no distance to a point the reference did not solve for means anything
+    assert main(["bench", "--problem", "lasso", "--gamma", "1e300", "--max-iter", "20"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert any(re.fullmatch(r"  reference: iters=200  stop=budget  extrapolated=\d+", l)
+               for l in lines)
+    solver_lines = [l for l in lines if "iters=" in l and "reference" not in l]
+    assert len(solver_lines) == 4
+    assert all(line.endswith("  dist_x n/a") for line in solver_lines), solver_lines
+    assert "failure: the reference stopped on its budget" in captured.err
 
 
 def test_angles_subcommand(tmp_path, capsys):

@@ -6,8 +6,8 @@ import pytest
 from admmkit.a3dmm import run_a3dmm
 from admmkit.problems import (BadImage, BadShape, EmptyMask, FormatError, ProblemInstance,
                               gradient_map, load_pgm,
-                              make_affine_constrained, make_feasibility, make_lasso,
-                              make_qp_box, make_tv_inpainting, operator_norm,
+                              make_bp_l1, make_bp_l12, make_bp_nuclear, make_feasibility,
+                              make_lasso, make_qp_box, make_tv_inpainting, operator_norm,
                               piecewise_constant_image, psnr, qp_box_instance,
                               resolve_gamma)
 from admmkit.prox import (EmptyBox, box_oracle, l1_oracle, least_squares_oracle,
@@ -47,7 +47,7 @@ def test_paper_scale_constructors():
     assert inst.extra["K"].shape == (640, 2048)
     assert np.count_nonzero(inst.x_true) == 128
     assert inst.descriptor == "lasso(m=640,n=2048,sparsity=128,mu=1.0,seed=0)"
-    inst = make_affine_constrained("l1", m=512, n=2048, sparsity=128, seed=0)
+    inst = make_bp_l1(m=512, n=2048, sparsity=128, seed=0)
     assert inst.extra["K"].shape == (512, 2048)
 
 
@@ -86,7 +86,7 @@ def test_lasso_nan_start_raises_subproblem_failure(case):
     elif case == "qp_box":
         inst = make_qp_box(n=12, seed=0)
     elif case == "bp_l1":
-        inst = make_affine_constrained("l1", m=16, n=40, sparsity=4, seed=0)
+        inst = make_bp_l1(m=16, n=40, sparsity=4, seed=0)
     else:
         inst = make_lasso(m=16, n=40, sparsity=4, seed=0)
     z0 = np.zeros(inst.problem.prox_r.dim)
@@ -104,9 +104,13 @@ def test_resolve_gamma_rules():
         resolve_gamma("K2/10", None)
 
 
+# the basis-pursuit builder of each regularizer
+BASIS_PURSUIT = {"l1": make_bp_l1, "l12": make_bp_l12, "nuclear": make_bp_nuclear}
+
+
 @pytest.mark.parametrize("reg", ["l1", "l12", "nuclear"])
 def test_affine_constrained_truth_is_feasible(reg):
-    inst = make_affine_constrained(reg, seed=1)
+    inst = BASIS_PURSUIT[reg](seed=1)
     K, f = inst.extra["K"], inst.extra["f"]
     np.testing.assert_allclose(K @ inst.x_true, f, atol=1e-12)
     # the y-oracle projects onto the constraint set
@@ -115,24 +119,21 @@ def test_affine_constrained_truth_is_feasible(reg):
 
 
 def test_affine_constrained_shapes():
-    inst = make_affine_constrained("l12", m=32, n=64, blocks=3, seed=0)
+    inst = make_bp_l12(m=32, n=64, blocks=3, seed=0)
     assert np.count_nonzero(inst.x_true) == 12
     with pytest.raises(BadShape):
-        make_affine_constrained("l12", m=32, n=63, seed=0)
-    inst = make_affine_constrained("nuclear", matrix_shape=(8, 8), rank=2,
-                                   measurements=40, seed=0)
+        make_bp_l12(m=32, n=63, seed=0)
+    inst = make_bp_nuclear(matrix_shape=(8, 8), rank=2, measurements=40, seed=0)
     X = inst.x_true.reshape(8, 8)
     assert np.linalg.matrix_rank(X, tol=1e-8) == 2
-    with pytest.raises(ValueError):
-        make_affine_constrained("huber")
 
 
 @pytest.mark.parametrize("reg,size", [("nuclear", dict(m=10)), ("l12", dict(sparsity=3)),
                                       ("l1", dict(rank=3)), ("nuclear", dict(block_size=2))],
                          ids=["nuclear-m", "l12-sparsity", "l1-rank", "nuclear-block-size"])
 def test_affine_constrained_refuses_sizes_its_regularizer_ignores(reg, size):
-    with pytest.raises(BadShape):
-        make_affine_constrained(reg, seed=0, **size)
+    with pytest.raises(TypeError):
+        BASIS_PURSUIT[reg](seed=0, **size)
 
 
 def test_qp_box_hand_oracles():
@@ -165,8 +166,8 @@ def test_make_qp_box_seeded():
 def test_instances_whose_solution_may_not_be_unique_are_unflagged():
     # basis pursuit's multiplier and TV's minimizer need not be unique, and a
     # hand-built QP may have a semidefinite Q; their references take plain steps
-    for reg in ("l1", "l12", "nuclear"):
-        assert not make_affine_constrained(regularizer=reg, seed=0).unique_solution
+    for make in BASIS_PURSUIT.values():
+        assert not make(seed=0).unique_solution
     assert not make_tv_inpainting(size=8, seed=0).unique_solution
     assert not qp_box_instance(np.zeros((2, 2)), np.ones(2), -np.ones(2),
                                np.ones(2)).unique_solution
@@ -194,7 +195,7 @@ def _qp_box_prox(inst):
     (lambda: make_lasso(m=16, n=48, sparsity=4, seed=3), _lasso_data_prox),
     (lambda: lasso_on_data(np.random.default_rng(1).standard_normal((10, 6)),
                            np.arange(10.0), mu=0.5), _lasso_data_prox),
-    (lambda: make_affine_constrained("l1", m=12, n=40, sparsity=3, seed=3),
+    (lambda: make_bp_l1(m=12, n=40, sparsity=3, seed=3),
      lambda inst: lambda w, gamma: project_affine(w, inst.extra["K"], inst.extra["f"])),
     (lambda: make_qp_box(n=9, seed=3), _qp_box_prox),
     (lambda: make_feasibility(np.pi / 5, seed=3), _feasibility_prox),
@@ -428,7 +429,10 @@ def test_load_pgm_examples():
     (b"P2 1 1 255#c\n3", "bad header integer"),
     (b"P2 " + b"1" * 5000 + b" 1 255 3", "bad header integer"),  # past int()'s digit limit
     (b"P2 0 1 255", "non-positive dimensions"),
+    (b"P2 0 1 255 ", "non-positive dimensions"),
+    (b"P2 1 0 255 ", "non-positive dimensions"),
     (b"P2 1 1 0 0", "maxval 0 out of range"),
+    (b"P2 2 2 0 ", "maxval 0 out of range"),
     (b"P2 1 1 65536 0", "maxval 65536 out of range"),
     (b"P2 1 1 255 -1", "bad sample"),
     (b"P2 2 1 255 1 +7", "bad sample"),
@@ -445,6 +449,18 @@ def test_load_pgm_rejects_malformed_payloads(payload, reason):
         load_pgm(payload)
 
 
+@pytest.mark.parametrize("payload,offset", [
+    (b"P21 1 255 3", 0), (b"P2 1 1", 6), (b"P2 +1 1 255 3", 3), (b"P2 1 1 2_55 3", 7),
+    (b"P2 0 1 255 ", 3), (b"P2 1 0 255 ", 5), (b"P2 0 0 255 ", 3),  # the first one at fault
+    (b"P2 2 2 0 ", 7), (b"P2 1 1 65536 0", 7), (b"P2 2 1 255 1 +7", 13),
+    (b"P5 1 1 255", 10), (b"P5 2 2 255\n\x00\x01", 13),
+])
+def test_load_pgm_error_points_at_the_field_at_fault(payload, offset):
+    with pytest.raises(FormatError) as info:
+        load_pgm(payload)
+    assert info.value.offset == offset
+
+
 def test_load_pgm_comments_and_16bit_binary():
     img = load_pgm(b"P2 # comment\n2 1 # another\n10\n5 10")
     np.testing.assert_allclose(img, [[0.5, 1.0]])
@@ -455,7 +471,7 @@ def test_load_pgm_comments_and_16bit_binary():
 
 @pytest.mark.parametrize("build,gamma", [
     (lambda: make_lasso(m=24, n=72, sparsity=5, seed=2), 1.0),
-    (lambda: make_affine_constrained("l1", m=32, n=128, sparsity=8, seed=2), 1.0),
+    (lambda: make_bp_l1(m=32, n=128, sparsity=8, seed=2), 1.0),
     (lambda: make_qp_box(n=15, seed=2), 1.0),
     (lambda: make_feasibility(np.pi / 4, seed=2), 1.0),
 ])

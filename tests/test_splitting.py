@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from admmkit.prox import LinearMap, ProxOracle, l1_oracle, quadratic_oracle
-from admmkit.problems import (make_affine_constrained, make_feasibility, make_lasso,
-                              make_qp_box, make_tv_inpainting)
+from admmkit.problems import (make_bp_l1, make_bp_l12, make_bp_nuclear, make_feasibility,
+                              make_lasso, make_qp_box, make_tv_inpainting)
 from admmkit.splitting import (BadRelaxation, BadStart, Divergence, IterateState,
                                SolverConfig, SplitProblem, dr_dual_step, inertial_predict,
                                variant_step)
@@ -237,10 +237,9 @@ def test_dual_step_keeps_fixed_point():
 
 @pytest.mark.parametrize("build,gamma", [
     (lambda: make_lasso(m=16, n=48, sparsity=4, seed=9), 0.9),
-    (lambda: make_affine_constrained("l1", m=32, n=128, sparsity=6, seed=9), 1.0),
-    (lambda: make_affine_constrained("l12", m=32, n=64, blocks=2, seed=9), 1.0),
-    (lambda: make_affine_constrained("nuclear", matrix_shape=(8, 8), rank=2,
-                                     measurements=40, seed=9), 1.0),
+    (lambda: make_bp_l1(m=32, n=128, sparsity=6, seed=9), 1.0),
+    (lambda: make_bp_l12(m=32, n=64, blocks=2, seed=9), 1.0),
+    (lambda: make_bp_nuclear(matrix_shape=(8, 8), rank=2, measurements=40, seed=9), 1.0),
     (lambda: make_qp_box(n=20, seed=9), 1.0),
     (lambda: make_feasibility(np.pi / 4, seed=9), 1.0),
 ])
@@ -334,7 +333,7 @@ def general_step(problem, state, gamma, variant="standard", phi=1.0):
 
 @pytest.mark.parametrize("build,gamma", [
     (lambda: make_lasso(m=16, n=48, sparsity=4, seed=7), 0.7),
-    (lambda: make_affine_constrained("l1", m=12, n=40, sparsity=3, seed=7), 1.0),
+    (lambda: make_bp_l1(m=12, n=40, sparsity=3, seed=7), 1.0),
     (lambda: make_qp_box(n=20, seed=7), 0.5),
     (lambda: make_feasibility(np.pi / 5, seed=7), 1.0),
     (lambda: make_tv_inpainting(size=8, seed=7), 1.0),
