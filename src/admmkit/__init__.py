@@ -1,14 +1,16 @@
 """Operator-splitting solvers with trajectory-following adaptive acceleration.
 
 The package splits into proximal building blocks (`prox`), one-step scheme
-transitions and their dual fixed-point twins (`splitting`), the difference
-extrapolation engine (`extrapolate`), the accelerated solver loop (`a3dmm`),
-trajectory and spectral diagnostics (`spectra`), a problem gallery
-(`problems`) and the benchmark harness and CLI (`bench`, `cli`).
+transitions (`splitting`), the difference extrapolation engine
+(`extrapolate`), the accelerated solver loop (`a3dmm`), trajectory and
+spectral diagnostics (`spectra`), a problem gallery (`problems`) and the
+benchmark harness and CLI (`bench`, `cli`).
 
 `run_a3dmm` is the one solver entry point: it runs every scheme variant,
 with or without extrapolation or momentum.  Every subproblem oracle is an
-exact `ProxOracle` whose one method is `evaluate(w, gamma)`.
+exact `ProxOracle` whose one method is `evaluate(w, gamma)`, and
+`prox.QuadraticSolveCache` is the only Cholesky solve.  The reference
+twins that the tests compare the package against are in `tests/reference_twins.py`.
 """
 
 __version__ = "0.1.0"

@@ -281,24 +281,27 @@ def compute_reference(instance, gamma, tol, max_iter):
                 guard_b = ext.guard_b(nv)
             plain = extrapolation_step(window, ext, guard_b, state) is None
             extrapolated += not plain
-    instance.reference = Reference(z=state.z.copy(), x=state.x.copy(), y=state.y.copy(),
-                                   iterations=state.k, stop=stop, extrapolated=extrapolated)
+    instance.reference = Reference(z=state.z.copy(), x=state.x.copy(), iterations=state.k,
+                                   stop=stop, extrapolated=extrapolated)
     return instance.reference
 
 
 def run_spec(instance, spec, gamma, tol, max_iter, label=None):
     """Run one comparison entry against the instance's reference; returns the RunResult.
 
-    The trace names the solver `label`, spec.label unless given.
+    The trace names the solver `label`, spec.label unless given.  A
+    reference that stopped on its budget solved nothing, so against it the
+    trace's distance columns stay empty.
     """
     cfg, extrap, momentum = _solver_pieces(spec, gamma, tol, max_iter, instance.z0)
     trace = Trace(meta=provenance(label or spec.label, instance))
+    unsolved = instance.reference is not None and instance.reference.stop == "budget"
     return run_a3dmm(instance.problem, cfg, extrap=extrap, trace=trace,
-                     reference=instance.reference, momentum=momentum)
+                     reference=None if unsolved else instance.reference, momentum=momentum)
 
 
 def run_solver(instance, spec, gamma, tol, max_iter, inner=None):
-    """The trace of run_spec; `inner` is accepted and ignored (see RunConfig.inner_steps)."""
+    """run_spec's trace: perfbench's entry point, kept with InnerSolver and inner_steps."""
     return run_spec(instance, spec, gamma, tol, max_iter).trace
 
 
@@ -316,10 +319,8 @@ def run_experiment(config):
     instance = build_instance(config)
     gamma = penalty(config, instance)
     reference = compute_reference(instance, gamma, config.tol, config.max_iter)
-    traces = []
-    for spec in config.solvers:
-        trace = run_solver(instance, spec, gamma, config.tol, config.max_iter)
-        traces.append(trace)
+    traces = [run_spec(instance, spec, gamma, config.tol, config.max_iter).trace
+              for spec in config.solvers]
     if config.out_dir:
         os.makedirs(config.out_dir, exist_ok=True)
         for trace in traces:

@@ -55,16 +55,15 @@ class FormatError(ValueError):
 
 @dataclass
 class Reference:
-    """Solution triple produced by a long reference run.
+    """Fixed point z and primal x produced by a long reference run.
 
     `iterations` and `stop` ("tol", "floor" or "budget") say how the run
-    ended and `extrapolated` how many predictions it applied; a triple given
+    ended and `extrapolated` how many predictions it applied; a pair given
     by hand leaves them at 0, None and 0.
     """
 
     z: np.ndarray
     x: np.ndarray
-    y: np.ndarray
     iterations: int = 0
     stop: Optional[str] = None
     extrapolated: int = 0
@@ -476,7 +475,8 @@ def load_pgm(data):
         raise FormatError(maxval_at, f"maxval {maxval} out of range")
     count = width * height
     if magic[1] == b"P2":
-        arr = np.array([integer("sample") for _ in range(count)], dtype=float)
+        values, starts = zip(*[(integer("sample"), at) for _ in range(count)])
+        arr = np.array(values, dtype=float)
     else:
         if not data[pos:pos + 1].isspace():
             raise FormatError(pos, "missing separator before raster")
@@ -486,6 +486,7 @@ def load_pgm(data):
         if len(raster) < count * dtype.itemsize:
             raise FormatError(pos + len(raster), "truncated raster")
         arr = np.frombuffer(raster, dtype=dtype, count=count).astype(float)
+        starts = range(pos, pos + len(raster), dtype.itemsize)
     if arr.max(initial=0.0) > maxval:
-        raise FormatError(pos, "sample exceeds maxval")
+        raise FormatError(starts[np.argmax(arr > maxval)], "sample exceeds maxval")
     return (arr / maxval).reshape(height, width)

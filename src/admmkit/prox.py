@@ -12,17 +12,18 @@ Every oracle is a `ProxOracle`: deterministic and, once built, free of
 mutable state apart from factorizations cached on first use, so one
 instance is safe to share across concurrent solves.
 
-Quadratic oracles go through one cached solve, `QuadraticSolveCache`, of
-(Q + gamma*I) x = r for a symmetric Q: one Cholesky factor per gamma, built
-on first use (`affine_oracle` factors its K K^T at gamma = 0 when built).
-A least-squares term 0.5||K x - f||^2 with an m x n design K is solved
-through the smaller Gram matrix: K'K for m >= n, and KK' with the matrix
-inversion lemma for m < n (`WideLeastSquares`, which also owns the size
-rule for steps that carry the image K z).  Building costs
-O(min(m,n)^2 max(m,n)) and each solve O(mn).  Cached solves go through
-LAPACK `potrs` after an explicit finiteness check of the right-hand side;
-the factor was checked once when `cho_factor` built it.  The reference
-`project_affine` factors on every call.
+Quadratic oracles go through the package's only Cholesky solve,
+`QuadraticSolveCache`, of (Q + gamma*I) x = r for a symmetric Q: one factor
+per gamma, built on first use (`affine_oracle` factors its K K^T at
+gamma = 0 when built).  A least-squares term 0.5||K x - f||^2 with an
+m x n design K is solved through the smaller Gram matrix: K'K for m >= n
+(a `quadratic_oracle`), and KK' with the matrix inversion lemma for m < n
+(`WideLeastSquares`, which also owns the size rule for steps that carry
+the image K z).  Building costs O(min(m,n)^2 max(m,n)) and each solve
+O(mn).  Cached solves go through LAPACK `potrs` after an explicit
+finiteness check of the right-hand side; the factor was checked once when
+`cho_factor` built it.  The tests' reference projection, which factors on
+every call, is in `tests/reference_twins.py`.
 """
 
 from __future__ import annotations
@@ -164,15 +165,6 @@ def _cho_solve(factor, b):
     return x
 
 
-def project_affine(w, K, f):
-    """Orthogonal projection w - K^T (K K^T)^{-1} (K w - f) of w onto {x : K x = f}.
-
-    Factors K K^T on every call; `affine_oracle` factors it once.
-    """
-    K = np.asarray(K, dtype=float)
-    return w - K.T @ _cho_solve(scipy.linalg.cho_factor(K @ K.T), K @ w - f)
-
-
 class QuadraticSolveCache:
     """Solves (Q + gamma*I) x = r for a symmetric Q, one Cholesky factor per gamma, built lazily."""
 
@@ -240,13 +232,13 @@ class WideLeastSquares:
         t = self._cache.solve(Kr, gamma)
         return (r - self.K.T @ t) / gamma, t
 
-    def oracle(self, name="least-squares"):
+    def oracle(self):
         """J's prox as a ProxOracle: evaluate(w, gamma) = argmin J + (gamma/2)||y - w||^2."""
         def evaluate(w, gamma):
             r = gamma * w + self.Ktf
             return self._solve(r, self.K @ r, gamma)[0]
 
-        return ProxOracle(evaluate, self.K.shape[1], name)
+        return ProxOracle(evaluate, self.K.shape[1], "least-squares")
 
     def prox(self, z, Kz, gamma):
         """(y, K y) for y = argmin J + (gamma/2)||y - z/gamma||^2, given Kz = K z.
@@ -325,13 +317,3 @@ def quadratic_oracle(Q, q, name="quadratic"):
     q = np.asarray(q, dtype=float)
     return ProxOracle(lambda w, gamma: cache.solve(gamma * w - q, gamma), q.size, name)
 
-
-def least_squares_oracle(K, f, name="least-squares"):
-    """Oracle of 0.5||K x - f||^2 with A = identity, solved through the smaller Gram matrix.
-
-    A wide K goes through KK' (`WideLeastSquares`), any other through K'K.
-    """
-    K = np.asarray(K, dtype=float)
-    if K.shape[0] < K.shape[1]:
-        return WideLeastSquares(K, f).oracle(name)
-    return quadratic_oracle(K.T @ K, -(K.T @ np.asarray(f, dtype=float)), name)

@@ -1,4 +1,4 @@
-"""One-step state transitions for the ADMM family and their dual fixed-point twins.
+"""One-step state transitions for the ADMM family.
 
 Every problem has the split form min R(x) + J(y) s.t. A x = y (the
 constraint A x - y = 0 of Boyd et al. 2011).  The solver state is the
@@ -13,11 +13,11 @@ oracle, one apply of A and a few vector passes.  On a split that declares a
 wide least-squares y-block (`SplitProblem.wide_lsq`) the state also carries
 the image K z, and K z_bar when it is known; the y-step then runs from the
 image in place of `prox_j`, with one dense pass over K instead of two, and
-a prediction leaves K z_bar to be formed densely by the next step.  The
-dual step `dr_dual_step` runs the same fixed-point iteration through the
-conjugate proximal maps and serves as an equivalence oracle:
-Douglas-Rachford for the standard/relaxed scheme, Peaceman-Rachford for
-the symmetric one.
+a prediction leaves K z_bar to be formed densely by the next step.  Its
+dual twin, which runs the same fixed-point iteration through the conjugate
+proximal maps (Douglas-Rachford for the standard/relaxed scheme,
+Peaceman-Rachford for the symmetric one), is the tests' equivalence check
+and lives beside them in `tests/reference_twins.py`.
 """
 
 from __future__ import annotations
@@ -244,26 +244,3 @@ def inertial_predict(z, z_prev, z_prev2=None, a=0.0, b=0.0):
         out = out + b * (z_prev - z_prev2)
     return out
 
-
-def dr_dual_step(problem, z, gamma, variant="standard", phi=1.0):
-    """One dual fixed-point step on z; returns (u, z_next, psi).
-
-    Runs Douglas-Rachford splitting on the dual problem (standard/relaxed)
-    or Peaceman-Rachford (symmetric) through the resolvents of the
-    conjugates: psi = z - gamma*prox_j(z/gamma) (Moreau) and, with
-    w = 2psi - z, u = w + gamma*A x for x = prox_r(-w/gamma).  The
-    z-sequence coincides with the one `variant_step` produces.
-    """
-    try:
-        psi = z - gamma * problem.prox_j.evaluate(z / gamma, gamma)
-        w = 2.0 * psi - z
-        u = w + gamma * problem.A.apply(problem.prox_r.evaluate(-w / gamma, gamma))
-    except Exception as exc:  # noqa: BLE001
-        raise SubproblemFailure("dual resolvent failed") from exc
-    if variant == "symmetric":
-        z_next = z + 2.0 * (u - psi)
-    elif variant == "relaxed":
-        z_next = z + phi * (u - psi)
-    else:
-        z_next = z + (u - psi)
-    return u, z_next, psi

@@ -221,7 +221,7 @@ def test_lasso_objective_read_off_the_multiplier_matches_the_direct_value(seed, 
     K, f = inst.extra["K"], inst.extra["f"]
     direct = replace(inst.problem, r_value=lambda x: mu * np.abs(x).sum(),
                      j_value=lambda y, psi: 0.5 * np.linalg.norm(K @ y - f) ** 2)
-    reference = Reference(z=np.zeros(n), x=inst.x_true, y=inst.x_true)
+    reference = Reference(z=np.zeros(n), x=inst.x_true)
     extrapolated = 0
     for variant, phi in (("standard", 1.0), ("relaxed", 1.5), ("symmetric", 1.0)):
         cfg = SolverConfig(gamma=inst.gamma_default, variant=variant, phi=phi, tol=0.0,

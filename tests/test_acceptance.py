@@ -24,7 +24,8 @@ from admmkit.problems import (make_bp_l1, make_bp_l12, make_bp_nuclear, make_fea
 from admmkit.spectra import (SPIRAL, STRAIGHT_LINE, classify_trajectory,
                              inertial_spectral_radius, polyhedral_admm_matrix,
                              trajectory_angle)
-from admmkit.splitting import IterateState, SolverConfig, dr_dual_step, variant_step
+from admmkit.splitting import IterateState, SolverConfig, variant_step
+from reference_twins import dr_dual_step
 
 
 def report(num, ok, detail):

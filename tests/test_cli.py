@@ -247,6 +247,21 @@ def test_bench_with_a_reference_stopped_on_its_budget_fails(capsys):
     assert "failure: the reference stopped on its budget" in captured.err
 
 
+def test_bench_against_a_reference_stopped_on_its_budget_writes_no_distances(tmp_path, capsys):
+    # the files alone must not show a solved run: empty distance cells, no dist_z plot
+    assert main(["bench", "--problem", "lasso", "--gamma", "1e300", "--max-iter", "20",
+                 "--out", str(tmp_path)]) == 1
+    paths = sorted(tmp_path.glob("*.csv"))
+    assert len(paths) == 4
+    for path in paths:
+        rows = read_trace_csv(path).rows
+        assert len(rows) == 20
+        assert all(r.dist_z is None and r.dist_x is None for r in rows), path
+        assert all(np.isfinite(r.norm_v) for r in rows), path
+    assert not (tmp_path / "dist_z.svg").exists()
+    assert (tmp_path / "cos_theta.svg").exists()
+
+
 def test_angles_subcommand(tmp_path, capsys):
     code = main(["angles", "--problem", "feasibility", "--alpha",
                  "1.0471975511965976", "--gamma", "1", "--tol", "0",

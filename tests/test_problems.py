@@ -10,10 +10,11 @@ from admmkit.problems import (BadImage, BadShape, EmptyMask, FormatError, Proble
                               make_lasso, make_qp_box, make_tv_inpainting, operator_norm,
                               piecewise_constant_image, psnr, qp_box_instance,
                               resolve_gamma)
-from admmkit.prox import (EmptyBox, box_oracle, l1_oracle, least_squares_oracle,
-                          project_affine, soft_threshold_l1)
+from admmkit.prox import (EmptyBox, WideLeastSquares, box_oracle, l1_oracle, quadratic_oracle,
+                          soft_threshold_l1)
 from admmkit.splitting import (IterateState, SolverConfig, SplitProblem, SubproblemFailure,
                                variant_step)
+from reference_twins import project_affine
 
 
 def test_instances_reproducible():
@@ -71,8 +72,8 @@ def test_wide_lasso_never_forms_an_n_by_n_matrix():
 
 
 def lasso_on_data(K, f, mu=1.0):
-    """LASSO split on a given design, tall or wide: the l1 x-block, the data y-block."""
-    problem = SplitProblem(l1_oracle(K.shape[1], mu), least_squares_oracle(K, f))
+    """LASSO split on a given tall design: the l1 x-block, the data y-block over K'K."""
+    problem = SplitProblem(l1_oracle(K.shape[1], mu), quadratic_oracle(K.T @ K, -(K.T @ f)))
     return ProblemInstance(problem=problem, descriptor="lasso(data)", extra={"K": K, "f": f})
 
 
@@ -177,8 +178,11 @@ def test_instances_whose_solution_may_not_be_unique_are_unflagged():
 
 def _lasso_data_prox(inst):
     K, f = inst.extra["K"], inst.extra["f"]
-    data = least_squares_oracle(K, f)
-    return lambda w, gamma: data.evaluate(w, gamma)
+    if K.shape[0] < K.shape[1]:
+        data = WideLeastSquares(K, f).oracle()
+    else:
+        data = quadratic_oracle(K.T @ K, -(K.T @ f))
+    return data.evaluate
 
 
 def _feasibility_prox(inst):
@@ -454,6 +458,7 @@ def test_load_pgm_rejects_malformed_payloads(payload, reason):
     (b"P2 0 1 255 ", 3), (b"P2 1 0 255 ", 5), (b"P2 0 0 255 ", 3),  # the first one at fault
     (b"P2 2 2 0 ", 7), (b"P2 1 1 65536 0", 7), (b"P2 2 1 255 1 +7", 13),
     (b"P5 1 1 255", 10), (b"P5 2 2 255\n\x00\x01", 13),
+    (b"P2 2 1 10 5 11", 12), (b"P5 2 1 10 " + bytes([5, 11]), 11),  # the sample at fault
 ])
 def test_load_pgm_error_points_at_the_field_at_fault(payload, offset):
     with pytest.raises(FormatError) as info:

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from admmkit import prox
 from admmkit.prox import (EmptyBox, LinearMap, NotSymmetric,
                           OverlappingGroups, ProxOracle, QuadraticSolveCache,
-                          RankDeficient, affine_oracle, box_oracle, group_l12_oracle,
-                          l1_oracle, least_squares_oracle, nuclear_oracle, project_affine,
-                          prox_nuclear, quadratic_oracle, soft_threshold_l1, subspace_oracle)
+                          RankDeficient, WideLeastSquares, affine_oracle, box_oracle,
+                          group_l12_oracle, l1_oracle, nuclear_oracle, prox_nuclear,
+                          quadratic_oracle, soft_threshold_l1, subspace_oracle)
+from reference_twins import project_affine
 
 
 def zero_oracle(n, name="zero"):
@@ -190,7 +191,7 @@ def test_solve_regularized_quadratic_residual_and_symmetry():
 @pytest.mark.parametrize("shape", [(5, 12), (12, 5), (7, 7), None],
                          ids=["wide", "tall", "square", "dense-Q"])
 def test_quadratic_solve_cache_matches_dense_solve(shape):
-    # a design K goes through the least-squares oracle: KK' and the
+    # a design K goes through the smaller Gram matrix: KK' and the
     # inversion lemma when wide, K'K otherwise
     rng = np.random.default_rng(4)
     if shape is None:
@@ -201,7 +202,10 @@ def test_quadratic_solve_cache_matches_dense_solve(shape):
         K = rng.standard_normal(shape)
         f = rng.standard_normal(shape[0])
         Q = K.T @ K
-        oracle = least_squares_oracle(K, f)
+        if shape[0] < shape[1]:
+            oracle = WideLeastSquares(K, f).oracle()
+        else:
+            oracle = quadratic_oracle(Q, -(K.T @ f))
         solve = lambda r, gamma: oracle.evaluate((r - K.T @ f) / gamma, gamma)
     n = Q.shape[0]
     r = rng.standard_normal(n)
@@ -224,12 +228,12 @@ def test_cached_solves_match_scipy_cho_solve_bit_for_bit(case):
         factor = scipy.linalg.cho_factor(K @ K.T)
         expected = w - K.T @ scipy.linalg.cho_solve(factor, K @ w - f)
     elif case == "wide":
-        fast = least_squares_oracle(K, f).evaluate(w, gamma)
+        fast = WideLeastSquares(K, f).oracle().evaluate(w, gamma)
         factor = scipy.linalg.cho_factor(K @ K.T + gamma * np.eye(K.shape[0]))
         r = gamma * w + K.T @ f
         expected = (r - K.T @ scipy.linalg.cho_solve(factor, K @ r)) / gamma
     else:
-        fast = least_squares_oracle(K, f).evaluate(w, gamma)
+        fast = quadratic_oracle(K.T @ K, -(K.T @ f)).evaluate(w, gamma)
         factor = scipy.linalg.cho_factor(K.T @ K + gamma * np.eye(K.shape[1]))
         expected = scipy.linalg.cho_solve(factor, gamma * w + K.T @ f)
     assert np.array_equal(prox._cho_solve(factor, rhs), scipy.linalg.cho_solve(factor, rhs))

@@ -7,9 +7,9 @@ from admmkit.prox import LinearMap, ProxOracle, l1_oracle, quadratic_oracle
 from admmkit.problems import (make_bp_l1, make_bp_l12, make_bp_nuclear, make_feasibility,
                               make_lasso, make_qp_box, make_tv_inpainting)
 from admmkit.splitting import (BadRelaxation, BadStart, Divergence, IterateState,
-                               SolverConfig, SplitProblem, dr_dual_step, inertial_predict,
-                               variant_step)
+                               SolverConfig, SplitProblem, inertial_predict, variant_step)
 from admmkit.a3dmm import run_a3dmm
+from reference_twins import dr_dual_step
 
 
 def run_steps(problem, config, z0, count):
