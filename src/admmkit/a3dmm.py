@@ -151,11 +151,15 @@ def extrapolation_step(window, ext, guard_b, state):
     else:
         z_pred = ex.extrapolate_finite(state.z, window, fit, ext.s)
     incr = z_pred - state.z
-    a_k = safeguard_coefficient(k, guard_b, ext.guard_delta, _norm(incr))
+    incr_norm = _norm(incr)
+    a_k = safeguard_coefficient(k, guard_b, ext.guard_delta, incr_norm)
     if not a_k > 0.0:
         return None
-    state.move_to(state.z + a_k * incr)
-    return _norm(a_k * incr)
+    if a_k != 1.0:
+        incr *= a_k
+        incr_norm = _norm(incr)
+    state.move_to(state.z + incr)
+    return incr_norm
 
 
 def _dist(a, b, buf):

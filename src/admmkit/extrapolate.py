@@ -11,24 +11,28 @@ one-index shift).
 The window is one preallocated (q+1) x p array used as a ring; the fit and
 both predicts read its rows in place.  Fit numerics: the Gram matrix of the
 ring (one (q+1) x (q+1) product) gives the normal equations for c, solved
-through one small SVD at lstsq's default cut, followed by one refinement step
-from the residual vector r = V_{k-1} c - v_k (corrected semi-normal
-equations), which restores the accuracy the squared condition number costs.
-A window too ill-conditioned for that (cond(V_{k-1}) > GRAM_COND_LIMIT) is
-fitted through one Householder QR of the ring instead.  The fit residual eps
-is ||r|| of the final residual vector, never a Gram formula.  Rank-deficient
-windows get the minimum-norm c, so a fully stagnated window gives c = 0 and
-eps = ||v_k||.  Apart from `push_difference`, which writes into its window,
-all functions are pure.
+through one small symmetric eigendecomposition at lstsq's default cut (the
+normal matrix is positive semidefinite, so its eigenvalues are its singular
+values), followed by one refinement step from the residual vector
+r = V_{k-1} c - v_k (corrected semi-normal equations), which restores the
+accuracy the squared condition number costs.  A window too ill-conditioned
+for that (cond(V_{k-1}) > GRAM_COND_LIMIT) is fitted through one
+Householder QR of the ring instead.  The fit residual eps is ||r|| of the
+final residual vector, never a Gram formula.  Rank-deficient windows get
+the minimum-norm c, so a fully stagnated window gives c = 0 and
+eps = ||v_k||.  The limit predict solves nothing: (I - C)^{-1} e_1 is a
+closed form in the suffix sums of c.  Apart from `push_difference`, which
+writes into its window, all functions are pure.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeev, dgeqrf, dgesdd
+from scipy.linalg.lapack import dgeev, dgeqrf, dgesdd, dsyev
 
 
 MAX_ORDER = 32  # largest companion matrix (window size q) spectral_radius accepts
@@ -71,6 +75,10 @@ class DiffWindow:
         self.rows = np.zeros((self.capacity, self.dim))  # the ring, in storage order
         self.count = 0
         self._newest = -1  # ring row of the latest difference
+        # row i: the ring rows newest first when ring row i holds the latest difference
+        span = np.arange(self.capacity)
+        self._orders = (span[:, None] - span) % self.capacity
+        self._orders.flags.writeable = False
 
     @property
     def is_full(self):
@@ -79,7 +87,7 @@ class DiffWindow:
     def slots(self, limit=None):
         """Ring rows of the newest `limit` (default: all held) differences, newest first."""
         n = self.count if limit is None else min(limit, self.count)
-        return np.arange(self._newest, self._newest - n, -1) % self.capacity
+        return self._orders[self._newest, :n]
 
     def column(self, j):
         """j-th newest difference (j = 0 is the latest), as a read-only view.
@@ -108,13 +116,21 @@ def push_difference(window, v):
     return window
 
 
+@functools.lru_cache(maxsize=MAX_ORDER)
+def _shift_block(q):
+    """The q x q companion without its first column: ones on the superdiagonal."""
+    S = np.eye(q, k=1)
+    S.flags.writeable = False
+    return S
+
+
 def companion_matrix(c):
     """H(c): first column c, identity on the upper-right (q-1) block.
 
     Its characteristic polynomial is z^q - c_1 z^{q-1} - ... - c_q, so its
     eigenvalues are the roots of the fitted difference recurrence.
     """
-    C = np.eye(len(c), k=1)
+    C = _shift_block(len(c)).copy()
     C[:, 0] = c
     return C
 
@@ -122,14 +138,19 @@ def companion_matrix(c):
 def spectral_radius(C):
     """Largest eigenvalue modulus of a (small) companion matrix (LAPACK dgeev)."""
     C = np.asarray(C, dtype=float)
+    return _radius(C, np.isfinite(C).all())
+
+
+def _radius(C, finite):
+    """spectral_radius of C, told whether C is finite (a fit need only scan c)."""
     if C.shape[0] > MAX_ORDER:
         raise EigenFailure(f"companion of order {C.shape[0]} exceeds the supported {MAX_ORDER}")
-    if not np.isfinite(C).all():
+    if not finite:
         raise EigenFailure("companion has non-finite entries")
     wr, wi, _, _, info = dgeev(C, compute_vl=0, compute_vr=0)
     if info != 0:
         raise EigenFailure(f"eigenvalue computation failed (dgeev info {info})")
-    return float(np.max(np.hypot(wr, wi)))
+    return float(np.hypot(wr, wi).max())
 
 
 @dataclass(frozen=True)
@@ -155,7 +176,7 @@ GRAM_COND_LIMIT = 1e6
 
 
 def _pinv_factors(M):
-    """(A, B, sv) with pinv(M) = A @ B and sv M's singular values, from one SVD of a small M.
+    """(A, B) with pinv(M) = A @ B, from one SVD of a small M.
 
     Singular values at or below max(M.shape) * machine-eps times the largest
     are dropped, the cut `np.linalg.lstsq(M, b, rcond=None)` makes; applying
@@ -165,7 +186,7 @@ def _pinv_factors(M):
     if info != 0:
         raise np.linalg.LinAlgError(f"SVD did not converge (dgesdd info {info})")
     rank = np.count_nonzero(sv > max(M.shape) * _EPS * sv[0])  # sv is descending
-    return Vt[:rank].T / sv[:rank], U[:, :rank].T, sv
+    return Vt[:rank].T / sv[:rank], U[:, :rank].T
 
 
 def fit_coefficients(window):
@@ -174,35 +195,44 @@ def fit_coefficients(window):
     The newest column is the target v_k, the older q columns form V_{k-1}.
     Numerics (corrected semi-normal equations): one product W W' of the ring
     W gives the Gram matrix of all q+1 differences; c solves its q x q block
-    G' = V_{k-1}' V_{k-1} through one SVD of G' cut as lstsq(rcond=None) cuts,
-    then takes one refinement step from the residual vector r = V_{k-1} c - v_k,
+    G' = V_{k-1}' V_{k-1} through one symmetric eigendecomposition of G'
+    (LAPACK dsyev; G' is positive semidefinite, so its eigenvalues are its
+    singular values), cut as lstsq(rcond=None) cuts: eigenvalues at or
+    below q * machine-eps times the largest are dropped.  It then takes one
+    refinement step from the residual vector r = V_{k-1} c - v_k,
     c -= pinv(G') V_{k-1}' r, which recovers the accuracy the squared
-    condition number of G' costs.  When that SVD puts cond(V_{k-1}) above
-    GRAM_COND_LIMIT, c instead solves min ||R_prev c - R_target|| over the
-    columns of R from one Householder QR W' = Q R of the ring (LAPACK
-    dgeqrf), which never squares the condition number.
+    condition number of G' costs.  When the eigenvalues put cond(V_{k-1})
+    above GRAM_COND_LIMIT, c instead solves min ||R_prev c - R_target|| over
+    the columns of R from one Householder QR W' = Q R of the ring (LAPACK
+    dgeqrf) and one SVD of R_prev, which never squares the condition number.
     eps is ||r|| of the final residual vector, never read off G (that
     cancels catastrophically near a perfect fit).  Rank-deficient windows
     get the minimum-norm solution, so a fully stagnated window yields c = 0
     with eps = ||v_k||.  Cost: four passes over the (q+1) x p ring plus one
-    q x q SVD, and the QR's passes over a copy of the ring when it is taken.
+    q x q eigendecomposition and one q x q dgeev for rho, and the QR's
+    passes over a copy of the ring when it is taken.
     """
     if not window.is_full or window.capacity < 2:
         raise InsufficientHistory(
             f"need {window.capacity} differences, have {window.count}")
     W = window.rows
-    slots = window.slots()
-    target, prev = slots[0], slots[1:]
+    n = window.capacity
+    order = window.slots()
+    target, prev = order[0], order[1:]
     # W W' in four-column blocks: on a 7 x 18432 ring, single-threaded OpenBLAS
     # 0.3.31 (Xeon) takes 0.35 ms in dsyrk and in 7-column dgemm, 0.1 ms this way
-    G = np.empty((window.capacity, window.capacity))
-    for j in range(0, window.capacity, 4):
+    G = np.empty((n, n))
+    for j in range(0, n, 4):
         G[:, j:j + 4] = W @ W[j:j + 4].T
-    G = G.take(slots, 0).take(slots, 1)  # newest first
-    A, B, sv = _pinv_factors(G[1:, 1:])
-    a = np.empty(window.capacity)  # residual weights in ring order
+    G = G.take(order, 0).take(order, 1)  # newest first
+    lam, Q, info = dsyev(G[1:, 1:])  # eigenvalues ascending
+    if info != 0:
+        raise np.linalg.LinAlgError(f"eigendecomposition did not converge (dsyev info {info})")
+    a = np.empty(n)  # residual weights in ring order
     a[target] = -1.0
-    if sv[0] <= GRAM_COND_LIMIT ** 2 * sv[-1]:  # cond(G') = cond(V_{k-1})^2
+    if lam[-1] <= GRAM_COND_LIMIT ** 2 * lam[0]:  # cond(G') = cond(V_{k-1})^2
+        cut = np.count_nonzero(lam <= (n - 1) * _EPS * lam[-1])
+        A, B = Q[:, cut:] / lam[cut:], Q[:, cut:].T
         c = A @ (B @ G[1:, 0])
         a[prev] = c
         r = a @ W
@@ -211,13 +241,13 @@ def fit_coefficients(window):
         qr, _, _, info = dgeqrf(W.T)  # W.T is Fortran-ordered: dgeqrf copies it
         if info != 0:
             raise np.linalg.LinAlgError(f"QR failed (dgeqrf info {info})")
-        R = np.triu(qr[:window.capacity])  # p < q+1 leaves R with p rows
-        A, B, _ = _pinv_factors(R[:, prev])
+        R = np.triu(qr[:n])  # p < q+1 leaves R with p rows
+        A, B = _pinv_factors(R[:, prev])
         c = A @ (B @ R[:, target])
     a[prev] = c
     r = a @ W
     C = companion_matrix(c)
-    return CompanionFit(c=c, companion=C, rho=spectral_radius(C),
+    return CompanionFit(c=c, companion=C, rho=_radius(C, np.isfinite(c).all()),
                         eps=math.sqrt(r @ r), coeff_sum=float(c.sum()))
 
 
@@ -260,19 +290,18 @@ def extrapolate_finite(z, window, fit, s):
 def extrapolate_infinite(z, window, fit):
     """Limit of the fitted recurrence: z_{k-1} + V_k (I - C)^{-1} e_1.
 
-    One q x q solve; requires rho(C) < 1 and 1 - sum(c) bounded away from
-    zero (the closed form divides by it).
+    The Neumann weights w = (I - C)^{-1} e_1 of a companion C have a closed
+    form in the suffix sums S_i = c_i + ... + c_{q-1} of its coefficients:
+    w_0 = 1/(1 - S_0) and w_i = S_i/(1 - S_0), so with the z_{k-1} shift
+    the weights are S/(1 - S_0).  Requires rho(C) < 1 and 1 - sum(c)
+    bounded away from zero (the closed form divides by it).
     """
     if fit.rho >= 1.0:
         raise ValueError("extrapolate_infinite called with rho(C) >= 1")
     if abs(1.0 - fit.coeff_sum) <= 1e-12:
         raise NearSingular(f"|1 - sum(c)| = {abs(1.0 - fit.coeff_sum):.3e}")
-    q = fit.q
-    e1 = np.zeros(q)
-    e1[0] = 1.0
-    w = np.linalg.solve(np.eye(q) - fit.companion, e1)
-    w[0] -= 1.0  # z_{k-1} = z_k - v_k
-    return _combine(z, window, w)
+    S = fit.c[::-1].cumsum()[::-1]
+    return _combine(z, window, S / (1.0 - S[0]))
 
 
 def fitting_error_bound(fit, M_norms, s):

@@ -93,11 +93,16 @@ class ProblemInstance:
     unique_solution: bool = False
 
 
-def operator_norm(K):
-    """2-norm of a dense matrix: the root of the top eigenvalue of its smaller Gram matrix."""
-    K = np.asarray(K, dtype=float)
-    G = K @ K.T if K.shape[0] < K.shape[1] else K.T @ K
-    return float(np.sqrt(np.linalg.eigvalsh(G).max(initial=0.0)))
+def operator_norm(K, gram=None):
+    """2-norm of a dense matrix: the root of the top eigenvalue of its smaller Gram matrix.
+
+    `gram` is that Gram matrix (K K' for a wide K, else K'K) when the caller
+    has already formed it.
+    """
+    if gram is None:
+        K = np.asarray(K, dtype=float)
+        gram = K @ K.T if K.shape[0] < K.shape[1] else K.T @ K
+    return float(np.sqrt(np.linalg.eigvalsh(gram).max(initial=0.0)))
 
 
 GAMMA_RULES = ("K2/10", "K2+0.1")  # penalty rules relative to ||K||^2
@@ -155,7 +160,7 @@ def make_lasso(m=64, n=256, sparsity=13, mu=1.0, seed=0):
                            r_value=lambda u: mu * np.abs(u).sum(),
                            j_value=lambda y, psi: 0.5 * (y @ psi + y @ q + ff),
                            wide_lsq=term if term.carries_image else None)
-    nK = operator_norm(K)
+    nK = operator_norm(K, gram=term.gram)
     return ProblemInstance(
         problem=problem,
         descriptor=f"lasso(m={m},n={n},sparsity={sparsity},mu={mu},seed={seed})",

@@ -213,7 +213,7 @@ class WideLeastSquares:
     beside y, so the step makes one dense pass and forms K x with `image`
     from x's nonzero columns of K.  `carries_image` says whether K has the
     WIDE_IMAGE_MIN_ENTRIES entries from which the carry pays.  `Ktf` and
-    `KKtf` are K'f and KK'f.
+    `KKtf` are K'f and KK'f, and `gram` is KK'.
     """
 
     def __init__(self, K, f):
@@ -222,7 +222,8 @@ class WideLeastSquares:
         self.Ktf = K.T @ np.asarray(f, dtype=float)
         self.KKtf = K @ self.Ktf
         self.carries_image = K.size >= WIDE_IMAGE_MIN_ENTRIES
-        self._cache = QuadraticSolveCache(K @ K.T)
+        self.gram = K @ K.T
+        self._cache = QuadraticSolveCache(self.gram)
 
     def _solve(self, r, Kr, gamma):
         """(y, K y) for y = (K'K + gamma*I)^{-1} r, given Kr = K r.

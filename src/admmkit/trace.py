@@ -50,10 +50,15 @@ class Trace:
             return NotImplemented
         return self.rows == other.rows and self.meta == other.meta
 
-    def iterations_to(self, name, threshold):
-        """First k whose column value is <= threshold, or None."""
+    def first_row(self, name, threshold):
+        """First row whose column value is <= threshold, or None."""
         for r in self.rows:
             val = getattr(r, name)
             if val is not None and val <= threshold:
-                return r.k
+                return r
         return None
+
+    def iterations_to(self, name, threshold):
+        """First k whose column value is <= threshold, or None."""
+        row = self.first_row(name, threshold)
+        return None if row is None else row.k

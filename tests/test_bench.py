@@ -3,6 +3,7 @@ import dataclasses
 import glob
 import math
 import os
+import re
 import threading
 import time
 
@@ -408,3 +409,46 @@ def test_shipped_configs_run_under_budget(path, tmp_path):
     assert code == 0
     assert elapsed < 60.0
     assert glob.glob(str(tmp_path / "*.csv"))
+
+
+# What the accelerator decides on each shipped config except inpaint.cfg, whose
+# tv instance has many minimizers: the reference's (iterations, stop,
+# predictions applied) and each solver's (iterations, rows with a prediction
+# applied).  A reference that stops at its rounding floor may move by a step
+# when the fit's rounding changes, so lasso_spiral's step count is left out.
+DECISIONS = {
+    "bp_l1": ((614, "tol", 0), {"admm": (504, 0), "iadmm(0.3)": (1318, 0),
+                                "a3dmm(6,100)": (122, 15), "a3dmm(6,inf)": (122, 15)}),
+    "feasibility": ((10, "tol", 1), {"admm": (189, 0), "iadmm(0.1)": (198, 0),
+                                     "iadmm(0.3)": (407, 0), "iadmm(0.4,-0.2)": (94, 0)}),
+    "lasso": ((82, "tol", 10), {"admm": (212, 0), "iadmm(0.3)": (145, 0),
+                                "a3dmm(6,100)": (66, 8), "a3dmm(6,inf)": (66, 8)}),
+    "lasso_spiral": ((None, "floor", 17), {"admm": (400, 0), "iadmm(0.3)": (400, 0),
+                                           "a3dmm(6,100)": (400, 50),
+                                           "a3dmm(6,inf)": (400, 50)}),
+    "qp_box": ((53, "tol", 6), {"admm": (122, 0), "symmetric": (54, 0),
+                                "a3dmm(6,100)": (44, 5), "a3dmm(6,inf)": (44, 5)}),
+}
+
+
+def test_decisions_cover_every_shipped_config_but_inpaint():
+    names = {os.path.basename(p)[:-4] for p in glob.glob(os.path.join(CONFIG_DIR, "*.cfg"))}
+    assert names - {"inpaint"} == set(DECISIONS)
+
+
+@pytest.mark.parametrize("name", sorted(DECISIONS))
+def test_shipped_configs_keep_the_accelerator_decisions(name, tmp_path, capsys):
+    from admmkit.cli import main
+    (ref_iters, ref_stop, ref_applied), solvers = DECISIONS[name]
+    assert main(["bench", "--config", os.path.join(CONFIG_DIR, f"{name}.cfg"),
+                 "--out", str(tmp_path)]) == 0
+    [line] = [l for l in capsys.readouterr().out.splitlines() if "reference:" in l]
+    match = re.fullmatch(r"  reference: iters=(\d+)  stop=(\w+)  extrapolated=(\d+)", line)
+    assert match.group(2) == ref_stop
+    assert int(match.group(3)) == ref_applied
+    if ref_iters is not None:
+        assert int(match.group(1)) == ref_iters
+    traces = [read_trace_csv(p) for p in glob.glob(str(tmp_path / "*.csv"))]
+    got = {t.meta["solver"]: (len(t.rows), sum(r.extrapolated for r in t.rows))
+           for t in traces}
+    assert got == solvers

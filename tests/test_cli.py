@@ -209,8 +209,15 @@ def test_bench_subcommand(tmp_path, capsys):
     solver_lines = [l for l in out.splitlines() if "iters=" in l and "reference" not in l]
     assert len(solver_lines) == 2
     for line in solver_lines:
-        assert re.fullmatch(r"  i?admm(\(0\.3\))? +iters= +\d+  stop=tol {5}"
-                            r"\|\|v\|\|=\S+  dist_x<=1e-6 at k=\d+", line), line
+        match = re.fullmatch(r"  (i?admm(?:\(0\.3\))?) +iters= +\d+  stop=tol {5}"
+                             r"wall= *(\d+\.\d\d) ms  \|\|v\|\|=\S+  "
+                             r"dist_x<=1e-6 at k=(\d+) in (\d+\.\d\d) ms", line)
+        assert match, line
+        # both times are read off the trace's ms column
+        label, wall, k, reach_ms = match.groups()
+        rows = read_trace_csv(tmp_path / f"{trace_file_name(label)}.csv").rows
+        assert wall == f"{rows[-1].ms:.2f}"
+        assert reach_ms == f"{rows[int(k) - 1].ms:.2f}"
 
 
 def test_bench_reports_a_budget_stop(capsys):
@@ -221,8 +228,8 @@ def test_bench_reports_a_budget_stop(capsys):
              if "iters=" in l and "reference" not in l]
     assert len(lines) == 4
     for line in lines:
-        assert re.fullmatch(r"  \S+ +iters= +20  stop=budget  \|\|v\|\|=\S+  dist_x>1e-6",
-                            line), line
+        assert re.fullmatch(r"  \S+ +iters= +20  stop=budget  wall= *\d+\.\d\d ms  "
+                            r"\|\|v\|\|=\S+  dist_x>1e-6", line), line
 
 
 def test_bench_reports_a_reference_at_the_rounding_floor(capsys):

@@ -1,11 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from admmkit.extrapolate import (CompanionFit, DiffWindow, DimensionMismatch,
+from admmkit import extrapolate
+from admmkit.extrapolate import (GRAM_COND_LIMIT, CompanionFit, DiffWindow, DimensionMismatch,
                                  DivergentSeries, EigenFailure, InsufficientHistory,
                                  NearSingular, _power_sum_first_column, companion_matrix,
                                  extrapolate_finite, extrapolate_infinite, fit_coefficients,
@@ -239,6 +241,59 @@ def test_fit_stagnated_window():
     assert fit.eps == 2.0
 
 
+_EPS = np.finfo(float).eps
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 72),
+       st.floats(0.0, math.log10(0.9 * GRAM_COND_LIMIT)), st.floats(-3.0, 3.0),
+       st.floats(-12.0, 0.0), st.integers(0, 2 ** 31 - 1))
+def test_eigen_route_fit_matches_lstsq(q, extra_rows, log_cond, log_scale, log_noise, seed):
+    # V_{k-1} with singular values spread geometrically over cond(V) below
+    # GRAM_COND_LIMIT, and a target off its range by a relative `noise`
+    p = q + 1 + extra_rows
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((p, q)))[0]
+    R = np.linalg.qr(rng.standard_normal((q, q)))[0]
+    sv = np.geomspace(1.0, 10.0 ** -log_cond, q) * 10.0 ** log_scale
+    V = (U * sv) @ R
+    target = V @ rng.standard_normal(q) + 10.0 ** log_noise * sv[0] * rng.standard_normal(p)
+    win = window_from([V[:, j] for j in range(q - 1, -1, -1)] + [target], q + 1)
+    with mock.patch.object(extrapolate, "dgeqrf", side_effect=AssertionError("QR route")):
+        fit = fit_coefficients(win)
+    V = win.matrix()[:, 1:]
+    c, *_ = np.linalg.lstsq(V, target, rcond=None)
+    r = np.linalg.norm(V @ c - target)
+    sv = np.linalg.svd(V, compute_uv=False)
+    cond = sv[0] / sv[-1]
+    # the least-squares perturbation bound, plus what one refinement step
+    # leaves of the normal equations' error, (cond^2 eps)^2
+    bound = (_EPS * (cond + cond ** 2 * r / (sv[0] * np.linalg.norm(c)))
+             + (cond ** 2 * _EPS) ** 2)
+    assert np.linalg.norm(fit.c - c) <= 64 * bound * np.linalg.norm(c)
+    assert abs(fit.eps - r) <= 8 * _EPS * (np.linalg.norm(target) + sv[0] * np.linalg.norm(c))
+
+
+def test_fit_rank_deficient_window_takes_the_minimum_norm_coefficients():
+    rng = np.random.default_rng(4)
+    a, b = rng.standard_normal(9), rng.standard_normal(9)
+    target = a + b + 1e-3 * rng.standard_normal(9)
+    fit = fit_coefficients(window_from([b, a, a, target], 4))  # V_{k-1} = [a, a, b]
+    c, *_ = np.linalg.lstsq(np.column_stack([a, a, b]), target, rcond=None)
+    np.testing.assert_allclose(fit.c, c, rtol=1e-12)
+    assert fit.c[0] == pytest.approx(fit.c[1], rel=1e-12)  # a's weight split evenly
+    assert fit.eps == pytest.approx(np.linalg.norm(np.column_stack([a, a, b]) @ c - target),
+                                    rel=1e-12)
+
+
+def test_fit_stagnated_window_of_any_size_leaves_the_newest_difference():
+    # V_{k-1} = 0: every eigenvalue of its Gram block falls under the cut
+    v = np.random.default_rng(8).standard_normal(40)
+    fit = fit_coefficients(window_from([np.zeros(40)] * 6 + [v], 7))
+    np.testing.assert_array_equal(fit.c, np.zeros(6))
+    assert fit.eps == np.linalg.norm(v)
+
+
 def test_fit_requires_full_window():
     w = window_from([np.ones(2)], 3)
     with pytest.raises(InsufficientHistory):
@@ -358,6 +413,40 @@ def test_extrapolate_infinite_near_singular():
     assert near.rho < 1.0
     with pytest.raises(NearSingular):
         extrapolate_infinite(np.zeros(2), win, near)
+
+
+@st.composite
+def contractive_coefficients(draw):
+    """c of a recurrence whose q <= 8 roots lie in the open unit disc."""
+    q = draw(st.integers(1, 8))
+    roots = []
+    while len(roots) < q:
+        modulus = draw(st.floats(0.0, 0.9999))
+        if q - len(roots) >= 2 and draw(st.booleans()):
+            angle = draw(st.floats(0.0, math.pi))
+            roots += [modulus * np.exp(1j * angle), modulus * np.exp(-1j * angle)]
+        else:
+            roots.append(modulus * draw(st.sampled_from([-1.0, 1.0])))
+    return -np.real(np.poly(roots))[1:]  # z^q - c_1 z^{q-1} - ... - c_q
+
+
+@settings(max_examples=200, deadline=None)
+@given(contractive_coefficients())
+def test_limit_weights_match_a_solve_with_the_companion(c):
+    # extrapolate_infinite reads its Neumann weights in closed form; with the
+    # window's differences the unit vectors, its output is those weights
+    d = 1.0 - c.sum()
+    assume(abs(d) >= 1e-6)
+    q = c.size
+    C = companion_matrix(c)
+    fit = CompanionFit(c=c, companion=C, rho=spectral_radius(C), eps=0.0, coeff_sum=float(c.sum()))
+    assert fit.rho < 1.0
+    win = window_from([np.zeros(q)] + [row for row in np.eye(q)[::-1]], q + 1)
+    w = extrapolate_infinite(np.zeros(q), win, fit)
+    e1 = np.eye(q)[0]
+    expected = np.linalg.solve(np.eye(q) - C, e1) - e1  # z_{k-1} = z_k - v_k
+    scale = np.abs(expected + e1).max()
+    assert np.abs(w - expected).max() <= 16 * _EPS * (1 + np.abs(c).sum()) / abs(d) * scale
 
 
 def test_mpe_exactness_on_linear_recurrence():
