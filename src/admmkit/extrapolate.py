@@ -48,7 +48,7 @@ class InsufficientHistory(ValueError):
 
 
 class EigenFailure(RuntimeError):
-    """Eigenvalue computation failed or companion size out of range."""
+    """A fit met a non-finite window, a LAPACK routine failed, or the companion is out of range."""
 
 
 class NearSingular(ValueError):
@@ -184,7 +184,7 @@ def _pinv_factors(M):
     """
     U, sv, Vt, info = dgesdd(M)
     if info != 0:
-        raise np.linalg.LinAlgError(f"SVD did not converge (dgesdd info {info})")
+        raise EigenFailure(f"SVD did not converge (dgesdd info {info})")
     rank = np.count_nonzero(sv > max(M.shape) * _EPS * sv[0])  # sv is descending
     return Vt[:rank].T / sv[:rank], U[:, :rank].T
 
@@ -208,9 +208,11 @@ def fit_coefficients(window):
     eps is ||r|| of the final residual vector, never read off G (that
     cancels catastrophically near a perfect fit).  Rank-deficient windows
     get the minimum-norm solution, so a fully stagnated window yields c = 0
-    with eps = ||v_k||.  Cost: four passes over the (q+1) x p ring plus one
-    q x q eigendecomposition and one q x q dgeev for rho, and the QR's
-    passes over a copy of the ring when it is taken.
+    with eps = ||v_k||.  A Gram matrix that is not finite (a window holding
+    NaN or inf, or one whose products overflow) and a LAPACK routine that
+    reports failure raise EigenFailure.  Cost: four passes over the
+    (q+1) x p ring plus one q x q eigendecomposition and one q x q dgeev for
+    rho, and the QR's passes over a copy of the ring when it is taken.
     """
     if not window.is_full or window.capacity < 2:
         raise InsufficientHistory(
@@ -224,10 +226,12 @@ def fit_coefficients(window):
     G = np.empty((n, n))
     for j in range(0, n, 4):
         G[:, j:j + 4] = W @ W[j:j + 4].T
+    if not np.isfinite(G).all():  # a NaN or inf in the window, or a product that overflows
+        raise EigenFailure("the window's Gram matrix is not finite")
     G = G.take(order, 0).take(order, 1)  # newest first
     lam, Q, info = dsyev(G[1:, 1:])  # eigenvalues ascending
     if info != 0:
-        raise np.linalg.LinAlgError(f"eigendecomposition did not converge (dsyev info {info})")
+        raise EigenFailure(f"eigendecomposition did not converge (dsyev info {info})")
     a = np.empty(n)  # residual weights in ring order
     a[target] = -1.0
     if lam[-1] <= GRAM_COND_LIMIT ** 2 * lam[0]:  # cond(G') = cond(V_{k-1})^2
@@ -240,7 +244,7 @@ def fit_coefficients(window):
     else:
         qr, _, _, info = dgeqrf(W.T)  # W.T is Fortran-ordered: dgeqrf copies it
         if info != 0:
-            raise np.linalg.LinAlgError(f"QR failed (dgeqrf info {info})")
+            raise EigenFailure(f"QR failed (dgeqrf info {info})")
         R = np.triu(qr[:n])  # p < q+1 leaves R with p rows
         A, B = _pinv_factors(R[:, prev])
         c = A @ (B @ R[:, target])

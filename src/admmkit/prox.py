@@ -22,8 +22,12 @@ m x n design K is solved through the smaller Gram matrix: K'K for m >= n
 the image K z).  Building costs O(min(m,n)^2 max(m,n)) and each solve
 O(mn).  Cached solves go through LAPACK `potrs` after an explicit
 finiteness check of the right-hand side; the factor was checked once when
-`cho_factor` built it.  The tests' reference projection, which factors on
-every call, is in `tests/reference_twins.py`.
+`cho_factor` built it.  The carried y-step of `WideLeastSquares.prox`
+instead multiplies by the cached inverse (Q + gamma*I)^{-1}, formed once
+per gamma from the same factor with LAPACK `potri`, after the same check
+(the m x m solve of the matrix inversion lemma cached once per penalty,
+Boyd et al. 2011, sec. 4.2.4).  The tests' reference projection, which
+factors on every call, is in `tests/reference_twins.py`.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpotri, dpotrs
 
 
 class OverlappingGroups(ValueError):
@@ -150,14 +154,19 @@ def prox_nuclear(W, tau):
     return (U * np.maximum(s - tau, 0.0)) @ Vt
 
 
+def _check_finite(b):
+    """Raise ValueError on a NaN or inf in b, as `scipy.linalg.cho_solve` does."""
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
 def _cho_solve(factor, b):
     """x = (L L')^{-1} b for a `cho_factor` result; a non-finite b raises ValueError.
 
     Bit-identical to `scipy.linalg.cho_solve`, which also re-scans the whole
     factor for NaN and inf on every call.
     """
-    if not np.isfinite(b).all():
-        raise ValueError("array must not contain infs or NaNs")
+    _check_finite(b)
     c, lower = factor
     x, info = dpotrs(c, b, lower=lower)
     if info != 0:
@@ -166,7 +175,11 @@ def _cho_solve(factor, b):
 
 
 class QuadraticSolveCache:
-    """Solves (Q + gamma*I) x = r for a symmetric Q, one Cholesky factor per gamma, built lazily."""
+    """Solves (Q + gamma*I) x = r for a symmetric Q, one Cholesky factor per gamma, built lazily.
+
+    `inverse(gamma)` is (Q + gamma*I)^{-1} itself, formed once per gamma
+    from the same factor.
+    """
 
     def __init__(self, Q):
         Q = np.asarray(Q, dtype=float)
@@ -174,6 +187,7 @@ class QuadraticSolveCache:
             raise NotSymmetric("Q must be symmetric")
         self._Q = Q
         self._factors: dict[float, tuple] = {}
+        self._inverses: dict[float, np.ndarray] = {}
 
     def factor(self, gamma):
         key = float(gamma)
@@ -186,20 +200,42 @@ class QuadraticSolveCache:
         """x = (Q + gamma*I)^{-1} r; a non-finite r raises ValueError."""
         return _cho_solve(self.factor(gamma), r)
 
+    def inverse(self, gamma):
+        """(Q + gamma*I)^{-1}, exactly symmetric and read-only, from LAPACK potri on the factor."""
+        key = float(gamma)
+        if key not in self._inverses:
+            c, lower = self.factor(key)
+            inv, info = dpotri(c, lower=lower)
+            if info != 0:
+                raise ValueError(f"potri failed (info {info})")
+            half = np.tril if lower else np.triu  # potri fills this triangle only
+            inv = half(inv)  # a fresh C-ordered array
+            inv += half(inv, -1 if lower else 1).T
+            inv.flags.writeable = False
+            self._inverses[key] = inv
+        return self._inverses[key]
+
 
 # A WideLeastSquares carries the image K z (`carries_image`) when K has at
 # least this many entries.  Per step the carry saves the y-solve's dense K r
-# and adds a gather of x's few nonzero columns of K and three passes of
-# length m.  Measured per plain step against the oracle step, on the same
-# instance (best of 11 alternating runs, one BLAS thread, 2-vCPU VM):
-# 64 x 256 +12%, 100 x 500 -3%, 128 x 512 -1%, 100 x 1000 -15%,
-# 128 x 1024 -14%, 200 x 2000 -36%; so the carry starts at 2^16 entries.
+# and trades its two triangular solves for one product with the cached
+# m x m inverse; it adds K x from x's few nonzero columns of K (gathered
+# again only when x's support changes) and three passes of length m.
+# Measured per plain step against the oracle step, on the same instance
+# (150 steps from z = 0, sparsity m/10, best of 11 alternating rounds,
+# median over 5 processes, one BLAS thread, 2-vCPU Xeon VM): 64 x 256 -2%,
+# 100 x 500 -16%, 128 x 512 -27%, 100 x 1000 -26%, 128 x 1024 -32%,
+# 200 x 2000 -42%.  The constant was set at 2^16 entries when the carried
+# step still solved with the factor and gathered every step (then +12% at
+# 64 x 256, -36% at 200 x 2000); it stays there, so the 64 x 256 desk LASSO
+# keeps stepping through its oracle.
 WIDE_IMAGE_MIN_ENTRIES = 2 ** 16
 
 # `WideLeastSquares.image` gathers u's nonzero columns of K when at most
 # 1/SPARSE_IMAGE_SHARE of u is nonzero, else forms K u densely: a gathered
 # column is strided in K, and the measured crossover lay at 3-8% nonzero
-# for 100 x 500 and 200 x 2000 designs (one BLAS thread).
+# for 100 x 500 and 200 x 2000 designs (one BLAS thread), with the gather
+# made on every call.
 SPARSE_IMAGE_SHARE = 20
 
 
@@ -208,12 +244,16 @@ class WideLeastSquares:
 
     J's prox solves (K'K + gamma*I) y = r, r = gamma*w + K'f, as
     y = (r - K't)/gamma with t = (KK' + gamma*I)^{-1} K r = K y.  `oracle()`
-    is that prox as a ProxOracle: two dense passes over K (K r and K't).
-    `prox` takes K r from an image K z that a step carries and returns K y
-    beside y, so the step makes one dense pass and forms K x with `image`
-    from x's nonzero columns of K.  `carries_image` says whether K has the
-    WIDE_IMAGE_MIN_ENTRIES entries from which the carry pays.  `Ktf` and
-    `KKtf` are K'f and KK'f, and `gram` is KK'.
+    is that prox as a ProxOracle: two dense passes over K (K r and K't) and
+    two triangular solves with the cached factor.  `prox` takes K r from an
+    image K z that a step carries, forms t with the cached inverse
+    (KK' + gamma*I)^{-1} (one m x m product, built once per gamma from the
+    same factor) and returns K y beside y, so the step makes one dense pass
+    over K and forms K x with `image` from x's nonzero columns of K, which
+    the next step reuses while the support stays the same.
+    `carries_image` says whether K has the WIDE_IMAGE_MIN_ENTRIES entries
+    from which the carry pays.  `Ktf` and `KKtf` are K'f and KK'f, and
+    `gram` is KK'.
     """
 
     def __init__(self, K, f):
@@ -225,35 +265,43 @@ class WideLeastSquares:
         self.gram = K @ K.T
         self._cache = QuadraticSolveCache(self.gram)
 
-    def _solve(self, r, Kr, gamma):
-        """(y, K y) for y = (K'K + gamma*I)^{-1} r, given Kr = K r.
-
-        A non-finite Kr raises ValueError.
-        """
-        t = self._cache.solve(Kr, gamma)
-        return (r - self.K.T @ t) / gamma, t
-
     def oracle(self):
-        """J's prox as a ProxOracle: evaluate(w, gamma) = argmin J + (gamma/2)||y - w||^2."""
+        """J's prox as a ProxOracle: evaluate(w, gamma) = argmin J + (gamma/2)||y - w||^2.
+
+        A non-finite K r raises ValueError.
+        """
         def evaluate(w, gamma):
             r = gamma * w + self.Ktf
-            return self._solve(r, self.K @ r, gamma)[0]
+            t = self._cache.solve(self.K @ r, gamma)
+            return (r - self.K.T @ t) / gamma
 
         return ProxOracle(evaluate, self.K.shape[1], "least-squares")
 
     def prox(self, z, Kz, gamma):
         """(y, K y) for y = argmin J + (gamma/2)||y - z/gamma||^2, given Kz = K z.
 
-        Here r = z + K'f, so K r = Kz + KK'f.
+        Here r = z + K'f, so K r = Kz + KK'f and t = (KK' + gamma*I)^{-1} K r.
+        A non-finite K r raises ValueError.
         """
-        return self._solve(z + self.Ktf, Kz + self.KKtf, gamma)
+        Kr = Kz + self.KKtf
+        _check_finite(Kr)
+        t = self._cache.inverse(gamma) @ Kr
+        return (z + self.Ktf - self.K.T @ t) / gamma, t
 
-    def image(self, u):
-        """K u, from the columns of u's nonzero entries when they are few."""
+    def image(self, u, held=None):
+        """(K u, columns) with columns = (support, K[:, support]) of u's nonzero entries.
+
+        K u is formed from those columns when they are at most
+        1/SPARSE_IMAGE_SHARE of u (columns is None otherwise, and K u is
+        dense).  `held`, the columns an earlier call returned, is reused when
+        its support is u's, so K u is bit-identical to K[:, nz] @ u[nz].
+        """
         nz = u.nonzero()[0]
         if nz.size * SPARSE_IMAGE_SHARE > u.size:
-            return self.K @ u
-        return self.K[:, nz] @ u[nz]
+            return self.K @ u, None
+        if held is None or held[0].size != nz.size or not (held[0] == nz).all():
+            held = nz, self.K[:, nz]
+        return held[1] @ u[nz], held
 
 
 # ---------------------------------------------------------------------------

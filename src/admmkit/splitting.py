@@ -12,12 +12,13 @@ of the iteration to the single variable z.  A step costs one call of each
 oracle, one apply of A and a few vector passes.  On a split that declares a
 wide least-squares y-block (`SplitProblem.wide_lsq`) the state also carries
 the image K z, and K z_bar when it is known; the y-step then runs from the
-image in place of `prox_j`, with one dense pass over K instead of two, and
-a prediction leaves K z_bar to be formed densely by the next step.  Its
-dual twin, which runs the same fixed-point iteration through the conjugate
-proximal maps (Douglas-Rachford for the standard/relaxed scheme,
-Peaceman-Rachford for the symmetric one), is the tests' equivalence check
-and lives beside them in `tests/reference_twins.py`.
+image in place of `prox_j`, with one dense pass over K instead of two,
+forms K A x from A x's few nonzero columns of K (gathered again only when
+that support changes), and a prediction leaves K z_bar to be formed densely
+by the next step.  Its dual twin, which runs the same fixed-point
+iteration through the conjugate proximal maps (Douglas-Rachford for the
+standard/relaxed scheme, Peaceman-Rachford for the symmetric one), is the
+tests' equivalence check and lives beside them in `tests/reference_twins.py`.
 """
 
 from __future__ import annotations
@@ -115,12 +116,17 @@ class IterateState:
     problem `Kz` is K z and `Kz_bar` is K z_bar or None when unknown.
     `move_to` is the one setter of z_bar, and it sets or clears the image
     with it, so a point set without its image never meets a stale one.
+    `columns` is None or the (support, K[:, support]) pair from which the
+    step formed K A x (`WideLeastSquares.image`); the next step reuses the
+    gathered columns only when A x keeps that exact support, so they never
+    depend on where z_bar was moved.
     """
 
-    __slots__ = ("x", "y", "psi", "z", "v", "k", "Kz", "_z_bar", "_Kz_bar")
+    __slots__ = ("x", "y", "psi", "z", "v", "k", "Kz", "columns", "_z_bar", "_Kz_bar")
 
-    def __init__(self, x, y, psi, z, v, k=0, Kz=None):
+    def __init__(self, x, y, psi, z, v, k=0, Kz=None, columns=None):
         self.x, self.y, self.psi, self.z, self.v, self.k, self.Kz = x, y, psi, z, v, k, Kz
+        self.columns = columns
         self.move_to(z, Kz)
 
     @property
@@ -183,7 +189,8 @@ def variant_step(problem, state, config):
     (formed densely when the state does not carry it) and returns t = K y,
     so K psi = K z_bar - gamma*t and the new image is
     K z = K z_bar + gamma*(K u - t), with K A x formed from A x's nonzero
-    entries.  Writes only into arrays it made.
+    columns of K, gathered again only when that support differs from the
+    one state.columns holds.  Writes only into arrays it made.
     """
     gamma = config.gamma
     zb = state.z_bar
@@ -210,13 +217,15 @@ def variant_step(problem, state, config):
     Ax = problem.A.apply(x)
     z = gamma * _combine(config, Ax, y)
     z += psi
-    Kz = None
+    Kz = columns = None
     if lsq is not None:
-        Kz = _combine(config, lsq.image(Ax), t)
+        KAx, columns = lsq.image(Ax, state.columns)
+        Kz = _combine(config, KAx, t)
         Kz -= t
         Kz *= gamma
         Kz += Kzb
-    return IterateState(x=x, y=y, psi=psi, z=z, v=z - state.z, k=state.k + 1, Kz=Kz)
+    return IterateState(x=x, y=y, psi=psi, z=z, v=z - state.z, k=state.k + 1, Kz=Kz,
+                        columns=columns)
 
 
 def _combine(config, Ax, y):

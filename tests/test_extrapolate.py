@@ -300,6 +300,40 @@ def test_fit_requires_full_window():
         fit_coefficients(w)
 
 
+def test_fit_of_a_window_whose_gram_matrix_overflows_raises_eigen_failure():
+    # every entry is finite, but 1e200^2 is not: no "contractive" fit from an inf Gram matrix
+    w = window_from([np.array([1.0, 2.0, 3.0]), np.array([1e200, 1.0, 0.0]),
+                     np.array([0.5, 0.2, 1.0])], 3)
+    with np.errstate(over="ignore"), pytest.raises(EigenFailure, match="not finite"):
+        fit_coefficients(w)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fit_of_a_window_holding_nan_or_inf_raises_eigen_failure(bad):
+    w = window_from([np.array([1.0, 2.0, 3.0]), np.array([bad, 1.0, 0.0]),
+                     np.array([0.5, 0.2, 1.0])], 3)
+    with np.errstate(invalid="ignore"), pytest.raises(EigenFailure, match="not finite"):
+        fit_coefficients(w)
+
+
+def ill_conditioned_window():
+    """A window whose V_{k-1} has cond about 2e8, fitted through the QR route."""
+    return window_from([np.array([1.0, 0.0, 0.0]), np.array([1.0, 1e-8, 0.0]),
+                        np.array([0.3, 0.2, 0.1])], 3)
+
+
+@pytest.mark.parametrize("routine, failed", [
+    ("dsyev", lambda a: (np.zeros(2), np.eye(2), 1)),
+    ("dgeqrf", lambda a: (np.zeros((3, 3)), np.zeros(3), None, 2)),
+    ("dgesdd", lambda a: (np.eye(3), np.ones(2), np.eye(2), 1)),
+])
+def test_a_failed_lapack_routine_in_the_fit_raises_eigen_failure(routine, failed, monkeypatch):
+    fit_coefficients(ill_conditioned_window())  # takes the QR route, through all three
+    monkeypatch.setattr(extrapolate, routine, failed)
+    with pytest.raises(EigenFailure, match=routine):
+        fit_coefficients(ill_conditioned_window())
+
+
 def test_companion_layout_and_characteristic_polynomial():
     rng = np.random.default_rng(3)
     for q in (1, 2, 3, 4):

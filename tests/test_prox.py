@@ -259,6 +259,47 @@ def test_cached_solve_rejects_a_non_finite_right_hand_side():
             scipy.linalg.cho_solve(factor, bad)
 
 
+@pytest.mark.parametrize("lower", [False, True], ids=["upper", "lower"])
+def test_cached_inverse_is_exactly_symmetric_and_matches_a_dense_solve(lower, monkeypatch):
+    # the cache factors the upper triangle; a lower factor fills the other half of potri's result
+    cho_factor = scipy.linalg.cho_factor
+    monkeypatch.setattr(scipy.linalg, "cho_factor", lambda a: cho_factor(a, lower=lower))
+    rng = np.random.default_rng(11)
+    G = rng.standard_normal((30, 12))
+    Q = G.T @ G
+    cache = QuadraticSolveCache(Q)
+    for gamma in (0.0, 0.3, 7.0):
+        inv = cache.inverse(gamma)
+        assert np.array_equal(inv, inv.T)
+        assert not inv.flags.writeable
+        expected = np.linalg.solve(Q + gamma * np.eye(12), np.eye(12))
+        assert np.linalg.norm(inv - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_cached_inverse_shares_one_factorization_per_gamma_with_solve(monkeypatch):
+    calls = []
+    cho_factor = scipy.linalg.cho_factor
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return cho_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+    rng = np.random.default_rng(12)
+    G = rng.standard_normal((20, 8))
+    cache = QuadraticSolveCache(G.T @ G)
+    r = rng.standard_normal(8)
+    cache.solve(r, 0.5)
+    inv = cache.inverse(0.5)
+    assert cache.inverse(0.5) is inv
+    cache.solve(r, 0.5)
+    assert len(calls) == 1
+    cache.inverse(2.0)
+    cache.solve(r, 2.0)
+    assert len(calls) == 2
+    np.testing.assert_allclose(inv @ r, cache.solve(r, 0.5), rtol=1e-12)
+
+
 def moreau_conjugate_prox(prox_f, z, gamma):
     """prox of gamma*f^* at z via the Moreau identity z = prox_{gamma f*}(z) + gamma*prox_{f/gamma}(z/gamma).
 

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from admmkit import a3dmm
-from admmkit.bench import compute_reference, parse_solver_spec, run_spec
+from admmkit.bench import (RunConfig, build_instance, compute_reference, parse_solver_spec,
+                           penalty, run_spec)
 from admmkit.problems import make_lasso
 from admmkit.prox import WIDE_IMAGE_MIN_ENTRIES
-from admmkit.splitting import IterateState, SolverConfig, variant_step
+from admmkit.splitting import IterateState, SolverConfig, SubproblemFailure, variant_step
 
 SPECS = ("admm", "relaxed(1.5)", "symmetric", "iadmm(0.3)", "iadmm(0.4,-0.2)",
          "a3dmm(6,100)", "a3dmm(6,inf)")
@@ -156,8 +157,114 @@ def test_the_image_of_a_sparse_or_dense_vector_is_k_times_it(wide):
     for nonzeros in (0, 3, 35, 36, 700):  # the gather serves up to 1/20 of the entries
         u = np.zeros(K.shape[1])
         u[rng.choice(u.size, nonzeros, replace=False)] = rng.standard_normal(nonzeros)
-        np.testing.assert_allclose(lsq.image(u), K @ u, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(lsq.image(u)[0], K @ u, rtol=1e-13, atol=1e-13)
     y, t = lsq.prox(u, K @ u, 0.7)
     np.testing.assert_allclose(t, K @ y, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(y, wide.problem.prox_j.evaluate(u / 0.7, 0.7),
                                rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("gamma_of", [lambda K2: K2 / 10, lambda K2: K2 + 0.1, lambda K2: 1e-3],
+                         ids=["K2/10", "K2+0.1", "1e-3"])
+def test_the_carried_y_step_matches_the_oracle(wide, gamma_of):
+    # the carried step multiplies by the cached inverse, the oracle solves with the factor
+    lsq, K = wide.problem.wide_lsq, wide.extra["K"]
+    gamma = gamma_of(wide.norm_K ** 2)
+    z = np.random.default_rng(5).standard_normal(K.shape[1])
+    y, t = lsq.prox(z, K @ z, gamma)
+    expected = lsq.oracle().evaluate(z / gamma, gamma)
+    assert rel(y, expected) <= 1e-12
+    # t = K y, against the oracle's triangular solves (K @ expected cancels at small gamma)
+    assert rel(t, lsq._cache.solve(K @ z + lsq.KKtf, gamma)) <= 1e-12
+
+
+def test_a_non_finite_image_fails_the_y_subproblem(wide):
+    problem, K = wide.problem, wide.extra["K"]
+    z = np.ones(K.shape[1])
+    for bad in (np.nan, np.inf):
+        Kz = K @ z
+        Kz[3] = bad
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            problem.wide_lsq.prox(z, Kz, 0.7)
+        state = IterateState.initial(problem)
+        state.move_to(z, Kz)
+        with pytest.raises(SubproblemFailure, match="y-subproblem") as info:
+            variant_step(problem, state, SolverConfig(gamma=0.7))
+        assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_the_image_reuses_gathered_columns_only_on_the_same_support(wide):
+    lsq, K = wide.problem.wide_lsq, wide.extra["K"]
+    rng = np.random.default_rng(6)
+
+    def vector(support):
+        u = np.zeros(K.shape[1])
+        u[support] = rng.standard_normal(len(support))
+        return u
+
+    def gathered(u):
+        nz = u.nonzero()[0]
+        return K[:, nz] @ u[nz]
+
+    first = vector([4, 90, 311])
+    Ku, held = lsq.image(first)
+    assert np.array_equal(Ku, gathered(first))
+    assert np.array_equal(held[0], [4, 90, 311]) and np.array_equal(held[1], K[:, held[0]])
+    same = vector([4, 90, 311])
+    Ku, again = lsq.image(same, held)
+    assert again is held and np.array_equal(Ku, gathered(same))
+    for support in ([4, 90, 312], [4, 90], [4, 90, 311, 500], []):  # moved, shrunk, grown, empty
+        u = vector(support)
+        Ku, other = lsq.image(u, held)
+        assert other is not held and np.array_equal(other[0], support)
+        assert np.array_equal(Ku, gathered(u))
+    dense = vector(np.arange(0, 700, 19))  # 37 of 700 nonzero, over 1/SPARSE_IMAGE_SHARE
+    Ku, none = lsq.image(dense, held)
+    assert none is None and np.array_equal(Ku, K @ dense)
+
+
+@pytest.mark.parametrize("text", ["admm", "iadmm(0.3)", "iadmm(0.4,-0.2)", "a3dmm(6,100)",
+                                  "a3dmm(6,inf)"])
+def test_every_step_forms_k_x_as_a_fresh_gather_would(wide, text, monkeypatch):
+    # states moved by momentum or a prediction carry columns of an earlier
+    # support; a step reuses them only when x keeps that support
+    problem, K = wide.problem, wide.extra["K"]
+    reused, moved = [], []
+
+    def comparing_step(problem, state, config):
+        held = state.columns
+        moved.append(state.z_bar is not state.z)
+        state.columns = None
+        fresh = variant_step(problem, state, config)
+        state.columns = held
+        state, nv = checked_step(problem, state, config)
+        for field in ("x", "y", "psi", "z", "Kz"):
+            assert np.array_equal(getattr(state, field), getattr(fresh, field)), field
+        support = state.x.nonzero()[0]
+        assert np.array_equal(state.columns[0], support)
+        assert np.array_equal(state.columns[1], K[:, support])
+        reused.append(held is not None and state.columns is held)
+        return state, nv
+
+    checked_step = a3dmm.checked_step
+    monkeypatch.setattr(a3dmm, "checked_step", comparing_step)
+    result = run_spec(wide, parse_solver_spec(text), wide.gamma_default, TOL, MAX_ITER)
+    assert result.converged
+    assert any(reused) and not all(reused[1:])  # reused, and gathered again on a new support
+    assert any(moved) == (text != "admm")
+
+
+def test_the_benchmark_instance_keeps_its_iterations_and_predictions():
+    # perfbench's lasso-wide: the carried y-step with the cached inverse and reused columns
+    config = RunConfig(problem="lasso", seed=0, m=200, n=2000, sparsity=20, gamma="K2/10",
+                       tol=1e-8, max_iter=3000)
+    instance = build_instance(config)
+    assert instance.problem.wide_lsq is not None
+    gamma = penalty(config, instance)
+    ref = compute_reference(instance, gamma, config.tol, config.max_iter)
+    assert (ref.iterations, ref.stop, ref.extrapolated) == (74, "tol", 8)
+    for text, iterations, applied in (("admm", 174, 0), ("iadmm(0.3)", 139, 0),
+                                      ("a3dmm(6,100)", 58, 6), ("a3dmm(6,inf)", 58, 6)):
+        result = run_spec(instance, parse_solver_spec(text), gamma, config.tol, config.max_iter)
+        assert result.converged, text
+        assert (result.state.k, len(result.trace.applied_increments)) == (iterations, applied), text
