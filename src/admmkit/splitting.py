@@ -190,14 +190,18 @@ def variant_step(problem, state, config):
     so K psi = K z_bar - gamma*t and the new image is
     K z = K z_bar + gamma*(K u - t), with K A x formed from A x's nonzero
     columns of K, gathered again only when that support differs from the
-    one state.columns holds.  Writes only into arrays it made.
+    one state.columns holds.  At gamma = 1 it skips dividing z_bar and
+    z_bar - 2psi by gamma and multiplying y and u by it (a/1.0 and 1.0*a
+    are a, bit for bit), and hands z_bar itself to the y-oracle, which must
+    not write into it.  Writes only into arrays it made.
     """
     gamma = config.gamma
+    unit = gamma == 1.0
     zb = state.z_bar
     lsq = problem.wide_lsq
     try:
         if lsq is None:
-            y = problem.prox_j.evaluate(zb / gamma, gamma)
+            y = problem.prox_j.evaluate(zb if unit else zb / gamma, gamma)
         else:
             Kzb = state.Kz_bar
             if Kzb is None:
@@ -205,18 +209,26 @@ def variant_step(problem, state, config):
             y, t = lsq.prox(zb, Kzb, gamma)
     except Exception as exc:  # noqa: BLE001 - oracle failures become solver errors
         raise SubproblemFailure("y-subproblem failed") from exc
-    psi = gamma * y
-    np.subtract(zb, psi, out=psi)
+    if unit:
+        psi = zb - y
+    else:
+        psi = gamma * y
+        np.subtract(zb, psi, out=psi)
     w = 2.0 * psi
     np.subtract(zb, w, out=w)
-    w /= gamma
+    if not unit:
+        w /= gamma
     try:
         x = problem.prox_r.evaluate(w, gamma)
     except Exception as exc:  # noqa: BLE001
         raise SubproblemFailure("x-subproblem failed") from exc
     Ax = problem.A.apply(x)
-    z = gamma * _combine(config, Ax, y)
-    z += psi
+    u = _combine(config, Ax, y)
+    if unit:
+        z = u + psi
+    else:
+        z = gamma * u
+        z += psi
     Kz = columns = None
     if lsq is not None:
         KAx, columns = lsq.image(Ax, state.columns)

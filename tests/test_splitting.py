@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -344,13 +345,20 @@ def test_step_equals_the_general_form_bit_for_bit(build, gamma):
     for variant, phi in (("standard", 1.0), ("relaxed", 0.6), ("relaxed", 1.5),
                          ("symmetric", 1.0)):
         cfg = SolverConfig(gamma=gamma, variant=variant, phi=phi)
-        state = expected = IterateState.initial(inst.problem, z0)
-        for _ in range(30):
-            state = variant_step(inst.problem, state, cfg)
-            expected = general_step(inst.problem, expected, gamma, variant, phi)
-            for field in ("x", "y", "psi", "z", "v"):
-                assert np.array_equal(getattr(state, field), getattr(expected, field)), \
-                    (variant, phi, state.k, field)
+        # moved: every other step starts from a momentum point off z, set by move_to
+        for moved in (False, True):
+            state = expected = IterateState.initial(inst.problem, z0)
+            for _ in range(30):
+                z_prev = state.z
+                state = variant_step(inst.problem, state, cfg)
+                expected = general_step(inst.problem, expected, gamma, variant, phi)
+                for field in ("x", "y", "psi", "z", "v"):
+                    assert np.array_equal(getattr(state, field), getattr(expected, field)), \
+                        (variant, phi, moved, state.k, field)
+                if moved and state.k % 2:
+                    z_bar = inertial_predict(state.z, z_prev, a=0.3)
+                    state.move_to(z_bar)
+                    expected.move_to(z_bar.copy())
 
 
 def _read_only(a):
@@ -362,14 +370,17 @@ def _read_only(a):
 @pytest.mark.parametrize("variant,phi", [("standard", 1.0), ("relaxed", 1.5),
                                          ("symmetric", 1.0)])
 def test_step_writes_into_none_of_its_inputs(variant, phi):
-    for inst in (make_lasso(m=16, n=48, sparsity=4, seed=4), make_tv_inpainting(size=8, seed=4)):
+    # gamma = 1 hands z_bar itself to the y-oracle; 0.8 takes the scaled path
+    for inst, gamma in itertools.product(
+            (make_lasso(m=16, n=48, sparsity=4, seed=4), make_tv_inpainting(size=8, seed=4)),
+            (0.8, 1.0)):
         base = inst.problem
         problem = SplitProblem(
             prox_r=ProxOracle(lambda w, g: _read_only(base.prox_r.evaluate(w, g)), base.n),
             prox_j=ProxOracle(lambda w, g: _read_only(base.prox_j.evaluate(w, g)), base.m),
             A=LinearMap(lambda v: _read_only(base.A.apply(v)), base.A.apply_adjoint,
                         base.p, base.n))
-        cfg = SolverConfig(gamma=0.8, variant=variant, phi=phi)
+        cfg = SolverConfig(gamma=gamma, variant=variant, phi=phi)
         state = IterateState.initial(problem, np.random.default_rng(4).standard_normal(base.p))
         for _ in range(5):
             for a in (state.x, state.y, state.psi, state.z, state.z_bar, state.v):
