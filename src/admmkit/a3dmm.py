@@ -175,8 +175,9 @@ def run_a3dmm(problem, config, extrap=None, trace=None, reference=None,
     `momentum=(a, b)` applies the two/three-point momentum fill-in at
     iterations without a prediction (pure inertial scheme when extrapolation
     is off).  `reference`, when given, carries `z` and `x` for the
-    distance columns.  Stops at ||v_k|| <= tol or max_iter (soft, flagged in
-    the trace metadata); a non-finite ||v_k|| raises Divergence.
+    distance columns (a None `z` leaves dist_z empty).  Stops at
+    ||v_k|| <= tol or max_iter (soft, flagged in the trace metadata); a
+    non-finite ||v_k|| raises Divergence.
     """
     cfg = config
     ext = extrap

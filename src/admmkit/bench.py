@@ -4,11 +4,16 @@ A RunConfig names a gallery problem (a GALLERY entry), a penalty rule and a
 comparison set of solver specifications (each read through SPEC_FORMS, with
 a label of its own).  The harness first computes a reference solution by
 standard ADMM steps that keep no trace, accelerated as A3DMM(6, inf) when
-the instance's solution is unique; it stops at the first plain step (one
-that started from z_bar = z) with ||v_k|| <= tol/100 or at the rounding
-floor ||v_k|| <= 10 eps ||z_k||, or after 10x the iteration budget.  It
-then runs every solver against the reference and persists one CSV trace
-per solver.  Plot emission writes standalone, byte-deterministic SVG files.
+the instance's solution is unique or the instance has a certificate (a
+reference-free duality gap and consensus residual); it stops at the first
+plain step (one that started from z_bar = z) with ||v_k|| <= tol/100 or at
+the rounding floor ||v_k|| <= 10 eps ||z_k||, or after 10x the iteration
+budget.  An accelerated reference that met a stop rule but fails its
+certificate is replaced by the plain one; a reference that stopped on its
+budget or still fails its certificate solved nothing.  It then runs every
+solver against the reference (the distance to its z only on an instance
+whose fixed point is unique) and persists one CSV trace per solver.  Plot
+emission writes standalone, byte-deterministic SVG files.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import inspect
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -24,9 +29,9 @@ import numpy as np
 from . import __version__
 from .a3dmm import ExtrapConfig, checked_step, extrapolation_step, run_a3dmm
 from .extrapolate import DiffWindow
-from .problems import (GAMMA_RULES, FormatError, Reference, load_pgm, make_bp_l1, make_bp_l12,
-                       make_bp_nuclear, make_feasibility, make_lasso, make_qp_box,
-                       make_tv_inpainting, resolve_gamma)
+from .problems import (CERTIFICATE_TOL, GAMMA_RULES, FormatError, Reference, load_pgm,
+                       make_bp_l1, make_bp_l12, make_bp_nuclear, make_feasibility, make_lasso,
+                       make_qp_box, make_tv_inpainting, resolve_gamma)
 from .splitting import IterateState, SolverConfig
 from .trace import Trace, TraceRow
 
@@ -247,21 +252,43 @@ _EPS = np.finfo(float).eps
 def compute_reference(instance, gamma, tol, max_iter):
     """Reference solution by standard ADMM steps that keep no trace.
 
-    On an instance flagged `unique_solution` the steps are accelerated as
+    On an instance with a unique solution or a certificate
+    (`ProblemInstance.accelerated_reference`) the steps are accelerated as
     A3DMM(6, inf) with the ExtrapConfig defaults, through `run_a3dmm`'s
     `extrapolation_step`; other instances take plain steps only.  The stop
     rules are tested only after a plain step, one that started from
     z_bar = z, so one plain step moves the returned point by at most tol/100
     or it is at its rounding floor: ||v_k|| <= tol/100 (stop "tol"),
     ||v_k|| <= FLOOR_FACTOR * eps * ||z_k|| (stop "floor").  10 * max_iter
-    steps end the run in any case (stop "budget").  Stores the Reference,
-    with the number of predictions applied, on the instance and returns it;
-    a non-finite ||v_k|| raises Divergence.
+    steps end the run in any case (stop "budget").  The instance's
+    certificate, when it has one, is read at the final (x, y, psi) and held
+    to max(CERTIFICATE_TOL, tol): the reference is certified as closely as
+    the solvers are asked to converge, and to at least 1e-6.  An
+    accelerated run that applied a prediction, met a stop rule and fails
+    its certificate is replaced by the plain run from z0; one that stopped
+    on its budget solved nothing either way and is not run again.  Stores
+    the Reference, with the number of predictions applied and the
+    certificate, on the instance and returns it (`Reference.solved` is False
+    when the stop is "budget" or the certificate failed); a non-finite
+    ||v_k|| raises Divergence.
     """
-    problem = instance.problem
     cfg = SolverConfig(gamma=gamma, tol=tol / 100.0, max_iter=10 * max_iter,
                        z0=instance.z0)
-    ext = ExtrapConfig() if instance.unique_solution else None
+    bound = max(CERTIFICATE_TOL, tol)
+    reference = _reference_run(instance, cfg, instance.accelerated_reference, bound)
+    if reference.extrapolated and reference.stop != "budget" and not reference.solved:
+        reference = _reference_run(instance, cfg, False, bound)
+    instance.reference = reference
+    return reference
+
+
+def _reference_run(instance, cfg, accelerate, bound):
+    """The steps of compute_reference under cfg, accelerated or plain; returns the Reference.
+
+    The instance's certificate, if any, is held to `bound`.
+    """
+    problem = instance.problem
+    ext = ExtrapConfig() if accelerate else None
     window = DiffWindow(problem.p, ext.q + 1) if ext is not None else None
     state = IterateState.initial(problem, cfg.z0)
     stop = "budget"
@@ -281,23 +308,32 @@ def compute_reference(instance, gamma, tol, max_iter):
                 guard_b = ext.guard_b(nv)
             plain = extrapolation_step(window, ext, guard_b, state) is None
             extrapolated += not plain
-    instance.reference = Reference(z=state.z.copy(), x=state.x.copy(), iterations=state.k,
-                                   stop=stop, extrapolated=extrapolated)
-    return instance.reference
+    certify = instance.certificate
+    return Reference(z=state.z.copy(), x=state.x.copy(), iterations=state.k, stop=stop,
+                     extrapolated=extrapolated,
+                     certificate=None if certify is None
+                     else replace(certify(state.x, state.y, state.psi), bound=bound))
 
 
 def run_spec(instance, spec, gamma, tol, max_iter, label=None):
     """Run one comparison entry against the instance's reference; returns the RunResult.
 
     The trace names the solver `label`, spec.label unless given.  A
-    reference that stopped on its budget solved nothing, so against it the
-    trace's distance columns stay empty.
+    reference that stopped on its budget or failed its certificate solved
+    nothing (`Reference.solved`), so against it the trace's distance columns
+    stay empty.  On an instance whose fixed point may not be unique the
+    reference's z is one of many, which a run need not approach, so the
+    dist_z column stays empty there.
     """
     cfg, extrap, momentum = _solver_pieces(spec, gamma, tol, max_iter, instance.z0)
     trace = Trace(meta=provenance(label or spec.label, instance))
-    unsolved = instance.reference is not None and instance.reference.stop == "budget"
+    reference = instance.reference
+    if reference is not None and not reference.solved:
+        reference = None
+    elif reference is not None and not instance.unique_solution:
+        reference = replace(reference, z=None)
     return run_a3dmm(instance.problem, cfg, extrap=extrap, trace=trace,
-                     reference=None if unsolved else instance.reference, momentum=momentum)
+                     reference=reference, momentum=momentum)
 
 
 def run_solver(instance, spec, gamma, tol, max_iter, inner=None):

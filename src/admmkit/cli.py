@@ -172,7 +172,11 @@ def cmd_bench(args):
     print(f"benchmark: {traces[0].meta['problem']}")
     print(f"  reference: iters={reference.iterations}  stop={reference.stop}  "
           f"extrapolated={reference.extrapolated}")
-    unsolved = reference.stop == "budget"  # then no distance to it measures anything
+    cert = reference.certificate
+    if cert is not None:
+        print(f"  certificate: gap={cert.gap:.3e}  residual={cert.residual:.3e}  "
+              f"bound={cert.bound:g}  {'pass' if cert.passed else 'FAIL'}")
+    unsolved = not reference.solved  # then no distance to it measures anything
     for trace in traces:
         last = trace.rows[-1]
         stop = "tol" if trace.meta["converged"] == "1" else "budget"
@@ -191,7 +195,9 @@ def cmd_bench(args):
                 pass
         print(f"traces and plots written to {run_cfg.out_dir}")
     if unsolved:  # a runtime failure, reported once everything above is printed
-        raise RuntimeError(f"the reference stopped on its budget of {reference.iterations} steps")
+        raise RuntimeError(
+            f"the reference stopped on its budget of {reference.iterations} steps"
+            if reference.stop == "budget" else "the reference failed its certificate")
     return 0
 
 

@@ -20,11 +20,12 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.linalg.blas import dnrm2 as _nrm2
 
 from .prox import (GroupPartition, LinearMap, ProxOracle, WideLeastSquares, affine_oracle,
                    box_oracle, group_l12_oracle, l1_oracle, nuclear_oracle, subspace_oracle,
@@ -53,13 +54,52 @@ class FormatError(ValueError):
         self.reason = reason
 
 
+# the least bound a certificate is held to (a reference for solvers run to a
+# looser tolerance is held to that tolerance instead: `bench.compute_reference`)
+CERTIFICATE_TOL = 1e-6
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """A reference-free reading of how far a point (x, y, psi) of a run is from optimal.
+
+    `gap` is the relative duality gap (P - D) / max(1, |P|): P is the
+    primal value at the point and D the value of a dual feasible point built
+    from it (Fercoq, Gramfort & Salmon 2015), so weak duality makes it
+    nonnegative up to rounding and it is zero at a solution.  `residual` is
+    the consensus residual ||x - y|| / max(1, ||y||) of the split x = y.
+    It passes when both are at most `bound`.
+    """
+
+    gap: float
+    residual: float
+    bound: float = CERTIFICATE_TOL
+
+    @property
+    def passed(self):
+        return self.gap <= self.bound and self.residual <= self.bound
+
+
+def _certificate(primal, dual, x, y):
+    """The Certificate of primal value `primal`, dual value `dual` and the split x = y.
+
+    The norms are BLAS nrm2's, which do not overflow for entries near the
+    largest float (a y-step at a tiny gamma makes them).
+    """
+    return Certificate(gap=(primal - dual) / max(1.0, abs(primal)),
+                       residual=_nrm2(x - y) / max(1.0, _nrm2(y)))
+
+
 @dataclass
 class Reference:
     """Fixed point z and primal x produced by a long reference run.
 
     `iterations` and `stop` ("tol", "floor" or "budget") say how the run
-    ended and `extrapolated` how many predictions it applied; a pair given
-    by hand leaves them at 0, None and 0.
+    ended, `extrapolated` how many predictions it applied and `certificate`
+    what the instance's certificate reads at its final point (None when the
+    instance has none); a pair given by hand leaves them at 0, None, 0 and
+    None.  It solved the instance unless it stopped on its budget or its
+    certificate failed (`solved`).
     """
 
     z: np.ndarray
@@ -67,6 +107,11 @@ class Reference:
     iterations: int = 0
     stop: Optional[str] = None
     extrapolated: int = 0
+    certificate: Optional[Certificate] = None
+
+    @property
+    def solved(self):
+        return self.stop != "budget" and (self.certificate is None or self.certificate.passed)
 
 
 @dataclass
@@ -78,7 +123,13 @@ class ProblemInstance:
     Gaussian data (in general position with probability one; Tibshirani
     2013), the positive-definite QP of `make_qp_box` and two distinct lines.
     False for basis pursuit (its multiplier need not be unique), TV (its
-    minimizer need not be) and `qp_box_instance` (Q is not checked).
+    minimizer need not be) and `qp_box_instance` (Q is not checked); on
+    those the reference's z is one fixed point of many, so no run measures
+    its distance to it.
+    `certificate`, set by the constructors of the problems whose dual is
+    cheap (LASSO and basis pursuit), maps a run's final (x, y, psi) to its
+    Certificate.  The reference solve is accelerated on an instance that has
+    a unique solution or a certificate (`accelerated_reference`).
     """
 
     problem: SplitProblem
@@ -91,6 +142,11 @@ class ProblemInstance:
     extra: dict = field(default_factory=dict)
     reference: Optional[Reference] = None
     unique_solution: bool = False
+    certificate: Optional[Callable] = None
+
+    @property
+    def accelerated_reference(self):
+        return self.unique_solution or self.certificate is not None
 
 
 def operator_norm(K, gram=None):
@@ -161,19 +217,39 @@ def make_lasso(m=64, n=256, sparsity=13, mu=1.0, seed=0):
                            j_value=lambda y, psi: 0.5 * (y @ psi + y @ q + ff),
                            wide_lsq=term if term.carries_image else None)
     nK = operator_norm(K, gram=term.gram)
+
+    def certificate(x, y, psi):
+        # the dual point u = s (f - K x), scaled into |K'u| <= mu, with K x
+        # from x's nonzero columns and one dense pass for K'(f - K x)
+        r = f - term.image(x)[0]
+        top = np.abs(K.T @ r).max(initial=0.0)
+        u = r * min(1.0, mu / top) if top > 0.0 else r
+        return _certificate(mu * np.abs(x).sum() + 0.5 * (r @ r), f @ u - 0.5 * (u @ u), x, y)
+
     return ProblemInstance(
         problem=problem,
         descriptor=f"lasso(m={m},n={n},sparsity={sparsity},mu={mu},seed={seed})",
         seed=seed, x_true=x_true, norm_K=nK, gamma_default=nK ** 2 / 10.0,
-        extra={"K": K, "f": f}, unique_solution=True)
+        extra={"K": K, "f": f}, unique_solution=True, certificate=certificate)
 
 
-def _basis_pursuit(K, x_true, prox_r, r_value, descriptor, seed):
-    """min R(x) s.t. K x = f with f = K x_true, split as x = y with the set on the y-block."""
+def _basis_pursuit(K, x_true, prox_r, r_value, dual_norm, descriptor, seed):
+    """min R(x) s.t. K x = f with f = K x_true, split as x = y with the set on the y-block.
+
+    `dual_norm` is the dual norm of R.  The certificate reads the dual point
+    off the y-step: y is feasible and psi lies in range(K'), so
+    psi / max(1, dual_norm(psi)) is dual feasible with value -<psi, y> over
+    that scale, and the gap is R(y) + <y, psi> / max(1, dual_norm(psi)).
+    """
     f = K @ x_true
     problem = SplitProblem(prox_r, affine_oracle(K, f, "affine-set"), r_value=r_value)
+
+    def certificate(x, y, psi):
+        return _certificate(r_value(y), -(y @ psi) / max(1.0, dual_norm(psi)), x, y)
+
     return ProblemInstance(problem=problem, descriptor=descriptor, seed=seed, x_true=x_true,
-                           norm_K=operator_norm(K), extra={"K": K, "f": f})
+                           norm_K=operator_norm(K), extra={"K": K, "f": f},
+                           certificate=certificate)
 
 
 def make_bp_l1(m=64, n=256, sparsity=16, seed=0):
@@ -185,6 +261,7 @@ def make_bp_l1(m=64, n=256, sparsity=16, seed=0):
     x_true = np.zeros(n)
     x_true[rng.choice(n, size=sparsity, replace=False)] = rng.standard_normal(sparsity)
     return _basis_pursuit(K, x_true, l1_oracle(n, 1.0), lambda x: np.abs(x).sum(),
+                          lambda u: np.abs(u).max(initial=0.0),
                           f"bp-l1(m={m},n={n},sparsity={sparsity},seed={seed})", seed)
 
 
@@ -204,6 +281,7 @@ def make_bp_l12(m=64, n=256, blocks=8, block_size=4, seed=0):
     partition = GroupPartition(groups, n)
     return _basis_pursuit(K, x_true, group_l12_oracle(n, groups, 1.0),
                           lambda x: partition.norms(x).sum(),
+                          lambda u: partition.norms(u).max(initial=0.0),
                           f"bp-l12(m={m},n={n},blocks={blocks}x{block_size},seed={seed})", seed)
 
 
@@ -220,6 +298,7 @@ def make_bp_nuclear(matrix_shape=(24, 24), rank=2, measurements=300, seed=0):
     return _basis_pursuit(
         K, x_true, nuclear_oracle((rows, cols), 1.0),
         lambda x: np.linalg.svd(x.reshape(rows, cols), compute_uv=False).sum(),
+        lambda u: np.linalg.norm(u.reshape(rows, cols), 2),
         f"bp-nuclear(shape={rows}x{cols},rank={rank},m={m},seed={seed})", seed)
 
 

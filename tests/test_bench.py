@@ -21,7 +21,8 @@ from admmkit.bench import (DEFAULT_COMPARISON, GALLERY, KNOBS, PROBLEMS, ConfigE
                            resolve_gamma, run_experiment, run_solver, write_trace_csv, CSV_HEADER)
 from admmkit import a3dmm
 from admmkit.a3dmm import run_a3dmm
-from admmkit.problems import make_feasibility, make_lasso, make_qp_box
+from admmkit.problems import (Certificate, make_bp_l1, make_bp_nuclear, make_feasibility,
+                              make_lasso, make_qp_box)
 from admmkit.prox import ProxOracle
 from admmkit.splitting import Divergence, SolverConfig
 from admmkit.trace import Trace, TraceRow
@@ -248,7 +249,7 @@ def test_reference_above_the_floor_matches_a_traced_run(name, monkeypatch):
     ref, steps = recorded_reference(inst, gamma, tol, max_iter, monkeypatch)
     run = traced_reference_run(inst, gamma, tol, max_iter)
     assert len(steps) == ref.iterations
-    if not inst.unique_solution:
+    if not inst.accelerated_reference:
         # plain steps only: the traced plain run, bit for bit
         assert ref.extrapolated == 0 and all(plain for plain, _ in steps)
         assert ref.iterations == run.state.k
@@ -258,13 +259,16 @@ def test_reference_above_the_floor_matches_a_traced_run(name, monkeypatch):
             assert np.array_equal(getattr(ref, field), getattr(run.state, field)), field
         return
     # accelerated: the last step is plain and moved the point by at most tol/100,
-    # which lies within 1e-9 relative of where the traced plain run stops
+    # which lies within 1e-9 relative of where the traced plain run stops; a
+    # non-unique multiplier makes z one fixed point of many, and the
+    # certificate stands in for its comparison
     assert run.converged and ref.stop == "tol"
     plain, last_norm = steps[-1]
     assert plain and last_norm <= tol / 100.0
     assert ref.extrapolated == sum(not p for p, _ in steps) > 0
     assert ref.iterations < run.state.k
-    for field in ("z", "x"):
+    assert ref.certificate is None or ref.certificate.passed
+    for field in ("z", "x") if inst.unique_solution else ("x",):
         exact = getattr(run.state, field)
         gap = np.linalg.norm(getattr(ref, field) - exact)
         assert gap <= 1e-9 * max(1.0, np.linalg.norm(exact)), field
@@ -285,7 +289,7 @@ def test_accelerated_reference_agrees_with_the_plain_one(name):
         assert inst.unique_solution
         gamma = inst.gamma_default
         ref = compute_reference(inst, gamma, 1e-9, 2000)
-        inst.unique_solution = False
+        inst.unique_solution, inst.certificate = False, None
         plain = compute_reference(inst, gamma, 1e-9, 2000)
         assert plain.extrapolated == 0 < ref.extrapolated
         assert ref.stop in ("tol", "floor") and plain.stop in ("tol", "floor")
@@ -294,6 +298,87 @@ def test_accelerated_reference_agrees_with_the_plain_one(name):
             exact = getattr(plain, field)
             gap = np.linalg.norm(getattr(ref, field) - exact)
             assert gap <= 1e-9 * max(1.0, np.linalg.norm(exact)), (seed, field)
+
+
+# basis pursuit at the desk config's gamma, tol and budget; bp-l1 seed 4 is left
+# out because its plain and accelerated references alike stop on the budget
+CERTIFIED_SEEDS = [("bp-l1", make_bp_l1, seed) for seed in (1, 2, 3, 5)] + \
+    [("bp-nuclear", make_bp_nuclear, seed) for seed in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("name,make,seed", CERTIFIED_SEEDS,
+                         ids=[f"{name}-{seed}" for name, _, seed in CERTIFIED_SEEDS])
+def test_accelerated_basis_pursuit_reference_agrees_with_the_plain_one(name, make, seed):
+    # the same instance without its certificate gives the plain reference; the
+    # multiplier is not unique, so only x is compared, and the certificate
+    # vouches for the accelerated one
+    inst = make(seed=seed)
+    ref = compute_reference(inst, 1.0, 1e-10, 4000)
+    inst.certificate = None
+    plain = compute_reference(inst, 1.0, 1e-10, 4000)
+    assert plain.extrapolated == 0 < ref.extrapolated
+    assert ref.stop == plain.stop == "tol"
+    assert ref.iterations < plain.iterations
+    assert ref.certificate.passed and ref.solved
+    gap = np.linalg.norm(ref.x - plain.x)
+    assert gap <= 1e-9 * max(1.0, np.linalg.norm(plain.x))
+
+
+def test_certificate_fails_a_bp_l1_run_cut_off_at_20_iterations():
+    inst, gamma, tol, max_iter = reference_case("bp_l1")
+    cut = run_a3dmm(inst.problem, SolverConfig(gamma=gamma, tol=0.0, max_iter=20)).state
+    cert = inst.certificate(cut.x, cut.y, cut.psi)
+    assert not cert.passed
+    assert cert.gap > 1e-2 and cert.residual > 1e-2
+    assert compute_reference(inst, gamma, tol, max_iter).certificate.gap < 1e-10
+
+
+def test_reference_that_fails_its_certificate_falls_back_to_plain_steps(monkeypatch):
+    # an accelerated reference whose certificate fails is replaced by the plain
+    # run from z0, bit for bit, and solved nothing when that fails too
+    inst, gamma, tol, max_iter = reference_case("bp_l1")
+    failing = Certificate(gap=1.0, residual=1.0)
+    inst.certificate = lambda x, y, psi: failing
+    ref, steps = recorded_reference(inst, gamma, tol, max_iter, monkeypatch)
+    plain = traced_reference_run(inst, gamma, tol, max_iter)
+    assert ref.extrapolated == 0 and ref.iterations == plain.state.k == 614
+    assert len(steps) > ref.iterations  # the accelerated attempt came first
+    assert all(p for p, _ in steps[-ref.iterations:])
+    for field in ("z", "x"):
+        assert np.array_equal(getattr(ref, field), getattr(plain.state, field)), field
+    assert ref.stop == "tol" and ref.certificate.gap == 1.0 and not ref.solved
+    # against it the distance columns stay empty
+    trace = run_solver(inst, parse_solver_spec("admm"), gamma, tol, 50)
+    assert all(r.dist_x is None and r.dist_z is None for r in trace.rows)
+
+
+def test_reference_stopped_on_its_budget_is_not_run_again(monkeypatch):
+    # a budget stop solved nothing whichever way it was stepped: one run only
+    inst, gamma, tol, _ = reference_case("bp_l1")
+    inst.certificate = lambda x, y, psi: Certificate(gap=1.0, residual=1.0)
+    ref, steps = recorded_reference(inst, gamma, tol, 10, monkeypatch)
+    assert ref.stop == "budget" and ref.extrapolated > 0 and not ref.solved
+    assert len(steps) == ref.iterations == 100
+
+
+def test_certificate_is_held_to_the_solvers_tolerance_when_it_is_looser():
+    inst, gamma, _, max_iter = reference_case("bp_l1")
+    assert compute_reference(inst, gamma, 1e-10, max_iter).certificate.bound == 1e-6
+    loose = compute_reference(inst, gamma, 1e-3, max_iter)
+    assert loose.certificate.bound == 1e-3
+    assert loose.solved and loose.stop == "tol"
+
+
+def test_traces_of_an_instance_without_a_unique_fixed_point_measure_no_dist_z():
+    # the accelerated basis-pursuit reference's z is another fixed point than
+    # the one admm reaches from z0; dist_x still falls to the tolerance
+    cfg = RunConfig(**dict(REFERENCE_CASES["bp_l1"], solvers=("admm", "a3dmm(6,inf)")))
+    reference, traces = run_experiment(cfg)
+    assert not build_instance(cfg).unique_solution and reference.extrapolated > 0
+    scale = max(1.0, np.linalg.norm(reference.x))
+    for trace in traces:
+        assert all(r.dist_z is None and r.dist_x is not None for r in trace.rows)
+        assert trace.rows[-1].dist_x <= 1e-6 * scale
 
 
 def test_reference_stops_at_the_rounding_floor():
@@ -417,7 +502,7 @@ def test_shipped_configs_run_under_budget(path, tmp_path):
 # applied).  A reference that stops at its rounding floor may move by a step
 # when the fit's rounding changes, so lasso_spiral's step count is left out.
 DECISIONS = {
-    "bp_l1": ((614, "tol", 0), {"admm": (504, 0), "iadmm(0.3)": (1318, 0),
+    "bp_l1": ((140, "tol", 17), {"admm": (504, 0), "iadmm(0.3)": (1318, 0),
                                 "a3dmm(6,100)": (122, 15), "a3dmm(6,inf)": (122, 15)}),
     "feasibility": ((10, "tol", 1), {"admm": (189, 0), "iadmm(0.1)": (198, 0),
                                      "iadmm(0.3)": (407, 0), "iadmm(0.4,-0.2)": (94, 0)}),
@@ -442,12 +527,15 @@ def test_shipped_configs_keep_the_accelerator_decisions(name, tmp_path, capsys):
     (ref_iters, ref_stop, ref_applied), solvers = DECISIONS[name]
     assert main(["bench", "--config", os.path.join(CONFIG_DIR, f"{name}.cfg"),
                  "--out", str(tmp_path)]) == 0
-    [line] = [l for l in capsys.readouterr().out.splitlines() if "reference:" in l]
+    out = capsys.readouterr().out.splitlines()
+    [line] = [l for l in out if "reference:" in l]
     match = re.fullmatch(r"  reference: iters=(\d+)  stop=(\w+)  extrapolated=(\d+)", line)
     assert match.group(2) == ref_stop
     assert int(match.group(3)) == ref_applied
     if ref_iters is not None:
         assert int(match.group(1)) == ref_iters
+    # a certificate, where the problem has one, passes
+    assert all(l.endswith("  pass") for l in out if l.startswith("  certificate:"))
     traces = [read_trace_csv(p) for p in glob.glob(str(tmp_path / "*.csv"))]
     got = {t.meta["solver"]: (len(t.rows), sum(r.extrapolated for r in t.rows))
            for t in traces}

@@ -254,6 +254,41 @@ def test_bench_with_a_reference_stopped_on_its_budget_fails(capsys):
     assert "failure: the reference stopped on its budget" in captured.err
 
 
+def test_bench_prints_the_certificate_of_a_reference_that_has_one(capsys):
+    cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "bp_l1.cfg")
+    assert main(["bench", "--config", cfg, "--solvers", "admm"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    [line] = [l for l in lines if l.startswith("  certificate:")]
+    assert lines.index(line) == 2  # right below the reference line
+    assert re.fullmatch(r"  certificate: gap=\S+  residual=\S+  bound=1e-06  pass", line)
+    assert main(["bench", "--problem", "qp", "--solvers", "admm"]) == 0  # no certificate
+    assert "certificate" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("problem", ["lasso", "bp-l1", "bp-nuclear"])
+def test_bench_at_a_loose_tolerance_certifies_its_reference_to_that_tolerance(problem, capsys):
+    # the reference stops at ||v|| <= 1e-5 and reads gaps near that, which the
+    # solvers' own tolerance of 1e-3 admits
+    assert main(["bench", "--problem", problem, "--tol", "1e-3", "--solvers", "admm"]) == 0
+    [line] = [l for l in capsys.readouterr().out.splitlines() if l.startswith("  certificate:")]
+    assert re.fullmatch(r"  certificate: gap=\S+  residual=\S+  bound=0\.001  pass", line)
+
+
+def test_bench_with_a_reference_that_fails_its_certificate_fails(capsys):
+    # at gamma = 1e-300 every run stops at k = 1 with x = 0, which is not the
+    # solution: a tolerance on ||v|| alone would call it solved
+    assert main(["bench", "--problem", "lasso", "--gamma", "1e-300"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert "  reference: iters=1  stop=tol  extrapolated=0" in lines
+    [line] = [l for l in lines if l.startswith("  certificate:")]
+    assert re.fullmatch(r"  certificate: gap=2\.21\de-01  residual=\S+  bound=1e-06  FAIL", line)
+    solver_lines = [l for l in lines if "iters=" in l and "reference" not in l]
+    assert len(solver_lines) == 4
+    assert all(line.endswith("  dist_x n/a") for line in solver_lines), solver_lines
+    assert "failure: the reference failed its certificate" in captured.err
+
+
 def test_bench_against_a_reference_stopped_on_its_budget_writes_no_distances(tmp_path, capsys):
     # the files alone must not show a solved run: empty distance cells, no dist_z plot
     assert main(["bench", "--problem", "lasso", "--gamma", "1e300", "--max-iter", "20",

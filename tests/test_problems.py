@@ -2,10 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admmkit.a3dmm import run_a3dmm
-from admmkit.problems import (BadImage, BadShape, EmptyMask, FormatError, ProblemInstance,
-                              gradient_map, load_pgm,
+from admmkit.problems import (CERTIFICATE_TOL, BadImage, BadShape, EmptyMask, FormatError,
+                              ProblemInstance, gradient_map, load_pgm,
                               make_bp_l1, make_bp_l12, make_bp_nuclear, make_feasibility,
                               make_lasso, make_qp_box, make_tv_inpainting, operator_norm,
                               piecewise_constant_image, psnr, qp_box_instance,
@@ -174,6 +176,61 @@ def test_instances_whose_solution_may_not_be_unique_are_unflagged():
                                np.ones(2)).unique_solution
     assert make_lasso(seed=0).unique_solution and make_qp_box(n=5).unique_solution
     assert make_feasibility(alpha=0.3).unique_solution
+
+
+# small instances of each problem with a certificate
+CERTIFIED = {
+    "lasso": make_lasso(m=16, n=48, sparsity=4, seed=3),
+    "bp-l1": make_bp_l1(m=16, n=40, sparsity=4, seed=1),
+    "bp-l12": make_bp_l12(m=20, n=40, blocks=2, block_size=4, seed=1),
+    "bp-nuclear": make_bp_nuclear(matrix_shape=(6, 5), rank=1, measurements=20, seed=1),
+}
+
+
+def test_certificates_belong_to_the_problems_whose_dual_is_cheap():
+    assert all(inst.certificate is not None for inst in CERTIFIED.values())
+    for inst in (make_tv_inpainting(size=8), make_qp_box(n=5), make_feasibility()):
+        assert inst.certificate is None
+        assert inst.accelerated_reference == inst.unique_solution
+
+
+# a fixed point of each at gamma = 1, near which the gap is close to zero
+FIXED_POINTS = {name: run_a3dmm(inst.problem, SolverConfig(gamma=1.0, tol=1e-12,
+                                                           max_iter=20000)).state.z
+                for name, inst in CERTIFIED.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(CERTIFIED)), st.integers(0, 2 ** 32 - 1), st.booleans(),
+       st.floats(-14.0, 3.0), st.floats(-3.0, 3.0))
+def test_certificate_gap_obeys_weak_duality_at_arbitrary_states(name, seed, near, log_scale,
+                                                                  log_gamma):
+    # the (x, y, psi) of one step from an arbitrary z, or from one near a
+    # fixed point (at gamma = 1 the step then lands near the solution):
+    # P - D >= 0 up to rounding
+    inst = CERTIFIED[name]
+    problem = inst.problem
+    z = 10.0 ** log_scale * np.random.default_rng(seed).standard_normal(problem.p)
+    gamma = 10.0 ** log_gamma
+    if near:
+        z, gamma = z + FIXED_POINTS[name], 1.0
+    state = variant_step(problem, IterateState.initial(problem, z), SolverConfig(gamma=gamma))
+    cert = inst.certificate(state.x, state.y, state.psi)
+    assert cert.gap >= -1e-12, cert
+    assert cert.residual >= 0.0
+
+
+def test_certificate_reads_zero_at_the_lasso_solution_and_fails_at_zero():
+    inst = CERTIFIED["lasso"]
+    K, f = inst.extra["K"], inst.extra["f"]
+    zero = np.zeros(K.shape[1])
+    # x = 0 solves the LASSO only when mu = 1 >= ||K'f||_inf
+    assert np.abs(K.T @ f).max() > 1.0
+    assert not inst.certificate(zero, zero, zero).passed
+    cfg = SolverConfig(gamma=inst.gamma_default, tol=1e-13, max_iter=5000)
+    state = run_a3dmm(inst.problem, cfg).state
+    cert = inst.certificate(state.x, state.y, state.psi)
+    assert cert.passed and abs(cert.gap) <= 1e-3 * CERTIFICATE_TOL
 
 
 def _lasso_data_prox(inst):
