@@ -1,6 +1,6 @@
 """Adaptively accelerated ADMM: cadence control, guards and momentum.
 
-`run_a3dmm` is the one solver entry point.  It performs plain steps of the
+`iterate` is the one iteration loop.  It performs plain steps of the
 variant named in the SolverConfig (standard, relaxed or symmetric) and,
 every `q + SPACING` iterations once q+1 difference vectors are banked, fits
 the difference recurrence and replaces the stepping point z_bar by the
@@ -9,13 +9,10 @@ fitted companion matrix is contractive, and an online safeguard caps the
 applied increment so that the accumulated perturbations stay absolutely
 summable, which preserves convergence of the underlying fixed-point
 iteration.  Iterations without a prediction may take a momentum fill-in
-instead.
-
-`checked_step`, started from `IterateState.initial`, is the stepping core
-and `extrapolation_step` the one accelerator (cadence, fit, guards,
-prediction, safeguard) that `run_a3dmm` shares with the traceless reference
-solve of `bench.compute_reference`.  Every oracle is exact and stateless, so
-a run needs no set-up beyond its initial state.
+instead.  Every step goes through `checked_step` from `IterateState.initial`.
+`run_a3dmm`, the one solver entry point, records its steps in a trace, and
+`bench.compute_reference` steps it under the reference's stop rules.  Every
+oracle is exact and stateless, so a run needs no set-up beyond its initial state.
 """
 
 from __future__ import annotations
@@ -127,22 +124,14 @@ def checked_step(problem, state, config):
     return state, nv
 
 
-def extrapolation_step(window, ext, guard_b, state):
-    """Bank v_k and, at a cadence point, move the stepping point to the prediction.
+def _predict(window, ext, guard_b, state):
+    """Move state to its guarded prediction; returns the applied increment's norm or None.
 
-    Pushes state.v into the window.  When k = state.k is a multiple of the
-    cadence and the window is full, fits the difference recurrence and, if
-    the companion is contractive (and, for s = inf, |1 - sum(c)| > 1e-12),
-    predicts z_{k+s}, damps the increment by the safeguard a_k and moves
-    state to z_bar = z_k + a_k * increment, without an image (the next step
-    forms K z_bar densely on a problem that carries one).  Returns
-    ||a_k * increment|| when a prediction was applied, otherwise None
-    (state.z_bar stays z_k).
+    Fits the full window and, if the companion is contractive (and, for
+    s = inf, |1 - sum(c)| > 1e-12), sets z_bar = z_k + a_k (z_{k+s} - z_k)
+    without an image (the next step forms K z_bar densely on a problem that
+    carries one).
     """
-    k = state.k
-    ex.push_difference(window, state.v)
-    if k % ext.cadence != 0 or not window.is_full:
-        return None
     fit = ex.fit_coefficients(window)
     if not (fit.rho < 1.0 and (ext.s != math.inf or abs(1.0 - fit.coeff_sum) > 1e-12)):
         return None
@@ -152,7 +141,7 @@ def extrapolation_step(window, ext, guard_b, state):
         z_pred = ex.extrapolate_finite(state.z, window, fit, ext.s)
     incr = z_pred - state.z
     incr_norm = _norm(incr)
-    a_k = safeguard_coefficient(k, guard_b, ext.guard_delta, incr_norm)
+    a_k = safeguard_coefficient(state.k, guard_b, ext.guard_delta, incr_norm)
     if not a_k > 0.0:
         return None
     if a_k != 1.0:
@@ -160,6 +149,51 @@ def extrapolation_step(window, ext, guard_b, state):
         incr_norm = _norm(incr)
     state.move_to(state.z + incr)
     return incr_norm
+
+
+def iterate(problem, config, extrap=None, momentum=None, stop=None):
+    """Step config's variant from config.z0; yields (state, ||v_k||, plain, applied).
+
+    `plain` says the step started from z_bar = z; `applied` is the applied
+    prediction increment's norm, or None.  `stop(state, nv, plain)` is tested
+    after each step, before the stepping point moves (default: ||v_k|| <=
+    config.tol); a step that meets it is yielded unmoved and ends the run, as
+    config.max_iter steps do.  Otherwise `extrap` banks v_k and moves the
+    stepping point to the guarded prediction at a cadence point with a full
+    window; a step without one takes the fill-in `momentum=(a, b)` if given.
+    A non-finite ||v_k|| raises Divergence, as does a symmetric-scheme
+    ||v_k|| above 1e6 * ||v_1||.
+    """
+    stop = stop or (lambda state, nv, plain: nv <= config.tol)
+    state = IterateState.initial(problem, config.z0)
+    window = ex.DiffWindow(problem.p, extrap.q + 1) if extrap is not None else None
+    z_prev2, Kz_prev2 = state.z, state.Kz  # z_{k-2} and its image (three-point momentum)
+    for k in range(1, config.max_iter + 1):
+        plain = state.z_bar is state.z
+        prev_z, prev_Kz = state.z, state.Kz
+        state, nv = checked_step(problem, state, config)
+        if k == 1:
+            v1_norm = nv
+            guard_b = extrap.guard_b(nv) if extrap is not None else None
+        if config.variant == "symmetric" and nv > 1e6 * max(v1_norm, 1e-30):
+            raise Divergence(f"||v_{k}|| = {nv:.3e} exceeds 1e6 * ||v_1||")
+        if stop(state, nv, plain):
+            yield state, nv, plain, None
+            return
+        applied = None
+        if extrap is not None:
+            ex.push_difference(window, state.v)
+            if k % extrap.cadence == 0 and window.is_full:
+                applied = _predict(window, extrap, guard_b, state)
+        if applied is None and momentum is not None:
+            # momentum is linear in z, so a carried image moves with it
+            a_m, b_m = momentum
+            Kz = state.Kz
+            state.move_to(inertial_predict(state.z, prev_z, z_prev2, a_m, b_m),
+                          None if Kz is None
+                          else inertial_predict(Kz, prev_Kz, Kz_prev2, a_m, b_m))
+        yield state, nv, plain, applied
+        z_prev2, Kz_prev2 = prev_z, prev_Kz
 
 
 def _dist(a, b, buf):
@@ -171,82 +205,44 @@ def run_a3dmm(problem, config, extrap=None, trace=None, reference=None,
               momentum=None):
     """Run the accelerated solver; returns (final IterateState, Trace).
 
-    With `extrap` None the trace is the plain variant scheme.
-    `momentum=(a, b)` applies the two/three-point momentum fill-in at
-    iterations without a prediction (pure inertial scheme when extrapolation
-    is off).  `reference`, when given, carries `z` and `x` for the
-    distance columns (a None `z` leaves dist_z empty).  Stops at
-    ||v_k|| <= tol or max_iter (soft, flagged in the trace metadata); a
-    non-finite ||v_k|| raises Divergence.
+    The trace records every step of `iterate`, which stops at
+    ||v_k|| <= tol or max_iter (soft, flagged in the trace metadata).  With
+    `extrap` None the trace is the plain variant scheme.  `momentum=(a, b)`
+    applies the two/three-point momentum fill-in at iterations without a
+    prediction (pure inertial scheme when extrapolation is off).
+    `reference`, when given, carries `z` and `x` for the distance columns
+    (a None `z` leaves dist_z empty).
     """
-    cfg = config
-    ext = extrap
     trace = trace if trace is not None else Trace()
-    trace.meta.setdefault("gamma", repr(cfg.gamma))
-    trace.meta.setdefault("variant", cfg.variant)
-    if cfg.variant == "relaxed":
-        trace.meta.setdefault("phi", repr(cfg.phi))
-    if ext is not None:
-        trace.meta.setdefault("q", str(ext.q))
-        trace.meta.setdefault("s", "inf" if ext.s == math.inf else str(int(ext.s)))
+    trace.meta.setdefault("gamma", repr(config.gamma))
+    trace.meta.setdefault("variant", config.variant)
+    if config.variant == "relaxed":
+        trace.meta.setdefault("phi", repr(config.phi))
+    if extrap is not None:
+        trace.meta.setdefault("q", str(extrap.q))
+        trace.meta.setdefault("s", "inf" if extrap.s == math.inf else str(int(extrap.s)))
 
-    ref_z = reference.z if reference is not None else None
-    ref_x = reference.x if reference is not None else None
+    ref_z, ref_x = (reference.z, reference.x) if reference is not None else (None, None)
     buf_z, buf_x = np.empty(problem.p), np.empty(problem.n)
-
-    state = IterateState.initial(problem, cfg.z0)
-    window = ex.DiffWindow(problem.p, ext.q + 1) if ext is not None else None
-    z_prev2, Kz_prev2 = state.z, state.Kz  # z_{k-2} and its image (three-point momentum)
-    v_prev = None
-    nv_prev = None
-    guard_b = None
-    v1_norm = None
-    converged = False
+    v_prev = nv_prev = None
     t0 = time.perf_counter()
-
-    for k in range(1, cfg.max_iter + 1):
-        prev_z, prev_Kz = state.z, state.Kz
-        state, nv = checked_step(problem, state, cfg)
-        v = state.v
-        if k == 1:
-            v1_norm = nv
-            if ext is not None:
-                guard_b = ext.guard_b(nv)
-                trace.meta["guard_b"] = repr(guard_b)
-        if cfg.variant == "symmetric" and v1_norm is not None and nv > 1e6 * max(v1_norm, 1e-30):
-            raise Divergence(f"||v_{k}|| = {nv:.3e} exceeds 1e6 * ||v_1||")
-
-        extrapolated = False
-        if nv <= cfg.tol:
-            converged = True
-        else:
-            if ext is not None:
-                applied = extrapolation_step(window, ext, guard_b, state)
-                if applied is not None:
-                    trace.applied_increments.append(applied)
-                    extrapolated = True
-            if not extrapolated and momentum is not None:
-                # momentum is linear in z, so a carried image moves with it
-                a_m, b_m = momentum
-                Kz = state.Kz
-                state.move_to(inertial_predict(state.z, prev_z, z_prev2, a_m, b_m),
-                              None if Kz is None
-                              else inertial_predict(Kz, prev_Kz, Kz_prev2, a_m, b_m))
-
+    for state, nv, _, applied in iterate(problem, config, extrap, momentum):
+        if state.k == 1 and extrap is not None:
+            trace.meta["guard_b"] = repr(extrap.guard_b(nv))
+        if applied is not None:
+            trace.applied_increments.append(applied)
         trace.append(TraceRow(
-            k=k, norm_v=nv,
-            cos_theta=(trajectory_angle(v, v_prev, nv, nv_prev)
+            k=state.k, norm_v=nv,
+            cos_theta=(trajectory_angle(state.v, v_prev, nv, nv_prev)
                        if v_prev is not None else None),
             dist_z=_dist(state.z, ref_z, buf_z),
             dist_x=_dist(state.x, ref_x, buf_x),
             objective=problem.objective(state.x, state.y, state.psi),
-            extrapolated=extrapolated,
+            extrapolated=applied is not None,
             ms=(time.perf_counter() - t0) * 1e3))
-        if converged:
-            break
-        v_prev, nv_prev = v, nv
-        z_prev2, Kz_prev2 = prev_z, prev_Kz
+        v_prev, nv_prev = state.v, nv
 
+    converged = nv <= config.tol  # iterate's default stop, met only by its last step
     trace.meta["converged"] = "1" if converged else "0"
     trace.meta["iterations"] = str(state.k)
     return RunResult(state=state, trace=trace, converged=converged)

@@ -2,18 +2,14 @@
 
 A RunConfig names a gallery problem (a GALLERY entry), a penalty rule and a
 comparison set of solver specifications (each read through SPEC_FORMS, with
-a label of its own).  The harness first computes a reference solution by
-standard ADMM steps that keep no trace, accelerated as A3DMM(6, inf) when
-the instance's solution is unique or the instance has a certificate (a
-reference-free duality gap and consensus residual); it stops at the first
-plain step (one that started from z_bar = z) with ||v_k|| <= tol/100 or at
-the rounding floor ||v_k|| <= 10 eps ||z_k||, or after 10x the iteration
-budget.  An accelerated reference that met a stop rule but fails its
-certificate is replaced by the plain one; a reference that stopped on its
-budget or still fails its certificate solved nothing.  It then runs every
-solver against the reference (the distance to its z only on an instance
-whose fixed point is unique) and persists one CSV trace per solver.  Plot
-emission writes standalone, byte-deterministic SVG files.
+a label of its own).  The harness first computes a reference solution
+(`compute_reference`: standard ADMM steps that keep no trace, accelerated
+when the instance allows it, under the reference's own stop rules and the
+instance's certificate).  It then runs every solver against the reference
+(the distance to its z only on an instance whose fixed point is unique, and
+no distance at all to a reference that solved nothing) and persists one CSV
+trace per solver.  Plot emission writes standalone, byte-deterministic SVG
+files.
 """
 
 from __future__ import annotations
@@ -27,12 +23,11 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .a3dmm import ExtrapConfig, checked_step, extrapolation_step, run_a3dmm
-from .extrapolate import DiffWindow
+from .a3dmm import ExtrapConfig, iterate, run_a3dmm
 from .problems import (CERTIFICATE_TOL, GAMMA_RULES, FormatError, Reference, load_pgm,
                        make_bp_l1, make_bp_l12, make_bp_nuclear, make_feasibility, make_lasso,
                        make_qp_box, make_tv_inpainting, resolve_gamma)
-from .splitting import IterateState, SolverConfig
+from .splitting import SolverConfig
 from .trace import Trace, TraceRow
 
 
@@ -250,26 +245,25 @@ _EPS = np.finfo(float).eps
 
 
 def compute_reference(instance, gamma, tol, max_iter):
-    """Reference solution by standard ADMM steps that keep no trace.
+    """Reference solution by standard ADMM steps through `a3dmm.iterate`, keeping no trace.
 
     On an instance with a unique solution or a certificate
     (`ProblemInstance.accelerated_reference`) the steps are accelerated as
-    A3DMM(6, inf) with the ExtrapConfig defaults, through `run_a3dmm`'s
-    `extrapolation_step`; other instances take plain steps only.  The stop
-    rules are tested only after a plain step, one that started from
-    z_bar = z, so one plain step moves the returned point by at most tol/100
-    or it is at its rounding floor: ||v_k|| <= tol/100 (stop "tol"),
-    ||v_k|| <= FLOOR_FACTOR * eps * ||z_k|| (stop "floor").  10 * max_iter
-    steps end the run in any case (stop "budget").  The instance's
-    certificate, when it has one, is read at the final (x, y, psi) and held
-    to max(CERTIFICATE_TOL, tol): the reference is certified as closely as
-    the solvers are asked to converge, and to at least 1e-6.  An
-    accelerated run that applied a prediction, met a stop rule and fails
-    its certificate is replaced by the plain run from z0; one that stopped
-    on its budget solved nothing either way and is not run again.  Stores
-    the Reference, with the number of predictions applied and the
-    certificate, on the instance and returns it (`Reference.solved` is False
-    when the stop is "budget" or the certificate failed); a non-finite
+    A3DMM(6, inf) with the ExtrapConfig defaults; other instances take plain
+    steps only.  The stop rules are tested only after a plain step, one that
+    started from z_bar = z, so one plain step moves the returned point by at
+    most tol/100 or it is at its rounding floor: ||v_k|| <= tol/100 (stop
+    "tol"), ||v_k|| <= FLOOR_FACTOR * eps * ||z_k|| (stop "floor").
+    10 * max_iter steps end the run in any case (stop "budget").  The
+    instance's certificate, when it has one, is read at the final
+    (x, y, psi) and held to max(CERTIFICATE_TOL, tol): the reference is
+    certified as closely as the solvers are asked to converge, and to at
+    least 1e-6.  An accelerated run that applied a prediction, met a stop
+    rule and fails its certificate is replaced by the plain run from z0; one
+    that stopped on its budget solved nothing either way and is not run
+    again.  Stores the Reference, with the number of predictions applied and
+    the certificate, on the instance and returns it (`Reference.solved` is
+    False when the stop is "budget" or the certificate failed); a non-finite
     ||v_k|| raises Divergence.
     """
     cfg = SolverConfig(gamma=gamma, tol=tol / 100.0, max_iter=10 * max_iter,
@@ -285,32 +279,25 @@ def compute_reference(instance, gamma, tol, max_iter):
 def _reference_run(instance, cfg, accelerate, bound):
     """The steps of compute_reference under cfg, accelerated or plain; returns the Reference.
 
-    The instance's certificate, if any, is held to `bound`.
+    `rule`, iterate's stop, names the stop rule a step meets; the last step
+    meets none when the budget ran out.  The instance's certificate, if
+    any, is held to `bound`.
     """
-    problem = instance.problem
-    ext = ExtrapConfig() if accelerate else None
-    window = DiffWindow(problem.p, ext.q + 1) if ext is not None else None
-    state = IterateState.initial(problem, cfg.z0)
-    stop = "budget"
-    plain = True  # the next step starts from z_bar = z
-    extrapolated = 0
-    for _ in range(cfg.max_iter):
-        state, nv = checked_step(problem, state, cfg)
+    def rule(state, nv, plain):
         if plain:
             if nv <= cfg.tol:
-                stop = "tol"
-                break
+                return "tol"
             if nv <= FLOOR_FACTOR * _EPS * math.sqrt(float(state.z @ state.z)):
-                stop = "floor"
-                break
-        if ext is not None:
-            if state.k == 1:
-                guard_b = ext.guard_b(nv)
-            plain = extrapolation_step(window, ext, guard_b, state) is None
-            extrapolated += not plain
+                return "floor"
+        return None
+
+    extrapolated = 0
+    for state, nv, plain, applied in iterate(instance.problem, cfg,
+                                             ExtrapConfig() if accelerate else None, stop=rule):
+        extrapolated += applied is not None
     certify = instance.certificate
-    return Reference(z=state.z.copy(), x=state.x.copy(), iterations=state.k, stop=stop,
-                     extrapolated=extrapolated,
+    return Reference(z=state.z.copy(), x=state.x.copy(), iterations=state.k,
+                     stop=rule(state, nv, plain) or "budget", extrapolated=extrapolated,
                      certificate=None if certify is None
                      else replace(certify(state.x, state.y, state.psi), bound=bound))
 

@@ -8,12 +8,13 @@ and a config file (flat key=value lines) may set exactly the keys its
 subcommand has flags for; explicit flags override file values.  Every
 subcommand that solves builds its run the way `bench` does: flags ->
 RunConfig -> build_instance -> penalty, then a SolverSpec -> run_spec
-(`solve` turns its --variant/--phi/--q/--s into one SolverSpec).  Exit
-codes: 0 success, 1 runtime failure, 2 usage error (a flag or config key
-the subcommand does not take, or an out-of-range value, found before any
-solve), 141 (128 + SIGPIPE, the shell's status for a writer whose pipe
-closed) when standard output is closed before the output is written, as in
-`| head`.
+(`solve` turns its --variant/--phi/--q/--s into one SolverSpec).  `solve`
+and `bench` print the reference's stop and certificate.  Exit codes: 0
+success, 1 runtime failure (also a reference that solved nothing), 2 usage
+error (a flag or config key the subcommand does not take, or an
+out-of-range value, found before any solve), 141 (128 + SIGPIPE, the
+shell's status for a writer whose pipe closed) when standard output is
+closed before the output is written, as in `| head`.
 """
 
 from __future__ import annotations
@@ -147,13 +148,32 @@ def _solve_spec(args):
         raise UsageError(f"solver flags: {exc}") from None
 
 
+def _report_reference(reference):
+    """Print the reference's line and its certificate's.
+
+    Returns None, or the runtime failure to raise once the output is written
+    when the reference solved nothing (a budget stop or a failed certificate).
+    """
+    print(f"  reference: iters={reference.iterations}  stop={reference.stop}  "
+          f"extrapolated={reference.extrapolated}")
+    cert = reference.certificate
+    if cert is not None:
+        print(f"  certificate: gap={cert.gap:.3e}  residual={cert.residual:.3e}  "
+              f"bound={cert.bound:g}  {'pass' if cert.passed else 'FAIL'}")
+    if reference.solved:
+        return None
+    return RuntimeError(
+        f"the reference stopped on its budget of {reference.iterations} steps"
+        if reference.stop == "budget" else "the reference failed its certificate")
+
+
 def cmd_solve(args):
     spec = _solve_spec(args)
     run_cfg, instance, gamma = _build_run(args)
     # solve names its trace by the variant, or "a3dmm" when it extrapolates
     label = ("a3dmm" if spec.kind == "a3dmm"
              else "standard" if spec.variant == "standard" else spec.label)
-    compute_reference(instance, gamma, run_cfg.tol, run_cfg.max_iter)
+    reference = compute_reference(instance, gamma, run_cfg.tol, run_cfg.max_iter)
     result = run_spec(instance, spec, gamma, run_cfg.tol, run_cfg.max_iter, label=label)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -162,6 +182,9 @@ def cmd_solve(args):
     status = "converged" if result.converged else "max-iter reached"
     print(f"{instance.descriptor}: {status} after {result.state.k} iterations, "
           f"||v|| = {result.trace.rows[-1].norm_v:.3e}; trace at {path}")
+    failure = _report_reference(reference)
+    if failure is not None:
+        raise failure
     return 0
 
 
@@ -170,19 +193,13 @@ def cmd_bench(args):
     reference, traces = run_experiment(run_cfg)
     width = max(len(t.meta["solver"]) for t in traces)
     print(f"benchmark: {traces[0].meta['problem']}")
-    print(f"  reference: iters={reference.iterations}  stop={reference.stop}  "
-          f"extrapolated={reference.extrapolated}")
-    cert = reference.certificate
-    if cert is not None:
-        print(f"  certificate: gap={cert.gap:.3e}  residual={cert.residual:.3e}  "
-              f"bound={cert.bound:g}  {'pass' if cert.passed else 'FAIL'}")
-    unsolved = not reference.solved  # then no distance to it measures anything
+    failure = _report_reference(reference)
     for trace in traces:
         last = trace.rows[-1]
         stop = "tol" if trace.meta["converged"] == "1" else "budget"
         # the paper's metric, time to tolerance, off the trace's ms column
         reached = trace.first_row("dist_x", 1e-6)
-        reach_txt = ("dist_x n/a" if unsolved else "dist_x>1e-6" if reached is None
+        reach_txt = ("dist_x n/a" if failure is not None else "dist_x>1e-6" if reached is None
                      else f"dist_x<=1e-6 at k={reached.k} in {reached.ms:.2f} ms")
         print(f"  {trace.meta['solver']:<{width}}  iters={last.k:>6}  stop={stop:<6}  "
               f"wall={last.ms:>8.2f} ms  ||v||={last.norm_v:.3e}  {reach_txt}")
@@ -194,10 +211,8 @@ def cmd_bench(args):
             except EmptySelection:  # a quantity no trace holds gets no plot
                 pass
         print(f"traces and plots written to {run_cfg.out_dir}")
-    if unsolved:  # a runtime failure, reported once everything above is printed
-        raise RuntimeError(
-            f"the reference stopped on its budget of {reference.iterations} steps"
-            if reference.stop == "budget" else "the reference failed its certificate")
+    if failure is not None:
+        raise failure
     return 0
 
 

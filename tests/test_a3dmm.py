@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admmkit import extrapolate
-from admmkit.a3dmm import (ExtrapConfig, InnerSolver, RunResult, run_a3dmm,
+from admmkit import bench
+from admmkit.a3dmm import (ExtrapConfig, InnerSolver, RunResult, iterate, run_a3dmm,
                            safeguard_coefficient)
-from admmkit.bench import parse_solver_spec, run_solver
+from admmkit.bench import compute_reference, parse_solver_spec, run_solver
 from admmkit.problems import (Reference, make_feasibility, make_lasso, make_qp_box,
                               make_tv_inpainting)
 from admmkit.splitting import Divergence, SolverConfig
@@ -117,6 +118,53 @@ def test_accelerator_calls_go_through_module_attributes(spec, predict, monkeypat
     assert calls["fit_coefficients"] == len(cadence_points) > 0
     assert 0 < extrapolated <= calls[predict] <= calls["fit_coefficients"]
     assert sum(calls.values()) == len(pushed) + len(cadence_points) + calls[predict]
+
+
+@pytest.mark.parametrize("extrap,momentum", [
+    (None, None), (ExtrapConfig(q=4), None), (None, (0.3, 0.0)),
+    (ExtrapConfig(q=4), (0.4, -0.2)),
+], ids=["plain", "a3dmm", "momentum", "a3dmm-momentum"])
+def test_iterate_ends_on_an_unmoved_stop_and_flags_each_step_from_z(extrap, momentum):
+    inst = make_lasso(m=24, n=72, sparsity=6, seed=3)
+    cfg = SolverConfig(gamma=1.0, tol=1e-10, max_iter=1000, z0=inst.z0)
+    tested = []
+
+    def stop(state, nv, plain):  # the default rule, recording that nothing moved yet
+        tested.append(state.z_bar is state.z)
+        return nv <= cfg.tol
+
+    items = list(iterate(inst.problem, cfg, extrap, momentum, stop=stop))
+    assert len(tested) == len(items) and all(tested)
+    state, nv, _, applied = items[-1]
+    assert nv <= cfg.tol and applied is None and state.z_bar is state.z
+    assert all(nv > cfg.tol for _, nv, _, _ in items[:-1])
+    assert [item[0].k for item in items] == list(range(1, len(items) + 1))
+    # a step starts from z_bar = z exactly at k = 1 and after a step that
+    # took neither a prediction nor momentum
+    unmoved = [applied is None and momentum is None for _, _, _, applied in items[:-1]]
+    assert [plain for _, _, plain, _ in items] == [True] + unmoved
+    assert [item[0].z_bar is item[0].z for item in items[:-1]] == unmoved
+    assert any(applied is not None for *_, applied in items) == (extrap is not None)
+
+
+def test_a_step_meeting_tol_right_after_a_prediction_ends_a_solve_but_not_the_reference(
+        monkeypatch):
+    # a safeguard scale this small damps a prediction to a nudge, so the step
+    # after it falls below a tolerance that every earlier step misses
+    inst = make_lasso(m=24, n=72, sparsity=6, seed=3)
+    ext = ExtrapConfig(guard_b_rel=1e-12)
+    rows = run_a3dmm(inst.problem, SolverConfig(gamma=1.0, tol=0.0, max_iter=200, z0=inst.z0),
+                     extrap=ext).trace.rows
+    k = next(r.k for r in rows if r.extrapolated)
+    tol = rows[k].norm_v  # step k + 1
+    assert tol < min(r.norm_v for r in rows[:k])
+    solve = run_a3dmm(inst.problem, SolverConfig(gamma=1.0, tol=tol, max_iter=200, z0=inst.z0),
+                      extrap=ext)
+    assert solve.converged and solve.state.k == k + 1
+    # the reference stops only after a plain step, one that started from z_bar = z
+    monkeypatch.setattr(bench, "ExtrapConfig", lambda: ext)
+    reference = compute_reference(inst, 1.0, 100.0 * tol, 20)
+    assert reference.stop == "tol" and reference.iterations > k + 1
 
 
 def test_acceleration_on_lasso():

@@ -289,6 +289,24 @@ def test_bench_with_a_reference_that_fails_its_certificate_fails(capsys):
     assert "failure: the reference failed its certificate" in captured.err
 
 
+@pytest.mark.parametrize("flags,code,verdict", [
+    (["--problem", "lasso", "--gamma", "1e-300"], 1, "FAIL"),
+    (["--problem", "bp-l1"], 0, "pass"),
+], ids=["uncertified-lasso", "bp-l1"])
+def test_solve_prints_its_reference_and_fails_when_it_solved_nothing(flags, code, verdict,
+                                                                     tmp_path, capsys):
+    # at gamma = 1e-300 the solve stops at k = 1 with x = 0: converged on ||v||,
+    # yet no solution, which only the reference's certificate tells
+    assert main(["solve", *flags, "--out", str(tmp_path)]) == code
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert re.fullmatch(r"  reference: iters=\d+  stop=tol  extrapolated=\d+", lines[1])
+    assert re.fullmatch(rf"  certificate: gap=\S+  residual=\S+  bound=1e-06  {verdict}",
+                        lines[2])
+    assert read_trace_csv(tmp_path / "trace.csv").rows  # the trace is written either way
+    assert ("failure: the reference failed its certificate" in captured.err) == (code == 1)
+
+
 def test_bench_against_a_reference_stopped_on_its_budget_writes_no_distances(tmp_path, capsys):
     # the files alone must not show a solved run: empty distance cells, no dist_z plot
     assert main(["bench", "--problem", "lasso", "--gamma", "1e300", "--max-iter", "20",
