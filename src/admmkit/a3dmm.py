@@ -201,26 +201,23 @@ def _dist(a, b, buf):
     return None if b is None else _norm(np.subtract(a, b, out=buf))
 
 
-def run_a3dmm(problem, config, extrap=None, trace=None, reference=None,
-              momentum=None):
+def run_a3dmm(problem, config, extrap=None, reference=None, momentum=None):
     """Run the accelerated solver; returns (final IterateState, Trace).
 
     The trace records every step of `iterate`, which stops at
-    ||v_k|| <= tol or max_iter (soft, flagged in the trace metadata).  With
-    `extrap` None the trace is the plain variant scheme.  `momentum=(a, b)`
-    applies the two/three-point momentum fill-in at iterations without a
-    prediction (pure inertial scheme when extrapolation is off).
-    `reference`, when given, carries `z` and `x` for the distance columns
-    (a None `z` leaves dist_z empty).
+    ||v_k|| <= tol or max_iter (soft, flagged in the trace metadata), and
+    its metadata holds the run's settings.  With `extrap` None the trace is
+    the plain variant scheme.  `momentum=(a, b)` applies the two/three-point
+    momentum fill-in at iterations without a prediction (pure inertial
+    scheme when extrapolation is off).  `reference`, when given, carries `z`
+    and `x` for the distance columns (a None `z` leaves dist_z empty).
     """
-    trace = trace if trace is not None else Trace()
-    trace.meta.setdefault("gamma", repr(config.gamma))
-    trace.meta.setdefault("variant", config.variant)
+    trace = Trace(meta={"gamma": repr(config.gamma), "variant": config.variant})
     if config.variant == "relaxed":
-        trace.meta.setdefault("phi", repr(config.phi))
+        trace.meta["phi"] = repr(config.phi)
     if extrap is not None:
-        trace.meta.setdefault("q", str(extrap.q))
-        trace.meta.setdefault("s", "inf" if extrap.s == math.inf else str(int(extrap.s)))
+        trace.meta["q"] = str(extrap.q)
+        trace.meta["s"] = "inf" if extrap.s == math.inf else str(int(extrap.s))
 
     ref_z, ref_x = (reference.z, reference.x) if reference is not None else (None, None)
     buf_z, buf_x = np.empty(problem.p), np.empty(problem.n)

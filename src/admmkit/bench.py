@@ -28,7 +28,6 @@ from .problems import (CERTIFICATE_TOL, GAMMA_RULES, FormatError, Reference, loa
                        make_bp_l1, make_bp_l12, make_bp_nuclear, make_feasibility, make_lasso,
                        make_qp_box, make_tv_inpainting, resolve_gamma)
 from .splitting import SolverConfig
-from .trace import Trace, TraceRow
 
 
 class ConfigError(ValueError):
@@ -154,18 +153,18 @@ class RunConfig:
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise ConfigError(f"problem: unknown problem {self.problem!r}")
-        if not self.tol >= 0:
-            raise ConfigError(f"tol: must be nonnegative, got {self.tol!r}")
+        if not 0 <= self.tol < math.inf:  # an infinite tol would certify any point
+            raise ConfigError(f"tol: must be finite and nonnegative, got {self.tol!r}")
         if self.max_iter < 1:
             raise ConfigError("max_iter: must be at least 1")
         if self.inner_steps < 1:
             raise ConfigError("inner_steps: must be at least 1")
         if not self.solvers:
             raise ConfigError("solvers: comparison set must not be empty")
-        if self.gamma is not None and str(self.gamma).strip() not in GAMMA_RULES:
-            try:
-                float(self.gamma)
-            except (TypeError, ValueError):
+        if self.gamma is not None:
+            try:  # the rule's text, read with a placeholder ||K||
+                resolve_gamma(self.gamma, norm_K=1.0)
+            except ValueError:
                 raise ConfigError(f"gamma: {self.gamma!r} is neither a number nor one of "
                                   f"{', '.join(GAMMA_RULES)}") from None
         self.solvers = tuple(
@@ -313,14 +312,15 @@ def run_spec(instance, spec, gamma, tol, max_iter, label=None):
     dist_z column stays empty there.
     """
     cfg, extrap, momentum = _solver_pieces(spec, gamma, tol, max_iter, instance.z0)
-    trace = Trace(meta=provenance(label or spec.label, instance))
     reference = instance.reference
     if reference is not None and not reference.solved:
         reference = None
     elif reference is not None and not instance.unique_solution:
         reference = replace(reference, z=None)
-    return run_a3dmm(instance.problem, cfg, extrap=extrap, trace=trace,
-                     reference=reference, momentum=momentum)
+    result = run_a3dmm(instance.problem, cfg, extrap=extrap, reference=reference,
+                       momentum=momentum)
+    result.trace.meta.update(provenance(label or spec.label, instance))
+    return result
 
 
 def run_solver(instance, spec, gamma, tol, max_iter, inner=None):
@@ -383,30 +383,6 @@ def write_trace_csv(trace, path):
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
-
-
-def read_trace_csv(path):
-    """Inverse of write_trace_csv."""
-    trace = Trace()
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    body = []
-    for line in lines:
-        if line.startswith("# "):
-            key, _, value = line[2:].partition("=")
-            trace.meta[key] = value
-        elif line:
-            body.append(line)
-    if not body or body[0] != CSV_HEADER:
-        raise ValueError(f"{path}: missing trace header")
-    for line in body[1:]:
-        cells = line.split(",")
-        opt = lambda c: None if c == "" else float(c)
-        trace.append(TraceRow(
-            k=int(cells[0]), norm_v=float(cells[1]), cos_theta=opt(cells[2]),
-            dist_z=opt(cells[3]), dist_x=opt(cells[4]), objective=opt(cells[5]),
-            extrapolated=cells[6] == "1", ms=float(cells[7])))
-    return trace
 
 
 # ---------------------------------------------------------------------------

@@ -138,14 +138,9 @@ def companion_matrix(c):
 def spectral_radius(C):
     """Largest eigenvalue modulus of a (small) companion matrix (LAPACK dgeev)."""
     C = np.asarray(C, dtype=float)
-    return _radius(C, np.isfinite(C).all())
-
-
-def _radius(C, finite):
-    """spectral_radius of C, told whether C is finite (a fit need only scan c)."""
     if C.shape[0] > MAX_ORDER:
         raise EigenFailure(f"companion of order {C.shape[0]} exceeds the supported {MAX_ORDER}")
-    if not finite:
+    if not np.isfinite(C).all():
         raise EigenFailure("companion has non-finite entries")
     wr, wi, _, _, info = dgeev(C, compute_vl=0, compute_vr=0)
     if info != 0:
@@ -162,10 +157,6 @@ class CompanionFit:
     rho: float
     eps: float
     coeff_sum: float
-
-    @property
-    def q(self):
-        return self.c.size
 
 
 # Largest cond(V_{k-1}) fitted through the Gram matrix: with one refinement
@@ -251,8 +242,8 @@ def fit_coefficients(window):
     a[prev] = c
     r = a @ W
     C = companion_matrix(c)
-    return CompanionFit(c=c, companion=C, rho=_radius(C, np.isfinite(c).all()),
-                        eps=math.sqrt(r @ r), coeff_sum=float(c.sum()))
+    return CompanionFit(c=c, companion=C, rho=spectral_radius(C), eps=math.sqrt(r @ r),
+                        coeff_sum=float(c.sum()))
 
 
 def _power_sum_first_column(C, s):

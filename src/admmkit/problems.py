@@ -1,10 +1,10 @@
 """Problem gallery, synthetic data generation and the PGM image reader.
 
-Every constructor is deterministic given its seed and returns a
-ProblemInstance bundling the split-form problem data, the planted ground
-truth where one exists, a suggested starting point, a slot for the
-reference solution filled by a long reference run, and whether that
-solution is unique.  Every gallery problem has the split A x = y, with A
+Every constructor is deterministic given its seed and builds its
+ProblemInstance in one call, bundling the split-form problem data, the
+planted ground truth where one exists, a suggested starting point, a slot
+for the reference solution filled by a long reference run, and whether
+that solution is unique.  Every gallery problem has the split A x = y, with A
 the identity except for TV's image gradient; its y-oracle is J's own prox.
 The basis-pursuit builders (`make_bp_l1`, `make_bp_l12`, `make_bp_nuclear`)
 draw their truth and regularizer and share one tail, `_basis_pursuit`.
@@ -122,10 +122,9 @@ class ProblemInstance:
     is unique, and with it x*, y* and the multiplier: True for LASSO with
     Gaussian data (in general position with probability one; Tibshirani
     2013), the positive-definite QP of `make_qp_box` and two distinct lines.
-    False for basis pursuit (its multiplier need not be unique), TV (its
-    minimizer need not be) and `qp_box_instance` (Q is not checked); on
-    those the reference's z is one fixed point of many, so no run measures
-    its distance to it.
+    False for basis pursuit (its multiplier need not be unique) and TV (its
+    minimizer need not be); on those the reference's z is one fixed point
+    of many, so no run measures its distance to it.
     `certificate`, set by the constructors of the problems whose dual is
     cheap (LASSO and basis pursuit), maps a run's final (x, y, psi) to its
     Certificate.  The reference solve is accelerated on an instance that has
@@ -242,7 +241,7 @@ def _basis_pursuit(K, x_true, prox_r, r_value, dual_norm, descriptor, seed):
     that scale, and the gap is R(y) + <y, psi> / max(1, dual_norm(psi)).
     """
     f = K @ x_true
-    problem = SplitProblem(prox_r, affine_oracle(K, f, "affine-set"), r_value=r_value)
+    problem = SplitProblem(prox_r, affine_oracle(K, f), r_value=r_value)
 
     def certificate(x, y, psi):
         return _certificate(r_value(y), -(y @ psi) / max(1.0, dual_norm(psi)), x, y)
@@ -302,21 +301,6 @@ def make_bp_nuclear(matrix_shape=(24, 24), rank=2, measurements=300, seed=0):
         f"bp-nuclear(shape={rows}x{cols},rank={rank},m={m},seed={seed})", seed)
 
 
-def qp_box_instance(Q, q, lo, hi, descriptor="qp-box", seed=None):
-    """Box-constrained quadratic program split as x = y."""
-    Q = np.asarray(Q, dtype=float)
-    q = np.asarray(q, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    n = q.size
-    if Q.shape != (n, n) or lo.size != n or hi.size != n:
-        raise BadShape("Q, q and the box must agree on the dimension")
-    problem = SplitProblem(quadratic_oracle(Q, q), box_oracle(lo, hi),
-                           r_value=lambda x: 0.5 * x @ Q @ x + q @ x)
-    return ProblemInstance(problem=problem, descriptor=descriptor, seed=seed,
-                           extra={"Q": Q, "q": q, "lo": lo, "hi": hi})
-
-
 def make_qp_box(n=50, seed=0):
     """Seeded positive-definite QP with a box that leaves some bounds active."""
     if n < 1:
@@ -327,11 +311,12 @@ def make_qp_box(n=50, seed=0):
     q = rng.standard_normal(n)
     lo = rng.uniform(-1.0, -0.1, size=n)
     hi = rng.uniform(0.1, 1.0, size=n)
-    inst = qp_box_instance(Q, q, lo, hi, descriptor=f"qp-box(n={n},seed={seed})",
-                           seed=seed)
-    inst.norm_K = operator_norm(G)
-    inst.unique_solution = True  # Q = G'G + 0.1 I is positive definite
-    return inst
+    problem = SplitProblem(quadratic_oracle(Q, q), box_oracle(lo, hi),
+                           r_value=lambda x: 0.5 * x @ Q @ x + q @ x)
+    return ProblemInstance(problem=problem, descriptor=f"qp-box(n={n},seed={seed})",
+                           seed=seed, norm_K=operator_norm(G),
+                           extra={"Q": Q, "q": q, "lo": lo, "hi": hi},
+                           unique_solution=True)  # Q = G'G + 0.1 I is positive definite
 
 
 def make_feasibility(alpha=np.pi / 4, seed=0):
@@ -349,8 +334,7 @@ def make_feasibility(alpha=np.pi / 4, seed=0):
     u2 = np.array([np.cos(theta + alpha), np.sin(theta + alpha)])
     basis1 = u1.reshape(2, 1)
     basis2 = u2.reshape(2, 1)
-    problem = SplitProblem(subspace_oracle(basis1, "line-1"),
-                           subspace_oracle(basis2, "line-2"))
+    problem = SplitProblem(subspace_oracle(basis1), subspace_oracle(basis2))
     z0 = rng.standard_normal(2)
     z0 /= np.linalg.norm(z0)
     return ProblemInstance(

@@ -61,10 +61,10 @@ class NotSymmetric(ValueError):
 
 
 class LinearMap:
-    """Linear operator with an explicit adjoint.
+    """Linear operator with an explicit adjoint, given as a pair of callables.
 
-    Wraps either a dense matrix or a pair of callables (for structured
-    operators such as the discrete image gradient).
+    Structured operators such as the discrete image gradient apply without
+    a matrix.
     """
 
     def __init__(self, apply, apply_adjoint, rows, cols):
@@ -78,11 +78,6 @@ class LinearMap:
 
     def apply_adjoint(self, v):
         return self._adjoint(v)
-
-    @classmethod
-    def dense(cls, M):
-        M = np.asarray(M, dtype=float)
-        return cls(lambda v: M @ v, lambda v: M.T @ v, M.shape[0], M.shape[1])
 
     @classmethod
     def identity(cls, n):
@@ -307,37 +302,37 @@ class WideLeastSquares:
 # ---------------------------------------------------------------------------
 # oracle constructors
 
-def l1_oracle(n, mu=1.0, name="l1"):
+def l1_oracle(n, mu=1.0):
     """Oracle of f = mu*||.||_1 with A = identity."""
-    return ProxOracle(lambda w, gamma: soft_threshold_l1(w, mu / gamma), n, name)
+    return ProxOracle(lambda w, gamma: soft_threshold_l1(w, mu / gamma), n, "l1")
 
 
-def group_l12_oracle(n, groups, mu=1.0, name="l12"):
+def group_l12_oracle(n, groups, mu=1.0):
     """Oracle of f = mu*||.||_{1,2} with A = identity; the partition is checked once, here."""
     partition = GroupPartition(groups, n)
-    return ProxOracle(lambda w, gamma: partition.shrink(w, mu / gamma), n, name)
+    return ProxOracle(lambda w, gamma: partition.shrink(w, mu / gamma), n, "l12")
 
 
-def nuclear_oracle(shape, mu=1.0, name="nuclear"):
+def nuclear_oracle(shape, mu=1.0):
     """Oracle of f = mu*||.||_* acting on vectorized (rows x cols) matrices."""
     rows, cols = shape
 
     def evaluate(w, gamma):
         return prox_nuclear(w.reshape(rows, cols), mu / gamma).ravel()
 
-    return ProxOracle(evaluate, rows * cols, name)
+    return ProxOracle(evaluate, rows * cols, "nuclear")
 
 
-def box_oracle(lo, hi, name="box"):
+def box_oracle(lo, hi):
     """Oracle of the box indicator with A = identity."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if np.any(lo > hi):
         raise EmptyBox("some lower bound exceeds its upper bound")
-    return ProxOracle(lambda w, gamma: np.clip(w, lo, hi), lo.size, name)
+    return ProxOracle(lambda w, gamma: np.clip(w, lo, hi), lo.size, "box")
 
 
-def affine_oracle(K, f, name="affine"):
+def affine_oracle(K, f):
     """Oracle of the indicator of {x : K x = f} with A = identity.
 
     Evaluates the projection w - K^T (K K^T)^{-1} (K w - f) through a
@@ -351,18 +346,18 @@ def affine_oracle(K, f, name="affine"):
     except scipy.linalg.LinAlgError as exc:
         raise RankDeficient("K K^T is singular; K must have full row rank") from exc
     return ProxOracle(lambda w, gamma: w - K.T @ cache.solve(K @ w - f, 0.0),
-                      K.shape[1], name)
+                      K.shape[1], "affine")
 
 
-def subspace_oracle(basis, name="subspace"):
+def subspace_oracle(basis):
     """Oracle of the indicator of span(basis) with A = identity; basis columns orthonormal."""
     U = np.asarray(basis, dtype=float)
-    return ProxOracle(lambda w, gamma: U @ (U.T @ w), U.shape[0], name)
+    return ProxOracle(lambda w, gamma: U @ (U.T @ w), U.shape[0], "subspace")
 
 
-def quadratic_oracle(Q, q, name="quadratic"):
+def quadratic_oracle(Q, q):
     """Oracle of f = 0.5 x'Qx + q'x with A = identity, using a cached solve."""
     cache = QuadraticSolveCache(Q)
     q = np.asarray(q, dtype=float)
-    return ProxOracle(lambda w, gamma: cache.solve(gamma * w - q, gamma), q.size, name)
+    return ProxOracle(lambda w, gamma: cache.solve(gamma * w - q, gamma), q.size, "quadratic")
 

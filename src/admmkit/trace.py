@@ -1,10 +1,10 @@
 """Per-iteration solver diagnostics.
 
-A Trace is the sink contract the solver runners write into and the bench
-harness persists: one row per outer iteration plus a flat metadata map.
-Absent quantities (for example the angle at the first iteration, or
-distances when no reference solution exists) are stored as None and must
-never be serialized as NaN.
+A Trace is what `a3dmm.run_a3dmm` writes and `bench.write_trace_csv`
+persists: one row per outer iteration plus a flat metadata map.  Absent
+quantities (for example the angle at the first iteration, or distances when
+no reference solution exists) are stored as None and must never be
+serialized as NaN.
 """
 
 from __future__ import annotations
@@ -41,14 +41,6 @@ class Trace:
 
     def column(self, name):
         return [getattr(r, name) for r in self.rows]
-
-    def __len__(self):
-        return len(self.rows)
-
-    def __eq__(self, other):
-        if not isinstance(other, Trace):
-            return NotImplemented
-        return self.rows == other.rows and self.meta == other.meta
 
     def first_row(self, name, threshold):
         """First row whose column value is <= threshold, or None."""

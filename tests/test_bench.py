@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from admmkit import prox
 from admmkit.bench import (DEFAULT_COMPARISON, GALLERY, KNOBS, PROBLEMS, ConfigError,
                            EmptySelection, RunConfig, SolverSpec, build_instance,
-                           compute_reference, emit_plot_svg, parse_solver_spec, read_trace_csv,
-                           resolve_gamma, run_experiment, run_solver, write_trace_csv, CSV_HEADER)
+                           compute_reference, emit_plot_svg, parse_solver_spec, resolve_gamma,
+                           run_experiment, run_solver, write_trace_csv, CSV_HEADER)
 from admmkit import a3dmm
 from admmkit.a3dmm import run_a3dmm
 from admmkit.problems import (Certificate, make_bp_l1, make_bp_nuclear, make_feasibility,
@@ -26,6 +26,8 @@ from admmkit.problems import (Certificate, make_bp_l1, make_bp_nuclear, make_fea
 from admmkit.prox import ProxOracle
 from admmkit.splitting import Divergence, SolverConfig
 from admmkit.trace import Trace, TraceRow
+
+from trace_csv import read_trace_csv
 
 
 def sample_trace():
@@ -46,7 +48,7 @@ def test_trace_csv_round_trip(tmp_path):
     assert lines[3] == CSV_HEADER  # after three sorted metadata lines
     assert lines[0] == "# problem=toy"
     back = read_trace_csv(path)
-    assert back == t
+    assert (back.rows, back.meta) == (t.rows, t.meta)
 
 
 def test_trace_csv_single_row_layout(tmp_path):
@@ -113,11 +115,24 @@ def test_run_config_validation_messages():
         RunConfig(problem="unknown")
     with pytest.raises(ConfigError, match="max_iter"):
         RunConfig(problem="lasso", max_iter=0)
+    with pytest.raises(ConfigError, match="tol"):  # it would bound the certificate by inf
+        RunConfig(problem="lasso", tol=math.inf)
     with pytest.raises(ConfigError, match="inner_steps"):
         RunConfig(problem="tv", inner_steps=0)
     # two specs with one label would write one trace file
     with pytest.raises(ConfigError, match=r"solvers: iadmm\(0\.3\) appears more than once"):
         RunConfig(problem="feasibility", solvers=("admm", "iadmm(0.3)", "iadmm(0.30)"))
+
+
+@pytest.mark.parametrize("text", ["K2/10", " K2+0.1 ", "0.5", "abc", "K2", "", "nan"])
+def test_run_config_reads_gamma_as_resolve_gamma_does(text):
+    try:
+        resolve_gamma(text, 1.0)
+    except ValueError:
+        with pytest.raises(ConfigError, match="gamma"):
+            RunConfig(gamma=text)
+    else:
+        assert RunConfig(gamma=text).gamma == text
 
 
 def test_run_experiment_writes_traces(tmp_path):

@@ -9,9 +9,11 @@ import pytest
 
 from admmkit.cli import (EXIT_BROKEN_PIPE, _run_config_from, build_parser, main,
                          parse_config_file)
-from admmkit.bench import (RunConfig, SolverSpec, compute_reference, read_trace_csv,
-                           run_spec, trace_file_name, write_trace_csv)
+from admmkit.bench import (RunConfig, SolverSpec, compute_reference, run_spec,
+                           trace_file_name, write_trace_csv)
 from admmkit.problems import load_pgm, make_feasibility, make_lasso, make_tv_inpainting
+
+from trace_csv import read_trace_csv
 
 
 def assert_same_run(path, result, tmp_path):
@@ -94,6 +96,8 @@ def test_unknown_flag_is_usage_error(capsys):
     ["bench", "--problem", "tv", "--gamma", "K2+0.1"],
     ["bench", "--config", os.path.join(os.path.dirname(__file__), "..", "configs", "lasso.cfg"),
      "--tol", "nan"],
+    ["bench", "--problem", "lasso", "--tol", "inf", "--max-iter", "5"],
+    ["solve", "--tol", "inf"],
     ["bench", "--problem", "qp", "--n", "0"],
     ["solve", "--problem", "qp", "--n", "0"],
     ["bench", "--problem", "tv", "--size", "1"],
@@ -132,9 +136,10 @@ def test_unknown_flag_is_usage_error(capsys):
 ], ids=["inpaint-iters", "solve-q", "solve-phi", "bench-no-solvers", "inpaint-density",
         "inpaint-no-pixel-observed", "bench-alpha", "solve-m", "bench-gamma", "solve-gamma",
         "bench-gamma-text", "solve-gamma-text", "solve-gamma-rule-without-norm",
-        "bench-gamma-rule-without-norm", "bench-tol-nan", "bench-qp-n", "solve-qp-n",
-        "bench-tv-size", "inpaint-size", "bench-variant", "angles-s", "inpaint-tol",
-        "spectra-problem", "solve-q-without-s", "solve-phi-without-relaxed",
+        "bench-gamma-rule-without-norm", "bench-tol-nan", "bench-tol-inf", "solve-tol-inf",
+        "bench-qp-n", "solve-qp-n", "bench-tv-size", "inpaint-size", "bench-variant",
+        "angles-s", "inpaint-tol", "spectra-problem", "solve-q-without-s",
+        "solve-phi-without-relaxed",
         "bench-config-variant", "angles-window-0", "angles-window-negative",
         "inpaint-missing-image", "inpaint-truncated-image", "bench-qp-m-sparsity",
         "bench-bp-l12-sparsity", "bench-bp-nuclear-m", "bench-qp-problem-knobs",

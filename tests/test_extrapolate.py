@@ -30,7 +30,7 @@ def extrapolate_infinite_weighted(z, window, fit):
         raise NearSingular(f"|1 - sum(c)| = {abs(1.0 - fit.coeff_sum):.3e}")
     acc = z.astype(float).copy()
     z_back = z.astype(float).copy()
-    for j in range(fit.q):
+    for j in range(fit.c.size):
         z_back = z_back - window.column(j)  # z_{k-j-1}
         acc -= fit.c[j] * z_back
     return acc / (1.0 - fit.coeff_sum)

@@ -10,8 +10,7 @@ from admmkit.problems import (CERTIFICATE_TOL, BadImage, BadShape, EmptyMask, Fo
                               ProblemInstance, gradient_map, load_pgm,
                               make_bp_l1, make_bp_l12, make_bp_nuclear, make_feasibility,
                               make_lasso, make_qp_box, make_tv_inpainting, operator_norm,
-                              piecewise_constant_image, psnr, qp_box_instance,
-                              resolve_gamma)
+                              piecewise_constant_image, psnr, resolve_gamma)
 from admmkit.prox import (EmptyBox, WideLeastSquares, box_oracle, l1_oracle, quadratic_oracle,
                           soft_threshold_l1)
 from admmkit.splitting import (IterateState, SolverConfig, SplitProblem, SubproblemFailure,
@@ -139,20 +138,25 @@ def test_affine_constrained_refuses_sizes_its_regularizer_ignores(reg, size):
         BASIS_PURSUIT[reg](seed=0, **size)
 
 
+def hand_qp(Q, q, lo, hi):
+    """min 0.5 x'Qx + q'x over the box [lo, hi], split as x = y."""
+    return SplitProblem(quadratic_oracle(Q, q), box_oracle(lo, hi))
+
+
 def test_qp_box_hand_oracles():
     # n=1, Q=2, q=-2: unconstrained minimizer of x^2 - 2x is 1 (interior)
-    inst = qp_box_instance([[2.0]], [-2.0], [0.0], [10.0])
-    res = run_a3dmm(inst.problem, SolverConfig(gamma=1.0, tol=1e-12, max_iter=2000))
+    problem = hand_qp([[2.0]], [-2.0], [0.0], [10.0])
+    res = run_a3dmm(problem, SolverConfig(gamma=1.0, tol=1e-12, max_iter=2000))
     assert abs(res.state.x[0] - 1.0) <= 1e-6
     # box [2, 3]: the quadratic is increasing there, so the bound 2 is active
-    inst = qp_box_instance([[2.0]], [-2.0], [2.0], [3.0])
-    res = run_a3dmm(inst.problem, SolverConfig(gamma=1.0, tol=1e-12, max_iter=2000))
+    problem = hand_qp([[2.0]], [-2.0], [2.0], [3.0])
+    res = run_a3dmm(problem, SolverConfig(gamma=1.0, tol=1e-12, max_iter=2000))
     assert abs(res.state.x[0] - 2.0) <= 1e-6
     # Q = 0.1 I, q = 0: solution is the projection of the origin onto the box
     lo = np.array([0.5, -2.0])
     hi = np.array([1.5, -1.0])
-    inst = qp_box_instance(0.1 * np.eye(2), np.zeros(2), lo, hi)
-    res = run_a3dmm(inst.problem, SolverConfig(gamma=1.0, tol=1e-12, max_iter=4000))
+    problem = hand_qp(0.1 * np.eye(2), np.zeros(2), lo, hi)
+    res = run_a3dmm(problem, SolverConfig(gamma=1.0, tol=1e-12, max_iter=4000))
     np.testing.assert_allclose(res.state.x, np.clip(0.0, lo, hi), atol=1e-6)
 
 
@@ -167,13 +171,10 @@ def test_make_qp_box_seeded():
 
 
 def test_instances_whose_solution_may_not_be_unique_are_unflagged():
-    # basis pursuit's multiplier and TV's minimizer need not be unique, and a
-    # hand-built QP may have a semidefinite Q; their references take plain steps
+    # basis pursuit's multiplier and TV's minimizer need not be unique
     for make in BASIS_PURSUIT.values():
         assert not make(seed=0).unique_solution
     assert not make_tv_inpainting(size=8, seed=0).unique_solution
-    assert not qp_box_instance(np.zeros((2, 2)), np.ones(2), -np.ones(2),
-                               np.ones(2)).unique_solution
     assert make_lasso(seed=0).unique_solution and make_qp_box(n=5).unique_solution
     assert make_feasibility(alpha=0.3).unique_solution
 
@@ -275,7 +276,7 @@ def test_y_oracle_evaluates_the_prox_at_w(build, prox):
 
 def test_qp_box_with_an_empty_box_fails_at_construction():
     with pytest.raises(EmptyBox):
-        qp_box_instance(np.eye(2), np.zeros(2), [0.0, 1.0], [1.0, 0.5])
+        box_oracle([0.0, 1.0], [1.0, 0.5])
 
 
 def test_feasibility_orthogonal_lines_converge_fast():
