@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import extrapolate as ex
-from .splitting import Divergence, IterateState, inertial_predict, variant_step
+from .splitting import Divergence, IterateState, momentum_move, variant_step
 from .spectra import trajectory_angle
 from .trace import Trace, TraceRow
 
@@ -160,17 +160,19 @@ def iterate(problem, config, extrap=None, momentum=None, stop=None):
     config.tol); a step that meets it is yielded unmoved and ends the run, as
     config.max_iter steps do.  Otherwise `extrap` banks v_k and moves the
     stepping point to the guarded prediction at a cadence point with a full
-    window; a step without one takes the fill-in `momentum=(a, b)` if given.
-    A non-finite ||v_k|| raises Divergence, as does a symmetric-scheme
-    ||v_k|| above 1e6 * ||v_1||.
+    window; a step without one takes the fill-in `momentum=(a, b)` if given,
+    from the states one and two steps back (`splitting.momentum_move`, which
+    decides whether a carried image moves with the point).  A non-finite
+    ||v_k|| raises Divergence, as does a symmetric-scheme ||v_k|| above
+    1e6 * ||v_1||.
     """
     stop = stop or (lambda state, nv, plain: nv <= config.tol)
     state = IterateState.initial(problem, config.z0)
     window = ex.DiffWindow(problem.p, extrap.q + 1) if extrap is not None else None
-    z_prev2, Kz_prev2 = state.z, state.Kz  # z_{k-2} and its image (three-point momentum)
+    prev = state  # with prev2, the states one and two steps back (three-point momentum)
     for k in range(1, config.max_iter + 1):
         plain = state.z_bar is state.z
-        prev_z, prev_Kz = state.z, state.Kz
+        prev2, prev = prev, state
         state, nv = checked_step(problem, state, config)
         if k == 1:
             v1_norm = nv
@@ -186,14 +188,8 @@ def iterate(problem, config, extrap=None, momentum=None, stop=None):
             if k % extrap.cadence == 0 and window.is_full:
                 applied = _predict(window, extrap, guard_b, state)
         if applied is None and momentum is not None:
-            # momentum is linear in z, so a carried image moves with it
-            a_m, b_m = momentum
-            Kz = state.Kz
-            state.move_to(inertial_predict(state.z, prev_z, z_prev2, a_m, b_m),
-                          None if Kz is None
-                          else inertial_predict(Kz, prev_Kz, Kz_prev2, a_m, b_m))
+            momentum_move(state, prev, prev2, momentum, config)
         yield state, nv, plain, applied
-        z_prev2, Kz_prev2 = prev_z, prev_Kz
 
 
 def _dist(a, b, buf):

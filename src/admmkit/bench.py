@@ -153,7 +153,7 @@ class RunConfig:
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise ConfigError(f"problem: unknown problem {self.problem!r}")
-        if not 0 <= self.tol < math.inf:  # an infinite tol would certify any point
+        if not 0 <= self.tol < math.inf:  # an infinite tol would stop every solve at k = 1
             raise ConfigError(f"tol: must be finite and nonnegative, got {self.tol!r}")
         if self.max_iter < 1:
             raise ConfigError("max_iter: must be at least 1")
@@ -251,13 +251,13 @@ def compute_reference(instance, gamma, tol, max_iter):
     A3DMM(6, inf) with the ExtrapConfig defaults; other instances take plain
     steps only.  The stop rules are tested only after a plain step, one that
     started from z_bar = z, so one plain step moves the returned point by at
-    most tol/100 or it is at its rounding floor: ||v_k|| <= tol/100 (stop
-    "tol"), ||v_k|| <= FLOOR_FACTOR * eps * ||z_k|| (stop "floor").
-    10 * max_iter steps end the run in any case (stop "budget").  The
-    instance's certificate, when it has one, is read at the final
-    (x, y, psi) and held to max(CERTIFICATE_TOL, tol): the reference is
-    certified as closely as the solvers are asked to converge, and to at
-    least 1e-6.  An accelerated run that applied a prediction, met a stop
+    most t/100, t = min(tol, CERTIFICATE_TOL), or it is at its rounding
+    floor: ||v_k|| <= t/100 (stop "tol"), ||v_k|| <= FLOOR_FACTOR * eps *
+    ||z_k|| (stop "floor").  10 * max_iter steps end the run in any case
+    (stop "budget").  The instance's certificate, when it has one, is read
+    at the final (x, y, psi) and held to CERTIFICATE_TOL, whatever the
+    solvers' tol, so a loose tol cannot certify a point that solves
+    nothing.  An accelerated run that applied a prediction, met a stop
     rule and fails its certificate is replaced by the plain run from z0; one
     that stopped on its budget solved nothing either way and is not run
     again.  Stores the Reference, with the number of predictions applied and
@@ -265,22 +265,20 @@ def compute_reference(instance, gamma, tol, max_iter):
     False when the stop is "budget" or the certificate failed); a non-finite
     ||v_k|| raises Divergence.
     """
-    cfg = SolverConfig(gamma=gamma, tol=tol / 100.0, max_iter=10 * max_iter,
-                       z0=instance.z0)
-    bound = max(CERTIFICATE_TOL, tol)
-    reference = _reference_run(instance, cfg, instance.accelerated_reference, bound)
+    cfg = SolverConfig(gamma=gamma, tol=min(tol, CERTIFICATE_TOL) / 100.0,
+                       max_iter=10 * max_iter, z0=instance.z0)
+    reference = _reference_run(instance, cfg, instance.accelerated_reference)
     if reference.extrapolated and reference.stop != "budget" and not reference.solved:
-        reference = _reference_run(instance, cfg, False, bound)
+        reference = _reference_run(instance, cfg, False)
     instance.reference = reference
     return reference
 
 
-def _reference_run(instance, cfg, accelerate, bound):
+def _reference_run(instance, cfg, accelerate):
     """The steps of compute_reference under cfg, accelerated or plain; returns the Reference.
 
     `rule`, iterate's stop, names the stop rule a step meets; the last step
-    meets none when the budget ran out.  The instance's certificate, if
-    any, is held to `bound`.
+    meets none when the budget ran out.
     """
     def rule(state, nv, plain):
         if plain:
@@ -298,7 +296,7 @@ def _reference_run(instance, cfg, accelerate, bound):
     return Reference(z=state.z.copy(), x=state.x.copy(), iterations=state.k,
                      stop=rule(state, nv, plain) or "budget", extrapolated=extrapolated,
                      certificate=None if certify is None
-                     else replace(certify(state.x, state.y, state.psi), bound=bound))
+                     else certify(state.x, state.y, state.psi))
 
 
 def run_spec(instance, spec, gamma, tol, max_iter, label=None):

@@ -10,9 +10,8 @@ The basis-pursuit builders (`make_bp_l1`, `make_bp_l12`, `make_bp_nuclear`)
 draw their truth and regularizer and share one tail, `_basis_pursuit`.
 Every oracle is an exact, stateless ProxOracle; the TV x-oracle solves its
 subproblem with one cached sparse factorization.  A LASSO's data term is
-one `prox.WideLeastSquares`, which gives the y-oracle and, when its design
-is large enough to carry the image K z (`carries_image`), is also declared
-as the split's `wide_lsq`.
+one `prox.WideLeastSquares`, which gives the y-oracle and is also declared
+as the split's `wide_lsq`, so that steps carry the image K z.
 """
 
 from __future__ import annotations
@@ -54,8 +53,7 @@ class FormatError(ValueError):
         self.reason = reason
 
 
-# the least bound a certificate is held to (a reference for solvers run to a
-# looser tolerance is held to that tolerance instead: `bench.compute_reference`)
+# the bound a certificate is held to, whatever tolerance the solvers run to
 CERTIFICATE_TOL = 1e-6
 
 
@@ -68,16 +66,15 @@ class Certificate:
     from it (Fercoq, Gramfort & Salmon 2015), so weak duality makes it
     nonnegative up to rounding and it is zero at a solution.  `residual` is
     the consensus residual ||x - y|| / max(1, ||y||) of the split x = y.
-    It passes when both are at most `bound`.
+    It passes when both are at most CERTIFICATE_TOL.
     """
 
     gap: float
     residual: float
-    bound: float = CERTIFICATE_TOL
 
     @property
     def passed(self):
-        return self.gap <= self.bound and self.residual <= self.bound
+        return self.gap <= CERTIFICATE_TOL and self.residual <= CERTIFICATE_TOL
 
 
 def _certificate(primal, dual, x, y):
@@ -191,9 +188,8 @@ def make_lasso(m=64, n=256, sparsity=13, mu=1.0, seed=0):
 
     The x-block carries mu*||.||_1 and the y-block the quadratic data term
     0.5||K y - f||^2; f is the measurement of a planted `sparsity`-sparse
-    signal.  The data term is one WideLeastSquares; when it carries the
-    image (`carries_image`, K large enough) it is also the split's
-    `wide_lsq`, so steps carry K z.
+    signal.  The data term is one WideLeastSquares, which is the y-oracle
+    (through `oracle()`) and the split's `wide_lsq`, so steps carry K z.
     """
     if not (0 < m < n):
         raise BadShape("need 0 < m < n")
@@ -214,7 +210,7 @@ def make_lasso(m=64, n=256, sparsity=13, mu=1.0, seed=0):
     problem = SplitProblem(l1_oracle(n, mu), term.oracle(),
                            r_value=lambda u: mu * np.abs(u).sum(),
                            j_value=lambda y, psi: 0.5 * (y @ psi + y @ q + ff),
-                           wide_lsq=term if term.carries_image else None)
+                           wide_lsq=term)
     nK = operator_norm(K, gram=term.gram)
 
     def certificate(x, y, psi):

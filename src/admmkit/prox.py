@@ -18,8 +18,8 @@ per gamma, built on first use (`affine_oracle` factors its K K^T at
 gamma = 0 when built).  A least-squares term 0.5||K x - f||^2 with an
 m x n design K is solved through the smaller Gram matrix: K'K for m >= n
 (a `quadratic_oracle`), and KK' with the matrix inversion lemma for m < n
-(`WideLeastSquares`, which also owns the size rule for steps that carry
-the image K z).  Building costs O(min(m,n)^2 max(m,n)) and each solve
+(`WideLeastSquares`, whose `prox` serves the steps that carry the image
+K z).  Building costs O(min(m,n)^2 max(m,n)) and each solve
 O(mn).  Cached solves go through LAPACK `potrs` after an explicit
 finiteness check of the right-hand side; the factor was checked once when
 `cho_factor` built it.  The carried y-step of `WideLeastSquares.prox`
@@ -211,21 +211,6 @@ class QuadraticSolveCache:
         return self._inverses[key]
 
 
-# A WideLeastSquares carries the image K z (`carries_image`) when K has at
-# least this many entries.  Per step the carry saves the y-solve's dense K r
-# and trades its two triangular solves for one product with the cached
-# m x m inverse; it adds K x from x's few nonzero columns of K (gathered
-# again only when x's support changes) and three passes of length m.
-# Measured per plain step against the oracle step, on the same instance
-# (150 steps from z = 0, sparsity m/10, best of 11 alternating rounds,
-# median over 5 processes, one BLAS thread, 2-vCPU Xeon VM): 64 x 256 -2%,
-# 100 x 500 -16%, 128 x 512 -27%, 100 x 1000 -26%, 128 x 1024 -32%,
-# 200 x 2000 -42%.  The constant was set at 2^16 entries when the carried
-# step still solved with the factor and gathered every step (then +12% at
-# 64 x 256, -36% at 200 x 2000); it stays there, so the 64 x 256 desk LASSO
-# keeps stepping through its oracle.
-WIDE_IMAGE_MIN_ENTRIES = 2 ** 16
-
 # `WideLeastSquares.image` gathers u's nonzero columns of K when at most
 # 1/SPARSE_IMAGE_SHARE of u is nonzero, else forms K u densely: a gathered
 # column is strided in K, and the measured crossover lay at 3-8% nonzero
@@ -245,10 +230,8 @@ class WideLeastSquares:
     (KK' + gamma*I)^{-1} (one m x m product, built once per gamma from the
     same factor) and returns K y beside y, so the step makes one dense pass
     over K and forms K x with `image` from x's nonzero columns of K, which
-    the next step reuses while the support stays the same.
-    `carries_image` says whether K has the WIDE_IMAGE_MIN_ENTRIES entries
-    from which the carry pays.  `Ktf` and `KKtf` are K'f and KK'f, and
-    `gram` is KK'.
+    the next step reuses while the support stays the same.  `Ktf` and
+    `KKtf` are K'f and KK'f, and `gram` is KK'.
     """
 
     def __init__(self, K, f):
@@ -256,7 +239,6 @@ class WideLeastSquares:
         self.K = K
         self.Ktf = K.T @ np.asarray(f, dtype=float)
         self.KKtf = K @ self.Ktf
-        self.carries_image = K.size >= WIDE_IMAGE_MIN_ENTRIES
         self.gram = K @ K.T
         self._cache = QuadraticSolveCache(self.gram)
 

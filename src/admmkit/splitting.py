@@ -14,8 +14,10 @@ wide least-squares y-block (`SplitProblem.wide_lsq`) the state also carries
 the image K z, and K z_bar when it is known; the y-step then runs from the
 image in place of `prox_j`, with one dense pass over K instead of two,
 forms K A x from A x's few nonzero columns of K (gathered again only when
-that support changes), and a prediction leaves K z_bar to be formed densely
-by the next step.  Its dual twin, which runs the same fixed-point
+that support changes).  A prediction leaves K z_bar to be formed densely
+by the next step, and so does momentum on any scheme but the standard one,
+whose step absorbs an error in K z_bar (`momentum_move`).  Its dual
+twin, which runs the same fixed-point
 iteration through the conjugate proximal maps (Douglas-Rachford for the
 standard/relaxed scheme, Peaceman-Rachford for the symmetric one), is the
 tests' equivalence check and lives beside them in `tests/reference_twins.py`.
@@ -265,3 +267,20 @@ def inertial_predict(z, z_prev, z_prev2=None, a=0.0, b=0.0):
         out = out + b * (z_prev - z_prev2)
     return out
 
+
+def momentum_move(state, prev, prev2, momentum, config):
+    """Move state's stepping point to the momentum point of its z and the two earlier states' z.
+
+    With momentum = (a, b), z_bar = z + a*(z - z_prev) + b*(z_prev - z_prev2)
+    (`inertial_predict`).  On a `wide_lsq` problem the image moves with the
+    point only on the standard scheme, whose step absorbs an error in K z_bar
+    exactly; a relaxed step passes (1 - phi) times it on to K z and a
+    symmetric step minus it, which momentum's (1 + a)*e_k - a*e_{k-1} would
+    amplify.  On those schemes the next step forms K z_bar densely.
+    """
+    a, b = momentum
+    z_bar = inertial_predict(state.z, prev.z, prev2.z, a, b)
+    if state.Kz is None or config.variant != "standard":
+        state.move_to(z_bar)
+    else:
+        state.move_to(z_bar, inertial_predict(state.Kz, prev.Kz, prev2.Kz, a, b))

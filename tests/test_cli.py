@@ -271,12 +271,26 @@ def test_bench_prints_the_certificate_of_a_reference_that_has_one(capsys):
 
 
 @pytest.mark.parametrize("problem", ["lasso", "bp-l1", "bp-nuclear"])
-def test_bench_at_a_loose_tolerance_certifies_its_reference_to_that_tolerance(problem, capsys):
-    # the reference stops at ||v|| <= 1e-5 and reads gaps near that, which the
-    # solvers' own tolerance of 1e-3 admits
+def test_bench_at_a_loose_tolerance_certifies_its_reference_to_1e_6(problem, capsys):
+    # the reference stops at ||v|| <= 1e-8 whatever the solvers' tolerance
     assert main(["bench", "--problem", problem, "--tol", "1e-3", "--solvers", "admm"]) == 0
     [line] = [l for l in capsys.readouterr().out.splitlines() if l.startswith("  certificate:")]
-    assert re.fullmatch(r"  certificate: gap=\S+  residual=\S+  bound=0\.001  pass", line)
+    assert re.fullmatch(r"  certificate: gap=\S+  residual=\S+  bound=1e-06  pass", line)
+
+
+def test_bench_at_a_huge_tolerance_certifies_a_reference_no_solver_reaches(capsys):
+    # every solver stops at k = 1, on x = 0, which a reference held to the
+    # solvers' tolerance would certify and call within 1e-6 of the solution
+    assert main(["bench", "--problem", "lasso", "--tol", "1e300"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert any(re.fullmatch(r"  reference: iters=\d+  stop=tol  extrapolated=\d+", l)
+               for l in lines)
+    [line] = [l for l in lines if l.startswith("  certificate:")]
+    assert re.fullmatch(r"  certificate: gap=\S+  residual=\S+  bound=1e-06  pass", line)
+    solver_lines = [l for l in lines if "iters=" in l and "reference" not in l]
+    assert len(solver_lines) == 4
+    assert all(re.search(r"iters=\s+1  stop=tol .*  dist_x>1e-6$", l) for l in solver_lines), \
+        solver_lines
 
 
 def test_bench_with_a_reference_that_fails_its_certificate_fails(capsys):

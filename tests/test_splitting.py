@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -332,8 +333,16 @@ def general_step(problem, state, gamma, variant="standard", phi=1.0):
     return IterateState(x=x, y=y, psi=psi, z=z, v=z - state.z, k=state.k + 1)
 
 
+def through_oracle(inst):
+    """The instance with its y-step through `prox_j`, the generic step body, not a carried image.
+
+    The carried step is checked against this twin in test_wide_image.py.
+    """
+    return dataclasses.replace(inst, problem=dataclasses.replace(inst.problem, wide_lsq=None))
+
+
 @pytest.mark.parametrize("build,gamma", [
-    (lambda: make_lasso(m=16, n=48, sparsity=4, seed=7), 0.7),
+    (lambda: through_oracle(make_lasso(m=16, n=48, sparsity=4, seed=7)), 0.7),
     (lambda: make_bp_l1(m=12, n=40, sparsity=3, seed=7), 1.0),
     (lambda: make_qp_box(n=20, seed=7), 0.5),
     (lambda: make_feasibility(np.pi / 5, seed=7), 1.0),

@@ -9,7 +9,6 @@ from admmkit import a3dmm
 from admmkit.bench import (RunConfig, build_instance, compute_reference, parse_solver_spec,
                            penalty, run_spec)
 from admmkit.problems import make_lasso
-from admmkit.prox import WIDE_IMAGE_MIN_ENTRIES
 from admmkit.splitting import IterateState, SolverConfig, SubproblemFailure, variant_step
 
 SPECS = ("admm", "relaxed(1.5)", "symmetric", "iadmm(0.3)", "iadmm(0.4,-0.2)",
@@ -38,11 +37,10 @@ def rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-def test_the_image_is_carried_only_from_the_size_constant_on():
-    assert make_lasso().problem.wide_lsq is None  # 64 x 256, the desk LASSO
-    n = -(-WIDE_IMAGE_MIN_ENTRIES // 64)  # the narrowest 64-row design at the constant
-    assert make_lasso(m=64, n=n - 1, sparsity=5).problem.wide_lsq is None
-    assert make_lasso(m=64, n=n, sparsity=5).problem.wide_lsq is not None
+def test_every_lasso_carries_the_image():
+    # the 64 x 256 desk LASSO and a tiny one
+    for inst in (make_lasso(), make_lasso(m=8, n=17, sparsity=2)):
+        assert inst.problem.wide_lsq is not None
 
 
 def test_a_design_off_the_y_block_is_refused(wide):
@@ -92,12 +90,26 @@ def test_plain_and_momentum_runs_keep_z_at_every_row(wide, text, monkeypatch):
 
 @pytest.mark.parametrize("text", ["admm", "symmetric", "iadmm(0.4,-0.2)", "a3dmm(6,inf)"])
 def test_the_carried_image_stays_at_rounding_level(wide, text):
-    # the y-step absorbs an error in the carried image (K psi uses the true
-    # K y), so the drift stays at rounding level without any refresh
+    # a standard y-step absorbs an error in the carried image (K psi uses the
+    # true K y); a symmetric one passes it on negated, which adds each
+    # step's rounding without amplifying it, so the drift stays at rounding
+    # level without any refresh
     result = run_spec(wide, parse_solver_spec(text), wide.gamma_default, 0.0, 400)
     assert result.state.k == 400
     Kz = wide.extra["K"] @ result.state.z
     assert np.linalg.norm(Kz - result.state.Kz) <= 1e-12 * np.linalg.norm(Kz)
+
+
+@pytest.mark.parametrize("variant,phi", [("symmetric", 1.0), ("relaxed", 1.7), ("relaxed", 1.9)])
+def test_momentum_on_a_relaxed_or_symmetric_scheme_leaves_the_image_to_the_step(wide, variant,
+                                                                                phi):
+    # momentum would amplify the image error those schemes pass on, so it
+    # moves the point alone and the next step forms K z_bar densely
+    cfg = SolverConfig(gamma=wide.gamma_default, variant=variant, phi=phi, tol=0.0, max_iter=400)
+    state, _ = a3dmm.run_a3dmm(wide.problem, cfg, momentum=(0.3, 0.0))  # raises no Divergence
+    assert state.k == 400
+    Kz = wide.extra["K"] @ state.z
+    assert np.linalg.norm(Kz - state.Kz) <= 1e-12 * np.linalg.norm(Kz)
 
 
 class CountingProxy:
