@@ -9,7 +9,8 @@ benchmark harness and CLI (`bench`, `cli`).
 `run_a3dmm` is the one solver entry point: it runs every scheme variant,
 with or without extrapolation or momentum.  Every subproblem oracle is an
 exact `ProxOracle` whose one method is `evaluate(w, gamma)`, and
-`prox.QuadraticSolveCache` is the only Cholesky solve.  The reference
+`prox.QuadraticSolveCache` is the only cached quadratic solve: one product
+with the inverse (Q + gamma I)^{-1}, formed lazily per gamma.  The reference
 twins that the tests compare the package against are in `tests/reference_twins.py`.
 """
 

@@ -12,22 +12,19 @@ Every oracle is a `ProxOracle`: deterministic and, once built, free of
 mutable state apart from factorizations cached on first use, so one
 instance is safe to share across concurrent solves.
 
-Quadratic oracles go through the package's only Cholesky solve,
-`QuadraticSolveCache`, of (Q + gamma*I) x = r for a symmetric Q: one factor
-per gamma, built on first use (`affine_oracle` factors its K K^T at
-gamma = 0 when built).  A least-squares term 0.5||K x - f||^2 with an
-m x n design K is solved through the smaller Gram matrix: K'K for m >= n
+Quadratic oracles go through the package's only cached solve,
+`QuadraticSolveCache`, of (Q + gamma*I) x = r for a symmetric Q: one
+Cholesky factor per gamma, built on first use (`affine_oracle` factors its
+K K^T at gamma = 0 when built).  A least-squares term 0.5||K x - f||^2 with
+an m x n design K is solved through the smaller Gram matrix: K'K for m >= n
 (a `quadratic_oracle`), and KK' with the matrix inversion lemma for m < n
 (`WideLeastSquares`, whose `prox` serves the steps that carry the image
-K z).  Building costs O(min(m,n)^2 max(m,n)) and each solve
-O(mn).  Cached solves go through LAPACK `potrs` after an explicit
-finiteness check of the right-hand side; the factor was checked once when
-`cho_factor` built it.  The carried y-step of `WideLeastSquares.prox`
-instead multiplies by the cached inverse (Q + gamma*I)^{-1}, formed once
-per gamma from the same factor with LAPACK `potri`, after the same check
-(the m x m solve of the matrix inversion lemma cached once per penalty,
-Boyd et al. 2011, sec. 4.2.4).  The tests' reference projection, which
-factors on every call, is in `tests/reference_twins.py`.
+K z).  Building costs O(min(m,n)^2 max(m,n)) and each solve O(mn).  Every
+cached solve is one product with the inverse (Q + gamma*I)^{-1}, formed
+lazily from the factor on the first solve at each gamma (LAPACK `potri`),
+after an explicit finiteness check of the right-hand side (a solve cached
+once per penalty, Boyd et al. 2011, sec. 4.2.4).  The tests' Cholesky and
+projection twins, which solve by factor, are in `tests/reference_twins.py`.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dpotri, dpotrs
+from scipy.linalg.lapack import dpotri
 
 
 class OverlappingGroups(ValueError):
@@ -149,31 +146,12 @@ def prox_nuclear(W, tau):
     return (U * np.maximum(s - tau, 0.0)) @ Vt
 
 
-def _check_finite(b):
-    """Raise ValueError on a NaN or inf in b, as `scipy.linalg.cho_solve` does."""
-    if not np.isfinite(b).all():
-        raise ValueError("array must not contain infs or NaNs")
-
-
-def _cho_solve(factor, b):
-    """x = (L L')^{-1} b for a `cho_factor` result; a non-finite b raises ValueError.
-
-    Bit-identical to `scipy.linalg.cho_solve`, which also re-scans the whole
-    factor for NaN and inf on every call.
-    """
-    _check_finite(b)
-    c, lower = factor
-    x, info = dpotrs(c, b, lower=lower)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of potrs")
-    return x
-
-
 class QuadraticSolveCache:
-    """Solves (Q + gamma*I) x = r for a symmetric Q, one Cholesky factor per gamma, built lazily.
+    """Solves (Q + gamma*I) x = r for a symmetric Q by one product with the cached inverse.
 
-    `inverse(gamma)` is (Q + gamma*I)^{-1} itself, formed once per gamma
-    from the same factor.
+    `factor(gamma)` is the Cholesky factor of Q + gamma*I and
+    `inverse(gamma)` the inverse formed from it; each is built lazily, once
+    per gamma, so building an oracle forms no inverse.
     """
 
     def __init__(self, Q):
@@ -193,7 +171,9 @@ class QuadraticSolveCache:
 
     def solve(self, r, gamma):
         """x = (Q + gamma*I)^{-1} r; a non-finite r raises ValueError."""
-        return _cho_solve(self.factor(gamma), r)
+        if not np.isfinite(r).all():
+            raise ValueError("array must not contain infs or NaNs")
+        return self.inverse(gamma) @ r
 
     def inverse(self, gamma):
         """(Q + gamma*I)^{-1}, exactly symmetric and read-only, from LAPACK potri on the factor."""
@@ -223,15 +203,13 @@ class WideLeastSquares:
     """J(y) = 0.5||K y - f||^2 for a wide m x n K, solved through one cache over KK'.
 
     J's prox solves (K'K + gamma*I) y = r, r = gamma*w + K'f, as
-    y = (r - K't)/gamma with t = (KK' + gamma*I)^{-1} K r = K y.  `oracle()`
-    is that prox as a ProxOracle: two dense passes over K (K r and K't) and
-    two triangular solves with the cached factor.  `prox` takes K r from an
-    image K z that a step carries, forms t with the cached inverse
-    (KK' + gamma*I)^{-1} (one m x m product, built once per gamma from the
-    same factor) and returns K y beside y, so the step makes one dense pass
-    over K and forms K x with `image` from x's nonzero columns of K, which
-    the next step reuses while the support stays the same.  `Ktf` and
-    `KKtf` are K'f and KK'f, and `gram` is KK'.
+    y = (r - K't)/gamma with t = (KK' + gamma*I)^{-1} K r = K y, one m x m
+    product with the cache's inverse.  `oracle()` is that prox as a
+    ProxOracle: two dense passes over K (K r and K't).  `prox` takes K r
+    from an image K z that a step carries and returns K y beside y, so the
+    step makes one dense pass over K and forms K x with `image` from x's
+    nonzero columns of K, which the next step reuses while the support
+    stays the same.  `Ktf` and `KKtf` are K'f and KK'f, and `gram` is KK'.
     """
 
     def __init__(self, K, f):
@@ -260,9 +238,7 @@ class WideLeastSquares:
         Here r = z + K'f, so K r = Kz + KK'f and t = (KK' + gamma*I)^{-1} K r.
         A non-finite K r raises ValueError.
         """
-        Kr = Kz + self.KKtf
-        _check_finite(Kr)
-        t = self._cache.inverse(gamma) @ Kr
+        t = self._cache.solve(Kz + self.KKtf, gamma)
         return (z + self.Ktf - self.K.T @ t) / gamma, t
 
     def image(self, u, held=None):
@@ -318,8 +294,9 @@ def affine_oracle(K, f):
     """Oracle of the indicator of {x : K x = f} with A = identity.
 
     Evaluates the projection w - K^T (K K^T)^{-1} (K w - f) through a
-    QuadraticSolveCache over K K^T at gamma = 0, factored here; a K without
-    full row rank (K K^T numerically singular) raises RankDeficient.
+    QuadraticSolveCache over K K^T at gamma = 0, factored here, so a K
+    without full row rank (K K^T numerically singular) raises RankDeficient;
+    the inverse is formed on the first projection.
     """
     K = np.asarray(K, dtype=float)
     cache = QuadraticSolveCache(K @ K.T)

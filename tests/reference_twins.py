@@ -3,6 +3,9 @@
 Each is a second, independent way of computing something the package
 computes one way, so it lives beside the tests rather than in `admmkit`:
 
+- `cholesky_solve` solves (Q + gamma*I) x = r with `cho_solve` on the
+  cache's Cholesky factor, two triangular solves where
+  `prox.QuadraticSolveCache.solve` makes one product with the inverse;
 - `project_affine` projects onto {x : K x = f} by factoring K K^T on every
   call, the check on `prox.affine_oracle`'s cached solve;
 - `dr_dual_step` runs the ADMM fixed-point iteration through the conjugate
@@ -13,6 +16,15 @@ import numpy as np
 import scipy.linalg
 
 from admmkit.splitting import SubproblemFailure
+
+
+def cholesky_solve(cache, r, gamma):
+    """x = (Q + gamma*I)^{-1} r by `cho_solve` on `cache.factor(gamma)`, the `cho_factor` per gamma.
+
+    Takes the place of `QuadraticSolveCache.solve` when set on the class, and
+    raises the same ValueError on a non-finite r.
+    """
+    return scipy.linalg.cho_solve(cache.factor(gamma), r)
 
 
 def project_affine(w, K, f):

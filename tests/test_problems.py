@@ -80,7 +80,7 @@ def lasso_on_data(K, f, mu=1.0):
 
 @pytest.mark.parametrize("case", ["wide", "tall", "qp_box", "bp_l1"])
 def test_lasso_nan_start_raises_subproblem_failure(case):
-    # every path of the cached Cholesky solve: wide and tall designs, a dense Q
+    # every path of the cached quadratic solve: wide and tall designs, a dense Q
     # (qp_box) and the affine projection (bp_l1)
     if case == "tall":
         rng = np.random.default_rng(2)
@@ -252,26 +252,32 @@ def _qp_box_prox(inst):
     return box_oracle(inst.extra["lo"], inst.extra["hi"]).evaluate
 
 
-# each y-oracle against the plain prox of its block, at w itself
-@pytest.mark.parametrize("build,prox", [
-    (lambda: make_lasso(m=16, n=48, sparsity=4, seed=3), _lasso_data_prox),
+# each y-oracle against the plain prox of its block, at w itself: bit for bit,
+# but for basis pursuit's, which multiplies by the cached (KK')^-1 where the
+# reference projection solves with a fresh factor
+@pytest.mark.parametrize("build,prox,rtol", [
+    (lambda: make_lasso(m=16, n=48, sparsity=4, seed=3), _lasso_data_prox, 0.0),
     (lambda: lasso_on_data(np.random.default_rng(1).standard_normal((10, 6)),
-                           np.arange(10.0), mu=0.5), _lasso_data_prox),
+                           np.arange(10.0), mu=0.5), _lasso_data_prox, 0.0),
     (lambda: make_bp_l1(m=12, n=40, sparsity=3, seed=3),
-     lambda inst: lambda w, gamma: project_affine(w, inst.extra["K"], inst.extra["f"])),
-    (lambda: make_qp_box(n=9, seed=3), _qp_box_prox),
-    (lambda: make_feasibility(np.pi / 5, seed=3), _feasibility_prox),
+     lambda inst: lambda w, gamma: project_affine(w, inst.extra["K"], inst.extra["f"]), 1e-12),
+    (lambda: make_qp_box(n=9, seed=3), _qp_box_prox, 0.0),
+    (lambda: make_feasibility(np.pi / 5, seed=3), _feasibility_prox, 0.0),
     (lambda: make_tv_inpainting(size=6, seed=3),
-     lambda inst: lambda w, gamma: soft_threshold_l1(w, 1.0 / gamma)),
+     lambda inst: lambda w, gamma: soft_threshold_l1(w, 1.0 / gamma), 0.0),
 ], ids=["lasso", "lasso-data", "bp-l1", "qp-box", "feasibility", "tv"])
-def test_y_oracle_evaluates_the_prox_at_w(build, prox):
+def test_y_oracle_evaluates_the_prox_at_w(build, prox, rtol):
     inst = build()
     expected = prox(inst)
     rng = np.random.default_rng(0)
     for gamma in (0.3, 1.0, 7.5):
         for _ in range(20):
             w = rng.standard_normal(inst.problem.p) * rng.choice([1e-3, 1.0, 1e3])
-            assert np.array_equal(inst.problem.prox_j.evaluate(w, gamma), expected(w, gamma))
+            got, want = inst.problem.prox_j.evaluate(w, gamma), expected(w, gamma)
+            if rtol:
+                assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+            else:
+                assert np.array_equal(got, want)
 
 
 def test_qp_box_with_an_empty_box_fails_at_construction():

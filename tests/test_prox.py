@@ -10,7 +10,7 @@ from admmkit.prox import (EmptyBox, LinearMap, NotSymmetric,
                           RankDeficient, WideLeastSquares, affine_oracle, box_oracle,
                           group_l12_oracle, l1_oracle, nuclear_oracle, prox_nuclear,
                           quadratic_oracle, soft_threshold_l1, subspace_oracle)
-from reference_twins import project_affine
+from reference_twins import cholesky_solve, project_affine
 
 
 def zero_oracle(n, name="zero"):
@@ -215,8 +215,14 @@ def test_quadratic_solve_cache_matches_dense_solve(shape):
                                    rtol=1e-10, atol=1e-12)
 
 
+def relative_difference(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
 @pytest.mark.parametrize("case", ["wide", "tall", "affine"])
 def test_cached_solves_match_scipy_cho_solve_bit_for_bit(case):
+    # one product with the cached inverse against two triangular solves with the
+    # factor: equal to rounding level, 1e-12 relative
     rng = np.random.default_rng(7)
     gamma = 1.0 if case == "affine" else 0.7
     K = rng.standard_normal({"wide": (64, 200), "tall": (200, 64), "affine": (20, 60)}[case])
@@ -225,38 +231,89 @@ def test_cached_solves_match_scipy_cho_solve_bit_for_bit(case):
     rhs = rng.standard_normal(min(K.shape))
     if case == "affine":
         fast = affine_oracle(K, f).evaluate(w, gamma)
-        factor = scipy.linalg.cho_factor(K @ K.T)
-        expected = w - K.T @ scipy.linalg.cho_solve(factor, K @ w - f)
+        cache, shift = QuadraticSolveCache(K @ K.T), 0.0
+        expected = w - K.T @ scipy.linalg.cho_solve(cache.factor(0.0), K @ w - f)
     elif case == "wide":
         fast = WideLeastSquares(K, f).oracle().evaluate(w, gamma)
-        factor = scipy.linalg.cho_factor(K @ K.T + gamma * np.eye(K.shape[0]))
+        cache, shift = QuadraticSolveCache(K @ K.T), gamma
         r = gamma * w + K.T @ f
-        expected = (r - K.T @ scipy.linalg.cho_solve(factor, K @ r)) / gamma
+        expected = (r - K.T @ scipy.linalg.cho_solve(cache.factor(gamma), K @ r)) / gamma
     else:
         fast = quadratic_oracle(K.T @ K, -(K.T @ f)).evaluate(w, gamma)
-        factor = scipy.linalg.cho_factor(K.T @ K + gamma * np.eye(K.shape[1]))
-        expected = scipy.linalg.cho_solve(factor, gamma * w + K.T @ f)
-    assert np.array_equal(prox._cho_solve(factor, rhs), scipy.linalg.cho_solve(factor, rhs))
-    assert np.array_equal(fast, expected)
+        cache, shift = QuadraticSolveCache(K.T @ K), gamma
+        expected = scipy.linalg.cho_solve(cache.factor(gamma), gamma * w + K.T @ f)
+    assert relative_difference(cache.solve(rhs, shift), cholesky_solve(cache, rhs, shift)) <= 1e-12
+    assert relative_difference(fast, expected) <= 1e-12
 
 
 def test_affine_oracle_is_the_reference_projection_bit_for_bit():
+    # to rounding level, 1e-12 relative: the reference factors K K' on every call
     rng = np.random.default_rng(8)
     K = rng.standard_normal((15, 40))
     f = rng.standard_normal(15)
     oracle = affine_oracle(K, f)
     for gamma in (0.5, 3.0):
         w = rng.standard_normal(40)
-        assert np.array_equal(oracle.evaluate(w, gamma), project_affine(w, K, f))
+        expected = project_affine(w, K, f)
+        assert relative_difference(oracle.evaluate(w, gamma), expected) <= 1e-12
 
 
 def test_cached_solve_rejects_a_non_finite_right_hand_side():
-    factor = scipy.linalg.cho_factor(np.array([[4.0, 1.0], [1.0, 3.0]]))
+    cache = QuadraticSolveCache(np.array([[4.0, 1.0], [1.0, 3.0]]))
     for bad in (np.array([np.nan, 1.0]), np.array([1.0, -np.inf])):
         with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-            prox._cho_solve(factor, bad)
+            cache.solve(bad, 0.5)
         with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-            scipy.linalg.cho_solve(factor, bad)
+            cholesky_solve(cache, bad, 0.5)
+
+
+def test_building_an_oracle_forms_no_inverse(monkeypatch):
+    # the inverse is formed on the first solve at each gamma, so building costs one factor
+    calls = []
+    dpotri = prox.dpotri
+
+    def counting(c, **kwargs):
+        calls.append(c.shape)
+        return dpotri(c, **kwargs)
+
+    monkeypatch.setattr(prox, "dpotri", counting)
+    rng = np.random.default_rng(13)
+    K = rng.standard_normal((10, 30))
+    oracle = affine_oracle(K, rng.standard_normal(10))
+    assert calls == []
+    for gamma in (0.5, 2.0):
+        oracle.evaluate(rng.standard_normal(30), gamma)
+    assert len(calls) == 1
+
+
+def accurate_solution(Q, r):
+    """x with Q x = r to about cond(Q) times long double's epsilon.
+
+    Iterative refinement of a float64 solve with residuals in long double
+    (80-bit on x86-64 Linux, 128-bit on aarch64 Linux).
+    """
+    Ql, rl = Q.astype(np.longdouble), r.astype(np.longdouble)
+    x = np.linalg.solve(Q, r).astype(np.longdouble)
+    for _ in range(8):
+        x += np.linalg.solve(Q, (rl - Ql @ x).astype(float))
+    return x
+
+
+def test_cached_solve_is_forward_stable():
+    # the product with the inverse keeps the forward error of a backward-stable
+    # solve, a small multiple of cond(Q) * eps (Higham 2002, ch. 14)
+    assert np.finfo(np.longdouble).eps < np.finfo(float).eps
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(0)
+    for n in (12, 64, 200):
+        for cond in 10.0 ** np.arange(0, 13, 2):
+            U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            Q = (U * np.geomspace(1.0, 1.0 / cond, n)) @ U.T
+            Q = (Q + Q.T) / 2.0
+            r = Q @ rng.standard_normal(n)
+            x = accurate_solution(Q, r)
+            error = np.linalg.norm(QuadraticSolveCache(Q).solve(r, 0.0) - x) / np.linalg.norm(x)
+            assert error <= 2.0 * np.linalg.cond(Q) * eps, (n, cond)
 
 
 @pytest.mark.parametrize("lower", [False, True], ids=["upper", "lower"])

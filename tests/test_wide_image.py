@@ -10,6 +10,7 @@ from admmkit.bench import (RunConfig, build_instance, compute_reference, parse_s
                            penalty, run_spec)
 from admmkit.problems import make_lasso
 from admmkit.splitting import IterateState, SolverConfig, SubproblemFailure, variant_step
+from reference_twins import cholesky_solve
 
 SPECS = ("admm", "relaxed(1.5)", "symmetric", "iadmm(0.3)", "iadmm(0.4,-0.2)",
          "a3dmm(6,100)", "a3dmm(6,inf)")
@@ -179,15 +180,15 @@ def test_the_image_of_a_sparse_or_dense_vector_is_k_times_it(wide):
 @pytest.mark.parametrize("gamma_of", [lambda K2: K2 / 10, lambda K2: K2 + 0.1, lambda K2: 1e-3],
                          ids=["K2/10", "K2+0.1", "1e-3"])
 def test_the_carried_y_step_matches_the_oracle(wide, gamma_of):
-    # the carried step multiplies by the cached inverse, the oracle solves with the factor
+    # the carried step takes K r from the image, the oracle forms it from r
     lsq, K = wide.problem.wide_lsq, wide.extra["K"]
     gamma = gamma_of(wide.norm_K ** 2)
     z = np.random.default_rng(5).standard_normal(K.shape[1])
     y, t = lsq.prox(z, K @ z, gamma)
     expected = lsq.oracle().evaluate(z / gamma, gamma)
     assert rel(y, expected) <= 1e-12
-    # t = K y, against the oracle's triangular solves (K @ expected cancels at small gamma)
-    assert rel(t, lsq._cache.solve(K @ z + lsq.KKtf, gamma)) <= 1e-12
+    # t = K y, against the Cholesky twin's triangular solves (K @ expected cancels at small gamma)
+    assert rel(t, cholesky_solve(lsq._cache, K @ z + lsq.KKtf, gamma)) <= 1e-12
 
 
 def test_a_non_finite_image_fails_the_y_subproblem(wide):
