@@ -169,10 +169,12 @@ def iterate(problem, config, extrap=None, momentum=None, stop=None):
     stop = stop or (lambda state, nv, plain: nv <= config.tol)
     state = IterateState.initial(problem, config.z0)
     window = ex.DiffWindow(problem.p, extrap.q + 1) if extrap is not None else None
-    prev = state  # with prev2, the states one and two steps back (three-point momentum)
+    # prev and prev2, the states one and two steps back, are kept for momentum only
+    prev = state if momentum is not None else None
     for k in range(1, config.max_iter + 1):
         plain = state.z_bar is state.z
-        prev2, prev = prev, state
+        if momentum is not None:
+            prev2, prev = prev, state
         state, nv = checked_step(problem, state, config)
         if k == 1:
             v1_norm = nv

@@ -433,8 +433,10 @@ def masked_gradient_oracle(grad, mask, image):
                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
                 factored.append((lu, -grad.apply_adjoint(grad.apply(start))[free]))
         lu, shift = factored[0]
+        rhs = grad.apply_adjoint(w)[free]
+        rhs += shift
         x = start.copy()
-        x[free] = lu.solve(grad.apply_adjoint(w)[free] + shift)
+        x[free] = lu.solve(rhs)
         return x
 
     return ProxOracle(evaluate, grad.cols, "masked-gradient")

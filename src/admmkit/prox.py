@@ -149,6 +149,9 @@ def prox_nuclear(W, tau):
 class QuadraticSolveCache:
     """Solves (Q + gamma*I) x = r for a symmetric Q by one product with the cached inverse.
 
+    Q must be finite (ValueError) and symmetric to 1e-10 of its largest
+    entry (NotSymmetric), checked when the cache is built.
+
     `factor(gamma)` is the Cholesky factor of Q + gamma*I and
     `inverse(gamma)` the inverse formed from it; each is built lazily, once
     per gamma, so building an oracle forms no inverse.
@@ -156,8 +159,11 @@ class QuadraticSolveCache:
 
     def __init__(self, Q):
         Q = np.asarray(Q, dtype=float)
-        if np.abs(Q - Q.T).max(initial=0.0) > 1e-10:
-            raise NotSymmetric("Q must be symmetric")
+        scale = np.abs(Q).max(initial=0.0)
+        if not np.isfinite(scale):  # an inf or NaN entry carries through the max
+            raise ValueError("Q must not contain infs or NaNs")
+        if np.abs(Q - Q.T).max(initial=0.0) > 1e-10 * scale:
+            raise NotSymmetric("Q must be symmetric to 1e-10 of its largest entry")
         self._Q = Q
         self._factors: dict[float, tuple] = {}
         self._inverses: dict[float, np.ndarray] = {}
@@ -198,6 +204,16 @@ class QuadraticSolveCache:
 # made on every call.
 SPARSE_IMAGE_SHARE = 20
 
+# `WideLeastSquares.prox` forms K't in column panels of K: ceil(K.nbytes /
+# PANEL_BYTES) of them, one width rounded up to a multiple of PANEL_ALIGN
+# columns (200 x 2000: 512, 512, 512, 464).  The order flips with the step's
+# parity, so the panels one step reads last, still in a 2 MiB L2, are the
+# first the next step reads.  With one BLAS thread a panel product equals
+# those columns of K.T @ t bit for bit at widths that are multiples of 4
+# (250, 285 and 286 columns differed).
+PANEL_BYTES = 1 << 20
+PANEL_ALIGN = 64
+
 
 class WideLeastSquares:
     """J(y) = 0.5||K y - f||^2 for a wide m x n K, solved through one cache over KK'.
@@ -207,7 +223,8 @@ class WideLeastSquares:
     product with the cache's inverse.  `oracle()` is that prox as a
     ProxOracle: two dense passes over K (K r and K't).  `prox` takes K r
     from an image K z that a step carries and returns K y beside y, so the
-    step makes one dense pass over K and forms K x with `image` from x's
+    step makes one dense pass over K, read in `panels` (views of K's
+    columns, see PANEL_BYTES), and forms K x with `image` from x's
     nonzero columns of K, which the next step reuses while the support
     stays the same.  `Ktf` and `KKtf` are K'f and KK'f, and `gram` is KK'.
     """
@@ -219,6 +236,11 @@ class WideLeastSquares:
         self.KKtf = K @ self.Ktf
         self.gram = K @ K.T
         self._cache = QuadraticSolveCache(self.gram)
+        n = K.shape[1]
+        count = max(1, -(-K.nbytes // PANEL_BYTES))
+        width = max(PANEL_ALIGN, -(-n // (count * PANEL_ALIGN)) * PANEL_ALIGN)
+        self.panels = tuple((slice(a, min(a + width, n)), K[:, a:a + width])
+                            for a in range(0, n, width))
 
     def oracle(self):
         """J's prox as a ProxOracle: evaluate(w, gamma) = argmin J + (gamma/2)||y - w||^2.
@@ -232,14 +254,25 @@ class WideLeastSquares:
 
         return ProxOracle(evaluate, self.K.shape[1], "least-squares")
 
-    def prox(self, z, Kz, gamma):
+    def prox(self, z, Kz, gamma, k=0):
         """(y, K y) for y = argmin J + (gamma/2)||y - z/gamma||^2, given Kz = K z.
 
         Here r = z + K'f, so K r = Kz + KK'f and t = (KK' + gamma*I)^{-1} K r.
-        A non-finite K r raises ValueError.
+        K't comes from `apply_adjoint(t, k)`, k the step's index.  A
+        non-finite K r raises ValueError.
         """
         t = self._cache.solve(Kz + self.KKtf, gamma)
-        return (z + self.Ktf - self.K.T @ t) / gamma, t
+        y = z + self.Ktf
+        y -= self.apply_adjoint(t, k)
+        y /= gamma
+        return y, t
+
+    def apply_adjoint(self, t, k=0):
+        """K't formed panel by panel, last panel first for an odd k (the same bits either way)."""
+        out = np.empty(self.K.shape[1])
+        for cols, panel in (reversed(self.panels) if k % 2 else self.panels):
+            np.matmul(panel.T, t, out=out[cols])
+        return out
 
     def image(self, u, held=None):
         """(K u, columns) with columns = (support, K[:, support]) of u's nonzero entries.

@@ -188,7 +188,8 @@ def variant_step(problem, state, config):
     for phi in (1, 2)) or 2 A x - y (symmetric, which needs stronger
     assumptions than the standard scheme; run_a3dmm watches it for
     Divergence).  On a `wide_lsq` problem the y-step runs from K z_bar
-    (formed densely when the state does not carry it) and returns t = K y,
+    (formed densely when the state does not carry it), with its K't panel
+    order set by the parity of state.k, and returns t = K y,
     so K psi = K z_bar - gamma*t and the new image is
     K z = K z_bar + gamma*(K u - t), with K A x formed from A x's nonzero
     columns of K, gathered again only when that support differs from the
@@ -208,7 +209,7 @@ def variant_step(problem, state, config):
             Kzb = state.Kz_bar
             if Kzb is None:
                 Kzb = lsq.K @ zb
-            y, t = lsq.prox(zb, Kzb, gamma)
+            y, t = lsq.prox(zb, Kzb, gamma, state.k)
     except Exception as exc:  # noqa: BLE001 - oracle failures become solver errors
         raise SubproblemFailure("y-subproblem failed") from exc
     if unit:

@@ -1,4 +1,5 @@
 import math
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -145,6 +146,18 @@ def test_iterate_ends_on_an_unmoved_stop_and_flags_each_step_from_z(extrap, mome
     assert [plain for _, _, plain, _ in items] == [True] + unmoved
     assert [item[0].z_bar is item[0].z for item in items[:-1]] == unmoved
     assert any(applied is not None for *_, applied in items) == (extrap is not None)
+
+
+@pytest.mark.parametrize("extrap", [None, ExtrapConfig(q=4)], ids=["plain", "a3dmm"])
+def test_a_run_without_momentum_keeps_no_earlier_state(extrap):
+    # momentum reads the states one and two steps back; nothing else does
+    inst = make_lasso(m=24, n=72, sparsity=6, seed=3)
+    cfg = SolverConfig(gamma=1.0, tol=0.0, max_iter=40, z0=inst.z0)
+    ys = []
+    for state, *_ in iterate(inst.problem, cfg, extrap):
+        ys.append(weakref.ref(state.y))
+        assert sum(y() is not None for y in ys) == 1, state.k
+    assert len(ys) == 40
 
 
 def test_a_step_meeting_tol_right_after_a_prediction_ends_a_solve_but_not_the_reference(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -186,6 +188,30 @@ def test_solve_regularized_quadratic_residual_and_symmetry():
             <= 1e-10 * (1 + np.linalg.norm(rhs))
     with pytest.raises(NotSymmetric):
         QuadraticSolveCache(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def test_symmetry_is_judged_relative_to_the_largest_entry():
+    # a weighted Gram matrix whose only asymmetry is rounding, 1.2e-10 at entries near 1e6
+    rng = np.random.default_rng(0)
+    M = rng.standard_normal((50, 50))
+    Q = (M.T @ np.diag(1e4 * rng.uniform(1.0, 2.0, 50))) @ M
+    assert np.abs(Q - Q.T).max() > 1e-10
+    q, w = rng.standard_normal(50), rng.standard_normal(50)
+    x = quadratic_oracle(Q, q).evaluate(w, 1.0)
+    assert np.allclose((Q + np.eye(50)) @ x, w - q, rtol=1e-8, atol=1e-8 * np.abs(Q).max())
+    # a non-symmetric Q at a tiny scale is still refused
+    with pytest.raises(NotSymmetric):
+        QuadraticSolveCache(1e-12 * rng.standard_normal((5, 5)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_q_is_refused_when_built(bad):
+    Q = np.eye(5)
+    Q[1, 3] = Q[3, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic on it
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            quadratic_oracle(Q, np.zeros(5))
 
 
 @pytest.mark.parametrize("shape", [(5, 12), (12, 5), (7, 7), None],

@@ -1,14 +1,20 @@
 """The carried image K z of a wide LASSO against the same instance stepped through its oracle."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import admmkit
 from admmkit import a3dmm
 from admmkit.bench import (RunConfig, build_instance, compute_reference, parse_solver_spec,
                            penalty, run_spec)
 from admmkit.problems import make_lasso
+from admmkit.prox import PANEL_ALIGN, PANEL_BYTES, WideLeastSquares
 from admmkit.splitting import IterateState, SolverConfig, SubproblemFailure, variant_step
 from reference_twins import cholesky_solve
 
@@ -265,6 +271,60 @@ def test_every_step_forms_k_x_as_a_fresh_gather_would(wide, text, monkeypatch):
     assert result.converged
     assert any(reused) and not all(reused[1:])  # reused, and gathered again on a new support
     assert any(moved) == (text != "admm")
+
+
+PANEL_SHAPES = ((200, 2000), (64, 256), (200, 2001), (300, 3001))
+
+
+def design(m, n):
+    rng = np.random.default_rng(m + n)
+    return WideLeastSquares(rng.standard_normal((m, n)), rng.standard_normal(m))
+
+
+@pytest.mark.parametrize("shape,widths", [
+    ((200, 2000), [512, 512, 512, 464]), ((64, 256), [256]),
+    ((200, 2001), [512, 512, 512, 465]), ((300, 3001), [448] * 6 + [313]),
+], ids=["lasso-wide", "desk", "ragged", "bench-300x3001"])
+def test_k_is_read_in_column_panels_of_at_most_about_a_mebibyte(shape, widths):
+    lsq = design(*shape)
+    assert [panel.shape[1] for _, panel in lsq.panels] == widths
+    assert all(w % PANEL_ALIGN == 0 for w in widths[:-1])
+    assert [(cols.start, cols.stop) for cols, _ in lsq.panels] == \
+        [(sum(widths[:i]), sum(widths[:i + 1])) for i in range(len(widths))]
+    for cols, panel in lsq.panels:  # views of K, which hold no copy
+        assert panel.base is lsq.K and np.array_equal(panel, lsq.K[:, cols])
+    if shape == (200, 2000):
+        assert all(panel.nbytes <= PANEL_BYTES for _, panel in lsq.panels)
+
+
+@pytest.mark.parametrize("shape", PANEL_SHAPES)
+def test_both_panel_orders_give_the_same_adjoint(shape):
+    lsq = design(*shape)
+    t = np.random.default_rng(1).standard_normal(shape[0])
+    forward, backward = lsq.apply_adjoint(t, 0), lsq.apply_adjoint(t, 1)
+    assert np.array_equal(forward, backward)
+    # to 1e-14 of each entry's rounding scale |K|'|t| (an entry can cancel to far below it)
+    assert (np.abs(forward - lsq.K.T @ t) <= 1e-14 * (np.abs(lsq.K).T @ np.abs(t))).all()
+
+
+def test_with_one_blas_thread_the_panels_give_the_bits_of_one_product():
+    # the benchmark's setting; with several threads K.T @ t itself moves with the thread count
+    script = (
+        "import sys; import numpy as np\n"
+        "from admmkit.prox import WideLeastSquares\n"
+        f"for m, n in {PANEL_SHAPES}:\n"
+        "    rng = np.random.default_rng(m + n)\n"
+        "    lsq = WideLeastSquares(rng.standard_normal((m, n)), rng.standard_normal(m))\n"
+        "    t = rng.standard_normal(m)\n"
+        "    for k in (0, 1):\n"
+        "        if not np.array_equal(lsq.apply_adjoint(t, k), lsq.K.T @ t):\n"
+        "            sys.exit(f'{m} x {n}, k = {k}: bits differ')\n")
+    src = str(Path(admmkit.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_the_benchmark_instance_keeps_its_iterations_and_predictions():
