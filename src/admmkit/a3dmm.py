@@ -9,7 +9,7 @@ fitted companion matrix is contractive, and an online safeguard caps the
 applied increment so that the accumulated perturbations stay absolutely
 summable, which preserves convergence of the underlying fixed-point
 iteration.  Iterations without a prediction may take a momentum fill-in
-instead.  Every step goes through `checked_step` from `IterateState.initial`.
+instead.  Every step is one `splitting.variant_step` from `IterateState.initial`.
 `run_a3dmm`, the one solver entry point, records its steps in a trace, and
 `bench.compute_reference` steps it under the reference's stop rules.  Every
 oracle is exact and stateless, so a run needs no set-up beyond its initial state.
@@ -112,28 +112,17 @@ def _norm(v):
     return math.sqrt(float(v @ v))
 
 
-def checked_step(problem, state, config):
-    """One step of config's variant from state.z_bar; returns (state, ||v_k||).
-
-    A non-finite ||v_k|| raises Divergence.
-    """
-    state = variant_step(problem, state, config)
-    nv = _norm(state.v)
-    if not math.isfinite(nv):
-        raise Divergence(f"||v_{state.k}|| is not finite")
-    return state, nv
-
-
 def _predict(window, ext, guard_b, state):
     """Move state to its guarded prediction; returns the applied increment's norm or None.
 
     Fits the full window and, if the companion is contractive (and, for
-    s = inf, |1 - sum(c)| > 1e-12), sets z_bar = z_k + a_k (z_{k+s} - z_k)
-    without an image (the next step forms K z_bar densely on a problem that
-    carries one).
+    s = inf, |1 - sum(c)| > NEAR_SINGULAR_SUM), sets z_bar = z_k + a_k
+    (z_{k+s} - z_k) without an image (the next step forms K z_bar densely
+    on a problem that carries one).
     """
     fit = ex.fit_coefficients(window)
-    if not (fit.rho < 1.0 and (ext.s != math.inf or abs(1.0 - fit.coeff_sum) > 1e-12)):
+    if not (fit.rho < 1.0 and (ext.s != math.inf
+                               or abs(1.0 - fit.coeff_sum) > ex.NEAR_SINGULAR_SUM)):
         return None
     if ext.s == math.inf:
         z_pred = ex.extrapolate_infinite(state.z, window, fit)
@@ -175,7 +164,10 @@ def iterate(problem, config, extrap=None, momentum=None, stop=None):
         plain = state.z_bar is state.z
         if momentum is not None:
             prev2, prev = prev, state
-        state, nv = checked_step(problem, state, config)
+        state = variant_step(problem, state, config)
+        nv = _norm(state.v)
+        if not math.isfinite(nv):
+            raise Divergence(f"||v_{k}|| is not finite")
         if k == 1:
             v1_norm = nv
             guard_b = extrap.guard_b(nv) if extrap is not None else None

@@ -36,6 +36,7 @@ from scipy.linalg.lapack import dgeev, dgeqrf, dgesdd, dsyev
 
 
 MAX_ORDER = 32  # largest companion matrix (window size q) spectral_radius accepts
+NEAR_SINGULAR_SUM = 1e-12  # the limit predict refuses a fit with |1 - sum(c)| at most this
 _EPS = np.finfo(float).eps
 
 
@@ -293,7 +294,7 @@ def extrapolate_infinite(z, window, fit):
     """
     if fit.rho >= 1.0:
         raise ValueError("extrapolate_infinite called with rho(C) >= 1")
-    if abs(1.0 - fit.coeff_sum) <= 1e-12:
+    if abs(1.0 - fit.coeff_sum) <= NEAR_SINGULAR_SUM:
         raise NearSingular(f"|1 - sum(c)| = {abs(1.0 - fit.coeff_sum):.3e}")
     S = fit.c[::-1].cumsum()[::-1]
     return _combine(z, window, S / (1.0 - S[0]))

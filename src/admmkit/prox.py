@@ -9,22 +9,21 @@ min R(x) + J(y) s.t. A x = y that is R with the split's A for the x-oracle
 and J's own prox (A = identity) at w for the y-oracle.  The oracle protocol
 is one method, `evaluate(w, gamma)`, which returns that minimizer exactly.
 Every oracle is a `ProxOracle`: deterministic and, once built, free of
-mutable state apart from factorizations cached on first use, so one
-instance is safe to share across concurrent solves.
+mutable state apart from inverses cached on first use, so one instance
+is safe to share across concurrent solves.
 
 Quadratic oracles go through the package's only cached solve,
-`QuadraticSolveCache`, of (Q + gamma*I) x = r for a symmetric Q: one
-Cholesky factor per gamma, built on first use (`affine_oracle` factors its
-K K^T at gamma = 0 when built).  A least-squares term 0.5||K x - f||^2 with
-an m x n design K is solved through the smaller Gram matrix: K'K for m >= n
-(a `quadratic_oracle`), and KK' with the matrix inversion lemma for m < n
-(`WideLeastSquares`, whose `prox` serves the steps that carry the image
-K z).  Building costs O(min(m,n)^2 max(m,n)) and each solve O(mn).  Every
-cached solve is one product with the inverse (Q + gamma*I)^{-1}, formed
-lazily from the factor on the first solve at each gamma (LAPACK `potri`),
-after an explicit finiteness check of the right-hand side (a solve cached
-once per penalty, Boyd et al. 2011, sec. 4.2.4).  The tests' Cholesky and
-projection twins, which solve by factor, are in `tests/reference_twins.py`.
+`QuadraticSolveCache`, of (Q + gamma*I) x = r for a symmetric Q.  A
+least-squares term 0.5||K x - f||^2 with an m x n design K is solved
+through the smaller Gram matrix: K'K for m >= n (a `quadratic_oracle`), and
+KK' with the matrix inversion lemma for m < n (`WideLeastSquares`, whose
+`prox` is every LASSO's y-step).  Building costs O(min(m,n)^2 max(m,n)) and
+each solve O(mn).  Every cached solve is one product with (Q + gamma*I)^{-1},
+the one form the cache keeps, formed from a Cholesky factor (LAPACK `potri`)
+on the first solve at each gamma, after an explicit finiteness check of the
+right-hand side (a solve cached once per penalty, Boyd et al. 2011, sec.
+4.2.4).  The tests' twins, which solve by factor or form K r from r, are in
+`tests/reference_twins.py`.
 """
 
 from __future__ import annotations
@@ -152,9 +151,9 @@ class QuadraticSolveCache:
     Q must be finite (ValueError) and symmetric to 1e-10 of its largest
     entry (NotSymmetric), checked when the cache is built.
 
-    `factor(gamma)` is the Cholesky factor of Q + gamma*I and
-    `inverse(gamma)` the inverse formed from it; each is built lazily, once
-    per gamma, so building an oracle forms no inverse.
+    `inverse(gamma)`, the one form it keeps, is formed on the first solve at
+    each gamma from `factor(gamma)`, a fresh Cholesky factor that is then
+    dropped, so building an oracle forms no inverse.
     """
 
     def __init__(self, Q):
@@ -165,15 +164,12 @@ class QuadraticSolveCache:
         if np.abs(Q - Q.T).max(initial=0.0) > 1e-10 * scale:
             raise NotSymmetric("Q must be symmetric to 1e-10 of its largest entry")
         self._Q = Q
-        self._factors: dict[float, tuple] = {}
         self._inverses: dict[float, np.ndarray] = {}
 
     def factor(self, gamma):
-        key = float(gamma)
-        if key not in self._factors:
-            Q = self._Q
-            self._factors[key] = scipy.linalg.cho_factor(Q + key * np.eye(Q.shape[0]))
-        return self._factors[key]
+        """`scipy.linalg.cho_factor` of Q + gamma*I, formed anew on each call."""
+        Q = self._Q
+        return scipy.linalg.cho_factor(Q + float(gamma) * np.eye(Q.shape[0]))
 
     def solve(self, r, gamma):
         """x = (Q + gamma*I)^{-1} r; a non-finite r raises ValueError."""
@@ -218,15 +214,15 @@ PANEL_ALIGN = 64
 class WideLeastSquares:
     """J(y) = 0.5||K y - f||^2 for a wide m x n K, solved through one cache over KK'.
 
-    J's prox solves (K'K + gamma*I) y = r, r = gamma*w + K'f, as
+    J's prox at z/gamma solves (K'K + gamma*I) y = r, r = z + K'f, as
     y = (r - K't)/gamma with t = (KK' + gamma*I)^{-1} K r = K y, one m x m
-    product with the cache's inverse.  `oracle()` is that prox as a
-    ProxOracle: two dense passes over K (K r and K't).  `prox` takes K r
+    product with the cache's inverse.  `prox`, the one formula, takes K r
     from an image K z that a step carries and returns K y beside y, so the
     step makes one dense pass over K, read in `panels` (views of K's
-    columns, see PANEL_BYTES), and forms K x with `image` from x's
-    nonzero columns of K, which the next step reuses while the support
-    stays the same.  `Ktf` and `KKtf` are K'f and KK'f, and `gram` is KK'.
+    columns, see PANEL_BYTES), and forms K x with `image` from x's nonzero
+    columns of K, which the next step reuses while the support stays the
+    same; `oracle()` forms K z itself.  `Ktf`, `KKtf` and `gram` are K'f,
+    KK'f and KK'.
     """
 
     def __init__(self, K, f):
@@ -245,12 +241,12 @@ class WideLeastSquares:
     def oracle(self):
         """J's prox as a ProxOracle: evaluate(w, gamma) = argmin J + (gamma/2)||y - w||^2.
 
-        A non-finite K r raises ValueError.
+        That is `prox` at z = gamma*w with K z formed densely, so a
+        non-finite K r raises ValueError.
         """
         def evaluate(w, gamma):
-            r = gamma * w + self.Ktf
-            t = self._cache.solve(self.K @ r, gamma)
-            return (r - self.K.T @ t) / gamma
+            z = gamma * w
+            return self.prox(z, self.K @ z, gamma)[0]
 
         return ProxOracle(evaluate, self.K.shape[1], "least-squares")
 
@@ -329,7 +325,7 @@ def affine_oracle(K, f):
     Evaluates the projection w - K^T (K K^T)^{-1} (K w - f) through a
     QuadraticSolveCache over K K^T at gamma = 0, factored here, so a K
     without full row rank (K K^T numerically singular) raises RankDeficient;
-    the inverse is formed on the first projection.
+    the inverse is formed, from a second factor, on the first projection.
     """
     K = np.asarray(K, dtype=float)
     cache = QuadraticSolveCache(K @ K.T)

@@ -3,9 +3,12 @@
 Each is a second, independent way of computing something the package
 computes one way, so it lives beside the tests rather than in `admmkit`:
 
-- `cholesky_solve` solves (Q + gamma*I) x = r with `cho_solve` on the
-  cache's Cholesky factor, two triangular solves where
+- `cholesky_solve` solves (Q + gamma*I) x = r with `cho_solve` on a
+  Cholesky factor, two triangular solves where
   `prox.QuadraticSolveCache.solve` makes one product with the inverse;
+- `wide_least_squares_oracle` is the LASSO data term's prox formed from
+  r = gamma*w + K'f, with two dense passes over K (K r and K't), the check
+  on `prox.WideLeastSquares.prox`, which takes K r from a carried K z;
 - `project_affine` projects onto {x : K x = f} by factoring K K^T on every
   call, the check on `prox.affine_oracle`'s cached solve;
 - `dr_dual_step` runs the ADMM fixed-point iteration through the conjugate
@@ -15,16 +18,31 @@ computes one way, so it lives beside the tests rather than in `admmkit`:
 import numpy as np
 import scipy.linalg
 
+from admmkit.prox import ProxOracle
 from admmkit.splitting import SubproblemFailure
 
 
 def cholesky_solve(cache, r, gamma):
-    """x = (Q + gamma*I)^{-1} r by `cho_solve` on `cache.factor(gamma)`, the `cho_factor` per gamma.
+    """x = (Q + gamma*I)^{-1} r by `cho_solve` on `cache.factor(gamma)`, a fresh `cho_factor`.
 
     Takes the place of `QuadraticSolveCache.solve` when set on the class, and
     raises the same ValueError on a non-finite r.
     """
     return scipy.linalg.cho_solve(cache.factor(gamma), r)
+
+
+def wide_least_squares_oracle(lsq):
+    """The prox of 0.5||K y - f||^2 for a `WideLeastSquares` lsq as a ProxOracle.
+
+    y = (r - K't)/gamma with r = gamma*w + K'f and t = (KK' + gamma*I)^{-1} K r
+    from lsq's cached solve, K r formed from r.
+    """
+    def evaluate(w, gamma):
+        r = gamma * w + lsq.Ktf
+        t = lsq._cache.solve(lsq.K @ r, gamma)
+        return (r - lsq.K.T @ t) / gamma
+
+    return ProxOracle(evaluate, lsq.K.shape[1], "least-squares")
 
 
 def project_affine(w, K, f):

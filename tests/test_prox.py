@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -246,7 +247,7 @@ def relative_difference(a, b):
 
 
 @pytest.mark.parametrize("case", ["wide", "tall", "affine"])
-def test_cached_solves_match_scipy_cho_solve_bit_for_bit(case):
+def test_cached_solves_match_scipy_cho_solve_to_1e_12(case):
     # one product with the cached inverse against two triangular solves with the
     # factor: equal to rounding level, 1e-12 relative
     rng = np.random.default_rng(7)
@@ -272,7 +273,7 @@ def test_cached_solves_match_scipy_cho_solve_bit_for_bit(case):
     assert relative_difference(fast, expected) <= 1e-12
 
 
-def test_affine_oracle_is_the_reference_projection_bit_for_bit():
+def test_affine_oracle_is_the_reference_projection_to_1e_12():
     # to rounding level, 1e-12 relative: the reference factors K K' on every call
     rng = np.random.default_rng(8)
     K = rng.standard_normal((15, 40))
@@ -310,6 +311,22 @@ def test_building_an_oracle_forms_no_inverse(monkeypatch):
     for gamma in (0.5, 2.0):
         oracle.evaluate(rng.standard_normal(30), gamma)
     assert len(calls) == 1
+
+
+def test_a_solved_cache_keeps_one_m_by_m_array():
+    # the inverse is the cache's one form of Q + gamma*I: the factor it came from is dropped
+    m = 300
+    rng = np.random.default_rng(14)
+    G = rng.standard_normal((m + 20, m))
+    cache = QuadraticSolveCache(G.T @ G)
+    r = rng.standard_normal(m)
+    tracemalloc.start()
+    try:
+        cache.solve(r, 0.5)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m * m * 8 <= retained < 1.5 * m * m * 8
 
 
 def accurate_solution(Q, r):

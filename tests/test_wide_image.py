@@ -1,4 +1,4 @@
-"""The carried image K z of a wide LASSO against the same instance stepped through its oracle."""
+"""The carried image K z of a wide LASSO against the same instance stepped through the twin."""
 
 import dataclasses
 import os
@@ -16,7 +16,7 @@ from admmkit.bench import (RunConfig, build_instance, compute_reference, parse_s
 from admmkit.problems import make_lasso
 from admmkit.prox import PANEL_ALIGN, PANEL_BYTES, WideLeastSquares
 from admmkit.splitting import IterateState, SolverConfig, SubproblemFailure, variant_step
-from reference_twins import cholesky_solve
+from reference_twins import cholesky_solve, wide_least_squares_oracle
 
 SPECS = ("admm", "relaxed(1.5)", "symmetric", "iadmm(0.3)", "iadmm(0.4,-0.2)",
          "a3dmm(6,100)", "a3dmm(6,inf)")
@@ -31,9 +31,10 @@ def wide():
 
 
 def without_image(inst):
-    """The same instance and data, stepped through its y-oracle."""
-    return dataclasses.replace(inst, problem=dataclasses.replace(inst.problem, wide_lsq=None),
-                               reference=None)
+    """The same instance and data, stepped through the twin's y-oracle, which forms K r from r."""
+    twin = wide_least_squares_oracle(inst.problem.wide_lsq)
+    return dataclasses.replace(inst, problem=dataclasses.replace(
+        inst.problem, prox_j=twin, wide_lsq=None), reference=None)
 
 
 def rows(trace):
@@ -80,12 +81,11 @@ def test_plain_and_momentum_runs_keep_z_at_every_row(wide, text, monkeypatch):
     recorded = []
 
     def recording_step(problem, state, config):
-        state, nv = checked_step(problem, state, config)
+        state = variant_step(problem, state, config)
         recorded.append(state.z.copy())
-        return state, nv
+        return state
 
-    checked_step = a3dmm.checked_step
-    monkeypatch.setattr(a3dmm, "checked_step", recording_step)
+    monkeypatch.setattr(a3dmm, "variant_step", recording_step)
     spec = parse_solver_spec(text)
     run_spec(wide, spec, gamma, TOL, MAX_ITER)
     with_image, recorded[:] = recorded[:], []
@@ -179,22 +179,33 @@ def test_the_image_of_a_sparse_or_dense_vector_is_k_times_it(wide):
         np.testing.assert_allclose(lsq.image(u)[0], K @ u, rtol=1e-13, atol=1e-13)
     y, t = lsq.prox(u, K @ u, 0.7)
     np.testing.assert_allclose(t, K @ y, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(y, wide.problem.prox_j.evaluate(u / 0.7, 0.7),
+    np.testing.assert_allclose(y, wide_least_squares_oracle(lsq).evaluate(u / 0.7, 0.7),
                                rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("gamma_of", [lambda K2: K2 / 10, lambda K2: K2 + 0.1, lambda K2: 1e-3],
                          ids=["K2/10", "K2+0.1", "1e-3"])
 def test_the_carried_y_step_matches_the_oracle(wide, gamma_of):
-    # the carried step takes K r from the image, the oracle forms it from r
+    # the carried step takes K r from the image, the twin's oracle forms it from r
     lsq, K = wide.problem.wide_lsq, wide.extra["K"]
     gamma = gamma_of(wide.norm_K ** 2)
     z = np.random.default_rng(5).standard_normal(K.shape[1])
     y, t = lsq.prox(z, K @ z, gamma)
-    expected = lsq.oracle().evaluate(z / gamma, gamma)
+    expected = wide_least_squares_oracle(lsq).evaluate(z / gamma, gamma)
     assert rel(y, expected) <= 1e-12
     # t = K y, against the Cholesky twin's triangular solves (K @ expected cancels at small gamma)
     assert rel(t, cholesky_solve(lsq._cache, K @ z + lsq.KKtf, gamma)) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma_of", [lambda K2: 1.0, lambda K2: K2 / 10, lambda K2: 1e-3],
+                         ids=["1", "K2/10", "1e-3"])
+def test_the_oracle_is_the_carried_y_step_from_a_dense_image(wide, gamma_of):
+    # one y-step formula: the oracle at w is prox at z = gamma*w with K z formed densely
+    lsq, K = wide.problem.wide_lsq, wide.extra["K"]
+    gamma = gamma_of(wide.norm_K ** 2)
+    w = np.random.default_rng(7).standard_normal(K.shape[1])
+    z = gamma * w
+    assert np.array_equal(lsq.oracle().evaluate(w, gamma), lsq.prox(z, K @ z, gamma)[0])
 
 
 def test_a_non_finite_image_fails_the_y_subproblem(wide):
@@ -256,17 +267,16 @@ def test_every_step_forms_k_x_as_a_fresh_gather_would(wide, text, monkeypatch):
         state.columns = None
         fresh = variant_step(problem, state, config)
         state.columns = held
-        state, nv = checked_step(problem, state, config)
+        state = variant_step(problem, state, config)
         for field in ("x", "y", "psi", "z", "Kz"):
             assert np.array_equal(getattr(state, field), getattr(fresh, field)), field
         support = state.x.nonzero()[0]
         assert np.array_equal(state.columns[0], support)
         assert np.array_equal(state.columns[1], K[:, support])
         reused.append(held is not None and state.columns is held)
-        return state, nv
+        return state
 
-    checked_step = a3dmm.checked_step
-    monkeypatch.setattr(a3dmm, "checked_step", comparing_step)
+    monkeypatch.setattr(a3dmm, "variant_step", comparing_step)
     result = run_spec(wide, parse_solver_spec(text), wide.gamma_default, TOL, MAX_ITER)
     assert result.converged
     assert any(reused) and not all(reused[1:])  # reused, and gathered again on a new support
