@@ -10,7 +10,10 @@ and J's own prox (A = identity) at w for the y-oracle.  The oracle protocol
 is one method, `evaluate(w, gamma)`, which returns that minimizer exactly.
 Every oracle is a `ProxOracle`: deterministic and, once built, free of
 mutable state apart from inverses cached on first use, so one instance
-is safe to share across concurrent solves.
+is safe to share across concurrent solves.  The one state shared across
+instances is the process's helper thread, which forms a share of a large
+wide design's K't (`AdjointHelper`); a solve that finds it busy forms
+the whole product itself, to the same bits with one BLAS thread.
 
 Quadratic oracles go through the package's only cached solve,
 `QuadraticSolveCache`, of (Q + gamma*I) x = r for a symmetric Q.  A
@@ -28,6 +31,8 @@ right-hand side (a solve cached once per penalty, Boyd et al. 2011, sec.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -209,6 +214,93 @@ SPARSE_IMAGE_SHARE = 20
 # (250, 285 and 286 columns differed).
 PANEL_BYTES = 1 << 20
 PANEL_ALIGN = 64
+# A K larger than one core's L2 (SPLIT_BYTES) has its K't split between the
+# caller and the process's one helper thread when the process may run on
+# two CPUs, so each core reads its share of K from its own L2.  The helper
+# starts its share a hand-off later (about 20 µs), so the caller takes
+# HANDOFF_BYTES more of K than the helper, the split rounded up to a
+# multiple of PANEL_ALIGN (200 x 2000: 1216 | 784 columns; lasso-wide ADMM
+# steps measured 201, 190 and 168 µs serial, split at n/2 and split so).
+# Each share is one product: every further call hands the GIL back and
+# forth, and cutting the shares into panels made a 300 x 3001 pass slower
+# than the serial loop.  The same one-thread kernel forms each column, so
+# the split keeps the bits.  A desk design, or a call made while the helper
+# serves another, takes the serial panel loop: a hand-off costs more than a
+# whole 64 x 256 step.
+SPLIT_BYTES = 2 * PANEL_BYTES
+HANDOFF_BYTES = PANEL_BYTES // 2
+
+
+class AdjointHelper:
+    """The daemon thread that forms the second share of a split K't.
+
+    A caller owns it for one pass by taking `busy` without waiting, hands it
+    a job through `_go` and waits on `_done`; the helper drops the job, its
+    only reference to K, t and the output, before releasing `_done`.  A
+    pass interrupted while it waits never releases `busy`, so later calls
+    take the serial loop rather than meet a stale `_done`.
+    """
+
+    def __init__(self):
+        self.busy, self._go, self._done = threading.Lock(), threading.Lock(), threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
+        self._job = self._error = None
+        threading.Thread(target=self._serve, name="admmkit-adjoint", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            self._go.acquire()
+            try:
+                np.matmul(*self._job)
+            except Exception as exc:  # noqa: BLE001 - raised again in the caller
+                self._error = exc
+            self._job = None
+            self._done.release()
+
+    def split_adjoint(self, halves, t, out):
+        """K't into out, over halves[0] here and halves[1] on the helper; `busy` is held."""
+        (mine, K_mine), (theirs, K_theirs) = halves
+        self._job = K_theirs.T, t, out[theirs]
+        self._go.release()
+        try:
+            np.matmul(K_mine.T, t, out=out[mine])
+        finally:
+            self._done.acquire()
+            error, self._error = self._error, None
+            self.busy.release()
+        if error is not None:
+            raise error
+
+
+_helper = None
+_helper_start = threading.Lock()
+
+
+def claim_helper():
+    """The process's helper, started on first use and now held, or None.
+
+    None when the process may run on one CPU only or the helper is busy.
+    """
+    global _helper
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count())
+    if len(cpus) < 2:
+        return None
+    with _helper_start:
+        if _helper is None:
+            _helper = AdjointHelper()
+        helper = _helper
+    return helper if helper.busy.acquire(blocking=False) else None
+
+
+def _forget_helper():
+    # a forked child has no helper thread, and a thread that did not fork
+    # may have held its locks: the child starts its own
+    global _helper, _helper_start
+    _helper, _helper_start = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_helper)
 
 
 class WideLeastSquares:
@@ -219,10 +311,11 @@ class WideLeastSquares:
     product with the cache's inverse.  `prox`, the one formula, takes K r
     from an image K z that a step carries and returns K y beside y, so the
     step makes one dense pass over K, read in `panels` (views of K's
-    columns, see PANEL_BYTES), and forms K x with `image` from x's nonzero
-    columns of K, which the next step reuses while the support stays the
-    same; `oracle()` forms K z itself.  `Ktf`, `KKtf` and `gram` are K'f,
-    KK'f and KK'.
+    columns, see PANEL_BYTES) or, for a K over one L2, in two `halves`
+    read by two cores (SPLIT_BYTES), and forms K x with `image` from x's
+    nonzero columns of K, which the next step reuses while the support
+    stays the same; `oracle()` forms K z itself.  `Ktf`, `KKtf` and `gram`
+    are K'f, KK'f and KK'.
     """
 
     def __init__(self, K, f):
@@ -237,6 +330,11 @@ class WideLeastSquares:
         width = max(PANEL_ALIGN, -(-n // (count * PANEL_ALIGN)) * PANEL_ALIGN)
         self.panels = tuple((slice(a, min(a + width, n)), K[:, a:a + width])
                             for a in range(0, n, width))
+        self.halves = None
+        if K.nbytes > SPLIT_BYTES:
+            column = K[:, :1].nbytes
+            split = -(-(K.nbytes + HANDOFF_BYTES) // (2 * column * PANEL_ALIGN)) * PANEL_ALIGN
+            self.halves = (slice(0, split), K[:, :split]), (slice(split, n), K[:, split:])
 
     def oracle(self):
         """J's prox as a ProxOracle: evaluate(w, gamma) = argmin J + (gamma/2)||y - w||^2.
@@ -264,8 +362,18 @@ class WideLeastSquares:
         return y, t
 
     def apply_adjoint(self, t, k=0):
-        """K't formed panel by panel, last panel first for an odd k (the same bits either way)."""
+        """K't formed panel by panel, last panel first for an odd k (the same bits either way).
+
+        A K with `halves` has its first share formed here and the second on
+        the process's helper thread, when `claim_helper` gives it: not on a
+        process pinned to one CPU, nor while the helper serves another call.
+        With one BLAS thread every path gives the bits of K.T @ t.
+        """
         out = np.empty(self.K.shape[1])
+        helper = claim_helper() if self.halves else None
+        if helper is not None:
+            helper.split_adjoint(self.halves, t, out)
+            return out
         for cols, panel in (reversed(self.panels) if k % 2 else self.panels):
             np.matmul(panel.T, t, out=out[cols])
         return out

@@ -1,20 +1,22 @@
 """The carried image K z of a wide LASSO against the same instance stepped through the twin."""
 
 import dataclasses
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import admmkit
-from admmkit import a3dmm
+from admmkit import a3dmm, prox
 from admmkit.bench import (RunConfig, build_instance, compute_reference, parse_solver_spec,
                            penalty, run_spec)
 from admmkit.problems import make_lasso
-from admmkit.prox import PANEL_ALIGN, PANEL_BYTES, WideLeastSquares
+from admmkit.prox import PANEL_ALIGN, PANEL_BYTES, SPLIT_BYTES, WideLeastSquares
 from admmkit.splitting import IterateState, SolverConfig, SubproblemFailure, variant_step
 from reference_twins import cholesky_solve, wide_least_squares_oracle
 
@@ -283,7 +285,8 @@ def test_every_step_forms_k_x_as_a_fresh_gather_would(wide, text, monkeypatch):
     assert any(moved) == (text != "admm")
 
 
-PANEL_SHAPES = ((200, 2000), (64, 256), (200, 2001), (300, 3001))
+# 200 x 1600 is the first of them whose K't is split (SPLIT_BYTES)
+PANEL_SHAPES = ((200, 2000), (64, 256), (200, 2001), (300, 3001), (200, 1600))
 
 
 def design(m, n):
@@ -317,23 +320,197 @@ def test_both_panel_orders_give_the_same_adjoint(shape):
     assert (np.abs(forward - lsq.K.T @ t) <= 1e-14 * (np.abs(lsq.K).T @ np.abs(t))).all()
 
 
-def test_with_one_blas_thread_the_panels_give_the_bits_of_one_product():
-    # the benchmark's setting; with several threads K.T @ t itself moves with the thread count
-    script = (
-        "import sys; import numpy as np\n"
-        "from admmkit.prox import WideLeastSquares\n"
-        f"for m, n in {PANEL_SHAPES}:\n"
-        "    rng = np.random.default_rng(m + n)\n"
-        "    lsq = WideLeastSquares(rng.standard_normal((m, n)), rng.standard_normal(m))\n"
-        "    t = rng.standard_normal(m)\n"
-        "    for k in (0, 1):\n"
-        "        if not np.array_equal(lsq.apply_adjoint(t, k), lsq.K.T @ t):\n"
-        "            sys.exit(f'{m} x {n}, k = {k}: bits differ')\n")
+def one_blas_thread(script, timeout=120):
+    """Runs script in a fresh interpreter on this checkout with one BLAS thread; its exit status."""
     src = str(Path(admmkit.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+def test_with_one_blas_thread_the_panels_give_the_bits_of_one_product():
+    # the benchmark's setting; with several threads K.T @ t itself moves with
+    # the thread count.  Split on two CPUs, then the serial loop on one.
+    script = (
+        "import os, sys; import numpy as np\n"
+        "from admmkit import prox\n"
+        "from admmkit.prox import WideLeastSquares\n"
+        "def check():\n"
+        f"    for m, n in {PANEL_SHAPES}:\n"
+        "        rng = np.random.default_rng(m + n)\n"
+        "        lsq = WideLeastSquares(rng.standard_normal((m, n)), rng.standard_normal(m))\n"
+        "        t = rng.standard_normal(m)\n"
+        "        for k in (0, 1):\n"
+        "            if not np.array_equal(lsq.apply_adjoint(t, k), lsq.K.T @ t):\n"
+        "                sys.exit(f'{m} x {n}, k = {k}: bits differ')\n"
+        "check()\n"
+        "if len(os.sched_getaffinity(0)) >= 2 and prox._helper is None:\n"
+        "    sys.exit('nothing was split on two CPUs')\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "if prox.claim_helper() is not None:\n"
+        "    sys.exit('the helper was claimed on one CPU')\n"
+        "check()\n")
+    proc = one_blas_thread(script)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("shape", [(64, 256), (200, 1200), (200, 1310)], ids=["desk", "1.8MiB",
+                                                                              "2MiB"])
+def test_a_k_within_one_l2_is_never_split(shape):
+    lsq = design(*shape)
+    assert lsq.K.nbytes <= SPLIT_BYTES and lsq.halves is None
+
+
+def test_a_k_over_one_l2_is_split_at_a_panel_boundary_past_its_middle():
+    assert design(200, 1311).K.nbytes > SPLIT_BYTES and design(200, 1311).halves is not None
+    for shape, split in (((200, 2000), 1216), ((200, 1600), 1024), ((300, 3001), 1664)):
+        lsq = design(*shape)
+        (mine, K_mine), (theirs, K_theirs) = lsq.halves
+        assert (mine.start, mine.stop, theirs.start, theirs.stop) == (0, split, split, shape[1])
+        assert split % PANEL_ALIGN == 0 and split > shape[1] / 2
+        assert K_mine.base is lsq.K and K_theirs.base is lsq.K
+        assert np.array_equal(np.hstack([K_mine, K_theirs]), lsq.K)
+
+
+def test_a_busy_helper_leaves_the_caller_the_serial_loop(monkeypatch):
+    lsq = design(200, 2000)
+    t = np.random.default_rng(2).standard_normal(200)
+    helper = prox.claim_helper()
+    if helper is None:
+        pytest.skip("the process may run on one CPU only")
+
+    def refuse(*args):
+        raise AssertionError("split while the helper was busy")
+
+    monkeypatch.setattr(prox.AdjointHelper, "split_adjoint", refuse)
+    try:
+        forward, backward = lsq.apply_adjoint(t, 0), lsq.apply_adjoint(t, 1)
+    finally:
+        helper.busy.release()
+    assert np.array_equal(forward, backward)
+    assert (np.abs(forward - lsq.K.T @ t) <= 1e-14 * (np.abs(lsq.K).T @ np.abs(t))).all()
+
+
+def test_a_failed_job_is_raised_in_the_caller_and_frees_the_helper():
+    lsq = design(200, 2000)
+    t = np.random.default_rng(2).standard_normal(200)
+    helper = prox.claim_helper()
+    if helper is None:
+        pytest.skip("the process may run on one CPU only")
+    (mine, K_mine), _ = lsq.halves
+    wrong = (mine, K_mine), (slice(1216, 1300), lsq.K[:, 1216:1310])  # 84 outputs, 94 columns
+    with pytest.raises(ValueError):
+        helper.split_adjoint(wrong, t, np.empty(2000))
+    assert helper.busy.acquire(blocking=False)  # released by the failed pass
+    out = np.empty(2000)
+    helper.split_adjoint(lsq.halves, t, out)
+    assert np.array_equal(out, lsq.apply_adjoint(t))
+
+
+def test_the_helper_keeps_no_operand_after_its_job():
+    # a view of K kept by the helper would hold this K through the next build
+    lsq = design(200, 2000)
+    gone = weakref.ref(lsq.K)
+    lsq.apply_adjoint(np.ones(200))
+    del lsq
+    gc.collect()
+    assert gone() is None
+
+
+def test_a_forked_child_starts_its_own_helper():
+    # the child's copy of the parent's helper has no thread; it must not wait on it
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the process may run on one CPU only")
+    script = (
+        "import os, signal, sys, threading; import numpy as np\n"
+        "from admmkit import prox\n"
+        "from admmkit.prox import WideLeastSquares\n"
+        "rng = np.random.default_rng(0)\n"
+        "lsq = WideLeastSquares(rng.standard_normal((200, 2000)), rng.standard_normal(200))\n"
+        "t = rng.standard_normal(200)\n"
+        "lsq.apply_adjoint(t)\n"
+        "if prox._helper is None: sys.exit('the parent did not split')\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    signal.alarm(20)\n"
+        "    same = np.array_equal(lsq.apply_adjoint(t), lsq.K.T @ t)\n"
+        "    os._exit(0 if same and threading.active_count() == 2 else 3)\n"
+        "_, status = os.waitpid(pid, 0)\n"
+        "sys.exit(f'child status {status}' if status else 0)\n")
+    proc = one_blas_thread(script, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_concurrent_solves_on_one_instance_give_the_rows_of_serial_ones():
+    # a second caller meets a busy helper and runs the serial loop, with the same bits
+    script = (
+        "import dataclasses, sys, threading\n"
+        "from admmkit.bench import RunConfig, build_instance, parse_solver_spec, penalty, run_spec\n"
+        "config = RunConfig(problem='lasso', seed=0, m=200, n=2000, sparsity=20, gamma='K2/10',\n"
+        "                   tol=1e-8, max_iter=3000)\n"
+        "instance = build_instance(config)\n"
+        "gamma = penalty(config, instance)\n"
+        "specs = [parse_solver_spec(s) for s in ('admm', 'a3dmm(6,inf)')]\n"
+        "def rows(spec):\n"
+        "    trace = run_spec(instance, spec, gamma, config.tol, config.max_iter).trace\n"
+        "    return [dataclasses.replace(r, ms=0.0) for r in trace.rows]\n"
+        "serial = [rows(spec) for spec in specs]\n"
+        "got = {}\n"
+        "def solve(i):\n"
+        "    got[i] = [rows(spec) for spec in specs]\n"
+        "threads = [threading.Thread(target=solve, args=(i,)) for i in range(2)]\n"
+        "for thread in threads: thread.start()\n"
+        "for thread in threads: thread.join(60)\n"
+        "if any(thread.is_alive() for thread in threads): sys.exit('a solve did not finish')\n"
+        "sys.exit(0 if got == {0: serial, 1: serial} else 'rows differ')\n")
+    proc = one_blas_thread(script)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_more_callers_than_cores_each_get_the_bits_of_one_product():
+    # callers that race for the helper at a short switch interval: a job or
+    # output handed to the wrong caller, or a lost release, shows as a wrong
+    # result or a caller that never finishes
+    script = (
+        "import sys, threading; import numpy as np\n"
+        "from admmkit import prox\n"
+        "from admmkit.prox import WideLeastSquares\n"
+        "rng = np.random.default_rng(0)\n"
+        "shared = [WideLeastSquares(rng.standard_normal((200, n)), rng.standard_normal(200))\n"
+        "          for n in (1600, 2000)]\n"
+        "wrong = []\n"
+        "def call(i):\n"
+        "    lsq = shared[i % 2]\n"
+        "    t = np.random.default_rng(i).standard_normal(200)\n"
+        "    want = lsq.K.T @ t\n"
+        "    for k in range(200):\n"
+        "        if not np.array_equal(lsq.apply_adjoint(t, k), want): wrong.append((i, k))\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "try:\n"
+        "    threads = [threading.Thread(target=call, args=(i,)) for i in range(5)]\n"
+        "    for thread in threads: thread.start()\n"
+        "    for thread in threads: thread.join(20)\n"
+        "finally:\n"
+        "    sys.setswitchinterval(0.005)\n"
+        "if any(thread.is_alive() for thread in threads): sys.exit('a caller did not finish')\n"
+        "sys.exit(f'wrong bits at {wrong[:5]}' if wrong else 0)\n")
+    proc = one_blas_thread(script)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_desk_solve_starts_no_thread():
+    script = (
+        "import sys, threading\n"
+        "from admmkit import prox\n"
+        "from admmkit.bench import RunConfig, build_instance, parse_solver_spec, penalty, run_spec\n"
+        "config = RunConfig(problem='lasso', seed=0, m=64, n=256, tol=1e-8, max_iter=3000)\n"
+        "instance = build_instance(config)\n"
+        "before = threading.active_count()\n"
+        "run_spec(instance, parse_solver_spec('a3dmm(6,inf)'), penalty(config, instance),\n"
+        "         config.tol, config.max_iter)\n"
+        "sys.exit(0 if threading.active_count() == before and prox._helper is None else 1)\n")
+    proc = one_blas_thread(script)
     assert proc.returncode == 0, proc.stderr
 
 
