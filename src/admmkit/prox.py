@@ -283,7 +283,9 @@ def claim_helper():
     None when the process may run on one CPU only or the helper is busy.
     """
     global _helper
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count())
+    # os.cpu_count() is None when the count cannot be found: one CPU then
+    cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+            else range(os.cpu_count() or 1))
     if len(cpus) < 2:
         return None
     with _helper_start:

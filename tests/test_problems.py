@@ -10,7 +10,8 @@ from admmkit.problems import (CERTIFICATE_TOL, BadImage, BadShape, EmptyMask, Fo
                               ProblemInstance, gradient_map, load_pgm,
                               make_bp_l1, make_bp_l12, make_bp_nuclear, make_feasibility,
                               make_lasso, make_qp_box, make_tv_inpainting, operator_norm,
-                              piecewise_constant_image, psnr, resolve_gamma)
+                              piecewise_constant_image, psnr, resolve_gamma,
+                              _free_pixel_laplacian)
 from admmkit.prox import EmptyBox, box_oracle, l1_oracle, quadratic_oracle, soft_threshold_l1
 from admmkit.splitting import (IterateState, SolverConfig, SplitProblem, SubproblemFailure,
                                variant_step)
@@ -411,8 +412,19 @@ def test_tv_validation():
         make_tv_inpainting(image=np.zeros((4, 4)), mask_density=1e-3)
 
 
+def test_free_pixel_laplacian_is_exactly_symmetric():
+    # the TV x-oracle answers L_FF x = b with SuperLU's transposed solve
+    for size, density, seed in ((96, 0.5, 0), (24, 0.1, 1), (24, 0.9, 3), (6, 0.5, 0)):
+        L = _free_pixel_laplacian(make_tv_inpainting(size=size, mask_density=density,
+                                                     seed=seed).extra["mask"])
+        assert L.shape[0] > 0 and (L - L.T).nnz == 0
+
+
 def _tv_x_oracle_cases():
-    for size, density, seed in ((6, 0.5, 0), (24, 0.1, 1), (24, 0.5, 2), (24, 0.9, 3)):
+    # (96, 0.5, 0) is the benchmark's instance: 4620 free pixels, the largest
+    # free component 190 of them
+    for size, density, seed in ((6, 0.5, 0), (24, 0.1, 1), (24, 0.5, 2), (24, 0.9, 3),
+                                (96, 0.5, 0)):
         inst = make_tv_inpainting(size=size, mask_density=density, seed=seed)
         yield inst, inst.extra["mask"].ravel(), gradient_map(size)
 
@@ -439,19 +451,20 @@ def test_tv_x_oracle_is_stationary_on_the_free_pixels():
 
 
 def test_tv_x_oracle_matches_dense_least_squares():
-    size = 6
-    inst = make_tv_inpainting(size=size, mask_density=0.5, seed=0)
-    mask = inst.extra["mask"].ravel()
-    f = inst.extra["image"].ravel()[mask]
-    D = _dense_forward_differences(size)
-    rng = np.random.default_rng(6)
-    for gamma in (0.5, 1.0, 4.0):
-        w = rng.standard_normal(2 * size * size)
-        expected = np.empty(size * size)
-        expected[mask] = f
-        expected[~mask] = np.linalg.lstsq(D[:, ~mask], w - D[:, mask] @ f, rcond=None)[0]
-        np.testing.assert_allclose(inst.problem.prox_r.evaluate(w, gamma), expected,
-                                   rtol=0, atol=1e-12)
+    # a scattered mask, and one whose 129 free pixels form a single component
+    for size, density in ((6, 0.5), (12, 0.1)):
+        inst = make_tv_inpainting(size=size, mask_density=density, seed=0)
+        mask = inst.extra["mask"].ravel()
+        f = inst.extra["image"].ravel()[mask]
+        D = _dense_forward_differences(size)
+        rng = np.random.default_rng(6)
+        for gamma in (0.5, 1.0, 4.0):
+            w = rng.standard_normal(2 * size * size)
+            expected = np.empty(size * size)
+            expected[mask] = f
+            expected[~mask] = np.linalg.lstsq(D[:, ~mask], w - D[:, mask] @ f, rcond=None)[0]
+            np.testing.assert_allclose(inst.problem.prox_r.evaluate(w, gamma), expected,
+                                       rtol=0, atol=1e-12)
 
 
 def test_exact_tv_oracle_results_are_caller_owned():

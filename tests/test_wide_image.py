@@ -355,6 +355,28 @@ def test_with_one_blas_thread_the_panels_give_the_bits_of_one_product():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_an_unknown_cpu_count_reads_as_one_cpu():
+    # without sched_getaffinity the CPUs are os.cpu_count()'s, which may be None
+    script = (
+        "import os, sys; import numpy as np\n"
+        "del os.sched_getaffinity\n"
+        "os.cpu_count = lambda: None\n"
+        "from admmkit import prox\n"
+        "from admmkit.prox import WideLeastSquares\n"
+        "if prox.claim_helper() is not None:\n"
+        "    sys.exit('the helper was claimed on an unknown CPU count')\n"
+        "rng = np.random.default_rng(0)\n"
+        "lsq = WideLeastSquares(rng.standard_normal((200, 2000)), rng.standard_normal(200))\n"
+        "t = rng.standard_normal(200)\n"
+        "for k in (0, 1):\n"
+        "    if not np.array_equal(lsq.apply_adjoint(t, k), lsq.K.T @ t):\n"
+        "        sys.exit(f'k = {k}: bits differ')\n"
+        "if prox._helper is not None:\n"
+        "    sys.exit('a helper was started')\n")
+    proc = one_blas_thread(script)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("shape", [(64, 256), (200, 1200), (200, 1310)], ids=["desk", "1.8MiB",
                                                                               "2MiB"])
 def test_a_k_within_one_l2_is_never_split(shape):
